@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race audit trace serve-smoke obs-smoke chaos crash-smoke fuzz-smoke dst dst-long cover bench bench-json bench-serve clean
+.PHONY: ci vet build test race audit trace serve-smoke obs-smoke chaos crash-smoke fuzz-smoke dst dst-long cover bench-test bench bench-json bench-serve clean
 
-ci: vet build test race audit trace serve-smoke obs-smoke chaos crash-smoke fuzz-smoke dst cover
+ci: vet build test race audit trace serve-smoke obs-smoke chaos crash-smoke fuzz-smoke dst cover bench-test
 
 vet:
 	$(GO) vet ./...
@@ -92,6 +92,13 @@ dst-long:
 # `bash scripts/cover_ratchet.sh -update` (it never lowers one).
 cover:
 	bash scripts/cover_ratchet.sh
+
+# The repository benchmark's self-tests (bench/ is its own module, so
+# `go test ./...` does not see them; about a second) and one iteration of
+# the serve-layer Go benchmark at each inventory size, so it cannot rot.
+bench-test:
+	$(GO) test -C bench . -count=1
+	$(GO) test ./internal/serve -run '^$$' -bench BenchmarkPlacerSubmitComplete -benchtime 1x
 
 # Regenerate the paper exhibits through the benchmark harness.
 bench:

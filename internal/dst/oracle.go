@@ -19,12 +19,11 @@ import (
 // (internal/serve). Their semantics overlap exactly where both run an
 // online policy (batch size 1) over a fixed two-VM-per-machine cluster
 // with no faults and no admission bound: tasks must start in the same
-// order, the backlog must have the same depth at every synchronization
-// point, and every task must finish. Machine identity is intentionally
-// out of scope — the daemon's free-slot resolution and the simulator's
-// free pool may pick different concrete VMs for the same decision — and
-// so are the batch policies, whose queue reordering is scored against
-// engine-specific load inputs.
+// order on the same (machine, slot) — both engines resolve a decision
+// through the same sched.FreePool, fed the same frees in the same order —
+// the backlog must have the same depth at every synchronization point, and
+// every task must finish. The batch policies are out of scope: their queue
+// reordering is scored against engine-specific load inputs.
 
 type oracleEventKind int
 
@@ -35,9 +34,10 @@ const (
 )
 
 type oracleEvent struct {
-	kind oracleEventKind
-	task int64
-	app  string
+	kind          oracleEventKind
+	task          int64
+	app           string
+	machine, slot int // otPlace only
 }
 
 // oracleTracer captures the simulator's lifecycle stream: the driver
@@ -55,7 +55,7 @@ func (o *oracleTracer) TraceFlush(float64)                  {}
 func (o *oracleTracer) TraceDecision(float64, sim.Decision) {}
 func (o *oracleTracer) TracePop(float64, sim.PopInfo)       {}
 func (o *oracleTracer) TracePlace(_ float64, p sim.PlaceInfo) {
-	o.events = append(o.events, oracleEvent{kind: otPlace, task: p.Task.ID, app: p.Task.App})
+	o.events = append(o.events, oracleEvent{kind: otPlace, task: p.Task.ID, app: p.Task.App, machine: p.Machine, slot: p.Slot})
 }
 func (o *oracleTracer) TraceSegment(float64, sim.Segment) {}
 func (o *oracleTracer) TraceComplete(_ float64, c sim.Completion) {
@@ -122,7 +122,13 @@ func RunOracle(lib *model.Library, tbl *sim.InterferenceTable, policy string, ma
 	serveToSim := map[string]int64{}
 	var order []string // serve IDs in submission order
 	started := map[string]bool{}
-	var simStarts, serveStarts []int64
+	// start is one task beginning on one VM; the two engines' start
+	// streams must be equal element by element.
+	type start struct {
+		task          int64
+		machine, slot int
+	}
+	var simStarts, serveStarts []start
 	enqueued := 0
 
 	// observeStarts appends every serve task that newly reached the
@@ -139,19 +145,19 @@ func RunOracle(lib *model.Library, tbl *sim.InterferenceTable, policy string, ma
 			}
 			if rec.Status == serve.StatusPlaced || rec.Status == serve.StatusCompleted {
 				started[id] = true
-				serveStarts = append(serveStarts, serveToSim[id])
+				serveStarts = append(serveStarts, start{serveToSim[id], rec.Machine, rec.Slot})
 			}
 		}
 	}
 	// sync asserts the two engines agree at a driver-event boundary: same
-	// start order, same backlog depth.
+	// start order on the same VMs, same backlog depth.
 	sync := func(at string) error {
 		if len(simStarts) != len(serveStarts) {
 			return fmt.Errorf("oracle: at %s: sim started %d tasks, serve %d", at, len(simStarts), len(serveStarts))
 		}
 		for i := range simStarts {
 			if simStarts[i] != serveStarts[i] {
-				return fmt.Errorf("oracle: at %s: start order diverges at position %d: sim task %d, serve task %d",
+				return fmt.Errorf("oracle: at %s: starts diverge at position %d: sim %+v, serve %+v",
 					at, i, simStarts[i], serveStarts[i])
 			}
 		}
@@ -164,7 +170,7 @@ func RunOracle(lib *model.Library, tbl *sim.InterferenceTable, policy string, ma
 	for i, ev := range tracer.events {
 		switch ev.kind {
 		case otPlace:
-			simStarts = append(simStarts, ev.task)
+			simStarts = append(simStarts, start{ev.task, ev.machine, ev.slot})
 		case otEnqueue:
 			if err := sync(fmt.Sprintf("event %d (enqueue task %d)", i, ev.task)); err != nil {
 				return err

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"container/heap"
 	"fmt"
 	"sync/atomic"
 )
@@ -18,18 +17,28 @@ import (
 // place, so heap memory stays proportional to the live slot count.
 //
 // A FreePool is single-owner state: it is owned by exactly one simulation
-// engine and must not be shared across goroutines (the parallel experiment
-// runner gives every concurrent simulation its own engine and therefore
-// its own pool). Every method carries a cheap atomic reentry guard that
-// panics on concurrent access, so a violation of the ownership contract
-// fails loudly instead of corrupting heaps silently.
+// engine, or by one serving Placer under its mutex, and must not be shared
+// across goroutines (the parallel experiment runner gives every concurrent
+// simulation its own engine and therefore its own pool). Every method
+// carries a cheap atomic reentry guard that panics on concurrent access, so
+// a violation of the ownership contract fails loudly instead of corrupting
+// heaps silently.
 type FreePool struct {
-	heaps   map[string]*slotHeap
-	global  slotHeap
-	state   map[int64]slotState
+	heaps  map[string]*slotHeap
+	global slotHeap
+	// state is the authoritative per-slot record, indexed by slotIndex and
+	// grown on demand; a slot never mentioned is busy.
+	state   []slotState
 	counts  Counts
 	freeSeq int64
 	inUse   int32
+	// idle is the slot count NewIdleFreePool was built for, and untouched
+	// the first of those slots that is still exactly as booted: free under
+	// EmptyCategory with freeGen idx+1, counted in counts, but not yet
+	// written into state or the heaps. materialize does that, in index
+	// order, when something first reaches a slot; building a pool is
+	// therefore O(1) however large the cluster.
+	idle, untouched int
 }
 
 // enter trips the single-owner guard; every public method must pair it
@@ -54,46 +63,135 @@ type slotState struct {
 	freeGen int64
 }
 
-type slotEntry struct {
-	machine, slot int
-	category      string // category at push time ("" is valid; global uses any)
-	seq           int64  // freed-order stamp (0 in category heaps)
+// slotsPerMachine is the two-VM machine model the whole repository shares
+// (Counts.take encodes it too); it makes slot indexes dense.
+const slotsPerMachine = 2
+
+func slotIndex(machine, slot int) int {
+	if machine < 0 || slot < 0 || slot >= slotsPerMachine {
+		panic(fmt.Sprintf("sched: no such VM %d/%d", machine, slot))
+	}
+	return machine*slotsPerMachine + slot
 }
 
+func slotOf(idx int) (machine, slot int) { return idx / slotsPerMachine, idx % slotsPerMachine }
+
+// at returns the state of VM idx, growing the table to hold it.
+func (p *FreePool) at(idx int) *slotState {
+	if idx >= p.untouched && p.untouched < p.idle {
+		p.materialize(min(idx, p.idle-1))
+	}
+	if idx >= len(p.state) {
+		p.state = append(p.state, make([]slotState, idx+1-len(p.state))...)
+	}
+	return &p.state[idx]
+}
+
+// materialize writes out the booted-idle slots up to and including idx.
+// Their stamps are below every later free's (freeSeq starts at idle) and
+// above every earlier slot's, so entering the heaps late changes no order.
+func (p *FreePool) materialize(idx int) {
+	empty := p.heaps[EmptyCategory]
+	for ; p.untouched <= idx; p.untouched++ {
+		i := p.untouched
+		p.state = append(p.state, slotState{free: true, freeGen: int64(i + 1)})
+		p.global.push(slotEntry{idx: i, seq: int64(i + 1)})
+		empty.push(slotEntry{idx: i})
+	}
+}
+
+// slotEntry is one heap entry. A category heap's entries carry no category
+// of their own: an entry is live while its slot is free under the category
+// whose heap it sits in.
+type slotEntry struct {
+	idx int   // slotIndex of the VM
+	seq int64 // freed-order stamp (0 in category heaps)
+}
+
+// slotHeap is a binary min-heap of slotEntry. It is typed rather than a
+// container/heap.Interface so a push or pop does not box its entry: the
+// serving daemon would pay for those allocations on every request. The
+// order is total (equal entries are interchangeable), so the pop sequence
+// does not depend on the sifting details.
 type slotHeap []slotEntry
 
-// Less orders by freed-order when stamped (the global FIFO-over-VMs heap),
-// else by slot index (category heaps, for determinism).
-func (h slotHeap) Len() int { return len(h) }
-func (h slotHeap) Less(i, j int) bool {
+// less orders by freed-order when stamped (the global FIFO-over-VMs heap),
+// else by (machine, slot) (category heaps, for determinism).
+func (h slotHeap) less(i, j int) bool {
 	if h[i].seq != h[j].seq {
 		return h[i].seq < h[j].seq
 	}
-	if h[i].machine != h[j].machine {
-		return h[i].machine < h[j].machine
-	}
-	return h[i].slot < h[j].slot
+	return h[i].idx < h[j].idx
 }
-func (h slotHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *slotHeap) Push(x interface{}) { *h = append(*h, x.(slotEntry)) }
-func (h *slotHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+
+func (h *slotHeap) push(e slotEntry) {
+	*h = append(*h, e)
+	s := *h
+	for i := len(s) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !s.less(i, parent) {
+			break
+		}
+		s[i], s[parent] = s[parent], s[i]
+		i = parent
+	}
+}
+
+// pop removes and returns the minimum; the heap must not be empty.
+func (h *slotHeap) pop() slotEntry {
+	s := *h
+	n := len(s) - 1
+	s[0], s[n] = s[n], s[0]
+	s[:n].down(0)
+	*h = s[:n]
+	return s[n]
+}
+
+// down sifts element i towards the leaves until the heap order holds.
+func (h slotHeap) down(i int) {
+	for {
+		child := 2*i + 1
+		if child >= len(h) {
+			return
+		}
+		if right := child + 1; right < len(h) && h.less(right, child) {
+			child = right
+		}
+		if !h.less(child, i) {
+			return
+		}
+		h[i], h[child] = h[child], h[i]
+		i = child
+	}
+}
+
+// heapify establishes the heap order over arbitrary contents.
+func (h slotHeap) heapify() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
 }
 
 // NewFreePool returns an empty pool.
 func NewFreePool() *FreePool {
-	return &FreePool{
-		heaps:  map[string]*slotHeap{},
-		state:  map[int64]slotState{},
-		counts: Counts{},
-	}
+	return &FreePool{heaps: map[string]*slotHeap{}, counts: Counts{}}
 }
 
-func slotKey(machine, slot int) int64 { return int64(machine)<<8 | int64(slot) }
+// NewIdleFreePool returns the pool of an idle cluster: every VM of the
+// given number of machines free under EmptyCategory, freed in index order.
+// It behaves exactly as NewFreePool followed by one SetFree per slot in
+// index order, but costs nothing up front (see FreePool.idle): a serving
+// daemon builds its whole inventory on every boot, and its restart time is
+// a measured quantity.
+func NewIdleFreePool(machines int) *FreePool {
+	n := machines * slotsPerMachine
+	return &FreePool{
+		heaps:   map[string]*slotHeap{EmptyCategory: {}},
+		counts:  Counts{EmptyCategory: n},
+		freeSeq: int64(n),
+		idle:    n,
+	}
+}
 
 // SetFree marks a slot free under the given neighbour category, adding or
 // recategorizing as needed.
@@ -103,9 +201,9 @@ func (p *FreePool) SetFree(machine, slot int, category string) {
 	if category == AnyCategory {
 		panic("sched: AnyCategory is not a real category")
 	}
-	key := slotKey(machine, slot)
-	cur, ok := p.state[key]
-	if ok && cur.free {
+	idx := slotIndex(machine, slot)
+	cur := p.at(idx)
+	if cur.free {
 		if cur.category == category {
 			return
 		}
@@ -114,9 +212,9 @@ func (p *FreePool) SetFree(machine, slot int, category string) {
 		// its position in the FIFO-over-VMs queue is unchanged. Only the
 		// category heaps see a fresh entry.
 		p.counts[cur.category]--
-		p.state[key] = slotState{free: true, category: category, freeGen: cur.freeGen}
+		cur.category = category
 		p.counts[category]++
-		p.pushCategory(machine, slot, category)
+		p.pushCategory(idx, category)
 		return
 	}
 	// Busy→free transition: stamp the freed order and enter the global FIFO.
@@ -124,40 +222,37 @@ func (p *FreePool) SetFree(machine, slot int, category string) {
 	// longest, so an idle cluster spreads tasks instead of repeatedly
 	// packing the lowest-numbered machine.
 	p.freeSeq++
-	p.state[key] = slotState{free: true, category: category, freeGen: p.freeSeq}
+	*cur = slotState{free: true, category: category, freeGen: p.freeSeq}
 	p.counts[category]++
-	p.pushCategory(machine, slot, category)
-	heap.Push(&p.global, slotEntry{machine: machine, slot: slot, seq: p.freeSeq})
+	p.pushCategory(idx, category)
+	p.global.push(slotEntry{idx: idx, seq: p.freeSeq})
 	p.maybeCompactGlobal()
 }
 
 // pushCategory adds a category-heap entry and compacts the heap if stale
 // entries dominate it.
-func (p *FreePool) pushCategory(machine, slot int, category string) {
+func (p *FreePool) pushCategory(idx int, category string) {
 	h, ok := p.heaps[category]
 	if !ok {
 		h = &slotHeap{}
 		p.heaps[category] = h
 	}
-	heap.Push(h, slotEntry{machine: machine, slot: slot, category: category})
-	p.maybeCompactCategory(category)
+	h.push(slotEntry{idx: idx})
+	p.maybeCompactCategory(category, h)
 }
 
 // SetBusy marks a slot occupied.
 func (p *FreePool) SetBusy(machine, slot int) {
 	p.enter()
 	defer p.leave()
-	p.setBusy(machine, slot)
+	p.setBusy(slotIndex(machine, slot))
 }
 
-func (p *FreePool) setBusy(machine, slot int) {
-	key := slotKey(machine, slot)
-	cur, ok := p.state[key]
-	if !ok || !cur.free {
-		return
+func (p *FreePool) setBusy(idx int) {
+	if st := p.at(idx); st.free {
+		p.counts[st.category]--
+		*st = slotState{}
 	}
-	p.counts[cur.category]--
-	p.state[key] = slotState{free: false}
 }
 
 // Counts returns a copy of the per-category free counts (zero entries
@@ -178,17 +273,12 @@ func (p *FreePool) Counts() Counts {
 func (p *FreePool) FreeSlots() int {
 	p.enter()
 	defer p.leave()
-	t := 0
-	for _, n := range p.counts {
-		if n > 0 {
-			t += n
-		}
-	}
-	return t
+	return p.liveFree()
 }
 
 // Pop resolves a placement category to a concrete free slot and marks it
-// busy. AnyCategory takes the lowest-indexed free slot overall.
+// busy. AnyCategory takes the slot that has been free the longest; a real
+// category takes its lowest-indexed slot.
 func (p *FreePool) Pop(category string) (machine, slot int, err error) {
 	machine, slot, _, err = p.PopTraced(category)
 	return machine, slot, err
@@ -202,16 +292,24 @@ func (p *FreePool) PopTraced(category string) (machine, slot int, freeGen int64,
 	p.enter()
 	defer p.leave()
 	if category == AnyCategory {
-		for p.global.Len() > 0 {
-			e := heap.Pop(&p.global).(slotEntry)
-			st, ok := p.state[slotKey(e.machine, e.slot)]
+		for {
+			// A booted-idle slot not yet in the heap has been free longer
+			// than anything freed since boot.
+			if p.untouched < p.idle && (len(p.global) == 0 || p.global[0].seq > int64(p.idle)) {
+				p.materialize(p.untouched)
+			}
+			if len(p.global) == 0 {
+				break
+			}
+			e := p.global.pop()
 			// The stamp must match: a slot freed, made busy and freed again
 			// leaves an older entry behind whose stamp no longer matches, and
 			// honouring it would let the recently freed slot jump the
 			// FIFO-over-VMs queue.
-			if ok && st.free && st.freeGen == e.seq {
-				p.setBusy(e.machine, e.slot)
-				return e.machine, e.slot, st.freeGen, nil
+			if st := p.state[e.idx]; st.free && st.freeGen == e.seq {
+				p.setBusy(e.idx)
+				machine, slot = slotOf(e.idx)
+				return machine, slot, st.freeGen, nil
 			}
 		}
 		return 0, 0, 0, fmt.Errorf("sched: no free VM")
@@ -220,12 +318,20 @@ func (p *FreePool) PopTraced(category string) (machine, slot int, freeGen int64,
 	if !ok {
 		return 0, 0, 0, fmt.Errorf("sched: no free VM with neighbour %q", category)
 	}
-	for h.Len() > 0 {
-		e := heap.Pop(h).(slotEntry)
-		st, oks := p.state[slotKey(e.machine, e.slot)]
-		if oks && st.free && st.category == e.category {
-			p.setBusy(e.machine, e.slot)
-			return e.machine, e.slot, st.freeGen, nil
+	for {
+		// Every booted-idle slot not yet in the empty heap has a higher
+		// index than the ones that are: it is next once the heap runs dry.
+		if len(*h) == 0 && category == EmptyCategory && p.untouched < p.idle {
+			p.materialize(p.untouched)
+		}
+		if len(*h) == 0 {
+			break
+		}
+		e := h.pop()
+		if st := p.state[e.idx]; st.free && st.category == category {
+			p.setBusy(e.idx)
+			machine, slot = slotOf(e.idx)
+			return machine, slot, st.freeGen, nil
 		}
 	}
 	return 0, 0, 0, fmt.Errorf("sched: no free VM with neighbour %q", category)
@@ -236,11 +342,14 @@ func (p *FreePool) PopTraced(category string) (machine, slot int, freeGen int64,
 func (p *FreePool) Category(machine, slot int) (string, bool) {
 	p.enter()
 	defer p.leave()
-	st, ok := p.state[slotKey(machine, slot)]
-	if !ok || !st.free {
+	idx := slotIndex(machine, slot)
+	if idx >= p.untouched && idx < p.idle {
+		return EmptyCategory, true // as booted; a read does not write it out
+	}
+	if idx >= len(p.state) || !p.state[idx].free {
 		return "", false
 	}
-	return st.category, true
+	return p.state[idx].category, true
 }
 
 // OldestFree returns the free slot that has been free the longest — the
@@ -250,15 +359,17 @@ func (p *FreePool) OldestFree() (machine, slot int, ok bool) {
 	p.enter()
 	defer p.leave()
 	best := int64(0)
-	for key, st := range p.state {
-		if !st.free {
-			continue
-		}
-		if !ok || st.freeGen < best {
+	for idx, st := range p.state {
+		if st.free && (!ok || st.freeGen < best) {
 			best = st.freeGen
-			machine, slot = int(key>>8), int(key&0xff)
+			machine, slot = slotOf(idx)
 			ok = true
 		}
+	}
+	// A booted-idle slot outranks everything freed after boot.
+	if p.untouched < p.idle && (!ok || best > int64(p.idle)) {
+		machine, slot = slotOf(p.untouched)
+		ok = true
 	}
 	return machine, slot, ok
 }
@@ -282,14 +393,9 @@ type PoolStats struct {
 func (p *FreePool) Stats() PoolStats {
 	p.enter()
 	defer p.leave()
-	s := PoolStats{GlobalHeapLen: p.global.Len(), Categories: len(p.heaps)}
-	for _, n := range p.counts {
-		if n > 0 {
-			s.FreeSlots += n
-		}
-	}
+	s := PoolStats{FreeSlots: p.liveFree(), GlobalHeapLen: len(p.global), Categories: len(p.heaps)}
 	for _, h := range p.heaps {
-		s.CategoryHeapLen += h.Len()
+		s.CategoryHeapLen += len(*h)
 	}
 	return s
 }
@@ -315,45 +421,38 @@ func (p *FreePool) liveFree() int {
 // maybeCompactGlobal rebuilds the global heap keeping only entries whose
 // freed-order stamp still matches the authoritative slot state.
 func (p *FreePool) maybeCompactGlobal() {
-	if p.global.Len() <= compactMinLen || p.global.Len() <= 2*p.liveFree() {
+	if len(p.global) <= compactMinLen || len(p.global) <= 2*p.liveFree() {
 		return
 	}
 	keep := p.global[:0]
 	for _, e := range p.global {
-		st, ok := p.state[slotKey(e.machine, e.slot)]
-		if ok && st.free && st.freeGen == e.seq {
+		if st := p.state[e.idx]; st.free && st.freeGen == e.seq {
 			keep = append(keep, e)
 		}
 	}
 	p.global = keep
-	heap.Init(&p.global)
+	p.global.heapify()
 }
 
 // maybeCompactCategory rebuilds one category heap, dropping stale entries
 // and deduplicating live ones (a slot re-freed under the same category can
 // legitimately appear twice).
-func (p *FreePool) maybeCompactCategory(category string) {
-	h, ok := p.heaps[category]
-	if !ok {
-		return
-	}
+func (p *FreePool) maybeCompactCategory(category string, h *slotHeap) {
 	live := p.counts[category]
 	if live < 0 {
 		live = 0
 	}
-	if h.Len() <= compactMinLen || h.Len() <= 2*live {
+	if len(*h) <= compactMinLen || len(*h) <= 2*live {
 		return
 	}
-	seen := make(map[int64]bool, live)
+	seen := make(map[int]bool, live)
 	keep := (*h)[:0]
 	for _, e := range *h {
-		key := slotKey(e.machine, e.slot)
-		st, oks := p.state[key]
-		if oks && st.free && st.category == e.category && !seen[key] {
-			seen[key] = true
+		if st := p.state[e.idx]; st.free && st.category == category && !seen[e.idx] {
+			seen[e.idx] = true
 			keep = append(keep, e)
 		}
 	}
 	*h = keep
-	heap.Init(h)
+	h.heapify()
 }

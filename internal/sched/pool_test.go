@@ -270,3 +270,89 @@ func TestFreePoolCrashRecoverMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// TestIdleFreePoolEqualsIncrementalBuild holds NewIdleFreePool to its
+// contract: the same observable state, and the same pops in the same
+// order, as an empty pool given one SetFree per slot in index order, under
+// identical random traffic (which starts while most of the idle pool is
+// still unmaterialized, and reaches two machines past the booted ones).
+func TestIdleFreePoolEqualsIncrementalBuild(t *testing.T) {
+	categories := []string{AnyCategory, EmptyCategory, "io", "cpu"}
+	for seed := int64(1); seed <= 25; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		machines := 1 + rng.Intn(40)
+		bulk, step := NewIdleFreePool(machines), NewFreePool()
+		for m := 0; m < machines; m++ {
+			step.SetFree(m, 0, EmptyCategory)
+			step.SetFree(m, 1, EmptyCategory)
+		}
+		same := func(at string) {
+			t.Helper()
+			if b, s := bulk.FreeSlots(), step.FreeSlots(); b != s {
+				t.Fatalf("seed %d %s: %d free slots vs incremental %d", seed, at, b, s)
+			}
+			if b, s := fmt.Sprint(bulk.Counts()), fmt.Sprint(step.Counts()); b != s {
+				t.Fatalf("seed %d %s: counts %s vs incremental %s", seed, at, b, s)
+			}
+			bm, bs, bok := bulk.OldestFree()
+			sm, ss, sok := step.OldestFree()
+			if bm != sm || bs != ss || bok != sok {
+				t.Fatalf("seed %d %s: oldest free %d/%d vs incremental %d/%d", seed, at, bm, bs, sm, ss)
+			}
+		}
+		same("boot")
+		for op := 0; op < 600; op++ {
+			m, s := rng.Intn(machines+2), rng.Intn(2)
+			cat := categories[rng.Intn(len(categories))]
+			switch r := rng.Intn(10); {
+			case r < 3 && cat != AnyCategory:
+				bulk.SetFree(m, s, cat)
+				step.SetFree(m, s, cat)
+			case r < 5:
+				bulk.SetBusy(m, s)
+				step.SetBusy(m, s)
+			case r < 6:
+				bc, bok := bulk.Category(m, s)
+				sc, sok := step.Category(m, s)
+				if bc != sc || bok != sok {
+					t.Fatalf("seed %d op %d Category(%d,%d) = %q,%v vs incremental %q,%v", seed, op, m, s, bc, bok, sc, sok)
+				}
+			default:
+				bm, bs, bg, berr := bulk.PopTraced(cat)
+				sm, ss, sg, serr := step.PopTraced(cat)
+				if bm != sm || bs != ss || bg != sg || (berr == nil) != (serr == nil) {
+					t.Fatalf("seed %d op %d Pop(%q) = %d/%d gen %d (%v) vs incremental %d/%d gen %d (%v)",
+						seed, op, cat, bm, bs, bg, berr, sm, ss, sg, serr)
+				}
+			}
+			same(fmt.Sprintf("op %d", op))
+		}
+	}
+}
+
+// TestIdleFreePoolOrdersBootedSlots pins the two orders the unmaterialized
+// part of an idle pool must respect: for AnyCategory a slot free since boot
+// outranks one freed since, however late it enters the heap; for
+// EmptyCategory the lowest index wins, booted or re-freed.
+func TestIdleFreePoolOrdersBootedSlots(t *testing.T) {
+	pops := func(p *FreePool, category string, want ...[2]int) {
+		t.Helper()
+		for _, w := range want {
+			if m, s, err := p.Pop(category); err != nil || m != w[0] || s != w[1] {
+				t.Fatalf("Pop(%q) = %d/%d (%v), want %d/%d", category, m, s, err, w[0], w[1])
+			}
+		}
+	}
+	p := NewIdleFreePool(3)
+	pops(p, AnyCategory, [2]int{0, 0})
+	p.SetFree(0, 0, EmptyCategory) // freed after boot: behind all five booted slots
+	pops(p, AnyCategory, [2]int{0, 1}, [2]int{1, 0}, [2]int{1, 1}, [2]int{2, 0}, [2]int{2, 1}, [2]int{0, 0})
+	if _, _, err := p.Pop(AnyCategory); err == nil {
+		t.Fatal("Pop on an exhausted pool succeeded")
+	}
+
+	p = NewIdleFreePool(2)
+	pops(p, EmptyCategory, [2]int{0, 0}, [2]int{0, 1})
+	p.SetFree(0, 1, EmptyCategory)
+	pops(p, EmptyCategory, [2]int{0, 1}, [2]int{1, 0}, [2]int{1, 1})
+}

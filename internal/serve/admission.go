@@ -52,12 +52,6 @@ func (a *Admission) Release() { <-a.sem }
 // InFlight returns the number of tokens currently claimed.
 func (a *Admission) InFlight() int { return len(a.sem) }
 
-// WouldReject reports whether a submission arriving at the given backlog
-// depth should shed. Pure: no counter is touched.
-func (a *Admission) WouldReject(depth int) bool {
-	return a.maxQueue > 0 && depth >= a.maxQueue
-}
-
 // ScaledBound resolves the queue bound against the fraction of the
 // inventory that is actually schedulable: a cluster serving at half
 // capacity queues half as much before shedding, and one with no up
@@ -79,8 +73,8 @@ func (a *Admission) ScaledBound(available, total int) int {
 	return bound
 }
 
-// WouldRejectScaled is WouldReject with the bound scaled by ScaledBound.
-// Pure: no counter is touched.
+// WouldRejectScaled reports whether a submission arriving at the given
+// backlog depth should shed under ScaledBound. Pure: no counter is touched.
 func (a *Admission) WouldRejectScaled(depth, available, total int) bool {
 	switch bound := a.ScaledBound(available, total); {
 	case bound < 0:

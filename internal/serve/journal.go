@@ -96,9 +96,21 @@ func placeEvent(rec *Placement) durable.Event {
 	}
 }
 
-// resetToQueuedLocked strips a record's placement binding, returning it
-// to the queued state (kill eviction, orphan requeue, replay).
-func resetToQueuedLocked(rec *Placement) {
+// releaseLocked frees the VM a placed record occupies, if the inventory
+// still shows it there (replay may meet a slot a later event already
+// cleared).
+func (p *Placer) releaseLocked(rec *Placement) {
+	if rec.Machine >= 0 && rec.Machine < len(p.machines) &&
+		p.machines[rec.Machine].slots[rec.Slot].taskID == rec.ID {
+		p.vacateLocked(rec.Machine, rec.Slot)
+	}
+}
+
+// evictLocked takes a placed record off its VM and back to the queued
+// state with one more retry: kill eviction, orphan requeue, and the replay
+// of both.
+func (p *Placer) evictLocked(rec *Placement) {
+	p.releaseLocked(rec)
 	rec.Status = StatusQueued
 	rec.Machine = -1
 	rec.Slot = -1
@@ -106,6 +118,18 @@ func resetToQueuedLocked(rec *Placement) {
 	rec.PredictedRuntime = 0
 	rec.PredictedIOPS = 0
 	rec.bg = nil
+	rec.Retries++
+}
+
+// admittedBefore orders placement IDs by admission: numerically for the
+// "t-<n>" IDs the placer mints, lexically for anything else.
+func admittedBefore(a, b string) bool {
+	na, aok := durable.TaskSeq(a)
+	nb, bok := durable.TaskSeq(b)
+	if aok && bok {
+		return na < nb
+	}
+	return a < b
 }
 
 // ExportState captures the placer's full serving state as a neutral
@@ -141,14 +165,7 @@ func (p *Placer) ExportState() *durable.PlacerState {
 			BG: append([]float64(nil), rec.bg...),
 		})
 	}
-	sort.Slice(st.Placements, func(i, j int) bool {
-		ni, iok := durable.TaskSeq(st.Placements[i].ID)
-		nj, jok := durable.TaskSeq(st.Placements[j].ID)
-		if iok && jok {
-			return ni < nj
-		}
-		return st.Placements[i].ID < st.Placements[j].ID
-	})
+	sort.Slice(st.Placements, func(i, j int) bool { return admittedBefore(st.Placements[i].ID, st.Placements[j].ID) })
 	if p.admission != nil {
 		st.Rejected = p.admission.Rejected()
 	}
@@ -157,6 +174,13 @@ func (p *Placer) ExportState() *durable.PlacerState {
 
 // RestoreState replaces the placer's state with a recovered snapshot.
 // Boot-time only: the placer must not be serving yet.
+//
+// The snapshot records occupancy, not the order VMs were freed in (freed
+// order is not journaled either), so the pool is rebuilt here in machine
+// index order and then follows whatever order WAL replay and the orphan
+// requeue vacate slots in. Place events name (machine, slot) explicitly, so
+// replay never consults that order; it only decides which idle VM the first
+// AnyCategory picks after a restart take.
 func (p *Placer) RestoreState(st *durable.PlacerState) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -165,7 +189,6 @@ func (p *Placer) RestoreState(st *durable.PlacerState) error {
 	}
 	placements := make(map[string]*Placement, len(st.Placements))
 	dedup := map[string]string{}
-	placed := 0
 	for _, ps := range st.Placements {
 		rec := &Placement{
 			ID: ps.ID, App: ps.App, Status: ps.Status,
@@ -179,23 +202,21 @@ func (p *Placer) RestoreState(st *durable.PlacerState) error {
 		if rec.idem != "" {
 			dedup[rec.idem] = rec.ID
 		}
-		if rec.Status == StatusPlaced {
-			placed++
-		}
 	}
+	p.resetInventoryLocked()
 	for i, ms := range st.Machines {
-		p.machines[i].state = ms.State
-		p.machines[i].slots = [SlotsPerMachine]slot{}
 		for j := 0; j < len(ms.Slots) && j < SlotsPerMachine; j++ {
-			p.machines[i].slots[j] = slot{taskID: ms.Slots[j].Task, app: ms.Slots[j].App}
+			if ms.Slots[j].Task != "" {
+				p.occupyLocked(i, j, ms.Slots[j].Task, ms.Slots[j].App)
+			}
 		}
+		p.setStateLocked(i, ms.State)
 	}
 	p.placements = placements
 	p.dedup = dedup
 	p.queue = append([]string(nil), st.Queue...)
 	p.done = append([]string(nil), st.Done...)
 	p.nextID = st.NextID
-	p.placedCount = placed
 	p.version++
 	if p.admission != nil {
 		p.admission.CountRejections(int(st.Rejected))
@@ -211,6 +232,7 @@ func (p *Placer) RestoreState(st *durable.PlacerState) error {
 func (p *Placer) Apply(ev durable.Event) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	p.version++
 	switch ev.Kind {
 	case durable.EvAdmit:
 		p.applyAdmitLocked(durable.TaskRef{Task: ev.Task, App: ev.App, Req: ev.Req, Dedup: ev.Dedup})
@@ -221,7 +243,7 @@ func (p *Placer) Apply(ev durable.Event) error {
 	case durable.EvPlace:
 		return p.applyPlaceLocked(ev)
 	case durable.EvComplete:
-		p.applyFinishLocked(ev.Task, StatusCompleted, "")
+		p.applyCompleteLocked(ev.Task)
 	case durable.EvFail:
 		p.applyFailLocked(ev)
 	case durable.EvKill:
@@ -236,7 +258,6 @@ func (p *Placer) Apply(ev durable.Event) error {
 	default:
 		return fmt.Errorf("serve: replay: unknown event kind %q at seq %d", ev.Kind, ev.Seq)
 	}
-	p.version++
 	return nil
 }
 
@@ -273,14 +294,10 @@ func (p *Placer) applyPlaceLocked(ev durable.Event) error {
 		// a no-op, so placing here would strand the task on a dead machine.
 		return nil
 	}
-	s := &p.machines[ev.Machine].slots[ev.Slot]
-	if s.taskID != "" && s.taskID != ev.Task {
-		return fmt.Errorf("serve: replay: place seq %d targets slot %d/%d already holding %q", ev.Seq, ev.Machine, ev.Slot, s.taskID)
+	if held := p.machines[ev.Machine].slots[ev.Slot].taskID; held != "" && held != ev.Task {
+		return fmt.Errorf("serve: replay: place seq %d targets slot %d/%d already holding %q", ev.Seq, ev.Machine, ev.Slot, held)
 	}
-	if s.taskID == "" {
-		p.placedCount++
-	}
-	*s = slot{taskID: ev.Task, app: rec.App}
+	p.occupyLocked(ev.Machine, ev.Slot, ev.Task, rec.App)
 	rec.Status = StatusPlaced
 	rec.Machine = ev.Machine
 	rec.Slot = ev.Slot
@@ -290,25 +307,19 @@ func (p *Placer) applyPlaceLocked(ev durable.Event) error {
 	rec.Generation = ev.Gen
 	rec.bg = append([]float64(nil), ev.BG...)
 	p.removeQueuedLocked(ev.Task)
-	p.version++
 	return nil
 }
 
-// applyFinishLocked replays a terminal transition out of the placed state.
-func (p *Placer) applyFinishLocked(id, status, errMsg string) {
+// applyCompleteLocked moves a placed record to completed and frees its VM,
+// live (Complete) and replayed alike.
+func (p *Placer) applyCompleteLocked(id string) {
 	rec, ok := p.placements[id]
 	if !ok || rec.Status != StatusPlaced {
 		return
 	}
-	if rec.Machine >= 0 && rec.Machine < len(p.machines) &&
-		p.machines[rec.Machine].slots[rec.Slot].taskID == id {
-		p.machines[rec.Machine].slots[rec.Slot] = slot{}
-		p.placedCount--
-	}
-	rec.Status = status
-	rec.Error = errMsg
+	p.releaseLocked(rec)
+	rec.Status = StatusCompleted
 	p.finishLocked(id)
-	p.version++
 }
 
 func (p *Placer) applyFailLocked(ev durable.Event) {
@@ -320,7 +331,6 @@ func (p *Placer) applyFailLocked(ev durable.Event) {
 	rec.Status = StatusFailed
 	rec.Error = ev.Error
 	p.finishLocked(ev.Task)
-	p.version++
 }
 
 func (p *Placer) applyKillLocked(ev durable.Event) error {
@@ -331,41 +341,26 @@ func (p *Placer) applyKillLocked(ev durable.Event) error {
 	if m.state == MachineDown {
 		return nil // already applied (or machine died again after a revive)
 	}
-	m.state = MachineDown
+	p.setStateLocked(ev.Machine, MachineDown)
 	var front []string
-	evict := func(rec *Placement) {
-		if rec.Machine == ev.Machine && m.slots[rec.Slot].taskID == rec.ID {
-			m.slots[rec.Slot] = slot{}
-			p.placedCount--
-		}
-		resetToQueuedLocked(rec)
-		rec.Retries++
-		front = append(front, rec.ID)
-	}
-	seen := map[string]bool{}
 	for _, t := range ev.Tasks {
-		rec, ok := p.placements[t.Task]
-		if !ok || rec.Status != StatusPlaced {
-			continue
+		if rec, ok := p.placements[t.Task]; ok && rec.Status == StatusPlaced {
+			p.evictLocked(rec)
+			front = append(front, rec.ID)
 		}
-		evict(rec)
-		seen[t.Task] = true
 	}
 	// Anything still occupying the machine was placed there by later
 	// replayed events than the journal's eviction list knew about; a down
 	// machine must end empty either way.
-	for si := range m.slots {
-		if tid := m.slots[si].taskID; tid != "" && !seen[tid] {
-			if rec, ok := p.placements[tid]; ok {
-				evict(rec)
-			} else {
-				m.slots[si] = slot{}
-				p.placedCount--
-			}
+	for si, s := range m.slots {
+		if rec, ok := p.placements[s.taskID]; ok {
+			p.evictLocked(rec)
+			front = append(front, rec.ID)
+		} else if s.taskID != "" {
+			p.vacateLocked(ev.Machine, si)
 		}
 	}
 	p.queue = append(front, p.queue...)
-	p.version++
 	return nil
 }
 
@@ -376,39 +371,19 @@ func (p *Placer) applyRequeueLocked(ev durable.Event) {
 		if !ok || rec.Status != StatusPlaced {
 			continue
 		}
-		if rec.Machine >= 0 && rec.Machine < len(p.machines) &&
-			p.machines[rec.Machine].slots[rec.Slot].taskID == rec.ID {
-			p.machines[rec.Machine].slots[rec.Slot] = slot{}
-			p.placedCount--
-		}
-		resetToQueuedLocked(rec)
-		rec.Retries++
+		p.evictLocked(rec)
 		front = append(front, rec.ID)
 	}
 	p.queue = append(front, p.queue...)
-	p.version++
 }
 
 func (p *Placer) applyMachineLocked(ev durable.Event) error {
 	if ev.Machine < 0 || ev.Machine >= len(p.machines) {
 		return fmt.Errorf("serve: replay: %s seq %d targets machine %d outside the inventory", ev.Kind, ev.Seq, ev.Machine)
 	}
-	m := &p.machines[ev.Machine]
-	switch ev.Kind {
-	case durable.EvDrain:
-		if m.state == MachineUp {
-			m.state = MachineDrained
-		}
-	case durable.EvUndrain:
-		if m.state == MachineDrained {
-			m.state = MachineUp
-		}
-	case durable.EvRevive:
-		if m.state == MachineDown {
-			m.state = MachineUp
-		}
+	if move := machineMoves[ev.Kind]; p.machines[ev.Machine].state == move[0] {
+		p.setStateLocked(ev.Machine, move[1])
 	}
-	p.version++
 	return nil
 }
 
@@ -437,14 +412,7 @@ func (p *Placer) RequeueOrphans() int {
 			orphans = append(orphans, rec)
 		}
 	}
-	sort.Slice(orphans, func(i, j int) bool {
-		ni, iok := durable.TaskSeq(orphans[i].ID)
-		nj, jok := durable.TaskSeq(orphans[j].ID)
-		if iok && jok {
-			return ni < nj
-		}
-		return orphans[i].ID < orphans[j].ID
-	})
+	sort.Slice(orphans, func(i, j int) bool { return admittedBefore(orphans[i].ID, orphans[j].ID) })
 	front := make([]string, 0, len(orphans))
 	refs := make([]durable.TaskRef, 0, len(orphans))
 	type evicted struct {
@@ -454,12 +422,7 @@ func (p *Placer) RequeueOrphans() int {
 	traced := make([]evicted, 0, len(orphans))
 	for _, rec := range orphans {
 		mi, si := rec.Machine, rec.Slot
-		if mi >= 0 && mi < len(p.machines) && p.machines[mi].slots[si].taskID == rec.ID {
-			p.machines[mi].slots[si] = slot{}
-			p.placedCount--
-		}
-		resetToQueuedLocked(rec)
-		rec.Retries++
+		p.evictLocked(rec)
 		front = append(front, rec.ID)
 		refs = append(refs, taskRef(rec))
 		traced = append(traced, evicted{rec: rec.clone(), mi: mi, si: si})

@@ -8,6 +8,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"sync/atomic"
 
 	"tracon/internal/obs"
 )
@@ -50,21 +51,10 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
-// statusClass buckets an HTTP status into its class label ("2xx", ...).
-func statusClass(code int) string {
-	switch {
-	case code < 200:
-		return "1xx"
-	case code < 300:
-		return "2xx"
-	case code < 400:
-		return "3xx"
-	case code < 500:
-		return "4xx"
-	default:
-		return "5xx"
-	}
-}
+// statusClasses are the status-class labels; statusClass indexes them.
+var statusClasses = [...]string{"1xx", "2xx", "3xx", "4xx", "5xx"}
+
+func statusClass(code int) int { return min(max(code/100, 1), len(statusClasses)) - 1 }
 
 // opsRoutes are the scrape/probe surfaces: their traffic is operational,
 // not application load, so it stays out of the aggregate request-latency
@@ -81,6 +71,19 @@ var opsRoutes = map[string]bool{
 // registration keeps the per-request path off the registry's name map.
 type routeMetrics struct {
 	lat *obs.Histogram
+	// codes holds the route's status-class counters, each resolved when its
+	// class first occurs so a class a route never answers exports no series.
+	codes [len(statusClasses)]atomic.Pointer[obs.Counter]
+}
+
+func (rm *routeMetrics) code(reg *obs.Registry, route string, code int) *obs.Counter {
+	class := statusClass(code)
+	c := rm.codes[class].Load()
+	if c == nil {
+		c = reg.Counter(obs.Labeled("serve.http_requests", "code", statusClasses[class], "route", route))
+		rm.codes[class].Store(c)
+	}
+	return c
 }
 
 // instrument wraps a handler with the full request-scoped pipeline.
@@ -103,11 +106,10 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 		elapsed := s.clock.Since(t0).Seconds()
 
 		rm.lat.Observe(elapsed)
-		s.reg.Counter(obs.Labeled("serve.http_requests",
-			"code", statusClass(sw.code), "route", route)).Inc()
+		rm.code(s.reg, route, sw.code).Inc()
 		if !ops {
 			s.latency.Observe(elapsed)
-			s.reg.Counter("serve.http_requests").Inc()
+			s.met.httpRequests.Inc()
 			// 429s burn the error budget: shed load is broken load from the
 			// client's point of view, which is the SLO's point of view.
 			s.slo.Record(elapsed, sw.code >= 500 || sw.code == http.StatusTooManyRequests)

@@ -3,6 +3,8 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"reflect"
+	"strconv"
 	"sync"
 
 	"tracon/internal/durable"
@@ -112,7 +114,12 @@ type machine struct {
 const SlotsPerMachine = 2
 
 // Placer owns the serving-side cluster state: the machine inventory, the
-// FIFO backlog, and the placement records. All mutations happen under one
+// FIFO backlog, and the placement records. The free-slot index is the
+// simulator's own sched.FreePool, so the census a scheduling pass reads is
+// O(categories), resolving a decision to a VM is O(log machines), and an
+// AnyCategory (FIFO) pick takes the VM free the longest, exactly as in the
+// simulator. A drained or down machine's free slots are simply held out of
+// the pool (sim/fault.go's idiom). All mutations happen under one
 // mutex, but the expensive part of a scheduling pass — model scoring over
 // the backlog — runs OUTSIDE the lock against an immutable snapshot of
 // the inventory, then commits its decisions only if nothing changed in
@@ -135,8 +142,13 @@ type Placer struct {
 	// with the configured clock.
 	clock obs.Clock
 
-	mu         sync.Mutex
-	machines   []machine
+	mu       sync.Mutex
+	machines []machine
+	// pool indexes the free VMs of up machines and upMachines counts those
+	// machines; occupyLocked, vacateLocked and setStateLocked are the only
+	// writers of machines[i].slots / .state and keep all three in step.
+	pool       *sched.FreePool
+	upMachines int
 	queue      []string // queued placement IDs, FIFO
 	placements map[string]*Placement
 	nextID     int64
@@ -153,9 +165,6 @@ type Placer struct {
 	// oldest records are dropped beyond doneCap so the map stays bounded.
 	done    []string
 	doneCap int
-
-	// placedCount tracks busy slots for O(1) free-slot queries.
-	placedCount int
 }
 
 // DefaultCompletedCap bounds how many finished placement records are kept
@@ -171,19 +180,81 @@ func NewPlacer(models *ModelSet, admission *Admission, machines, completedCap in
 	if completedCap <= 0 {
 		completedCap = DefaultCompletedCap
 	}
-	inventory := make([]machine, machines)
-	for i := range inventory {
-		inventory[i].state = MachineUp
-	}
-	return &Placer{
+	p := &Placer{
 		models:     models,
 		admission:  admission,
 		clock:      obs.Wall,
-		machines:   inventory,
+		machines:   make([]machine, machines),
 		placements: map[string]*Placement{},
 		dedup:      map[string]string{},
 		doneCap:    completedCap,
-	}, nil
+	}
+	p.resetInventoryLocked()
+	return p, nil
+}
+
+// resetInventoryLocked returns every machine to up and idle and rebuilds
+// the pool to match: every VM free, in index order, as the simulator
+// boots. Boot and snapshot import are the only callers.
+func (p *Placer) resetInventoryLocked() {
+	p.pool = sched.NewIdleFreePool(len(p.machines))
+	p.upMachines = len(p.machines)
+	for i := range p.machines {
+		p.machines[i] = machine{state: MachineUp}
+	}
+}
+
+// occupyLocked puts a task on VM (mi, si). A free VM's pool category is its
+// neighbour's application (EmptyCategory, "", on an idle machine), so the
+// sibling VM, if free, is recategorized under app.
+func (p *Placer) occupyLocked(mi, si int, taskID, app string) {
+	m := &p.machines[mi]
+	m.slots[si] = slot{taskID: taskID, app: app}
+	if m.state != MachineUp {
+		return
+	}
+	p.pool.SetBusy(mi, si)
+	if m.slots[1-si].taskID == "" {
+		p.pool.SetFree(mi, 1-si, app)
+	}
+}
+
+// vacateLocked frees VM (mi, si); on an up machine it re-enters the pool
+// as the newest free VM, and a free sibling becomes empty-category.
+func (p *Placer) vacateLocked(mi, si int) {
+	m := &p.machines[mi]
+	m.slots[si] = slot{}
+	if m.state != MachineUp {
+		return
+	}
+	other := m.slots[1-si]
+	p.pool.SetFree(mi, si, other.app)
+	if other.taskID == "" {
+		p.pool.SetFree(mi, 1-si, sched.EmptyCategory)
+	}
+}
+
+// setStateLocked moves machine mi to state. Leaving service takes its VMs
+// out of the pool; returning puts the free ones back, stamped now.
+func (p *Placer) setStateLocked(mi int, state string) {
+	m := &p.machines[mi]
+	wasUp := m.state == MachineUp
+	m.state = state
+	if wasUp == (state == MachineUp) {
+		return
+	}
+	if wasUp {
+		p.upMachines--
+	} else {
+		p.upMachines++
+	}
+	for si := range m.slots {
+		if wasUp {
+			p.pool.SetBusy(mi, si)
+		} else if m.slots[si].taskID == "" {
+			p.pool.SetFree(mi, si, m.slots[1-si].app)
+		}
+	}
 }
 
 // Submit validates, admits, records and tries to place one task. The
@@ -277,24 +348,12 @@ func (p *Placer) SubmitBatchKeyed(apps, reqIDs, keys []string) ([]BatchOutcome, 
 	view := p.models.View()
 	out := make([]BatchOutcome, len(apps))
 	var recs []*Placement
-	reqID := func(i int) string {
-		if i < len(reqIDs) {
-			return reqIDs[i]
-		}
-		return ""
-	}
-	key := func(i int) string {
-		if i < len(keys) {
-			return keys[i]
-		}
-		return ""
-	}
 
 	p.mu.Lock()
 	budget := p.admitBudgetLocked()
 	deduped := make([]bool, len(apps))
 	for i, app := range apps {
-		if k := key(i); k != "" {
+		if k := at(keys, i); k != "" {
 			if id, ok := p.dedup[k]; ok {
 				if rec, ok := p.placements[id]; ok {
 					out[i].Placement = rec // live pointer; cloned below
@@ -314,8 +373,8 @@ func (p *Placer) SubmitBatchKeyed(apps, reqIDs, keys []string) ([]BatchOutcome, 
 		if budget > 0 {
 			budget--
 		}
-		rec := p.enqueueLocked(app, reqID(i))
-		if k := key(i); k != "" {
+		rec := p.enqueueLocked(app, at(reqIDs, i))
+		if k := at(keys, i); k != "" {
 			rec.idem = k
 			p.dedup[k] = rec.ID
 		}
@@ -333,9 +392,9 @@ func (p *Placer) SubmitBatchKeyed(apps, reqIDs, keys []string) ([]BatchOutcome, 
 	for i, app := range apps {
 		switch {
 		case out[i].Placement != nil && !deduped[i]:
-			p.tracer.admit(reqID(i), out[i].Placement.ID, app)
+			p.tracer.admit(at(reqIDs, i), out[i].Placement.ID, app)
 		case errors.Is(out[i].Err, ErrQueueFull):
-			p.tracer.reject(reqID(i), app, "queue full")
+			p.tracer.reject(at(reqIDs, i), app, "queue full")
 		}
 	}
 
@@ -351,6 +410,14 @@ func (p *Placer) SubmitBatchKeyed(apps, reqIDs, keys []string) ([]BatchOutcome, 
 	}
 	p.mu.Unlock()
 	return out, drainErr
+}
+
+// at returns xs[i], or "" past the end of a short positional slice.
+func at(xs []string, i int) string {
+	if i < len(xs) {
+		return xs[i]
+	}
+	return ""
 }
 
 // checkKnown reproduces the library's typed error for an application the
@@ -371,7 +438,7 @@ func (p *Placer) checkKnown(view ModelView, app string) error {
 func (p *Placer) enqueueLocked(app, reqID string) *Placement {
 	p.nextID++
 	rec := &Placement{
-		ID:      fmt.Sprintf("t-%d", p.nextID),
+		ID:      string(strconv.AppendInt(append(make([]byte, 0, 24), "t-"...), p.nextID, 10)),
 		App:     app,
 		Status:  StatusQueued,
 		Machine: -1,
@@ -399,7 +466,7 @@ func (p *Placer) admitBudgetLocked() int {
 	if bound < 0 {
 		return -1
 	}
-	budget := bound + p.freeSlotsLocked() - len(p.queue)
+	budget := bound + p.pool.FreeSlots() - len(p.queue)
 	if budget < 0 {
 		budget = 0
 	}
@@ -432,15 +499,11 @@ func (p *Placer) Complete(id string) (*Placement, error) {
 		p.mu.Unlock()
 		return nil, fmt.Errorf("%w: %q is %s", ErrNotPlaced, id, rec.Status)
 	}
-	m := &p.machines[rec.Machine]
-	if m.slots[rec.Slot].taskID != id {
+	if p.machines[rec.Machine].slots[rec.Slot].taskID != id {
 		p.mu.Unlock()
 		return nil, fmt.Errorf("serve: slot bookkeeping corrupt for %q", id)
 	}
-	m.slots[rec.Slot] = slot{}
-	p.placedCount--
-	rec.Status = StatusCompleted
-	p.finishLocked(rec.ID)
+	p.applyCompleteLocked(id)
 	p.version++
 	if p.journal.enabled() {
 		p.journal.append(durable.Event{
@@ -488,22 +551,7 @@ func (p *Placer) QueueIDs() []string {
 func (p *Placer) FreeSlots() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.freeSlotsLocked()
-}
-
-func (p *Placer) freeSlotsLocked() int {
-	free := 0
-	for i := range p.machines {
-		if p.machines[i].state != MachineUp {
-			continue
-		}
-		for _, s := range p.machines[i].slots {
-			if s.taskID == "" {
-				free++
-			}
-		}
-	}
-	return free
+	return p.pool.FreeSlots()
 }
 
 // Capacity reports the schedulable slot count (VMs on up machines) against
@@ -517,12 +565,7 @@ func (p *Placer) Capacity() (available, total int) {
 }
 
 func (p *Placer) capacityLocked() (available, total int) {
-	for i := range p.machines {
-		if p.machines[i].state == MachineUp {
-			available += SlotsPerMachine
-		}
-	}
-	return available, SlotsPerMachine * len(p.machines)
+	return SlotsPerMachine * p.upMachines, SlotsPerMachine * len(p.machines)
 }
 
 // Snapshot is one consistent view of the placer's load state, taken under
@@ -543,7 +586,7 @@ func (p *Placer) Snapshot() Snapshot {
 	available, total := p.capacityLocked()
 	return Snapshot{
 		QueueDepth: len(p.queue),
-		FreeSlots:  p.freeSlotsLocked(),
+		FreeSlots:  p.pool.FreeSlots(),
 		Available:  available,
 		Total:      total,
 	}
@@ -551,41 +594,43 @@ func (p *Placer) Snapshot() Snapshot {
 
 // Drain cordons an up machine: its in-flight tasks finish, but it accepts
 // no new placements until Undrain.
-func (p *Placer) Drain(id int) error {
-	return p.transition(id, MachineUp, MachineDrained, durable.EvDrain, false)
-}
+func (p *Placer) Drain(id int) error { return p.transition(id, durable.EvDrain) }
 
 // Undrain returns a drained machine to service and re-runs the scheduler —
 // the restored capacity may immediately absorb backlog.
-func (p *Placer) Undrain(id int) error {
-	return p.transition(id, MachineDrained, MachineUp, durable.EvUndrain, true)
-}
+func (p *Placer) Undrain(id int) error { return p.transition(id, durable.EvUndrain) }
 
 // Revive returns a down machine to service and re-runs the scheduler.
-func (p *Placer) Revive(id int) error {
-	return p.transition(id, MachineDown, MachineUp, durable.EvRevive, true)
+func (p *Placer) Revive(id int) error { return p.transition(id, durable.EvRevive) }
+
+// machineMoves is the {from, to} state change each journaled lifecycle
+// event makes, shared by the live transition and its replay.
+var machineMoves = map[string][2]string{
+	durable.EvDrain:   {MachineUp, MachineDrained},
+	durable.EvUndrain: {MachineDrained, MachineUp},
+	durable.EvRevive:  {MachineDown, MachineUp},
 }
 
-// transition moves machine id from one state to another, optionally
-// draining the backlog onto any capacity the transition restored.
-func (p *Placer) transition(id int, from, to, kind string, redrain bool) error {
+// transition applies lifecycle event kind to machine id, draining the
+// backlog onto the capacity a return to service restores.
+func (p *Placer) transition(id int, kind string) error {
+	from, to := machineMoves[kind][0], machineMoves[kind][1]
 	p.mu.Lock()
 	if id < 0 || id >= len(p.machines) {
 		p.mu.Unlock()
 		return fmt.Errorf("%w: %d", ErrUnknownMachine, id)
 	}
-	m := &p.machines[id]
-	if m.state != from {
+	if state := p.machines[id].state; state != from {
 		p.mu.Unlock()
-		return fmt.Errorf("%w: machine %d is %s, not %s", ErrBadTransition, id, m.state, from)
+		return fmt.Errorf("%w: machine %d is %s, not %s", ErrBadTransition, id, state, from)
 	}
-	m.state = to
+	p.setStateLocked(id, to)
 	p.version++
 	if p.journal.enabled() {
 		p.journal.append(durable.Event{Kind: kind, Machine: id, Slot: -1})
 	}
 	p.mu.Unlock()
-	if redrain {
+	if to == MachineUp {
 		return p.drain()
 	}
 	return nil
@@ -606,23 +651,21 @@ func (p *Placer) Kill(id int) (requeued int, err error) {
 		p.mu.Unlock()
 		return 0, fmt.Errorf("%w: machine %d is already down", ErrBadTransition, id)
 	}
-	m.state = MachineDown
-	var lost []string
-	lostSlots := map[string]int{}
-	for si := range m.slots {
-		if tid := m.slots[si].taskID; tid != "" {
-			lost = append(lost, tid)
-			lostSlots[tid] = si
-			m.slots[si] = slot{}
-			p.placedCount--
+	p.setStateLocked(id, MachineDown)
+	var (
+		lost      []string
+		lostSlots []int
+		evicted   []*Placement
+		refs      []durable.TaskRef
+	)
+	for si, s := range m.slots {
+		if s.taskID == "" {
+			continue
 		}
-	}
-	evicted := make([]*Placement, 0, len(lost))
-	refs := make([]durable.TaskRef, 0, len(lost))
-	for _, tid := range lost {
-		rec := p.placements[tid]
-		resetToQueuedLocked(rec)
-		rec.Retries++
+		rec := p.placements[s.taskID]
+		p.evictLocked(rec)
+		lost = append(lost, rec.ID)
+		lostSlots = append(lostSlots, si)
 		evicted = append(evicted, rec.clone())
 		refs = append(refs, taskRef(rec))
 	}
@@ -632,8 +675,8 @@ func (p *Placer) Kill(id int) (requeued int, err error) {
 		p.journal.append(durable.Event{Kind: durable.EvKill, Machine: id, Slot: -1, Tasks: refs})
 	}
 	p.mu.Unlock()
-	for _, rec := range evicted {
-		p.tracer.evictRequeue(rec, id, lostSlots[rec.ID])
+	for i, rec := range evicted {
+		p.tracer.evictRequeue(rec, id, lostSlots[i])
 	}
 	if err := p.drain(); err != nil {
 		return len(lost), err
@@ -689,28 +732,6 @@ func (p *Placer) finishLocked(id string) {
 	}
 }
 
-// countsLocked summarizes the free pool the way the schedulers expect:
-// an idle machine contributes two empty-category slots; a half-busy one
-// contributes one slot in its occupant's category.
-func (p *Placer) countsLocked() sched.Counts {
-	counts := sched.Counts{}
-	for i := range p.machines {
-		if p.machines[i].state != MachineUp {
-			continue // cordoned and dead machines offer no slots
-		}
-		s0, s1 := p.machines[i].slots[0], p.machines[i].slots[1]
-		switch {
-		case s0.taskID == "" && s1.taskID == "":
-			counts[sched.EmptyCategory] += 2
-		case s0.taskID == "":
-			counts[s1.app]++
-		case s1.taskID == "":
-			counts[s0.app]++
-		}
-	}
-	return counts
-}
-
 // schedPlan is one immutable scheduling input: the head of the backlog,
 // the free-pool census and the load signal, stamped with the state
 // version they were captured at. Scoring runs against it lock-free.
@@ -751,7 +772,7 @@ func (p *Placer) planLocked() (plan schedPlan, ok bool) {
 	p.queue = kept
 	p.journal.append(failed...)
 
-	if len(p.queue) == 0 || p.freeSlotsLocked() == 0 {
+	if len(p.queue) == 0 || p.pool.FreeSlots() == 0 {
 		return schedPlan{}, false
 	}
 	n := view.Scheduler.BatchSize()
@@ -771,7 +792,7 @@ func (p *Placer) planLocked() (plan schedPlan, ok bool) {
 		view:    view,
 		ids:     ids,
 		batch:   batch,
-		counts:  p.countsLocked(),
+		counts:  p.pool.Counts(),
 		load:    sched.Load{TotalSlots: available, Queued: len(p.queue)},
 	}, true
 }
@@ -785,7 +806,6 @@ func (p *Placer) commitLocked(plan schedPlan, placements []sched.Placement) (don
 	if len(placements) == 0 {
 		return true, nil
 	}
-	placedIDs := map[int64]bool{}
 	var placedEvs []durable.Event
 	for _, pl := range placements {
 		id := plan.ids[pl.Task.ID]
@@ -793,7 +813,7 @@ func (p *Placer) commitLocked(plan schedPlan, placements []sched.Placement) (don
 		if err := p.executeLocked(rec, pl.Category, plan.view); err != nil {
 			return true, err
 		}
-		placedIDs[pl.Task.ID] = true
+		plan.ids[pl.Task.ID] = "" // the plan's own copy: blank marks "placed"
 		if p.journal.enabled() {
 			placedEvs = append(placedEvs, placeEvent(rec))
 		}
@@ -802,7 +822,7 @@ func (p *Placer) commitLocked(plan schedPlan, placements []sched.Placement) (don
 	p.journal.append(placedEvs...)
 	kept := p.queue[:0]
 	for i, id := range p.queue {
-		if i >= len(plan.ids) || !placedIDs[int64(i)] {
+		if i >= len(plan.ids) || plan.ids[i] != "" {
 			kept = append(kept, id)
 		}
 	}
@@ -878,11 +898,14 @@ func (p *Placer) drain() error {
 	}
 }
 
-// executeLocked binds a scheduling decision to a concrete (machine, slot).
+// executeLocked binds a scheduling decision to a concrete (machine, slot):
+// AnyCategory takes the VM that has been free the longest (FIFO over VMs,
+// DESIGN.md §4), EmptyCategory and an application category the
+// lowest-indexed match.
 func (p *Placer) executeLocked(rec *Placement, category string, view ModelView) error {
-	mi, si := p.findSlotLocked(category)
-	if mi < 0 {
-		return fmt.Errorf("serve: scheduler chose category %q but no matching slot is free", category)
+	mi, si, err := p.pool.Pop(category)
+	if err != nil {
+		return fmt.Errorf("serve: scheduler chose category %q but no matching slot is free: %w", category, err)
 	}
 	other := p.machines[mi].slots[1-si]
 	rec.Status = StatusPlaced
@@ -906,66 +929,38 @@ func (p *Placer) executeLocked(rec *Placement, category string, view ModelView) 
 	} else {
 		rec.bg = make([]float64, model.NumFeatures)
 	}
-	p.machines[mi].slots[si] = slot{taskID: rec.ID, app: rec.App}
-	p.placedCount++
+	p.occupyLocked(mi, si, rec.ID, rec.App)
 	p.tracer.place(rec)
 	return nil
 }
 
-// findSlotLocked picks the lowest-indexed free slot matching the category:
-// AnyCategory takes the first free VM, EmptyCategory a fully idle machine,
-// and an application category a half-busy machine whose occupant runs it.
-func (p *Placer) findSlotLocked(category string) (mi, si int) {
-	for i := range p.machines {
-		if p.machines[i].state != MachineUp {
-			continue
-		}
-		s0free := p.machines[i].slots[0].taskID == ""
-		s1free := p.machines[i].slots[1].taskID == ""
-		switch category {
-		case sched.AnyCategory:
-			if s0free {
-				return i, 0
-			}
-			if s1free {
-				return i, 1
-			}
-		case sched.EmptyCategory:
-			if s0free && s1free {
-				return i, 0
-			}
-		default:
-			if s0free != s1free { // exactly one free
-				occ := p.machines[i].slots[0]
-				free := 1
-				if s0free {
-					occ = p.machines[i].slots[1]
-					free = 0
-				}
-				if occ.app == category {
-					return i, free
-				}
-			}
-		}
-	}
-	return -1, -1
-}
-
 // CheckInvariants validates the placer's bookkeeping: slots and placement
 // records must agree exactly, the queue must hold only queued records, and
-// the placed count must match the busy-slot census. Tests call it after
-// concurrent hammering; any violation is a serving-layer bug.
+// the incremental index (pool, upMachines) must equal a census recomputed
+// here by a full scan, slot by slot. Tests call it after concurrent
+// hammering; any violation is a serving-layer bug.
 func (p *Placer) CheckInvariants() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	busy := 0
+	busy, up, census := 0, 0, sched.Counts{}
 	for i := range p.machines {
-		switch p.machines[i].state {
-		case MachineUp, MachineDrained, MachineDown:
+		m := &p.machines[i]
+		switch m.state {
+		case MachineUp:
+			up++
+		case MachineDrained, MachineDown:
 		default:
-			return fmt.Errorf("serve: machine %d in unknown state %q", i, p.machines[i].state)
+			return fmt.Errorf("serve: machine %d in unknown state %q", i, m.state)
 		}
-		for j, s := range p.machines[i].slots {
+		for j, s := range m.slots {
+			offered := m.state == MachineUp && s.taskID == ""
+			if cat, pooled := p.pool.Category(i, j); pooled != offered || (pooled && cat != m.slots[1-j].app) {
+				return fmt.Errorf("serve: pool has slot %d/%d free=%v under %q, the inventory says free=%v under %q",
+					i, j, pooled, cat, offered, m.slots[1-j].app)
+			}
+			if offered {
+				census[m.slots[1-j].app]++
+			}
 			if s.taskID == "" {
 				continue
 			}
@@ -983,8 +978,9 @@ func (p *Placer) CheckInvariants() error {
 			}
 		}
 	}
-	if busy != p.placedCount {
-		return fmt.Errorf("serve: placedCount %d but %d busy slots", p.placedCount, busy)
+	if counts := p.pool.Counts(); up != p.upMachines || p.pool.FreeSlots() != census.Total() || !reflect.DeepEqual(counts, census) {
+		return fmt.Errorf("serve: index says %d up machines, %d free slots, census %v; a scan finds %d, %d, %v",
+			p.upMachines, p.pool.FreeSlots(), counts, up, census.Total(), census)
 	}
 	placed := 0
 	for _, rec := range p.placements {

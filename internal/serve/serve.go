@@ -123,6 +123,7 @@ type Server struct {
 
 	clock     obs.Clock
 	reg       *obs.Registry
+	met       serveMetrics
 	latency   *obs.Histogram
 	decision  *obs.Histogram
 	batchSize *obs.Histogram
@@ -195,6 +196,7 @@ func New(lib *model.Library, cfg Config) (*Server, error) {
 		cache:     cache,
 		batchMax:  batchMax,
 		reg:       reg,
+		met:       newServeMetrics(reg, cache != nil),
 		latency:   reg.Histogram("serve.request_seconds", obs.DefaultLatencyBuckets()),
 		decision:  reg.Histogram("serve.decision_seconds", obs.DefaultLatencyBuckets()),
 		batchSize: reg.Histogram("serve.batch_size", obs.BatchSizeBuckets()),
@@ -343,11 +345,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.placementError(w, err)
 		return
 	}
-	s.reg.Counter("serve.tasks_submitted").Inc()
+	s.met.submitted.Inc()
 	if rec.Status == StatusPlaced {
-		s.reg.Counter("serve.tasks_placed").Inc()
+		s.met.placed.Inc()
 	} else {
-		s.reg.Counter("serve.tasks_queued").Inc()
+		s.met.queued.Inc()
 	}
 	s.observeGauges()
 	writeJSON(w, http.StatusOK, rec)
@@ -457,21 +459,21 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 			resp.Results[i] = BatchTaskResult{Error: o.Err.Error()}
 			resp.Failed++
 			if errors.Is(o.Err, model.ErrUnknownApp) {
-				s.reg.Counter("serve.tasks_rejected_unknown_app").Inc()
+				s.met.unknownApp.Inc()
 			}
 		default:
 			resp.Results[i] = BatchTaskResult{Placement: o.Placement}
-			s.reg.Counter("serve.tasks_submitted").Inc()
+			s.met.submitted.Inc()
 			if o.Placement.Status == StatusPlaced {
 				resp.Placed++
-				s.reg.Counter("serve.tasks_placed").Inc()
+				s.met.placed.Inc()
 			} else {
 				resp.Queued++
-				s.reg.Counter("serve.tasks_queued").Inc()
+				s.met.queued.Inc()
 			}
 		}
 	}
-	s.reg.Counter("serve.batches").Inc()
+	s.met.batches.Inc()
 	if resp.Rejected > 0 {
 		snap := s.placer.Snapshot()
 		resp.RetryAfterS = retryAfter(snap.Available, snap.Total)
@@ -512,7 +514,7 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
 		return
 	}
-	s.reg.Counter("serve.tasks_completed").Inc()
+	s.met.completed.Inc()
 	if obs.Runtime > 0 {
 		s.swapper.ObserveCompletion(rec.App, rec.bg, rec.PredictedRuntime, obs)
 	}
@@ -680,26 +682,64 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// serveMetrics is every counter and gauge the request path touches,
+// resolved once in New: a request never takes the registry's name-map
+// mutex. The four cache gauges stay nil when the cache is disabled.
+type serveMetrics struct {
+	submitted, placed, queued, completed, unknownApp, batches, httpRequests *obs.Counter
+
+	queueDepth, freeSlots, available, total, generation, swaps, driftFires, retrainErrors, rejected *obs.Gauge
+	cacheHits, cacheMisses, cacheEvictions, cacheEntries                                            *obs.Gauge
+}
+
+func newServeMetrics(reg *obs.Registry, cache bool) serveMetrics {
+	m := serveMetrics{
+		submitted:     reg.Counter("serve.tasks_submitted"),
+		placed:        reg.Counter("serve.tasks_placed"),
+		queued:        reg.Counter("serve.tasks_queued"),
+		completed:     reg.Counter("serve.tasks_completed"),
+		unknownApp:    reg.Counter("serve.tasks_rejected_unknown_app"),
+		batches:       reg.Counter("serve.batches"),
+		httpRequests:  reg.Counter("serve.http_requests"),
+		queueDepth:    reg.Gauge("serve.queue_depth"),
+		freeSlots:     reg.Gauge("serve.free_slots"),
+		available:     reg.Gauge("serve.available_slots"),
+		total:         reg.Gauge("serve.total_slots"),
+		generation:    reg.Gauge("serve.generation"),
+		swaps:         reg.Gauge("serve.model_swaps"),
+		driftFires:    reg.Gauge("serve.drift_fires"),
+		retrainErrors: reg.Gauge("serve.retrain_errors"),
+		rejected:      reg.Gauge("serve.rejected"),
+	}
+	if cache {
+		m.cacheHits = reg.Gauge("serve.cache_hits")
+		m.cacheMisses = reg.Gauge("serve.cache_misses")
+		m.cacheEvictions = reg.Gauge("serve.cache_evictions")
+		m.cacheEntries = reg.Gauge("serve.cache_entries")
+	}
+	return m
+}
+
 // observeGauges refreshes the point-in-time metrics from their owners.
 // The placer's load state is read through one Snapshot so the exported
 // queue depth and capacity describe the same instant.
 func (s *Server) observeGauges() {
 	snap := s.placer.Snapshot()
-	s.reg.Gauge("serve.queue_depth").Set(float64(snap.QueueDepth))
-	s.reg.Gauge("serve.free_slots").Set(float64(snap.FreeSlots))
-	s.reg.Gauge("serve.available_slots").Set(float64(snap.Available))
-	s.reg.Gauge("serve.total_slots").Set(float64(snap.Total))
-	s.reg.Gauge("serve.generation").Set(float64(s.models.Generation()))
-	s.reg.Gauge("serve.model_swaps").Set(float64(s.models.Swaps()))
-	s.reg.Gauge("serve.drift_fires").Set(float64(s.swapper.DriftFires()))
-	s.reg.Gauge("serve.retrain_errors").Set(float64(s.swapper.RetrainErrors()))
-	s.reg.Gauge("serve.rejected").Set(float64(s.admission.Rejected()))
+	s.met.queueDepth.Set(float64(snap.QueueDepth))
+	s.met.freeSlots.Set(float64(snap.FreeSlots))
+	s.met.available.Set(float64(snap.Available))
+	s.met.total.Set(float64(snap.Total))
+	s.met.generation.Set(float64(s.models.Generation()))
+	s.met.swaps.Set(float64(s.models.Swaps()))
+	s.met.driftFires.Set(float64(s.swapper.DriftFires()))
+	s.met.retrainErrors.Set(float64(s.swapper.RetrainErrors()))
+	s.met.rejected.Set(float64(s.admission.Rejected()))
 	if s.cache != nil {
 		st := s.cache.Stats()
-		s.reg.Gauge("serve.cache_hits").Set(float64(st.Hits))
-		s.reg.Gauge("serve.cache_misses").Set(float64(st.Misses))
-		s.reg.Gauge("serve.cache_evictions").Set(float64(st.Evictions))
-		s.reg.Gauge("serve.cache_entries").Set(float64(st.Entries))
+		s.met.cacheHits.Set(float64(st.Hits))
+		s.met.cacheMisses.Set(float64(st.Misses))
+		s.met.cacheEvictions.Set(float64(st.Evictions))
+		s.met.cacheEntries.Set(float64(st.Entries))
 	}
 }
 
@@ -736,7 +776,7 @@ func retryAfter(available, total int) int {
 func (s *Server) placementError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, model.ErrUnknownApp):
-		s.reg.Counter("serve.tasks_rejected_unknown_app").Inc()
+		s.met.unknownApp.Inc()
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 	case errors.Is(err, model.ErrEmptyLibrary):
 		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})

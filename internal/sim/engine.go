@@ -242,16 +242,13 @@ func NewEngine(cfg Config) (*Engine, error) {
 	e := &Engine{
 		cfg:         cfg,
 		machines:    make([]machineState, cfg.Machines),
-		pool:        sched.NewFreePool(),
+		pool:        sched.NewIdleFreePool(cfg.Machines),
 		table:       cfg.Table,
 		nextFlushAt: math.Inf(1),
 	}
 	e.results.Scheduler = cfg.Scheduler.Name()
 	for m := 0; m < cfg.Machines; m++ {
 		e.machines[m].powerW = cfg.Power.OffW
-		for s := 0; s < vmsPerMachine; s++ {
-			e.pool.SetFree(m, s, sched.EmptyCategory)
-		}
 	}
 	if cfg.Faults != nil {
 		if err := cfg.Faults.Validate(cfg.Machines, vmsPerMachine); err != nil {
