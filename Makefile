@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race audit trace serve-smoke obs-smoke chaos crash-smoke fuzz-smoke dst dst-long cover bench-test bench bench-json bench-serve clean
+.PHONY: ci vet build test race audit trace serve-smoke obs-smoke chaos crash-smoke fuzz-smoke dst dst-long cover bench-test bench clean
 
 ci: vet build test race audit trace serve-smoke obs-smoke chaos crash-smoke fuzz-smoke dst cover bench-test
 
@@ -96,6 +96,8 @@ cover:
 # The repository benchmark's self-tests (bench/ is its own module, so
 # `go test ./...` does not see them; about a second) and one iteration of
 # the serve-layer Go benchmark at each inventory size, so it cannot rot.
+# Its deterministic half, allocations per submit → complete cycle, is a
+# tier-1 test: TestPlacerSubmitCompleteAllocs in internal/serve.
 bench-test:
 	$(GO) test -C bench . -count=1
 	$(GO) test ./internal/serve -run '^$$' -bench BenchmarkPlacerSubmitComplete -benchtime 1x
@@ -103,21 +105,6 @@ bench-test:
 # Regenerate the paper exhibits through the benchmark harness.
 bench:
 	$(GO) test -bench=. -benchmem -count=1 .
-
-# Machine-readable benchmark snapshot of the engine-critical paths; the
-# checked-in BENCH_pr3.json is this target's output at the PR-3 baseline.
-bench-json:
-	$(GO) test -json -run '^$$' -bench 'BenchmarkNewEnv|BenchmarkFig9$$|BenchmarkSchedulerOverhead' \
-		-benchmem -benchtime 1x -count=1 . > BENCH_pr3.json
-
-# Serving-path benchmark snapshot: prediction-cache hit vs uncached
-# scoring, fixed-seed singleton and batched traconload runs, and the WAL
-# fsync-policy sweep (always/interval/never) against a journaling daemon;
-# BENCH_pr9.json is this target's output at the PR-9 baseline
-# (BENCH_pr7.json is the pre-durability snapshot, BENCH_pr4.json the
-# pre-batching singleton one).
-bench-serve:
-	bash scripts/bench_serve.sh BENCH_pr9.json
 
 clean:
 	$(GO) clean ./...

@@ -214,7 +214,7 @@ func tolerate(err error) error {
 }
 
 func (h *harness) opSubmit(arg int) error {
-	rec, err := h.srv.Placer().Submit(h.apps[arg%len(h.apps)])
+	rec, err := h.srv.Placer().SubmitKeyed(h.apps[arg%len(h.apps)], "", "")
 	switch {
 	case errors.Is(err, serve.ErrQueueFull):
 		h.rejected++
@@ -270,7 +270,7 @@ func (h *harness) opCoalesce(arg int) error {
 		want := c.Waiting() + 1
 		ch := chans[j]
 		go func() {
-			rec, err := c.Submit(app)
+			rec, err := c.SubmitKeyed(app, "", "")
 			ch <- result{rec, err}
 		}()
 		if err := waitFor(func() bool { return c.Waiting() == want }); err != nil {
@@ -400,7 +400,7 @@ func (h *harness) opCrash() error {
 	// Recovery requeues orphans: nothing may claim to be placed on the
 	// machines the dead daemon was using unless the post-recovery drain
 	// re-placed it — which CheckInvariants in the common suite verifies.
-	h.prevDepth = p.QueueDepth()
+	h.prevDepth = p.Snapshot().QueueDepth
 	return nil
 }
 

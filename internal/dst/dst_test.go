@@ -2,8 +2,10 @@ package dst
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"flag"
 	"fmt"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -18,6 +20,7 @@ var (
 	dstSeed      = flag.Int64("dst-seed", 0, "run exactly one DST scenario with this seed (0 = seeded sweep)")
 	dstOps       = flag.Int("dst-ops", 120, "ops per DST scenario")
 	dstScenarios = flag.Int("dst-scenarios", 0, "scenarios in the sweep (0 = 50, or 8 with -short)")
+	dstUpdate    = flag.Bool("dst-update-golden", false, "rewrite testdata/trail_sha256.golden from this run (a deliberate behaviour change only)")
 )
 
 // The trained library and the simulator's interference table are the
@@ -131,6 +134,46 @@ func TestDSTTrailIsDeterministic(t *testing.T) {
 		if !bytes.Equal(first, second) {
 			t.Fatalf("seed %d: trails differ between identical runs\nfirst:\n%s\nsecond:\n%s",
 				seed, trailTail(first, 20), trailTail(second, 20))
+		}
+	}
+}
+
+// trailGolden holds the SHA-256 of each seed's execution trail at the fixed
+// 120-op stream length, one "seed hash" line per seed.
+const trailGolden = "testdata/trail_sha256.golden"
+
+// TestDSTTrailGolden pins the daemon's observable behaviour across
+// refactors: the trail records, after every op, the queue depth, free and
+// available slots, the per-status census, the model generation and the
+// journal's sequence number, so an event added, dropped, regrouped or
+// reordered — or a different slot picked — changes the hash. The hashes
+// were captured at commit 25846ea; regenerate them (-dst-update-golden)
+// only for a change that is meant to alter behaviour.
+func TestDSTTrailGolden(t *testing.T) {
+	lib, _ := fixtures(t)
+	var got bytes.Buffer
+	for seed := int64(1); seed <= 50; seed++ {
+		sc, ops := NewScenario(seed, 120)
+		trail, err := sc.Execute(lib, ops)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		fmt.Fprintf(&got, "%d %x\n", seed, sha256.Sum256(trail))
+	}
+	if *dstUpdate {
+		if err := os.WriteFile(trailGolden, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(trailGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotLines, wantLines := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	for i := range gotLines {
+		if i >= len(wantLines) || gotLines[i] != wantLines[i] {
+			t.Fatalf("trail hash diverges from %s at line %d: got %q", trailGolden, i+1, gotLines[i])
 		}
 	}
 }

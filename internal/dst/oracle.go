@@ -161,7 +161,7 @@ func RunOracle(lib *model.Library, tbl *sim.InterferenceTable, policy string, ma
 					at, i, simStarts[i], serveStarts[i])
 			}
 		}
-		if want, got := enqueued-len(simStarts), p.QueueDepth(); want != got {
+		if want, got := enqueued-len(simStarts), p.Snapshot().QueueDepth; want != got {
 			return fmt.Errorf("oracle: at %s: serve backlog %d, sim backlog %d", at, got, want)
 		}
 		return p.CheckInvariants()
@@ -175,7 +175,7 @@ func RunOracle(lib *model.Library, tbl *sim.InterferenceTable, policy string, ma
 			if err := sync(fmt.Sprintf("event %d (enqueue task %d)", i, ev.task)); err != nil {
 				return err
 			}
-			rec, err := p.Submit(ev.app)
+			rec, err := p.SubmitKeyed(ev.app, "", "")
 			if err != nil {
 				return fmt.Errorf("oracle: submit task %d: %w", ev.task, err)
 			}
@@ -204,10 +204,10 @@ func RunOracle(lib *model.Library, tbl *sim.InterferenceTable, policy string, ma
 	if len(simStarts) != tasks {
 		return fmt.Errorf("oracle: sim started %d of %d tasks", len(simStarts), tasks)
 	}
-	if depth := p.QueueDepth(); depth != 0 {
+	if depth := p.Snapshot().QueueDepth; depth != 0 {
 		return fmt.Errorf("oracle: %d tasks still queued after the sim completed everything", depth)
 	}
-	if free := p.FreeSlots(); free != 2*machines {
+	if free := p.Snapshot().FreeSlots; free != 2*machines {
 		return fmt.Errorf("oracle: %d free slots at the end, want %d", free, 2*machines)
 	}
 	return nil

@@ -20,7 +20,7 @@
 //	never     the OS decides; a crash can lose everything since the last
 //	          snapshot.
 //
-// All wall-clock reads go through the injected clock (see clock.go), so
+// All wall-clock reads go through the injected clock (Options.Now), so
 // recovery and rotation decisions are deterministic under test.
 package durable
 

@@ -45,8 +45,10 @@ type Options struct {
 	WALMaxBytes int64
 	// SnapshotKeep bounds retained snapshots (default 2).
 	SnapshotKeep int
-	// Now injects the clock (defaults to the wall clock).
-	Now Clock
+	// Now injects the clock: the package's only source of wall time, read
+	// for fsync-interval pacing and metric durations (defaults to
+	// obs.Wall.Now; a test bans direct time.Now calls in this package).
+	Now func() time.Time
 	// FS injects the filesystem (defaults to OSFS). The deterministic
 	// simulation harness passes a MemFS so crashes can be simulated
 	// in-process.
@@ -120,7 +122,7 @@ type Manager struct {
 // manager positioned to append the next event.
 func Open(dir string, opts Options) (*Manager, error) {
 	if opts.Now == nil {
-		opts.Now = defaultClock
+		opts.Now = obs.Wall.Now
 	}
 	if opts.FsyncInterval <= 0 {
 		opts.FsyncInterval = DefaultFsyncInterval

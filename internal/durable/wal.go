@@ -105,7 +105,7 @@ type walWriter struct {
 	f        File
 	policy   FsyncPolicy
 	interval time.Duration
-	now      Clock
+	now      func() time.Time
 	lastSync time.Time
 	size     int64 // bytes written, including the magic header
 
@@ -114,7 +114,7 @@ type walWriter struct {
 }
 
 // createWAL creates a fresh segment file with its magic header synced.
-func createWAL(fsys FS, path string, policy FsyncPolicy, interval time.Duration, now Clock) (*walWriter, error) {
+func createWAL(fsys FS, path string, policy FsyncPolicy, interval time.Duration, now func() time.Time) (*walWriter, error) {
 	f, err := fsys.Create(path, true)
 	if err != nil {
 		return nil, err
@@ -135,7 +135,7 @@ func createWAL(fsys FS, path string, policy FsyncPolicy, interval time.Duration,
 
 // openWALForAppend opens an existing segment, truncates it at goodSize
 // (discarding a torn tail) and positions the writer at its end.
-func openWALForAppend(fsys FS, path string, goodSize int64, policy FsyncPolicy, interval time.Duration, now Clock) (*walWriter, error) {
+func openWALForAppend(fsys FS, path string, goodSize int64, policy FsyncPolicy, interval time.Duration, now func() time.Time) (*walWriter, error) {
 	f, err := fsys.OpenWrite(path)
 	if err != nil {
 		return nil, err

@@ -9,8 +9,8 @@ import (
 	"time"
 )
 
-// fixedClock is a deterministic Clock for tests.
-func fixedClock() Clock {
+// fixedClock is a deterministic Options.Now for tests.
+func fixedClock() func() time.Time {
 	at := time.Unix(1700000000, 0)
 	return func() time.Time { return at }
 }

@@ -67,80 +67,3 @@ func TestNoDirectTimeCalls(t *testing.T) {
 		})
 	}
 }
-
-// TestNoTornLoadReads bans pairing two single-field placer load reads —
-// Capacity, QueueDepth, FreeSlots — inside one function. Each call takes
-// and drops the placer lock, so two calls describe two different
-// instants; arithmetic across them (an admission bound, a Retry-After
-// hint, an exported gauge pair) is a torn read. Functions that need a
-// consistent view must take one Snapshot(). placer.go itself is exempt:
-// it defines the accessors and does its real work under p.mu.
-func TestNoTornLoadReads(t *testing.T) {
-	loadReads := map[string]bool{"Capacity": true, "QueueDepth": true, "FreeSlots": true}
-	fset, files := parseServeFiles(t)
-	for name, file := range files {
-		if name == "placer.go" {
-			continue
-		}
-		for _, decl := range file.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
-				continue
-			}
-			var calls []string
-			var positions []token.Pos
-			ast.Inspect(fn.Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				sel, ok := call.Fun.(*ast.SelectorExpr)
-				if !ok || !loadReads[sel.Sel.Name] || len(call.Args) != 0 {
-					return true
-				}
-				calls = append(calls, sel.Sel.Name)
-				positions = append(positions, sel.Pos())
-				return true
-			})
-			if len(calls) >= 2 {
-				t.Errorf("%s: %s pairs %s — two lock acquisitions describe two instants; take one placer.Snapshot() instead",
-					fset.Position(positions[1]), fn.Name.Name, strings.Join(calls, "+"))
-			}
-		}
-	}
-}
-
-// TestTornLoadReadDetectorFires proves the detector actually recognizes
-// the pattern it bans, so a refactor of the walker cannot quietly turn
-// the guard into a no-op.
-func TestTornLoadReadDetectorFires(t *testing.T) {
-	src := `package serve
-func torn(p *Placer) int { return p.Capacity() - p.QueueDepth() }
-`
-	fset := token.NewFileSet()
-	file, err := parser.ParseFile(fset, "torn.go", src, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	loadReads := map[string]bool{"Capacity": true, "QueueDepth": true, "FreeSlots": true}
-	found := 0
-	for _, decl := range file.Decls {
-		fn, ok := decl.(*ast.FuncDecl)
-		if !ok {
-			continue
-		}
-		ast.Inspect(fn.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if sel, ok := call.Fun.(*ast.SelectorExpr); ok && loadReads[sel.Sel.Name] && len(call.Args) == 0 {
-				found++
-			}
-			return true
-		})
-	}
-	if found < 2 {
-		t.Fatalf("detector found %d load reads in the known-torn sample, want 2", found)
-	}
-}

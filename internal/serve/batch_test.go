@@ -71,13 +71,47 @@ func TestSubmitBatchOutcomes(t *testing.T) {
 	if snap.QueueDepth != 3 || snap.FreeSlots != 0 {
 		t.Fatalf("snapshot after batch: %+v", snap)
 	}
-	p.mu.Lock()
-	gotQueue := append([]string(nil), p.queue...)
-	p.mu.Unlock()
+	gotQueue := p.QueueIDs()
 	for i, id := range queuedIDs {
 		if gotQueue[i] != id {
 			t.Fatalf("queue order %v, want prefix %v", gotQueue, queuedIDs)
 		}
+	}
+	if err := p.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSubmitBatchDuplicateKeyInBatch: two tasks of one batch carrying the
+// same idempotency key (two retries of one request parked in the same
+// coalesce window) admit once — the second resolves to the first's record,
+// consumes no budget, and a later retry still finds it.
+func TestSubmitBatchDuplicateKeyInBatch(t *testing.T) {
+	s := newTestServer(t, model.NLM, Config{Machines: 2, Policy: "mios", MaxQueue: -1})
+	p := s.Placer()
+	apps := testLibrary(t, model.NLM).Apps()
+	outs, err := p.SubmitBatchKeyed(
+		[]string{apps[0], apps[1], apps[2]}, nil, []string{"retry", "other", "retry"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, o := range outs {
+		if o.Err != nil || o.Placement == nil {
+			t.Fatalf("task %d: %+v", i, o)
+		}
+	}
+	if outs[2].Placement.ID != outs[0].Placement.ID || outs[2].Placement.App != apps[0] {
+		t.Fatalf("in-batch duplicate got %+v, want the record of task 0 (%s)", outs[2].Placement, outs[0].Placement.ID)
+	}
+	if outs[1].Placement.ID == outs[0].Placement.ID {
+		t.Fatal("distinct keys shared a record")
+	}
+	if got := len(p.ExportState().Placements); got != 2 {
+		t.Fatalf("%d records admitted, want 2", got)
+	}
+	again, err := p.SubmitKeyed(apps[3], "", "retry")
+	if err != nil || again.ID != outs[0].Placement.ID {
+		t.Fatalf("later retry got %+v (%v), want %s", again, err, outs[0].Placement.ID)
 	}
 	if err := p.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -109,9 +143,9 @@ func TestConcurrentAdmissionBound(t *testing.T) {
 			}
 			// Saturate every schedulable slot so free-slot absorption is zero
 			// and the instantaneous backlog bound applies directly.
-			free := p.FreeSlots()
+			free := p.Snapshot().FreeSlots
 			for i := 0; i < free; i++ {
-				rec, err := p.Submit(apps[i%len(apps)])
+				rec, err := p.SubmitKeyed(apps[i%len(apps)], "", "")
 				if err != nil || rec.Status != StatusPlaced {
 					t.Fatalf("fill %d: %+v, %v", i, rec, err)
 				}
@@ -145,7 +179,7 @@ func TestConcurrentAdmissionBound(t *testing.T) {
 				go func(g int) { // singleton submitters
 					defer wg.Done()
 					for i := 0; i < 8; i++ {
-						_, err := p.Submit(apps[(g+i)%len(apps)])
+						_, err := p.SubmitKeyed(apps[(g+i)%len(apps)], "", "")
 						mu.Lock()
 						if errors.Is(err, ErrQueueFull) {
 							rejected++
@@ -192,7 +226,7 @@ func TestConcurrentAdmissionBound(t *testing.T) {
 			if admitted+rejected != total {
 				t.Fatalf("admitted %d + rejected %d != %d submitted", admitted, rejected, total)
 			}
-			if depth := p.QueueDepth(); depth != tc.bound {
+			if depth := p.Snapshot().QueueDepth; depth != tc.bound {
 				t.Fatalf("final backlog %d, want %d", depth, tc.bound)
 			}
 			if err := p.CheckInvariants(); err != nil {
@@ -339,7 +373,7 @@ func TestCoalescerGroupsSubmissions(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			recs[i], errs[i] = s.coalescer.Submit(apps[i%len(apps)])
+			recs[i], errs[i] = s.coalescer.SubmitKeyed(apps[i%len(apps)], "", "")
 		}(i)
 	}
 	wg.Wait()
@@ -379,7 +413,7 @@ func TestCoalescerFlushesEarlyAtMaxBatch(t *testing.T) {
 	done := make(chan error, 2)
 	for i := 0; i < 2; i++ {
 		go func(i int) {
-			_, err := s.coalescer.Submit(apps[i%len(apps)])
+			_, err := s.coalescer.SubmitKeyed(apps[i%len(apps)], "", "")
 			done <- err
 		}(i)
 	}
@@ -502,25 +536,37 @@ func TestScaledBoundEdges(t *testing.T) {
 	}
 }
 
-// TestSnapshotConsistency checks the single-lock snapshot against the
-// individual accessors in a quiescent placer.
+// TestSnapshotConsistency checks the single-lock snapshot against a scan
+// of the inventory and the backlog in a quiescent placer.
 func TestSnapshotConsistency(t *testing.T) {
 	s := newTestServer(t, model.NLM, Config{Machines: 3, Policy: "mios", MaxQueue: -1})
 	p := s.Placer()
 	apps := testLibrary(t, model.NLM).Apps()
 	for i := 0; i < 8; i++ { // 6 place, 2 queue
-		if _, err := p.Submit(apps[i%len(apps)]); err != nil {
+		if _, err := p.SubmitKeyed(apps[i%len(apps)], "", ""); err != nil {
 			t.Fatal(err)
 		}
 	}
-	snap := p.Snapshot()
-	available, total := p.Capacity()
-	if snap.QueueDepth != p.QueueDepth() || snap.FreeSlots != p.FreeSlots() ||
-		snap.Available != available || snap.Total != total {
-		t.Fatalf("snapshot %+v disagrees with accessors (%d queued, %d free, %d/%d capacity)",
-			snap, p.QueueDepth(), p.FreeSlots(), available, total)
+	if err := p.Drain(2); err != nil {
+		t.Fatal(err)
 	}
-	if snap.QueueDepth != 2 || snap.FreeSlots != 0 || snap.Available != 6 || snap.Total != 6 {
-		t.Fatalf("snapshot %+v, want 2 queued on a full 6-slot cluster", snap)
+	free, available := 0, 0
+	for _, mv := range p.Machines() {
+		if mv.State != MachineUp {
+			continue
+		}
+		available += SlotsPerMachine
+		for _, sv := range mv.Slots {
+			if sv.State == "free" {
+				free++
+			}
+		}
+	}
+	want := Snapshot{QueueDepth: len(p.QueueIDs()), FreeSlots: free, Available: available, Total: 3 * SlotsPerMachine}
+	if snap := p.Snapshot(); snap != want {
+		t.Fatalf("snapshot %+v disagrees with a scan %+v", snap, want)
+	}
+	if want.QueueDepth != 2 || want.FreeSlots != 0 || want.Available != 4 || want.Total != 6 {
+		t.Fatalf("scan %+v, want 2 queued on a full cluster with 4 of 6 slots in service", want)
 	}
 }

@@ -186,8 +186,8 @@ func TestCacheDoesNotChangePlacementDecisions(t *testing.T) {
 	var placedC, placedU []string
 	for i := 0; i < 120; i++ {
 		app := apps[rng.Intn(len(apps))]
-		rc, err1 := cached.Placer().Submit(app)
-		ru, err2 := uncached.Placer().Submit(app)
+		rc, err1 := cached.Placer().SubmitKeyed(app, "", "")
+		ru, err2 := uncached.Placer().SubmitKeyed(app, "", "")
 		if err1 != nil || err2 != nil {
 			t.Fatal(err1, err2)
 		}

@@ -74,22 +74,11 @@ func NewCoalescer(placer *Placer, clock obs.Clock, window time.Duration, maxBatc
 	}
 }
 
-// Submit parks one task until its group flushes and returns the task's own
-// outcome. Blocks for at most the coalesce window plus one scheduling
-// pass.
-func (c *Coalescer) Submit(app string) (*Placement, error) {
-	return c.SubmitTagged(app, "")
-}
-
-// SubmitTagged is Submit carrying the originating request ID through the
-// batch to the placement record and its trace spans.
-func (c *Coalescer) SubmitTagged(app, reqID string) (*Placement, error) {
-	return c.SubmitKeyed(app, reqID, "")
-}
-
-// SubmitKeyed is SubmitTagged with an idempotency key, carried through
-// the flushed batch so a keyed retry dedups even when it lands in a
-// different micro-batch than the original.
+// SubmitKeyed parks one task until its group flushes and returns the
+// task's own outcome. It blocks for at most the coalesce window plus one
+// scheduling pass. reqID and the idempotency key are carried through the
+// flushed batch to the placement record, so a keyed retry dedups even when
+// it lands in a different micro-batch than the original.
 func (c *Coalescer) SubmitKeyed(app, reqID, key string) (*Placement, error) {
 	ch := make(chan coalesceResult, 1)
 	c.mu.Lock()

@@ -11,6 +11,19 @@ import (
 // fuzzMachines is the cluster size the fuzzer drives.
 const fuzzMachines = 3
 
+// fuzzSeeds are the in-code corpus seeds (testdata/fuzz holds the rest);
+// TestFollowerMatchesLive replays them too.
+var fuzzSeeds = [][]byte{
+	[]byte("\x00\x00\x00\x00\x00\x00\x03\x03\x03"),     // fill, then complete
+	[]byte("\x00\x01\x02\x00\x04\x05\x00\x03"),         // kill 0 mid-load, revive
+	[]byte("\x00\x0f\x00\x00\x10\x03"),                 // drain 1, fill, undrain
+	[]byte("\x04\x0d\x16\x00\x00\x05\x0e\x17\x03\x03"), // kill everything, revive everything
+	[]byte("\x02\x0b\x14\x03\x02\x04\x02\x05"),         // batch bursts around a kill
+	[]byte("\x08\x08\x03\x08"),                         // keyed submit, dedup hit, complete, dedup to finished
+	[]byte("\x08\x04\x08\x05\x11\x11"),                 // dedup across a kill/requeue, second key
+	[]byte("\x08\x11\x1a\x23\x02\x08\x11"),             // four keys, a batch, two replays
+}
+
 // FuzzPlacerBacklog interprets the fuzz input as an operation stream
 // against a live Placer — singleton submits, batch submits, completions,
 // machine kills, revivals, drains and undrains in arbitrary order — and
@@ -32,14 +45,9 @@ const fuzzMachines = 3
 // return the FIRST placement ID minted under that key, exactly once, no
 // matter what kills, drains and completions happened in between.
 func FuzzPlacerBacklog(f *testing.F) {
-	f.Add([]byte("\x00\x00\x00\x00\x00\x00\x03\x03\x03"))     // fill, then complete
-	f.Add([]byte("\x00\x01\x02\x00\x04\x05\x00\x03"))         // kill 0 mid-load, revive
-	f.Add([]byte("\x00\x0f\x00\x00\x10\x03"))                 // drain 1, fill, undrain
-	f.Add([]byte("\x04\x0d\x16\x00\x00\x05\x0e\x17\x03\x03")) // kill everything, revive everything
-	f.Add([]byte("\x02\x0b\x14\x03\x02\x04\x02\x05"))         // batch bursts around a kill
-	f.Add([]byte("\x08\x08\x03\x08"))                         // keyed submit, dedup hit, complete, dedup to finished
-	f.Add([]byte("\x08\x04\x08\x05\x11\x11"))                 // dedup across a kill/requeue, second key
-	f.Add([]byte("\x08\x11\x1a\x23\x02\x08\x11"))             // four keys, a batch, two replays
+	for _, seed := range fuzzSeeds {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 512 {
 			ops = ops[:512] // bound one case's work; longer inputs add nothing
@@ -56,7 +64,7 @@ func FuzzPlacerBacklog(f *testing.F) {
 			verb, arg := int(op)%9, int(op)/9
 			switch verb {
 			case 0, 1:
-				rec, err := p.Submit(apps[arg%len(apps)])
+				rec, err := p.SubmitKeyed(apps[arg%len(apps)], "", "")
 				switch {
 				case errors.Is(err, ErrQueueFull):
 					rejected++

@@ -10,14 +10,14 @@ import (
 	"tracon/internal/durable"
 )
 
-// Journal integration: the placer appends one durable.Event at every
-// state-mutating commit point, inside the same p.mu critical section as
-// the mutation itself — WAL order therefore equals mutation order, and a
+// Journal integration: every placer state change is a durable.Event that
+// commitEventsLocked (apply.go) applies and appends inside one p.mu
+// critical section — WAL order therefore equals mutation order, and a
 // request is acknowledged only after its events are (per the configured
-// fsync policy) on disk. On boot, Server.recover rebuilds the placer
-// from the newest snapshot plus the WAL suffix, re-queues orphaned
-// in-flight tasks at the queue front, and verifies invariants before the
-// daemon serves its first request.
+// fsync policy) on disk. On boot, Server.recover rebuilds the placer from
+// the newest snapshot plus the WAL suffix through that same function,
+// re-queues orphaned in-flight tasks at the queue front, and verifies
+// invariants before the daemon serves its first request.
 
 // journal is the placer's nil-safe handle on a durable.Manager. An
 // append failure (disk full, data dir yanked) poisons it permanently:
@@ -71,54 +71,9 @@ func (j *journal) lastSeq() uint64 {
 	return j.mgr.LastSeq()
 }
 
-// enabled avoids building events no one will consume.
-func (j *journal) enabled() bool { return j != nil }
-
-// Event constructors, shared by the live paths and the tests.
-
-func admitEvent(rec *Placement) durable.Event {
-	return durable.Event{
-		Kind: durable.EvAdmit, Task: rec.ID, App: rec.App,
-		Req: rec.ReqID, Dedup: rec.idem, Machine: -1, Slot: -1,
-	}
-}
-
+// taskRef names one record inside a multi-task event.
 func taskRef(rec *Placement) durable.TaskRef {
 	return durable.TaskRef{Task: rec.ID, App: rec.App, Req: rec.ReqID, Dedup: rec.idem}
-}
-
-func placeEvent(rec *Placement) durable.Event {
-	return durable.Event{
-		Kind: durable.EvPlace, Task: rec.ID,
-		Machine: rec.Machine, Slot: rec.Slot, Neighbour: rec.Neighbour,
-		PredRT: rec.PredictedRuntime, PredIOPS: rec.PredictedIOPS,
-		Gen: rec.Generation, BG: append([]float64(nil), rec.bg...),
-	}
-}
-
-// releaseLocked frees the VM a placed record occupies, if the inventory
-// still shows it there (replay may meet a slot a later event already
-// cleared).
-func (p *Placer) releaseLocked(rec *Placement) {
-	if rec.Machine >= 0 && rec.Machine < len(p.machines) &&
-		p.machines[rec.Machine].slots[rec.Slot].taskID == rec.ID {
-		p.vacateLocked(rec.Machine, rec.Slot)
-	}
-}
-
-// evictLocked takes a placed record off its VM and back to the queued
-// state with one more retry: kill eviction, orphan requeue, and the replay
-// of both.
-func (p *Placer) evictLocked(rec *Placement) {
-	p.releaseLocked(rec)
-	rec.Status = StatusQueued
-	rec.Machine = -1
-	rec.Slot = -1
-	rec.Neighbour = ""
-	rec.PredictedRuntime = 0
-	rec.PredictedIOPS = 0
-	rec.bg = nil
-	rec.Retries++
 }
 
 // admittedBefore orders placement IDs by admission: numerically for the
@@ -140,10 +95,14 @@ func admittedBefore(a, b string) bool {
 func (p *Placer) ExportState() *durable.PlacerState {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	return p.exportStateLocked()
+}
+
+func (p *Placer) exportStateLocked() *durable.PlacerState {
 	st := &durable.PlacerState{
 		Seq:    p.journal.lastSeq(),
 		NextID: p.nextID,
-		Queue:  append([]string(nil), p.queue...),
+		Queue:  queueIDs(p.queue),
 		Done:   append([]string(nil), p.done...),
 	}
 	st.Machines = make([]durable.MachineState, len(p.machines))
@@ -203,6 +162,12 @@ func (p *Placer) RestoreState(st *durable.PlacerState) error {
 			dedup[rec.idem] = rec.ID
 		}
 	}
+	queue := make([]*Placement, len(st.Queue))
+	for i, id := range st.Queue {
+		if queue[i] = placements[id]; queue[i] == nil {
+			return fmt.Errorf("serve: snapshot queues %q, which it holds no record of", id)
+		}
+	}
 	p.resetInventoryLocked()
 	for i, ms := range st.Machines {
 		for j := 0; j < len(ms.Slots) && j < SlotsPerMachine; j++ {
@@ -214,7 +179,7 @@ func (p *Placer) RestoreState(st *durable.PlacerState) error {
 	}
 	p.placements = placements
 	p.dedup = dedup
-	p.queue = append([]string(nil), st.Queue...)
+	p.queue = queue
 	p.done = append([]string(nil), st.Done...)
 	p.nextID = st.NextID
 	p.version++
@@ -224,178 +189,16 @@ func (p *Placer) RestoreState(st *durable.PlacerState) error {
 	return nil
 }
 
-// Apply replays one journaled event onto the placer, idempotently: every
-// transition is guarded by the record's (or machine's) current state, so
-// replaying a suffix that partially overlaps the snapshot — or replaying
-// the same suffix twice — converges on the same state. Nothing here
-// journals: replay must not re-journal history.
+// Apply runs one event through the placer's commit point, exactly as the
+// live operation that journaled it did. Every transition is guarded by the
+// record's (or machine's) current state, so replaying a suffix that
+// partially overlaps the snapshot — or the same suffix twice — converges
+// on the same state. Recovery attaches the journal only after replay, so
+// replayed history is not journaled again.
 func (p *Placer) Apply(ev durable.Event) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.version++
-	switch ev.Kind {
-	case durable.EvAdmit:
-		p.applyAdmitLocked(durable.TaskRef{Task: ev.Task, App: ev.App, Req: ev.Req, Dedup: ev.Dedup})
-	case durable.EvBatchAdmit:
-		for _, t := range ev.Tasks {
-			p.applyAdmitLocked(t)
-		}
-	case durable.EvPlace:
-		return p.applyPlaceLocked(ev)
-	case durable.EvComplete:
-		p.applyCompleteLocked(ev.Task)
-	case durable.EvFail:
-		p.applyFailLocked(ev)
-	case durable.EvKill:
-		return p.applyKillLocked(ev)
-	case durable.EvRequeue:
-		p.applyRequeueLocked(ev)
-	case durable.EvDrain, durable.EvUndrain, durable.EvRevive:
-		return p.applyMachineLocked(ev)
-	case durable.EvGenSwap:
-		// Informational: a restarted daemon rebuilds its model library
-		// independently of the dead one's generation counter.
-	default:
-		return fmt.Errorf("serve: replay: unknown event kind %q at seq %d", ev.Kind, ev.Seq)
-	}
-	return nil
-}
-
-func (p *Placer) applyAdmitLocked(t durable.TaskRef) {
-	if t.Dedup != "" {
-		p.dedup[t.Dedup] = t.Task
-	}
-	if n, ok := durable.TaskSeq(t.Task); ok && n > p.nextID {
-		p.nextID = n
-	}
-	if _, ok := p.placements[t.Task]; ok {
-		return
-	}
-	rec := &Placement{
-		ID: t.Task, App: t.App, Status: StatusQueued,
-		Machine: -1, Slot: -1, ReqID: t.Req, idem: t.Dedup,
-	}
-	p.placements[t.Task] = rec
-	p.queue = append(p.queue, t.Task)
-}
-
-func (p *Placer) applyPlaceLocked(ev durable.Event) error {
-	rec, ok := p.placements[ev.Task]
-	if !ok || rec.Status != StatusQueued {
-		return nil
-	}
-	if ev.Machine < 0 || ev.Machine >= len(p.machines) || ev.Slot < 0 || ev.Slot >= SlotsPerMachine {
-		return fmt.Errorf("serve: replay: place seq %d targets slot %d/%d outside the inventory", ev.Seq, ev.Machine, ev.Slot)
-	}
-	if p.machines[ev.Machine].state != MachineUp {
-		// The machine was up when this event was journaled but is not at
-		// this replay point — an overlapping replay already applied the
-		// later kill/drain. Leave the task queued; re-applying the kill is
-		// a no-op, so placing here would strand the task on a dead machine.
-		return nil
-	}
-	if held := p.machines[ev.Machine].slots[ev.Slot].taskID; held != "" && held != ev.Task {
-		return fmt.Errorf("serve: replay: place seq %d targets slot %d/%d already holding %q", ev.Seq, ev.Machine, ev.Slot, held)
-	}
-	p.occupyLocked(ev.Machine, ev.Slot, ev.Task, rec.App)
-	rec.Status = StatusPlaced
-	rec.Machine = ev.Machine
-	rec.Slot = ev.Slot
-	rec.Neighbour = ev.Neighbour
-	rec.PredictedRuntime = ev.PredRT
-	rec.PredictedIOPS = ev.PredIOPS
-	rec.Generation = ev.Gen
-	rec.bg = append([]float64(nil), ev.BG...)
-	p.removeQueuedLocked(ev.Task)
-	return nil
-}
-
-// applyCompleteLocked moves a placed record to completed and frees its VM,
-// live (Complete) and replayed alike.
-func (p *Placer) applyCompleteLocked(id string) {
-	rec, ok := p.placements[id]
-	if !ok || rec.Status != StatusPlaced {
-		return
-	}
-	p.releaseLocked(rec)
-	rec.Status = StatusCompleted
-	p.finishLocked(id)
-}
-
-func (p *Placer) applyFailLocked(ev durable.Event) {
-	rec, ok := p.placements[ev.Task]
-	if !ok || rec.Status != StatusQueued {
-		return
-	}
-	p.removeQueuedLocked(ev.Task)
-	rec.Status = StatusFailed
-	rec.Error = ev.Error
-	p.finishLocked(ev.Task)
-}
-
-func (p *Placer) applyKillLocked(ev durable.Event) error {
-	if ev.Machine < 0 || ev.Machine >= len(p.machines) {
-		return fmt.Errorf("serve: replay: kill seq %d targets machine %d outside the inventory", ev.Seq, ev.Machine)
-	}
-	m := &p.machines[ev.Machine]
-	if m.state == MachineDown {
-		return nil // already applied (or machine died again after a revive)
-	}
-	p.setStateLocked(ev.Machine, MachineDown)
-	var front []string
-	for _, t := range ev.Tasks {
-		if rec, ok := p.placements[t.Task]; ok && rec.Status == StatusPlaced {
-			p.evictLocked(rec)
-			front = append(front, rec.ID)
-		}
-	}
-	// Anything still occupying the machine was placed there by later
-	// replayed events than the journal's eviction list knew about; a down
-	// machine must end empty either way.
-	for si, s := range m.slots {
-		if rec, ok := p.placements[s.taskID]; ok {
-			p.evictLocked(rec)
-			front = append(front, rec.ID)
-		} else if s.taskID != "" {
-			p.vacateLocked(ev.Machine, si)
-		}
-	}
-	p.queue = append(front, p.queue...)
-	return nil
-}
-
-func (p *Placer) applyRequeueLocked(ev durable.Event) {
-	var front []string
-	for _, t := range ev.Tasks {
-		rec, ok := p.placements[t.Task]
-		if !ok || rec.Status != StatusPlaced {
-			continue
-		}
-		p.evictLocked(rec)
-		front = append(front, rec.ID)
-	}
-	p.queue = append(front, p.queue...)
-}
-
-func (p *Placer) applyMachineLocked(ev durable.Event) error {
-	if ev.Machine < 0 || ev.Machine >= len(p.machines) {
-		return fmt.Errorf("serve: replay: %s seq %d targets machine %d outside the inventory", ev.Kind, ev.Seq, ev.Machine)
-	}
-	if move := machineMoves[ev.Kind]; p.machines[ev.Machine].state == move[0] {
-		p.setStateLocked(ev.Machine, move[1])
-	}
-	return nil
-}
-
-// removeQueuedLocked drops one id from the backlog (replay paths only;
-// the live paths rewrite the queue wholesale).
-func (p *Placer) removeQueuedLocked(id string) {
-	for i, q := range p.queue {
-		if q == id {
-			p.queue = append(p.queue[:i], p.queue[i+1:]...)
-			return
-		}
-	}
+	return p.commitEventLocked(ev)
 }
 
 // RequeueOrphans sends every placed record back to the front of the
@@ -406,36 +209,26 @@ func (p *Placer) removeQueuedLocked(id string) {
 // snapshot replays it. Returns the number of orphans re-queued.
 func (p *Placer) RequeueOrphans() int {
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	var orphans []*Placement
 	for _, rec := range p.placements {
 		if rec.Status == StatusPlaced {
 			orphans = append(orphans, rec)
 		}
 	}
+	if len(orphans) == 0 {
+		return 0
+	}
 	sort.Slice(orphans, func(i, j int) bool { return admittedBefore(orphans[i].ID, orphans[j].ID) })
-	front := make([]string, 0, len(orphans))
-	refs := make([]durable.TaskRef, 0, len(orphans))
-	type evicted struct {
-		rec    *Placement
-		mi, si int
+	refs := make([]durable.TaskRef, len(orphans))
+	for i, rec := range orphans {
+		refs[i] = taskRef(rec)
+		p.tracer.evictRequeue(rec)
 	}
-	traced := make([]evicted, 0, len(orphans))
-	for _, rec := range orphans {
-		mi, si := rec.Machine, rec.Slot
-		p.evictLocked(rec)
-		front = append(front, rec.ID)
-		refs = append(refs, taskRef(rec))
-		traced = append(traced, evicted{rec: rec.clone(), mi: mi, si: si})
-	}
-	p.queue = append(front, p.queue...)
-	if len(refs) > 0 {
-		p.version++
-		p.journal.append(durable.Event{Kind: durable.EvRequeue, Tasks: refs, Machine: -1, Slot: -1})
-	}
-	p.mu.Unlock()
-	for _, e := range traced {
-		p.tracer.evictRequeue(e.rec, e.mi, e.si)
-	}
+	// A requeue of placed records cannot fail to apply.
+	_ = p.commitEventLocked(durable.Event{
+		Kind: durable.EvRequeue, Tasks: refs, Machine: -1, Slot: -1,
+	})
 	return len(orphans)
 }
 
@@ -456,8 +249,8 @@ func (s *Server) recover(mgr *durable.Manager) error {
 			return fmt.Errorf("serve: replaying journal: %w", err)
 		}
 	}
-	// Attach the journal only after replay: Apply must never re-journal
-	// the history it is replaying.
+	// Attach the journal only after replay: Apply commits to whatever
+	// journal is attached, and history must not be journaled twice.
 	j := &journal{mgr: mgr, logger: s.logger}
 	s.placer.journal = j
 	s.journal = j
@@ -500,15 +293,3 @@ func (s *Server) SnapshotNow() error {
 	}
 	return s.journal.mgr.WriteSnapshot(s.placer.ExportState())
 }
-
-// Journal exposes the manager (tracond's snapshot loop, tests); nil
-// without durability.
-func (s *Server) Journal() *durable.Manager {
-	if s.journal == nil {
-		return nil
-	}
-	return s.journal.mgr
-}
-
-// JournalErr reports the sticky journal failure, if any.
-func (s *Server) JournalErr() error { return s.journal.Err() }

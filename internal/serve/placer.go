@@ -119,24 +119,28 @@ const SlotsPerMachine = 2
 // O(categories), resolving a decision to a VM is O(log machines), and an
 // AnyCategory (FIFO) pick takes the VM free the longest, exactly as in the
 // simulator. A drained or down machine's free slots are simply held out of
-// the pool (sim/fault.go's idiom). All mutations happen under one
-// mutex, but the expensive part of a scheduling pass — model scoring over
-// the backlog — runs OUTSIDE the lock against an immutable snapshot of
-// the inventory, then commits its decisions only if nothing changed in
+// the pool (sim/fault.go's idiom).
+//
+// Every state change is an event: an operation validates and decides under
+// the one mutex, then hands the events it journals to commitEventsLocked
+// (apply.go), which applies them with the functions recovery replays them
+// with. The expensive part of a scheduling pass — model scoring over the
+// backlog — runs OUTSIDE the lock against an immutable snapshot of the
+// inventory, then commits its decisions only if nothing changed in
 // between (a version counter guards the snapshot). Under contention the
 // commit retries with a fresh snapshot, falling back to fully-locked
 // scheduling so progress is guaranteed.
 //
-// Admission is enforced here, atomically with the enqueue: the scaled
-// queue bound is checked and the task enqueued under one critical section,
+// Admission is enforced here, atomically with the admit commit: the scaled
+// queue bound is checked and the task admitted under one critical section,
 // so concurrent submits can never drive the backlog past the bound.
 type Placer struct {
 	models    *ModelSet
 	admission *Admission // nil disables the queue bound
 	// tracer records lifecycle spans (nil-safe; set by serve.New).
 	tracer *serveTracer
-	// journal receives one event per state mutation, appended inside the
-	// same critical section as the mutation (nil-safe; set by recovery).
+	// journal receives every commit group, appended inside the same
+	// critical section that applies it (nil-safe; set by recovery).
 	journal *journal
 	// clock times scheduling passes for the tracer; serve.New overrides it
 	// with the configured clock.
@@ -149,7 +153,7 @@ type Placer struct {
 	// writers of machines[i].slots / .state and keep all three in step.
 	pool       *sched.FreePool
 	upMachines int
-	queue      []string // queued placement IDs, FIFO
+	queue      []*Placement // the backlog: queued records, FIFO
 	placements map[string]*Placement
 	nextID     int64
 	// dedup maps idempotency keys to placement IDs for as long as the
@@ -165,6 +169,12 @@ type Placer struct {
 	// oldest records are dropped beyond doneCap so the map stays bounded.
 	done    []string
 	doneCap int
+
+	// evbuf is the reusable buffer commit groups are built on, and
+	// onCommit, when set, observes each committed group under p.mu (the
+	// follower tests feed a second placer from it). See commitEventsLocked.
+	evbuf    []durable.Event
+	onCommit func(evs []durable.Event)
 }
 
 // DefaultCompletedCap bounds how many finished placement records are kept
@@ -257,58 +267,43 @@ func (p *Placer) setStateLocked(mi int, state string) {
 	}
 }
 
-// Submit validates, admits, records and tries to place one task. The
+// SubmitKeyed validates, admits, records and tries to place one task. The
 // returned Placement is a copy; its status is placed when a slot was free
-// (or the scheduler chose to use one) and queued otherwise. The admission
-// bound is checked atomically with the enqueue: at no instant can
-// concurrent submits push the backlog past the scaled bound.
-func (p *Placer) Submit(app string) (*Placement, error) {
-	return p.SubmitTagged(app, "")
-}
-
-// SubmitTagged is Submit carrying the originating request ID, which lands
-// on the placement record and every trace span the task emits.
-func (p *Placer) SubmitTagged(app, reqID string) (*Placement, error) {
-	return p.SubmitKeyed(app, reqID, "")
-}
-
-// SubmitKeyed is SubmitTagged with an idempotency key: a non-empty key
-// that matches a retained record — a client retrying a submit it never
-// saw acknowledged, possibly across a daemon crash — returns that record
-// instead of admitting a duplicate. The dedup check, the admission bound
-// and the enqueue share one critical section, and the admit event is
-// journaled (and, under fsync=always, on disk) before the caller is
-// acknowledged.
+// (or the scheduler chose to use one) and queued otherwise. reqID is the
+// originating request ID, which lands on the record and every span the task
+// emits. A non-empty idempotency key that matches a retained record — a
+// client retrying a submit it never saw acknowledged, possibly across a
+// daemon crash — returns that record instead of admitting a duplicate. The
+// dedup check, the admission bound and the admit commit share one critical
+// section: at no instant can concurrent submits push the backlog past the
+// scaled bound, and the admit event is journaled (and, under fsync=always,
+// on disk) before the caller is acknowledged.
 func (p *Placer) SubmitKeyed(app, reqID, key string) (*Placement, error) {
 	view := p.models.View()
 	if err := p.checkKnown(view, app); err != nil {
 		return nil, err
 	}
 	p.mu.Lock()
-	if key != "" {
-		if id, ok := p.dedup[key]; ok {
-			if rec, ok := p.placements[id]; ok {
-				out := rec.clone()
-				p.mu.Unlock()
-				return out, nil
-			}
-		}
+	if rec := p.dedupLocked(key); rec != nil {
+		out := rec.clone()
+		p.mu.Unlock()
+		return out, nil
 	}
 	if budget := p.admitBudgetLocked(); budget == 0 {
 		p.mu.Unlock()
 		p.tracer.reject(reqID, app, "queue full")
 		return nil, ErrQueueFull
 	}
-	rec := p.enqueueLocked(app, reqID)
-	if key != "" {
-		rec.idem = key
-		p.dedup[key] = rec.ID
-	}
-	if p.journal.enabled() {
-		p.journal.append(admitEvent(rec))
-	}
+	id := taskID(p.nextID + 1)
+	err := p.commitEventLocked(durable.Event{
+		Kind: durable.EvAdmit, Task: id, App: app, Req: reqID, Dedup: key, Machine: -1, Slot: -1,
+	})
+	rec := p.placements[id]
 	p.mu.Unlock()
-	p.tracer.admit(reqID, rec.ID, app)
+	if err != nil {
+		return nil, err
+	}
+	p.tracer.admit(reqID, id, app)
 	if err := p.drain(); err != nil {
 		return nil, err
 	}
@@ -322,44 +317,42 @@ type BatchOutcome struct {
 	Err       error
 }
 
-// SubmitBatch admits and enqueues a whole batch under one critical
-// section, then runs queue-aware scheduling passes over the combined
-// backlog — the batch schedulers (MIBS/MIX) see every queued task at once
-// instead of a stream of singletons. Outcomes are per task and positional:
-// unknown applications and tasks beyond the admission budget are rejected
-// individually without failing the rest of the batch. The returned error
-// is global (a scheduling failure); per-task problems live in the slice.
+// SubmitBatch is SubmitBatchKeyed without request IDs or idempotency keys.
 func (p *Placer) SubmitBatch(apps []string) ([]BatchOutcome, error) {
-	return p.SubmitBatchTagged(apps, nil)
+	return p.SubmitBatchKeyed(apps, nil, nil)
 }
 
-// SubmitBatchTagged is SubmitBatch carrying per-task request IDs
-// (positional with apps; nil or short slices leave the remainder untagged).
-func (p *Placer) SubmitBatchTagged(apps, reqIDs []string) ([]BatchOutcome, error) {
-	return p.SubmitBatchKeyed(apps, reqIDs, nil)
-}
-
-// SubmitBatchKeyed is SubmitBatchTagged with per-task idempotency keys
-// (positional; nil or short slices leave the remainder unkeyed). A task
-// whose key matches a retained record returns that record without
-// re-admitting it; the freshly admitted remainder is journaled as one
-// batch_admit event — one commit point, one fsync.
+// SubmitBatchKeyed admits a whole batch under one critical section, then
+// runs queue-aware scheduling passes over the combined backlog — the batch
+// schedulers (MIBS/MIX) see every queued task at once instead of a stream
+// of singletons. reqIDs and keys are positional with apps (nil or short
+// slices leave the remainder untagged / unkeyed). Outcomes are per task
+// and positional: unknown applications and tasks beyond the admission
+// budget are rejected individually without failing the rest of the batch,
+// and a task whose key matches a retained record (or an earlier task of
+// this batch) returns that record without being re-admitted. The freshly
+// admitted remainder commits as one batch_admit event — one commit point,
+// one fsync. The returned error is global (a scheduling failure); per-task
+// problems live in the slice.
 func (p *Placer) SubmitBatchKeyed(apps, reqIDs, keys []string) ([]BatchOutcome, error) {
 	view := p.models.View()
 	out := make([]BatchOutcome, len(apps))
-	var recs []*Placement
+	refs := make([]durable.TaskRef, 0, len(apps))
 
 	p.mu.Lock()
 	budget := p.admitBudgetLocked()
 	deduped := make([]bool, len(apps))
 	for i, app := range apps {
-		if k := at(keys, i); k != "" {
-			if id, ok := p.dedup[k]; ok {
-				if rec, ok := p.placements[id]; ok {
-					out[i].Placement = rec // live pointer; cloned below
-					deduped[i] = true
-					continue
-				}
+		key := at(keys, i)
+		if key != "" {
+			if rec := p.dedupLocked(key); rec != nil {
+				out[i].Placement = rec // live pointer; cloned below
+				deduped[i] = true
+				continue
+			}
+			if admittedUnder(refs, key) {
+				deduped[i] = true // resolved through the dedup index after the commit
+				continue
 			}
 		}
 		if err := p.checkKnown(view, app); err != nil {
@@ -373,20 +366,27 @@ func (p *Placer) SubmitBatchKeyed(apps, reqIDs, keys []string) ([]BatchOutcome, 
 		if budget > 0 {
 			budget--
 		}
-		rec := p.enqueueLocked(app, at(reqIDs, i))
-		if k := at(keys, i); k != "" {
-			rec.idem = k
-			p.dedup[k] = rec.ID
-		}
-		out[i].Placement = rec // live pointer; snapshotted after the drain
-		recs = append(recs, rec)
+		refs = append(refs, durable.TaskRef{
+			Task: taskID(p.nextID + 1 + int64(len(refs))), App: app, Req: at(reqIDs, i), Dedup: key,
+		})
 	}
-	if p.journal.enabled() && len(recs) > 0 {
-		refs := make([]durable.TaskRef, len(recs))
-		for i, rec := range recs {
-			refs[i] = taskRef(rec)
+	var err error
+	if len(refs) > 0 {
+		err = p.commitEventLocked(durable.Event{
+			Kind: durable.EvBatchAdmit, Tasks: refs, Machine: -1, Slot: -1,
+		})
+	}
+	// Live pointers for now; snapshotted after the drain.
+	next := 0
+	for i := range out {
+		switch {
+		case out[i].Err != nil || out[i].Placement != nil:
+		case deduped[i]:
+			out[i].Placement = p.dedupLocked(at(keys, i))
+		default:
+			out[i].Placement = p.placements[refs[next].Task]
+			next++
 		}
-		p.journal.append(durable.Event{Kind: durable.EvBatchAdmit, Tasks: refs, Machine: -1, Slot: -1})
 	}
 	p.mu.Unlock()
 	for i, app := range apps {
@@ -398,9 +398,8 @@ func (p *Placer) SubmitBatchKeyed(apps, reqIDs, keys []string) ([]BatchOutcome, 
 		}
 	}
 
-	var drainErr error
-	if len(recs) > 0 {
-		drainErr = p.drain()
+	if err == nil && len(refs) > 0 {
+		err = p.drain()
 	}
 	p.mu.Lock()
 	for i := range out {
@@ -409,7 +408,32 @@ func (p *Placer) SubmitBatchKeyed(apps, reqIDs, keys []string) ([]BatchOutcome, 
 		}
 	}
 	p.mu.Unlock()
-	return out, drainErr
+	return out, err
+}
+
+// taskID mints the placement ID for admission number n.
+func taskID(n int64) string {
+	return string(strconv.AppendInt(append(make([]byte, 0, 24), "t-"...), n, 10))
+}
+
+// dedupLocked returns the retained record registered under an idempotency
+// key, or nil.
+func (p *Placer) dedupLocked(key string) *Placement {
+	if key == "" {
+		return nil
+	}
+	return p.placements[p.dedup[key]]
+}
+
+// admittedUnder reports whether an earlier task of the batch being decided
+// already claimed key.
+func admittedUnder(refs []durable.TaskRef, key string) bool {
+	for i := range refs {
+		if refs[i].Dedup == key {
+			return true
+		}
+	}
+	return false
 }
 
 // at returns xs[i], or "" past the end of a short positional slice.
@@ -432,23 +456,6 @@ func (p *Placer) checkKnown(view ModelView, app string) error {
 		err = fmt.Errorf("%w: %q", model.ErrUnknownApp, app)
 	}
 	return err
-}
-
-// enqueueLocked mints a record and appends it to the backlog.
-func (p *Placer) enqueueLocked(app, reqID string) *Placement {
-	p.nextID++
-	rec := &Placement{
-		ID:      string(strconv.AppendInt(append(make([]byte, 0, 24), "t-"...), p.nextID, 10)),
-		App:     app,
-		Status:  StatusQueued,
-		Machine: -1,
-		Slot:    -1,
-		ReqID:   reqID,
-	}
-	p.placements[rec.ID] = rec
-	p.queue = append(p.queue, rec.ID)
-	p.version++
-	return rec
 }
 
 // admitBudgetLocked returns how many more submissions the admission bound
@@ -503,16 +510,14 @@ func (p *Placer) Complete(id string) (*Placement, error) {
 		p.mu.Unlock()
 		return nil, fmt.Errorf("serve: slot bookkeeping corrupt for %q", id)
 	}
-	p.applyCompleteLocked(id)
-	p.version++
-	if p.journal.enabled() {
-		p.journal.append(durable.Event{
-			Kind: durable.EvComplete, Task: rec.ID,
-			Machine: rec.Machine, Slot: rec.Slot,
-		})
-	}
+	err := p.commitEventLocked(durable.Event{
+		Kind: durable.EvComplete, Task: id, Machine: rec.Machine, Slot: rec.Slot,
+	})
 	out := rec.clone()
 	p.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
 	p.tracer.complete(out)
 	if err := p.drain(); err != nil {
 		// The completion itself landed; the post-completion drain failed.
@@ -532,38 +537,26 @@ func (p *Placer) Get(id string) (*Placement, bool) {
 	return rec.clone(), true
 }
 
-// QueueDepth returns the backlog length.
-func (p *Placer) QueueDepth() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.queue)
-}
-
 // QueueIDs returns the backlog's placement IDs in FIFO order (a copy).
 // The deterministic simulation harness asserts re-queue ordering with it.
 func (p *Placer) QueueIDs() []string {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return append([]string(nil), p.queue...)
+	return queueIDs(p.queue)
 }
 
-// FreeSlots returns the number of idle VMs on schedulable (up) machines.
-func (p *Placer) FreeSlots() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.pool.FreeSlots()
+func queueIDs(queue []*Placement) []string {
+	ids := make([]string, len(queue))
+	for i, rec := range queue {
+		ids[i] = rec.ID
+	}
+	return ids
 }
 
-// Capacity reports the schedulable slot count (VMs on up machines) against
-// the full inventory; admission control scales its queue bound by the
-// ratio, so a cluster that lost machines sheds load instead of queueing
+// capacityLocked reports the schedulable slot count (VMs on up machines)
+// against the full inventory; admission control scales its queue bound by
+// the ratio, so a cluster that lost machines sheds load instead of queueing
 // work it cannot place.
-func (p *Placer) Capacity() (available, total int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.capacityLocked()
-}
-
 func (p *Placer) capacityLocked() (available, total int) {
 	return SlotsPerMachine * p.upMachines, SlotsPerMachine * len(p.machines)
 }
@@ -603,15 +596,15 @@ func (p *Placer) Undrain(id int) error { return p.transition(id, durable.EvUndra
 // Revive returns a down machine to service and re-runs the scheduler.
 func (p *Placer) Revive(id int) error { return p.transition(id, durable.EvRevive) }
 
-// machineMoves is the {from, to} state change each journaled lifecycle
-// event makes, shared by the live transition and its replay.
+// machineMoves is the {from, to} state change each lifecycle event makes:
+// transition validates against it, applyMachine makes the move.
 var machineMoves = map[string][2]string{
 	durable.EvDrain:   {MachineUp, MachineDrained},
 	durable.EvUndrain: {MachineDrained, MachineUp},
 	durable.EvRevive:  {MachineDown, MachineUp},
 }
 
-// transition applies lifecycle event kind to machine id, draining the
+// transition commits lifecycle event kind for machine id, then drains the
 // backlog onto the capacity a return to service restores.
 func (p *Placer) transition(id int, kind string) error {
 	from, to := machineMoves[kind][0], machineMoves[kind][1]
@@ -624,16 +617,12 @@ func (p *Placer) transition(id int, kind string) error {
 		p.mu.Unlock()
 		return fmt.Errorf("%w: machine %d is %s, not %s", ErrBadTransition, id, state, from)
 	}
-	p.setStateLocked(id, to)
-	p.version++
-	if p.journal.enabled() {
-		p.journal.append(durable.Event{Kind: kind, Machine: id, Slot: -1})
-	}
+	err := p.commitEventLocked(durable.Event{Kind: kind, Machine: id, Slot: -1})
 	p.mu.Unlock()
-	if to == MachineUp {
-		return p.drain()
+	if err == nil && to == MachineUp {
+		err = p.drain()
 	}
-	return nil
+	return err
 }
 
 // Kill marks an up or drained machine down and re-queues its in-flight
@@ -646,42 +635,25 @@ func (p *Placer) Kill(id int) (requeued int, err error) {
 		p.mu.Unlock()
 		return 0, fmt.Errorf("%w: %d", ErrUnknownMachine, id)
 	}
-	m := &p.machines[id]
-	if m.state == MachineDown {
+	if p.machines[id].state == MachineDown {
 		p.mu.Unlock()
 		return 0, fmt.Errorf("%w: machine %d is already down", ErrBadTransition, id)
 	}
-	p.setStateLocked(id, MachineDown)
-	var (
-		lost      []string
-		lostSlots []int
-		evicted   []*Placement
-		refs      []durable.TaskRef
-	)
-	for si, s := range m.slots {
-		if s.taskID == "" {
-			continue
+	var refs []durable.TaskRef
+	for _, s := range p.machines[id].slots {
+		if rec := p.placements[s.taskID]; rec != nil {
+			refs = append(refs, taskRef(rec))
+			p.tracer.evictRequeue(rec)
 		}
-		rec := p.placements[s.taskID]
-		p.evictLocked(rec)
-		lost = append(lost, rec.ID)
-		lostSlots = append(lostSlots, si)
-		evicted = append(evicted, rec.clone())
-		refs = append(refs, taskRef(rec))
 	}
-	p.queue = append(lost, p.queue...)
-	p.version++
-	if p.journal.enabled() {
-		p.journal.append(durable.Event{Kind: durable.EvKill, Machine: id, Slot: -1, Tasks: refs})
-	}
+	err = p.commitEventLocked(durable.Event{
+		Kind: durable.EvKill, Machine: id, Slot: -1, Tasks: refs,
+	})
 	p.mu.Unlock()
-	for i, rec := range evicted {
-		p.tracer.evictRequeue(rec, id, lostSlots[i])
+	if err == nil {
+		err = p.drain()
 	}
-	if err := p.drain(); err != nil {
-		return len(lost), err
-	}
-	return len(lost), nil
+	return len(refs), err
 }
 
 // SlotView is the JSON shape of one VM in GET /v1/machines.
@@ -717,60 +689,35 @@ func (p *Placer) Machines() []MachineView {
 	return out
 }
 
-// finishLocked appends id to the finished ring, evicting the oldest
-// finished record beyond the cap. An evicted record takes its dedup
-// entry with it — the idempotency window is exactly the retention window.
-func (p *Placer) finishLocked(id string) {
-	p.done = append(p.done, id)
-	for len(p.done) > p.doneCap {
-		old := p.done[0]
-		if rec, ok := p.placements[old]; ok && rec.idem != "" {
-			delete(p.dedup, rec.idem)
-		}
-		delete(p.placements, old)
-		p.done = p.done[1:]
-	}
-}
-
 // schedPlan is one immutable scheduling input: the head of the backlog,
 // the free-pool census and the load signal, stamped with the state
-// version they were captured at. Scoring runs against it lock-free.
+// version they were captured at. Scoring runs against it lock-free. While
+// the version still matches, batch[i] is the record at p.queue[i].
 type schedPlan struct {
 	version uint64
 	view    ModelView
-	ids     []string // queue prefix the batch was built from
 	batch   []sched.Task
 	counts  sched.Counts
 	load    sched.Load
 }
 
-// planLocked evicts queue entries the current library cannot score, then
+// planLocked fails queue entries the current library cannot score, then
 // builds the next scheduling input. ok is false when there is nothing to
 // schedule (empty backlog or no free slots).
 func (p *Placer) planLocked() (plan schedPlan, ok bool) {
 	view := p.models.View()
-	// Evict unknowable queue entries first (possible after a hot-swap to a
+	// Unknowable queue entries first (possible after a hot-swap to a
 	// different census): fail loudly instead of wedging the queue head.
-	kept := p.queue[:0]
-	var failed []durable.Event
-	for _, id := range p.queue {
-		rec := p.placements[id]
-		if view.Known[rec.App] {
-			kept = append(kept, id)
-			continue
-		}
-		rec.Status = StatusFailed
-		rec.Error = fmt.Sprintf("application %q unknown to generation %d library", rec.App, view.Gen)
-		p.finishLocked(id)
-		p.version++
-		if p.journal.enabled() {
-			failed = append(failed, durable.Event{
-				Kind: durable.EvFail, Task: id, Machine: -1, Slot: -1, Error: rec.Error,
+	evs := p.evbuf[:0]
+	for _, rec := range p.queue {
+		if !view.Known[rec.App] {
+			evs = append(evs, durable.Event{
+				Kind: durable.EvFail, Task: rec.ID, Machine: -1, Slot: -1,
+				Error: fmt.Sprintf("application %q unknown to generation %d library", rec.App, view.Gen),
 			})
 		}
 	}
-	p.queue = kept
-	p.journal.append(failed...)
+	_ = p.commitEventsLocked(evs, nil) // failing a queued record cannot fail to apply
 
 	if len(p.queue) == 0 || p.pool.FreeSlots() == 0 {
 		return schedPlan{}, false
@@ -779,10 +726,9 @@ func (p *Placer) planLocked() (plan schedPlan, ok bool) {
 	if n > len(p.queue) {
 		n = len(p.queue)
 	}
-	ids := append([]string(nil), p.queue[:n]...)
 	batch := make([]sched.Task, n)
-	for i, id := range ids {
-		batch[i] = sched.Task{ID: int64(i), App: p.placements[id].App}
+	for i, rec := range p.queue[:n] {
+		batch[i] = sched.Task{ID: int64(i), App: rec.App}
 	}
 	// TotalSlots reflects schedulable capacity: lost machines shrink the
 	// utilization the adaptive policies see, exactly as in the simulator.
@@ -790,45 +736,31 @@ func (p *Placer) planLocked() (plan schedPlan, ok bool) {
 	return schedPlan{
 		version: p.version,
 		view:    view,
-		ids:     ids,
 		batch:   batch,
 		counts:  p.pool.Counts(),
 		load:    sched.Load{TotalSlots: available, Queued: len(p.queue)},
 	}, true
 }
 
-// commitLocked binds a scheduling pass's decisions to concrete slots. It
-// must be called with the version check already passed (or while the plan
-// was built and committed under one continuous lock hold): the queue
-// prefix still matches plan.ids exactly. done reports whether draining
-// should stop (nothing placed, or the cluster filled mid-batch).
-func (p *Placer) commitLocked(plan schedPlan, placements []sched.Placement) (done bool, err error) {
+// commitPassLocked binds a scheduling pass's decisions to concrete slots and
+// commits them as one group: one journal append, one fsync, one backlog
+// sweep. It must be called with the version check already passed (or while
+// the plan was built and committed under one continuous lock hold), so the
+// queue prefix is still the records plan.batch was built from. done
+// reports whether draining should stop (nothing placed, or the cluster
+// filled mid-batch).
+func (p *Placer) commitPassLocked(plan schedPlan, placements []sched.Placement) (done bool, err error) {
 	if len(placements) == 0 {
 		return true, nil
 	}
-	var placedEvs []durable.Event
+	evs := p.evbuf[:0]
 	for _, pl := range placements {
-		id := plan.ids[pl.Task.ID]
-		rec := p.placements[id]
-		if err := p.executeLocked(rec, pl.Category, plan.view); err != nil {
-			return true, err
-		}
-		plan.ids[pl.Task.ID] = "" // the plan's own copy: blank marks "placed"
-		if p.journal.enabled() {
-			placedEvs = append(placedEvs, placeEvent(rec))
-		}
+		evs = append(evs, durable.Event{Kind: durable.EvPlace, Task: p.queue[pl.Task.ID].ID})
 	}
-	// One pass's placements journal as one group: one fsync per commit.
-	p.journal.append(placedEvs...)
-	kept := p.queue[:0]
-	for i, id := range p.queue {
-		if i >= len(plan.ids) || plan.ids[i] != "" {
-			kept = append(kept, id)
-		}
-	}
-	p.queue = kept
-	p.version++
-	return len(placements) < len(plan.batch), nil
+	err = p.commitEventsLocked(evs, func(i int) error {
+		return p.decidePlaceLocked(&evs[i], p.queue[placements[i].Task.ID], placements[i].Category, plan.view)
+	})
+	return err != nil || len(placements) < len(plan.batch), err
 }
 
 // optimisticRetries bounds how many stale-snapshot misses a draining pass
@@ -862,7 +794,7 @@ func (p *Placer) drain() error {
 				p.mu.Unlock()
 				return fmt.Errorf("serve: scheduling: %w", err)
 			}
-			done, err := p.commitLocked(plan, placements)
+			done, err := p.commitPassLocked(plan, placements)
 			p.mu.Unlock()
 			p.tracer.batchPass(len(plan.batch), len(placements), p.clock.Since(t0))
 			if err != nil || done {
@@ -887,7 +819,7 @@ func (p *Placer) drain() error {
 			misses++
 			continue
 		}
-		done, err := p.commitLocked(plan, placements)
+		done, err := p.commitPassLocked(plan, placements)
 		p.mu.Unlock()
 		p.tracer.planOutcome("plan_commit", len(plan.batch))
 		p.tracer.batchPass(len(plan.batch), len(placements), p.clock.Since(t0))
@@ -898,44 +830,41 @@ func (p *Placer) drain() error {
 	}
 }
 
-// executeLocked binds a scheduling decision to a concrete (machine, slot):
-// AnyCategory takes the VM that has been free the longest (FIFO over VMs,
-// DESIGN.md §4), EmptyCategory and an application category the
-// lowest-indexed match.
-func (p *Placer) executeLocked(rec *Placement, category string, view ModelView) error {
+// decidePlaceLocked completes a place event: it resolves the scheduler's
+// category to a concrete (machine, slot) — AnyCategory takes the VM that
+// has been free the longest (FIFO over VMs, DESIGN.md §4), EmptyCategory
+// and an application category the lowest-indexed match — and records the
+// neighbour and the active model's forecast for the co-location. pool.Pop
+// reserves the VM; applyPlace occupies it.
+func (p *Placer) decidePlaceLocked(ev *durable.Event, rec *Placement, category string, view ModelView) error {
 	mi, si, err := p.pool.Pop(category)
 	if err != nil {
 		return fmt.Errorf("serve: scheduler chose category %q but no matching slot is free: %w", category, err)
 	}
-	other := p.machines[mi].slots[1-si]
-	rec.Status = StatusPlaced
-	rec.Machine = mi
-	rec.Slot = si
-	rec.Neighbour = other.app
-	rec.Generation = view.Gen
+	other := p.machines[mi].slots[1-si].app
+	ev.Machine, ev.Slot, ev.Neighbour, ev.Gen = mi, si, other, view.Gen
 	// Forecast this co-location for the completion-time drift check. The
 	// prediction is telemetry: a failure here (cannot happen for a known
 	// pair) must not undo a valid placement.
-	if rt, err := view.Pred.PredictRuntime(rec.App, other.app); err == nil {
-		rec.PredictedRuntime = rt
+	if rt, err := view.Pred.PredictRuntime(rec.App, other); err == nil {
+		ev.PredRT = rt
 	}
-	if io, err := view.Pred.PredictIOPS(rec.App, other.app); err == nil {
-		rec.PredictedIOPS = io
+	if io, err := view.Pred.PredictIOPS(rec.App, other); err == nil {
+		ev.PredIOPS = io
 	}
-	if other.app != "" {
-		if f, err := view.Lib.Features(other.app); err == nil {
-			rec.bg = append([]float64(nil), f...)
-		}
-	} else {
-		rec.bg = make([]float64, model.NumFeatures)
+	// BG is the neighbour's characteristic vector, kept for the retraining
+	// sample the completion observation turns into.
+	if other == "" {
+		ev.BG = make([]float64, model.NumFeatures)
+	} else if f, err := view.Lib.Features(other); err == nil {
+		ev.BG = append([]float64(nil), f...)
 	}
-	p.occupyLocked(mi, si, rec.ID, rec.App)
-	p.tracer.place(rec)
+	p.tracer.place(rec, ev)
 	return nil
 }
 
 // CheckInvariants validates the placer's bookkeeping: slots and placement
-// records must agree exactly, the queue must hold only queued records, and
+// records must agree exactly, the queue must hold exactly the queued records, and
 // the incremental index (pool, upMachines) must equal a census recomputed
 // here by a full scan, slot by slot. Tests call it after concurrent
 // hammering; any violation is a serving-layer bug.
@@ -982,8 +911,11 @@ func (p *Placer) CheckInvariants() error {
 		return fmt.Errorf("serve: index says %d up machines, %d free slots, census %v; a scan finds %d, %d, %v",
 			p.upMachines, p.pool.FreeSlots(), counts, up, census.Total(), census)
 	}
-	placed := 0
+	placed, queued := 0, 0
 	for _, rec := range p.placements {
+		if rec.Status == StatusQueued {
+			queued++
+		}
 		if rec.Status == StatusPlaced {
 			placed++
 			if rec.Machine < 0 || rec.Machine >= len(p.machines) ||
@@ -995,10 +927,12 @@ func (p *Placer) CheckInvariants() error {
 	if placed != busy {
 		return fmt.Errorf("serve: %d placed records but %d busy slots", placed, busy)
 	}
-	for _, id := range p.queue {
-		rec, ok := p.placements[id]
-		if !ok || rec.Status != StatusQueued {
-			return fmt.Errorf("serve: queue entry %q not a queued record", id)
+	if queued != len(p.queue) {
+		return fmt.Errorf("serve: %d queued records but %d backlog entries", queued, len(p.queue))
+	}
+	for _, rec := range p.queue {
+		if rec.Status != StatusQueued || p.placements[rec.ID] != rec {
+			return fmt.Errorf("serve: queue entry %q not a queued record", rec.ID)
 		}
 	}
 	return nil

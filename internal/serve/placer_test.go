@@ -54,7 +54,7 @@ func TestPlacerFillQueueAndPromote(t *testing.T) {
 
 	var recs []*Placement
 	for i := 0; i < 6; i++ {
-		rec, err := p.Submit(apps[i%len(apps)])
+		rec, err := p.SubmitKeyed(apps[i%len(apps)], "", "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,10 +74,10 @@ func TestPlacerFillQueueAndPromote(t *testing.T) {
 	if placed != 4 || queued != 2 {
 		t.Fatalf("want 4 placed / 2 queued on 2 machines, got %d/%d", placed, queued)
 	}
-	if got := p.FreeSlots(); got != 0 {
+	if got := p.Snapshot().FreeSlots; got != 0 {
 		t.Fatalf("free slots = %d, want 0", got)
 	}
-	if got := p.QueueDepth(); got != 2 {
+	if got := p.Snapshot().QueueDepth; got != 2 {
 		t.Fatalf("queue depth = %d, want 2", got)
 	}
 	if err := p.CheckInvariants(); err != nil {
@@ -99,10 +99,10 @@ func TestPlacerFillQueueAndPromote(t *testing.T) {
 	if done.Status != StatusCompleted {
 		t.Fatalf("completed record has status %q", done.Status)
 	}
-	if got := p.QueueDepth(); got != 1 {
+	if got := p.Snapshot().QueueDepth; got != 1 {
 		t.Fatalf("queue depth after completion = %d, want 1", got)
 	}
-	if got := p.FreeSlots(); got != 0 {
+	if got := p.Snapshot().FreeSlots; got != 0 {
 		t.Fatalf("free slots after promotion = %d, want 0", got)
 	}
 	if err := p.CheckInvariants(); err != nil {
@@ -115,7 +115,7 @@ func TestPlacerNeighbourRecorded(t *testing.T) {
 	p := s.Placer()
 	apps := testLibrary(t, model.NLM).Apps()
 
-	first, err := p.Submit(apps[0])
+	first, err := p.SubmitKeyed(apps[0], "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestPlacerNeighbourRecorded(t *testing.T) {
 	if first.PredictedRuntime <= 0 {
 		t.Fatalf("no runtime forecast captured: %+v", first)
 	}
-	second, err := p.Submit(apps[1])
+	second, err := p.SubmitKeyed(apps[1], "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,13 +142,13 @@ func TestPlacerTypedErrors(t *testing.T) {
 	p := s.Placer()
 	apps := testLibrary(t, model.NLM).Apps()
 
-	if _, err := p.Submit("nosuch"); !errors.Is(err, model.ErrUnknownApp) {
+	if _, err := p.SubmitKeyed("nosuch", "", ""); !errors.Is(err, model.ErrUnknownApp) {
 		t.Fatalf("submit of unknown app: %v", err)
 	}
 	if _, err := p.Complete("t-999"); !errors.Is(err, ErrUnknownPlacement) {
 		t.Fatalf("complete of unknown id: %v", err)
 	}
-	rec, err := p.Submit(apps[0])
+	rec, err := p.SubmitKeyed(apps[0], "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,11 +160,11 @@ func TestPlacerTypedErrors(t *testing.T) {
 	}
 	// A queued (not yet placed) task cannot be completed either.
 	for i := 0; i < 2; i++ {
-		if _, err := p.Submit(apps[i]); err != nil {
+		if _, err := p.SubmitKeyed(apps[i], "", ""); err != nil {
 			t.Fatal(err)
 		}
 	}
-	q, err := p.Submit(apps[2])
+	q, err := p.SubmitKeyed(apps[2], "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,13 +189,13 @@ func TestPlacerFailsQueuedTasksUnknownAfterSwap(t *testing.T) {
 	// Fill both slots with apps[0], then queue apps[1].
 	var ids []string
 	for i := 0; i < 2; i++ {
-		rec, err := p.Submit(apps[0])
+		rec, err := p.SubmitKeyed(apps[0], "", "")
 		if err != nil {
 			t.Fatal(err)
 		}
 		ids = append(ids, rec.ID)
 	}
-	victim, err := p.Submit(apps[1])
+	victim, err := p.SubmitKeyed(apps[1], "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,8 +217,8 @@ func TestPlacerFailsQueuedTasksUnknownAfterSwap(t *testing.T) {
 	if got.Status != StatusFailed || got.Error == "" {
 		t.Fatalf("victim should have failed loudly: %+v", got)
 	}
-	if p.QueueDepth() != 0 {
-		t.Fatalf("queue depth = %d after eviction", p.QueueDepth())
+	if p.Snapshot().QueueDepth != 0 {
+		t.Fatalf("queue depth = %d after eviction", p.Snapshot().QueueDepth)
 	}
 	if err := p.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -232,7 +232,7 @@ func TestPlacerCompletedRecordsBounded(t *testing.T) {
 	app := testLibrary(t, model.NLM).Apps()[0]
 	var first string
 	for i := 0; i < 10; i++ {
-		rec, err := p.Submit(app)
+		rec, err := p.SubmitKeyed(app, "", "")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -64,12 +64,33 @@ func BenchmarkPlacerSubmitComplete(b *testing.B) {
 }
 
 func submitComplete(tb testing.TB, p *Placer, app string) {
-	rec, err := p.Submit(app)
+	rec, err := p.SubmitKeyed(app, "", "")
 	if err != nil || rec.Status != StatusPlaced {
 		tb.Fatalf("submit: %+v, %v", rec, err)
 	}
 	if _, err := p.Complete(rec.ID); err != nil {
 		tb.Fatal(err)
+	}
+}
+
+// TestPlacerSubmitCompleteAllocs is the deterministic half of the benchmark
+// above, as a tier-1 gate: heap allocations per submit → complete cycle with
+// no journal and no tracer attached. The commit path builds its events on a
+// reusable buffer and the place event shares the neighbour vector with the
+// record; a rise here means an event, a closure or a slice started escaping
+// on the request path.
+func TestPlacerSubmitCompleteAllocs(t *testing.T) {
+	for i, limit := range []float64{21, 23, 23} {
+		machines := submitCompleteSizes[i]
+		p, apps := halfFullPlacer(t, machines)
+		n := 0
+		got := testing.AllocsPerRun(2000, func() {
+			submitComplete(t, p, apps[n%len(apps)])
+			n++
+		})
+		if got > limit {
+			t.Errorf("%d machines: %.0f allocs per submit+complete, limit %.0f", machines, got, limit)
+		}
 	}
 }
 
@@ -126,7 +147,7 @@ func TestFIFOTakesLongestFreeVM(t *testing.T) {
 		}
 	}
 	for _, want := range [][2]int{{1, 1}, {0, 0}} {
-		rec, err := p.Submit(app)
+		rec, err := p.SubmitKeyed(app, "", "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -392,7 +413,7 @@ func TestPlacerMatchesNaiveScan(t *testing.T) {
 			switch r := rng.Intn(100); {
 			case r < 45:
 				op = "submit"
-				rec, serr := p.Submit(apps[rng.Intn(len(apps))])
+				rec, serr := p.SubmitKeyed(apps[rng.Intn(len(apps))], "", "")
 				if _, _, up := ref.census(); up == 0 && errors.Is(serr, ErrQueueFull) {
 					continue // nothing in service: admission sheds everything
 				}

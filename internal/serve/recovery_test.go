@@ -218,7 +218,7 @@ func TestRecoveryMachineLifecycle(t *testing.T) {
 	p1 := s1.Placer()
 	apps := testLibrary(t, model.NLM).Apps()
 	for i := 0; i < 6; i++ {
-		if _, err := p1.Submit(apps[i%len(apps)]); err != nil {
+		if _, err := p1.SubmitKeyed(apps[i%len(apps)], "", ""); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -313,6 +313,13 @@ func TestReplayIdempotence(t *testing.T) {
 	}
 	if err := p2.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+
+	// The same property at commit-group granularity, over a long mixed
+	// stream: a follower that applies every group the live placer commits
+	// twice over stays byte-identical to it.
+	for i, policy := range []string{"mios", "mibs"} {
+		runFollower(t, policy, randomFollowerOps(int64(100+i), 400), true)
 	}
 }
 
@@ -448,7 +455,7 @@ func TestRecoveryTornSnapshotFallback(t *testing.T) {
 func TestRecoveryWrongClusterShape(t *testing.T) {
 	dir := t.TempDir()
 	s1, mgr1 := newDurableServer(t, dir, 2)
-	if _, err := s1.Placer().Submit(testLibrary(t, model.NLM).Apps()[0]); err != nil {
+	if _, err := s1.Placer().SubmitKeyed(testLibrary(t, model.NLM).Apps()[0], "", ""); err != nil {
 		t.Fatal(err)
 	}
 	if err := s1.SnapshotNow(); err != nil {

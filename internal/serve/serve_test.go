@@ -278,7 +278,7 @@ func TestHotSwapUnderConcurrentSubmitters(t *testing.T) {
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Placer().FreeSlots(); got != 8*SlotsPerMachine {
+	if got := s.Placer().Snapshot().FreeSlots; got != 8*SlotsPerMachine {
 		t.Fatalf("%d free slots after full drain, want %d", got, 8*SlotsPerMachine)
 	}
 	if s.ModelSet().Swaps() == 0 {

@@ -221,7 +221,7 @@ func TestCoalescerWindowExpiryFakeClock(t *testing.T) {
 			results := make(chan error, tc.n)
 			for i := 0; i < tc.n; i++ {
 				go func() {
-					rec, err := c.Submit(app)
+					rec, err := c.SubmitKeyed(app, "", "")
 					if err == nil && rec == nil {
 						err = errNilPlacement
 					}

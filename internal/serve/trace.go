@@ -4,6 +4,7 @@ import (
 	"io"
 	"time"
 
+	"tracon/internal/durable"
 	"tracon/internal/obs"
 )
 
@@ -84,12 +85,12 @@ func (t *serveTracer) planOutcome(kind string, batch int) {
 	t.emit(kind, obs.ServeInfo{Machine: -1, Slot: -1, Batch: batch})
 }
 
-// place records a task binding to a concrete slot.
-func (t *serveTracer) place(rec *Placement) {
+// place records a task binding to a concrete slot, as decided in ev.
+func (t *serveTracer) place(rec *Placement, ev *durable.Event) {
 	t.emit("place", obs.ServeInfo{
 		Req: rec.ReqID, Task: rec.ID, App: rec.App,
-		Machine: rec.Machine, Slot: rec.Slot, Neighbour: rec.Neighbour,
-		Predicted: rec.PredictedRuntime, Gen: rec.Generation,
+		Machine: ev.Machine, Slot: ev.Slot, Neighbour: ev.Neighbour,
+		Predicted: ev.PredRT, Gen: ev.Gen,
 	})
 }
 
@@ -101,12 +102,12 @@ func (t *serveTracer) complete(rec *Placement) {
 	})
 }
 
-// evictRequeue records a task losing its machine to a kill and returning
-// to the backlog.
-func (t *serveTracer) evictRequeue(rec *Placement, machine, slot int) {
+// evictRequeue records a placed task about to lose its VM — to a kill, or
+// to the crash of the daemon that placed it — and return to the backlog.
+func (t *serveTracer) evictRequeue(rec *Placement) {
 	t.emit("evict_requeue", obs.ServeInfo{
 		Req: rec.ReqID, Task: rec.ID, App: rec.App,
-		Machine: machine, Slot: slot,
+		Machine: rec.Machine, Slot: rec.Slot,
 	})
 }
 
