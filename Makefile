@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race audit trace serve-smoke obs-smoke chaos crash-smoke fuzz-smoke dst dst-long cover bench-test bench clean
+.PHONY: ci vet build test race audit trace obs-smoke chaos crash-smoke fuzz-smoke dst dst-long cover bench-test bench clean
 
-ci: vet build test race audit trace serve-smoke obs-smoke chaos crash-smoke fuzz-smoke dst cover bench-test
+ci: vet build test race audit trace obs-smoke chaos crash-smoke fuzz-smoke dst cover bench-test
 
 vet:
 	$(GO) vet ./...
@@ -35,11 +35,6 @@ trace:
 	$(GO) build -o /dev/null ./cmd/tracontrace
 	$(GO) test ./internal/experiments -run TestTraceExportDeterministicAcrossWorkers -short -count=1
 	$(GO) test ./internal/obs -run 'TestTrace|TestTracer|TestPerfetto' -count=1
-
-# Serving-mode smoke test: boot tracond on a random port, drive it with a
-# traconload burst, assert non-zero completions and a clean SIGTERM drain.
-serve-smoke:
-	bash scripts/serve_smoke.sh
 
 # Observability smoke test: boot tracond with JSON logs, drive a scraped
 # traconload burst, then assert Prometheus exposition shape, serve-trace

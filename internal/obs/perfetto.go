@@ -338,7 +338,7 @@ func writeServeEvent(out *perfettoFile, ev TraceEvent, schedPID int, machineMeta
 			Name: ev.Kind, Cat: "sched", Ph: "X", TS: ts - dur, Dur: &dur,
 			PID: schedPID, TID: serveSchedTID, Args: args,
 		})
-	default: // plan_commit, plan_retry, plan_fallback, future kinds
+	default: // future kinds, and an old stream's plan_commit / plan_retry / plan_fallback
 		out.TraceEvents = append(out.TraceEvents, perfettoEvent{
 			Name: ev.Kind, Cat: "sched", Ph: "i", TS: ts, Scope: "t",
 			PID: schedPID, TID: serveSchedTID, Args: args,

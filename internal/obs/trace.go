@@ -32,10 +32,10 @@ import (
 // TraceSchema versions the NDJSON stream. Schema 2 added the fault event
 // kinds (fail, timeout, evict, retry, lost, machine_down, machine_up);
 // schema 3 added the serving-path span kinds carried in the Serve payload
-// (admit, reject, coalesce_wait, batch_pass, score, plan_commit,
-// plan_retry, plan_fallback, place, complete, evict_requeue — the last
-// three distinguished from their simulator namesakes by the payload).
-// ReadTraces still accepts older streams, which simply predate them.
+// (admit, reject, coalesce_wait, batch_pass, score, place, complete,
+// evict_requeue — the last three distinguished from their simulator
+// namesakes by the payload). ReadTraces still accepts older streams, with
+// or without the retired plan_commit / plan_retry / plan_fallback kinds.
 const TraceSchema = 3
 
 // minTraceSchema is the oldest schema ReadTraces accepts.

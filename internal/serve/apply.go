@@ -65,7 +65,6 @@ func (p *Placer) commitEventsLocked(evs []durable.Event, bind func(i int) error)
 		clear(p.queue[len(kept):])
 		p.queue = kept
 	}
-	p.version++
 	p.journal.append(evs...)
 	if p.onCommit != nil {
 		p.onCommit(evs)

@@ -182,7 +182,6 @@ func (p *Placer) RestoreState(st *durable.PlacerState) error {
 	p.queue = queue
 	p.done = append([]string(nil), st.Done...)
 	p.nextID = st.NextID
-	p.version++
 	if p.admission != nil {
 		p.admission.CountRejections(int(st.Rejected))
 	}
@@ -268,7 +267,10 @@ func (s *Server) recover(mgr *durable.Manager) error {
 		j.append(durable.Event{Kind: durable.EvGenSwap, Gen: gen, Machine: -1, Slot: -1})
 	})
 	mgr.AttachMetrics(s.reg)
-	if err := s.placer.drain(); err != nil {
+	s.placer.mu.Lock()
+	err := s.placer.drainLocked()
+	s.placer.mu.Unlock()
+	if err != nil {
 		return fmt.Errorf("serve: post-recovery drain: %w", err)
 	}
 	dur := s.clock.Since(t0)

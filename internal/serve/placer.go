@@ -121,15 +121,17 @@ const SlotsPerMachine = 2
 // simulator. A drained or down machine's free slots are simply held out of
 // the pool (sim/fault.go's idiom).
 //
-// Every state change is an event: an operation validates and decides under
-// the one mutex, then hands the events it journals to commitEventsLocked
-// (apply.go), which applies them with the functions recovery replays them
-// with. The expensive part of a scheduling pass — model scoring over the
-// backlog — runs OUTSIDE the lock against an immutable snapshot of the
-// inventory, then commits its decisions only if nothing changed in
-// between (a version counter guards the snapshot). Under contention the
-// commit retries with a fresh snapshot, falling back to fully-locked
-// scheduling so progress is guaranteed.
+// Every state change is an event, and every mutating operation is one
+// critical section: it validates and decides under the one mutex, hands
+// the events it journals to commitEventsLocked (apply.go), which applies
+// them with the functions recovery replays them with, and then runs the
+// scheduling passes (drainLocked) before it lets go. No observer sees a
+// task admitted but not yet offered to the scheduler. Model scoring runs
+// under the lock because it is cheap — 1 µs (MIOS) to 22 µs (MIBS, batch
+// of 8) per pass behind the scorer's pair cache — and the optimistic
+// planner that once kept it outside discarded 19-43 % of its score calls
+// under concurrent batch submitters (EXPERIMENTS.md, One lock hold per
+// operation).
 //
 // Admission is enforced here, atomically with the admit commit: the scaled
 // queue bound is checked and the task admitted under one critical section,
@@ -160,20 +162,18 @@ type Placer struct {
 	// record itself is retained; entries leave with the finished ring.
 	dedup map[string]string
 
-	// version stamps the mutable state (queue, slots, machine states);
-	// every mutation bumps it, and an optimistic scheduling pass commits
-	// only if the version still matches its snapshot.
-	version uint64
-
 	// done is the FIFO of finished (completed/failed) placement IDs; the
 	// oldest records are dropped beyond doneCap so the map stays bounded.
 	done    []string
 	doneCap int
 
-	// evbuf is the reusable buffer commit groups are built on, and
-	// onCommit, when set, observes each committed group under p.mu (the
-	// follower tests feed a second placer from it). See commitEventsLocked.
+	// evbuf is the reusable buffer commit groups are built on and batchbuf
+	// the one a scheduling pass's input is built on; neither leaves the
+	// lock. onCommit, when set, observes each committed group under p.mu
+	// (the follower tests feed a second placer from it). See
+	// commitEventsLocked.
 	evbuf    []durable.Event
+	batchbuf []sched.Task
 	onCommit func(evs []durable.Event)
 }
 
@@ -274,40 +274,36 @@ func (p *Placer) setStateLocked(mi int, state string) {
 // emits. A non-empty idempotency key that matches a retained record — a
 // client retrying a submit it never saw acknowledged, possibly across a
 // daemon crash — returns that record instead of admitting a duplicate. The
-// dedup check, the admission bound and the admit commit share one critical
-// section: at no instant can concurrent submits push the backlog past the
-// scaled bound, and the admit event is journaled (and, under fsync=always,
-// on disk) before the caller is acknowledged.
+// dedup check, the admission bound, the admit commit and the scheduling
+// passes share one critical section: at no instant can concurrent submits
+// push the backlog past the scaled bound, and the admit event is journaled
+// (and, under fsync=always, on disk) before the caller is acknowledged.
 func (p *Placer) SubmitKeyed(app, reqID, key string) (*Placement, error) {
 	view := p.models.View()
 	if err := p.checkKnown(view, app); err != nil {
 		return nil, err
 	}
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	if rec := p.dedupLocked(key); rec != nil {
-		out := rec.clone()
-		p.mu.Unlock()
-		return out, nil
+		return rec.clone(), nil
 	}
-	if budget := p.admitBudgetLocked(); budget == 0 {
-		p.mu.Unlock()
+	if p.admitBudgetLocked() == 0 {
 		p.tracer.reject(reqID, app, "queue full")
 		return nil, ErrQueueFull
 	}
 	id := taskID(p.nextID + 1)
-	err := p.commitEventLocked(durable.Event{
+	if err := p.commitEventLocked(durable.Event{
 		Kind: durable.EvAdmit, Task: id, App: app, Req: reqID, Dedup: key, Machine: -1, Slot: -1,
-	})
+	}); err != nil {
+		return nil, err
+	}
 	rec := p.placements[id]
-	p.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
 	p.tracer.admit(reqID, id, app)
-	if err := p.drain(); err != nil {
+	if err := p.drainLocked(); err != nil {
 		return nil, err
 	}
-	return p.snapshotRecord(rec), nil
+	return rec.clone(), nil
 }
 
 // BatchOutcome is one task's result inside a SubmitBatch: either a
@@ -322,7 +318,7 @@ func (p *Placer) SubmitBatch(apps []string) ([]BatchOutcome, error) {
 	return p.SubmitBatchKeyed(apps, nil, nil)
 }
 
-// SubmitBatchKeyed admits a whole batch under one critical section, then
+// SubmitBatchKeyed admits a whole batch and, in the same critical section,
 // runs queue-aware scheduling passes over the combined backlog — the batch
 // schedulers (MIBS/MIX) see every queued task at once instead of a stream
 // of singletons. reqIDs and keys are positional with apps (nil or short
@@ -338,10 +334,11 @@ func (p *Placer) SubmitBatchKeyed(apps, reqIDs, keys []string) ([]BatchOutcome, 
 	view := p.models.View()
 	out := make([]BatchOutcome, len(apps))
 	refs := make([]durable.TaskRef, 0, len(apps))
+	deduped := make([]bool, len(apps))
 
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	budget := p.admitBudgetLocked()
-	deduped := make([]bool, len(apps))
 	for i, app := range apps {
 		key := at(keys, i)
 		if key != "" {
@@ -376,38 +373,29 @@ func (p *Placer) SubmitBatchKeyed(apps, reqIDs, keys []string) ([]BatchOutcome, 
 			Kind: durable.EvBatchAdmit, Tasks: refs, Machine: -1, Slot: -1,
 		})
 	}
-	// Live pointers for now; snapshotted after the drain.
+	// Live pointers for now; cloned after the drain.
 	next := 0
-	for i := range out {
+	for i, app := range apps {
 		switch {
+		case errors.Is(out[i].Err, ErrQueueFull):
+			p.tracer.reject(at(reqIDs, i), app, "queue full")
 		case out[i].Err != nil || out[i].Placement != nil:
 		case deduped[i]:
 			out[i].Placement = p.dedupLocked(at(keys, i))
 		default:
 			out[i].Placement = p.placements[refs[next].Task]
+			p.tracer.admit(at(reqIDs, i), refs[next].Task, app)
 			next++
 		}
 	}
-	p.mu.Unlock()
-	for i, app := range apps {
-		switch {
-		case out[i].Placement != nil && !deduped[i]:
-			p.tracer.admit(at(reqIDs, i), out[i].Placement.ID, app)
-		case errors.Is(out[i].Err, ErrQueueFull):
-			p.tracer.reject(at(reqIDs, i), app, "queue full")
-		}
-	}
-
 	if err == nil && len(refs) > 0 {
-		err = p.drain()
+		err = p.drainLocked()
 	}
-	p.mu.Lock()
 	for i := range out {
 		if out[i].Placement != nil {
 			out[i].Placement = out[i].Placement.clone()
 		}
 	}
-	p.mu.Unlock()
 	return out, err
 }
 
@@ -480,13 +468,6 @@ func (p *Placer) admitBudgetLocked() int {
 	return budget
 }
 
-// snapshotRecord clones a live record under the lock.
-func (p *Placer) snapshotRecord(rec *Placement) *Placement {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return rec.clone()
-}
-
 // Observation is a completion report: what the task actually experienced.
 type Observation struct {
 	Runtime float64 `json:"runtime_s"`
@@ -497,33 +478,26 @@ type Observation struct {
 // backlog. It returns the completed record (a copy).
 func (p *Placer) Complete(id string) (*Placement, error) {
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	rec, ok := p.placements[id]
 	if !ok {
-		p.mu.Unlock()
 		return nil, fmt.Errorf("%w: %q", ErrUnknownPlacement, id)
 	}
 	if rec.Status != StatusPlaced {
-		p.mu.Unlock()
 		return nil, fmt.Errorf("%w: %q is %s", ErrNotPlaced, id, rec.Status)
 	}
 	if p.machines[rec.Machine].slots[rec.Slot].taskID != id {
-		p.mu.Unlock()
 		return nil, fmt.Errorf("serve: slot bookkeeping corrupt for %q", id)
 	}
-	err := p.commitEventLocked(durable.Event{
+	if err := p.commitEventLocked(durable.Event{
 		Kind: durable.EvComplete, Task: id, Machine: rec.Machine, Slot: rec.Slot,
-	})
-	out := rec.clone()
-	p.mu.Unlock()
-	if err != nil {
+	}); err != nil {
 		return nil, err
 	}
+	out := rec.clone()
 	p.tracer.complete(out)
-	if err := p.drain(); err != nil {
-		// The completion itself landed; the post-completion drain failed.
-		return out, err
-	}
-	return out, nil
+	// A drain failure is reported beside the record: the completion landed.
+	return out, p.drainLocked()
 }
 
 // Get returns a copy of the placement record.
@@ -609,18 +583,16 @@ var machineMoves = map[string][2]string{
 func (p *Placer) transition(id int, kind string) error {
 	from, to := machineMoves[kind][0], machineMoves[kind][1]
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	if id < 0 || id >= len(p.machines) {
-		p.mu.Unlock()
 		return fmt.Errorf("%w: %d", ErrUnknownMachine, id)
 	}
 	if state := p.machines[id].state; state != from {
-		p.mu.Unlock()
 		return fmt.Errorf("%w: machine %d is %s, not %s", ErrBadTransition, id, state, from)
 	}
 	err := p.commitEventLocked(durable.Event{Kind: kind, Machine: id, Slot: -1})
-	p.mu.Unlock()
 	if err == nil && to == MachineUp {
-		err = p.drain()
+		err = p.drainLocked()
 	}
 	return err
 }
@@ -631,12 +603,11 @@ func (p *Placer) transition(id int, kind string) error {
 // It returns the number of tasks re-queued.
 func (p *Placer) Kill(id int) (requeued int, err error) {
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	if id < 0 || id >= len(p.machines) {
-		p.mu.Unlock()
 		return 0, fmt.Errorf("%w: %d", ErrUnknownMachine, id)
 	}
 	if p.machines[id].state == MachineDown {
-		p.mu.Unlock()
 		return 0, fmt.Errorf("%w: machine %d is already down", ErrBadTransition, id)
 	}
 	var refs []durable.TaskRef
@@ -649,9 +620,8 @@ func (p *Placer) Kill(id int) (requeued int, err error) {
 	err = p.commitEventLocked(durable.Event{
 		Kind: durable.EvKill, Machine: id, Slot: -1, Tasks: refs,
 	})
-	p.mu.Unlock()
 	if err == nil {
-		err = p.drain()
+		err = p.drainLocked()
 	}
 	return len(refs), err
 }
@@ -689,23 +659,11 @@ func (p *Placer) Machines() []MachineView {
 	return out
 }
 
-// schedPlan is one immutable scheduling input: the head of the backlog,
-// the free-pool census and the load signal, stamped with the state
-// version they were captured at. Scoring runs against it lock-free. While
-// the version still matches, batch[i] is the record at p.queue[i].
-type schedPlan struct {
-	version uint64
-	view    ModelView
-	batch   []sched.Task
-	counts  sched.Counts
-	load    sched.Load
-}
-
-// planLocked fails queue entries the current library cannot score, then
-// builds the next scheduling input. ok is false when there is nothing to
-// schedule (empty backlog or no free slots).
-func (p *Placer) planLocked() (plan schedPlan, ok bool) {
-	view := p.models.View()
+// planLocked fails queue entries the library in view cannot score, then
+// builds the next pass's input from the head of the backlog: batch[i] is
+// the record at p.queue[i]. It is empty when there is nothing to schedule
+// (empty backlog or no free slots), and valid until the next pass.
+func (p *Placer) planLocked(view ModelView) []sched.Task {
 	// Unknowable queue entries first (possible after a hot-swap to a
 	// different census): fail loudly instead of wedging the queue head.
 	evs := p.evbuf[:0]
@@ -719,114 +677,58 @@ func (p *Placer) planLocked() (plan schedPlan, ok bool) {
 	}
 	_ = p.commitEventsLocked(evs, nil) // failing a queued record cannot fail to apply
 
-	if len(p.queue) == 0 || p.pool.FreeSlots() == 0 {
-		return schedPlan{}, false
+	if p.pool.FreeSlots() == 0 {
+		return nil
 	}
-	n := view.Scheduler.BatchSize()
-	if n > len(p.queue) {
-		n = len(p.queue)
+	batch := p.batchbuf[:0]
+	for i, rec := range p.queue[:min(view.Scheduler.BatchSize(), len(p.queue))] {
+		batch = append(batch, sched.Task{ID: int64(i), App: rec.App})
 	}
-	batch := make([]sched.Task, n)
-	for i, rec := range p.queue[:n] {
-		batch[i] = sched.Task{ID: int64(i), App: rec.App}
-	}
-	// TotalSlots reflects schedulable capacity: lost machines shrink the
-	// utilization the adaptive policies see, exactly as in the simulator.
-	available, _ := p.capacityLocked()
-	return schedPlan{
-		version: p.version,
-		view:    view,
-		batch:   batch,
-		counts:  p.pool.Counts(),
-		load:    sched.Load{TotalSlots: available, Queued: len(p.queue)},
-	}, true
+	p.batchbuf = batch[:0]
+	return batch
 }
 
 // commitPassLocked binds a scheduling pass's decisions to concrete slots and
 // commits them as one group: one journal append, one fsync, one backlog
-// sweep. It must be called with the version check already passed (or while
-// the plan was built and committed under one continuous lock hold), so the
-// queue prefix is still the records plan.batch was built from. done
-// reports whether draining should stop (nothing placed, or the cluster
-// filled mid-batch).
-func (p *Placer) commitPassLocked(plan schedPlan, placements []sched.Placement) (done bool, err error) {
-	if len(placements) == 0 {
-		return true, nil
-	}
+// sweep. The queue prefix is still the records the batch was built from,
+// because the lock has been held since planLocked built it.
+func (p *Placer) commitPassLocked(view ModelView, placements []sched.Placement) error {
 	evs := p.evbuf[:0]
 	for _, pl := range placements {
 		evs = append(evs, durable.Event{Kind: durable.EvPlace, Task: p.queue[pl.Task.ID].ID})
 	}
-	err = p.commitEventsLocked(evs, func(i int) error {
-		return p.decidePlaceLocked(&evs[i], p.queue[placements[i].Task.ID], placements[i].Category, plan.view)
+	return p.commitEventsLocked(evs, func(i int) error {
+		return p.decidePlaceLocked(&evs[i], p.queue[placements[i].Task.ID], placements[i].Category, view)
 	})
-	return err != nil || len(placements) < len(plan.batch), err
 }
 
-// optimisticRetries bounds how many stale-snapshot misses a draining pass
-// tolerates before falling back to scheduling under the lock.
-const optimisticRetries = 3
-
-// drain runs the scheduler over the backlog until it stops placing.
-// Scoring — the expensive part of a pass — runs outside the placer lock
-// against an immutable snapshot; the commit re-takes the lock and applies
-// the decisions only if the state version still matches. A stale snapshot
-// (another submit, completion or lifecycle op landed in between) is
-// recomputed; after optimisticRetries misses the pass schedules under the
-// lock, which cannot miss.
-func (p *Placer) drain() error {
-	misses := 0
+// drainLocked runs the scheduler over the backlog until a pass places
+// fewer tasks than it was offered (nothing placed, or the cluster filled
+// mid-batch). Every mutating operation calls it inside the lock hold that
+// committed its own event, so plan, score and commit cannot go stale.
+func (p *Placer) drainLocked() error {
 	for {
 		t0 := p.clock.Now()
-		p.mu.Lock()
-		plan, ok := p.planLocked()
-		if !ok {
-			p.mu.Unlock()
+		view := p.models.View()
+		batch := p.planLocked(view)
+		if len(batch) == 0 {
 			return nil
 		}
-		if misses >= optimisticRetries {
-			// Contention fallback: plan, score and commit under one hold.
-			p.tracer.planOutcome("plan_fallback", len(plan.batch))
-			s0 := p.clock.Now()
-			placements, err := plan.view.Scheduler.Schedule(plan.batch, plan.counts, plan.load)
-			p.tracer.score(len(plan.batch), len(placements), p.clock.Since(s0))
-			if err != nil {
-				p.mu.Unlock()
-				return fmt.Errorf("serve: scheduling: %w", err)
-			}
-			done, err := p.commitPassLocked(plan, placements)
-			p.mu.Unlock()
-			p.tracer.batchPass(len(plan.batch), len(placements), p.clock.Since(t0))
-			if err != nil || done {
-				return err
-			}
-			misses = 0
-			continue
-		}
-		p.mu.Unlock()
-
+		// TotalSlots reflects schedulable capacity: lost machines shrink the
+		// utilization the adaptive policies see, exactly as in the simulator.
+		available, _ := p.capacityLocked()
+		load := sched.Load{TotalSlots: available, Queued: len(p.queue)}
 		s0 := p.clock.Now()
-		placements, err := plan.view.Scheduler.Schedule(plan.batch, plan.counts, plan.load)
-		p.tracer.score(len(plan.batch), len(placements), p.clock.Since(s0))
+		placements, err := view.Scheduler.Schedule(batch, p.pool.Counts(), load)
+		p.tracer.score(len(batch), len(placements), p.clock.Since(s0))
 		if err != nil {
 			return fmt.Errorf("serve: scheduling: %w", err)
 		}
-
-		p.mu.Lock()
-		if p.version != plan.version {
-			p.mu.Unlock()
-			p.tracer.planOutcome("plan_retry", len(plan.batch))
-			misses++
-			continue
-		}
-		done, err := p.commitPassLocked(plan, placements)
-		p.mu.Unlock()
-		p.tracer.planOutcome("plan_commit", len(plan.batch))
-		p.tracer.batchPass(len(plan.batch), len(placements), p.clock.Since(t0))
-		if err != nil || done {
+		err = p.commitPassLocked(view, placements)
+		p.tracer.batchPass(len(batch), len(placements), p.clock.Since(t0))
+		if err != nil || len(placements) < len(batch) {
 			return err
 		}
-		misses = 0
 	}
 }
 

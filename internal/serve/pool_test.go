@@ -75,12 +75,12 @@ func submitComplete(tb testing.TB, p *Placer, app string) {
 
 // TestPlacerSubmitCompleteAllocs is the deterministic half of the benchmark
 // above, as a tier-1 gate: heap allocations per submit → complete cycle with
-// no journal and no tracer attached. The commit path builds its events on a
-// reusable buffer and the place event shares the neighbour vector with the
-// record; a rise here means an event, a closure or a slice started escaping
-// on the request path.
+// no journal and no tracer attached. The commit path builds its events and
+// the scheduling pass its batch on reusable buffers, and the place event
+// shares the neighbour vector with the record; a rise here means an event,
+// a closure or a slice started escaping on the request path.
 func TestPlacerSubmitCompleteAllocs(t *testing.T) {
-	for i, limit := range []float64{21, 23, 23} {
+	for i, limit := range []float64{19, 21, 21} {
 		machines := submitCompleteSizes[i]
 		p, apps := halfFullPlacer(t, machines)
 		n := 0

@@ -78,13 +78,6 @@ func (t *serveTracer) score(batch, placed int, dur time.Duration) {
 	})
 }
 
-// planOutcome records how an optimistic pass resolved: plan_commit (the
-// snapshot held), plan_retry (stale snapshot, recompute), plan_fallback
-// (contention exhausted the retries; scheduling ran under the lock).
-func (t *serveTracer) planOutcome(kind string, batch int) {
-	t.emit(kind, obs.ServeInfo{Machine: -1, Slot: -1, Batch: batch})
-}
-
 // place records a task binding to a concrete slot, as decided in ev.
 func (t *serveTracer) place(rec *Placement, ev *durable.Event) {
 	t.emit("place", obs.ServeInfo{
