@@ -28,8 +28,10 @@ type FreePool struct {
 	global slotHeap
 	// state is the authoritative per-slot record, indexed by slotIndex and
 	// grown on demand; a slot never mentioned is busy.
-	state   []slotState
-	counts  Counts
+	state  []slotState
+	counts Counts
+	// free is Σ counts, kept beside it so FreeSlots is O(1).
+	free    int
 	freeSeq int64
 	inUse   int32
 	// idle is the slot count NewIdleFreePool was built for, and untouched
@@ -188,6 +190,7 @@ func NewIdleFreePool(machines int) *FreePool {
 	return &FreePool{
 		heaps:   map[string]*slotHeap{EmptyCategory: {}},
 		counts:  Counts{EmptyCategory: n},
+		free:    n,
 		freeSeq: int64(n),
 		idle:    n,
 	}
@@ -224,6 +227,7 @@ func (p *FreePool) SetFree(machine, slot int, category string) {
 	p.freeSeq++
 	*cur = slotState{free: true, category: category, freeGen: p.freeSeq}
 	p.counts[category]++
+	p.free++
 	p.pushCategory(idx, category)
 	p.global.push(slotEntry{idx: idx, seq: p.freeSeq})
 	p.maybeCompactGlobal()
@@ -251,6 +255,7 @@ func (p *FreePool) SetBusy(machine, slot int) {
 func (p *FreePool) setBusy(idx int) {
 	if st := p.at(idx); st.free {
 		p.counts[st.category]--
+		p.free--
 		*st = slotState{}
 	}
 }
@@ -408,15 +413,7 @@ const compactMinLen = 4096
 
 // liveFree is the total number of live free slots (internal; callers hold
 // the reentry guard).
-func (p *FreePool) liveFree() int {
-	t := 0
-	for _, n := range p.counts {
-		if n > 0 {
-			t += n
-		}
-	}
-	return t
-}
+func (p *FreePool) liveFree() int { return p.free }
 
 // maybeCompactGlobal rebuilds the global heap keeping only entries whose
 // freed-order stamp still matches the authoritative slot state.

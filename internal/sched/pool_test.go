@@ -152,6 +152,15 @@ func (r *refPool) oldestFree() (int, int, bool) {
 // reference through identical random SetFree/SetBusy/Pop sequences and
 // requires identical observable behaviour at every step. Fast enough for
 // the -race short pass.
+// countsTotal is Σ Counts(), what FreeSlots' running total must equal.
+func countsTotal(p *FreePool) int {
+	sum := 0
+	for _, n := range p.Counts() {
+		sum += n
+	}
+	return sum
+}
+
 func TestFreePoolMatchesReferenceRandomized(t *testing.T) {
 	categories := []string{EmptyCategory, "io", "cpu", "mid"}
 	for _, seed := range []int64{1, 7, 42, 1337} {
@@ -201,6 +210,9 @@ func TestFreePoolMatchesReferenceRandomized(t *testing.T) {
 			}
 			if p.FreeSlots() != len(ref.free) {
 				t.Fatalf("seed %d op %d FreeSlots %d vs reference %d", seed, op, p.FreeSlots(), len(ref.free))
+			}
+			if n, sum := p.FreeSlots(), countsTotal(p); n != sum {
+				t.Fatalf("seed %d op %d FreeSlots %d, Σ Counts %d", seed, op, n, sum)
 			}
 		}
 	}
@@ -267,6 +279,9 @@ func TestFreePoolCrashRecoverMatchesReference(t *testing.T) {
 			if p.FreeSlots() != len(ref.free) {
 				t.Fatalf("seed %d op %d FreeSlots %d vs reference %d", seed, op, p.FreeSlots(), len(ref.free))
 			}
+			if n, sum := p.FreeSlots(), countsTotal(p); n != sum {
+				t.Fatalf("seed %d op %d FreeSlots %d, Σ Counts %d", seed, op, n, sum)
+			}
 		}
 	}
 }
@@ -290,6 +305,9 @@ func TestIdleFreePoolEqualsIncrementalBuild(t *testing.T) {
 			t.Helper()
 			if b, s := bulk.FreeSlots(), step.FreeSlots(); b != s {
 				t.Fatalf("seed %d %s: %d free slots vs incremental %d", seed, at, b, s)
+			}
+			if b, sum := bulk.FreeSlots(), countsTotal(bulk); b != sum {
+				t.Fatalf("seed %d %s: %d free slots, Σ Counts %d", seed, at, b, sum)
 			}
 			if b, s := fmt.Sprint(bulk.Counts()), fmt.Sprint(step.Counts()); b != s {
 				t.Fatalf("seed %d %s: counts %s vs incremental %s", seed, at, b, s)

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"sort"
@@ -66,30 +65,60 @@ const (
 type event struct {
 	time    float64
 	kind    eventKind
-	seq     int64 // tie-break for determinism
-	task    sched.Task
+	seq     int64      // tie-break for determinism
+	task    sched.Task // the retried task (evRetry only)
 	machine int
 	slot    int
 	gen     int64 // completion generation guard
 }
 
+// eventHeap is a binary min-heap of events ordered by (time, seq). It is
+// typed rather than a container/heap.Interface so a push or pop does not
+// box its event. Sequence numbers are unique, so the order is total and
+// the pop sequence does not depend on the sifting details.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
+func (h eventHeap) less(i, j int) bool {
 	if h[i].time != h[j].time {
 		return h[i].time < h[j].time
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+
+func (h *eventHeap) push(ev event) {
+	*h = append(*h, ev)
+	s := *h
+	for i := len(s) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !s.less(i, parent) {
+			break
+		}
+		s[i], s[parent] = s[parent], s[i]
+		i = parent
+	}
+}
+
+// pop removes and returns the earliest event; the heap must not be empty.
+func (h *eventHeap) pop() event {
+	s := *h
+	n := len(s) - 1
+	s[0], s[n] = s[n], s[0]
+	for i := 0; ; {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if right := child + 1; right < n && s.less(right, child) {
+			child = right
+		}
+		if !s.less(child, i) {
+			break
+		}
+		s[i], s[child] = s[child], s[i]
+		i = child
+	}
+	*h = s[:n]
+	return s[n]
 }
 
 type runningTask struct {
@@ -197,23 +226,41 @@ func (r *Results) MeanWait() float64 {
 }
 
 // Engine runs one simulation.
+//
+// Arrivals are not events: they stream from a cursor over the time-ordered
+// arrival slice, so the event heap holds only pending work — completions,
+// the armed flush, fault boundaries, timeouts and retries.
 type Engine struct {
 	cfg      Config
 	machines []machineState
 	pool     *sched.FreePool
 	events   eventHeap
 	deps     *depState
-	queue    []sched.Task // backlog; live region is queue[qhead:]
-	qhead    int
-	now      float64
-	seq      int64
-	genSeq   int64
-	results  Results
-	table    *InterferenceTable
+	// arrivals is the run's input in (Arrival, input index) order;
+	// arrivals[next:] have not arrived yet.
+	arrivals []sched.Task
+	next     int
+	// extra holds the tasks the backlog references that are not arrivals
+	// as given: retried and released tasks, whose Arrival is rewritten.
+	extra []sched.Task
+	// queue is the backlog as task refs (see task); live region is
+	// queue[qhead:].
+	queue []int
+	qhead int
+	// batch and placed are the scheduling pass's buffers, reused across
+	// passes.
+	batch   []sched.Task
+	placed  map[int64]bool
+	now     float64
+	seq     int64
+	genSeq  int64
+	results Results
+	table   *InterferenceTable
 	// nextFlushAt is the armed flush wake-up's time (+Inf when none). The
 	// engine keeps at most one flush armed — the head task's deadline — so
-	// the event heap stays O(machines + pending completions) instead of
-	// growing one flush per enqueued task.
+	// the event heap stays O(machines + pending completions, fault
+	// boundaries and retries) instead of growing one flush per enqueued
+	// task.
 	nextFlushAt float64
 	// naiveFlush restores the pre-optimization one-flush-per-enqueue
 	// behaviour; the flush-equivalence test uses it to prove the suppressed
@@ -243,6 +290,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		cfg:         cfg,
 		machines:    make([]machineState, cfg.Machines),
 		pool:        sched.NewIdleFreePool(cfg.Machines),
+		placed:      map[int64]bool{},
 		table:       cfg.Table,
 		nextFlushAt: math.Inf(1),
 	}
@@ -262,23 +310,26 @@ func NewEngine(cfg Config) (*Engine, error) {
 
 // Run executes the arrivals until the horizon (Inf = run to completion of
 // all tasks) and returns the results. Tasks still running or queued at the
-// horizon are not counted as completed.
+// horizon are not counted as completed. The arrivals may come in any order
+// (equal Arrival times keep their input order); Run does not modify the
+// slice.
 func (e *Engine) Run(arrivals []sched.Task, horizon float64) (*Results, error) {
 	for _, t := range arrivals {
 		if !e.table.Has(t.App) {
 			return nil, fmt.Errorf("sim: unknown application %q", t.App)
 		}
-		e.push(event{time: t.Arrival, kind: evArrival, task: t})
 	}
 	var err error
 	if e.deps, err = validateDAG(arrivals); err != nil {
 		return nil, err
 	}
+	e.arrivals = timeOrdered(arrivals)
 	e.results.Submitted = len(arrivals)
 	if e.cfg.Faults != nil {
-		// Fault boundaries enter the heap after all arrivals, in Timeline's
-		// deterministic order, so their sequence numbers — and therefore
-		// same-instant tie-breaks — are pure functions of the inputs.
+		// Fault boundaries enter the heap in Timeline's deterministic order,
+		// so their sequence numbers — and therefore same-instant tie-breaks —
+		// are pure functions of the inputs. An arrival wins every tie with
+		// them (see nextEvent).
 		for _, b := range e.cfg.Faults.Timeline() {
 			switch b.Kind {
 			case fault.BoundaryDown:
@@ -291,8 +342,11 @@ func (e *Engine) Run(arrivals []sched.Task, horizon float64) (*Results, error) {
 		}
 	}
 
-	for e.events.Len() > 0 {
-		ev := heap.Pop(&e.events).(event)
+	for {
+		ev, ref, ok := e.nextEvent()
+		if !ok {
+			break
+		}
 		if ev.time > horizon {
 			e.now = horizon
 			break
@@ -304,15 +358,16 @@ func (e *Engine) Run(arrivals []sched.Task, horizon float64) (*Results, error) {
 		okind := observedKind(ev.kind)
 		switch ev.kind {
 		case evArrival:
-			held := !e.deps.ready(ev.task.ID)
+			t := &e.arrivals[ref]
+			held := !e.deps.ready(t.ID)
 			if e.cfg.Tracer != nil {
-				e.cfg.Tracer.TraceArrival(e.now, ev.task, held)
+				e.cfg.Tracer.TraceArrival(e.now, *t, held)
 			}
 			if held {
-				e.deps.hold(ev.task)
+				e.deps.hold(*t)
 				continue
 			}
-			e.enqueue(ev.task, false)
+			e.enqueue(ref, false)
 		case evCompletion:
 			rt := e.machines[ev.machine].slots[ev.slot]
 			if rt == nil || rt.gen != ev.gen {
@@ -346,7 +401,7 @@ func (e *Engine) Run(arrivals []sched.Task, horizon float64) (*Results, error) {
 		case evRetry:
 			t := ev.task
 			t.Arrival = e.now // became schedulable now; Wait() measures queueing
-			e.enqueue(t, false)
+			e.enqueue(e.addExtra(t), false)
 		case evTimeout:
 			rt := e.machines[ev.machine].slots[ev.slot]
 			if rt == nil || rt.placeGen != ev.gen {
@@ -381,6 +436,52 @@ func (e *Engine) Run(arrivals []sched.Task, horizon float64) (*Results, error) {
 	return &e.results, nil
 }
 
+// nextEvent takes the earliest pending event: the cursor's arrival when it
+// is due no later than the heap's head, else the heap's head. ref is the
+// arrival's index into e.arrivals (evArrival only). Arrivals win same-instant
+// ties with every heap event.
+func (e *Engine) nextEvent() (ev event, ref int, ok bool) {
+	if e.next < len(e.arrivals) && (len(e.events) == 0 || e.arrivals[e.next].Arrival <= e.events[0].time) {
+		ref = e.next
+		e.next++
+		return event{time: e.arrivals[ref].Arrival, kind: evArrival}, ref, true
+	}
+	if len(e.events) == 0 {
+		return event{}, 0, false
+	}
+	return e.events.pop(), 0, true
+}
+
+// timeOrdered returns the arrivals in (Arrival, input index) order: the
+// slice itself when it is already in time order (every generator emits
+// it so), else a stably sorted copy.
+func timeOrdered(arrivals []sched.Task) []sched.Task {
+	for i := 1; i < len(arrivals); i++ {
+		if arrivals[i].Arrival < arrivals[i-1].Arrival {
+			sorted := append([]sched.Task(nil), arrivals...)
+			sort.SliceStable(sorted, func(a, b int) bool { return sorted[a].Arrival < sorted[b].Arrival })
+			return sorted
+		}
+	}
+	return arrivals
+}
+
+// task resolves a backlog ref: an index into the arrivals below
+// len(arrivals), into extra above.
+func (e *Engine) task(ref int) *sched.Task {
+	if ref < len(e.arrivals) {
+		return &e.arrivals[ref]
+	}
+	return &e.extra[ref-len(e.arrivals)]
+}
+
+// addExtra stores a task that is not an arrival as given and returns its
+// backlog ref.
+func (e *Engine) addExtra(t sched.Task) int {
+	e.extra = append(e.extra, t)
+	return len(e.arrivals) + len(e.extra) - 1
+}
+
 // observedKind maps the internal event kind to the observer-facing one.
 // A completion event whose attempt fails probabilistically is reported as
 // EvFail by the event loop instead.
@@ -409,11 +510,11 @@ func observedKind(k eventKind) EventKind {
 // workflow-dependency completion just unblocked). Flush wake-ups (so a
 // partial batch cannot starve waiting for a batch scheduler's queue to
 // fill) are armed by ensureFlush after the scheduling pass.
-func (e *Engine) enqueue(t sched.Task, released bool) {
+func (e *Engine) enqueue(ref int, released bool) {
 	if e.cfg.Tracer != nil {
-		e.cfg.Tracer.TraceEnqueue(e.now, t, released)
+		e.cfg.Tracer.TraceEnqueue(e.now, *e.task(ref), released)
 	}
-	e.queue = append(e.queue, t)
+	e.queue = append(e.queue, ref)
 	// Compact the backlog when the dead prefix dominates.
 	if e.qhead > 4096 && e.qhead*2 > len(e.queue) {
 		e.queue = append(e.queue[:0], e.queue[e.qhead:]...)
@@ -435,7 +536,7 @@ func (e *Engine) ensureFlush() {
 	if e.naiveFlush || e.backlog() == 0 {
 		return
 	}
-	deadline := e.queue[e.qhead].Arrival + e.cfg.FlushTimeout
+	deadline := e.task(e.queue[e.qhead]).Arrival + e.cfg.FlushTimeout
 	// deadline <= now means the head is already past its timeout and the
 	// scheduling pass that just ran could not place it (no free slots or
 	// the policy declined); a wake-up would re-run the same decision on the
@@ -451,7 +552,7 @@ func (e *Engine) ensureFlush() {
 func (e *Engine) push(ev event) {
 	e.seq++
 	ev.seq = e.seq
-	heap.Push(&e.events, ev)
+	e.events.push(ev)
 }
 
 // settle brings a machine's running tasks (and energy meter) up to the
@@ -542,7 +643,7 @@ func (e *Engine) complete(m, slot int) error {
 	// Release any workflow tasks this completion unblocks.
 	for _, released := range e.deps.complete(rt.task.ID) {
 		released.Arrival = e.now // became schedulable now; Wait() measures queueing
-		e.enqueue(released, true)
+		e.enqueue(e.addExtra(released), true)
 	}
 	if e.now > e.results.LastFinish {
 		e.results.LastFinish = e.now
@@ -642,7 +743,7 @@ func (e *Engine) trySchedule() error {
 	q := e.cfg.Scheduler.BatchSize()
 	for e.backlog() > 0 && e.pool.FreeSlots() > 0 {
 		n := e.backlog()
-		ready := n >= q || e.now-e.queue[e.qhead].Arrival >= e.cfg.FlushTimeout-1e-9
+		ready := n >= q || e.now-e.task(e.queue[e.qhead]).Arrival >= e.cfg.FlushTimeout-1e-9
 		if !ready {
 			return nil
 		}
@@ -650,7 +751,11 @@ func (e *Engine) trySchedule() error {
 		if batchLen > n {
 			batchLen = n
 		}
-		batch := append([]sched.Task(nil), e.queue[e.qhead:e.qhead+batchLen]...)
+		e.batch = e.batch[:0]
+		for _, ref := range e.queue[e.qhead : e.qhead+batchLen] {
+			e.batch = append(e.batch, *e.task(ref))
+		}
+		batch := e.batch
 		// Crashed machines are not capacity (downCount is zero without faults).
 		load := sched.Load{TotalSlots: (e.cfg.Machines - e.downCount) * vmsPerMachine, Queued: n}
 		counts := e.pool.Counts()
@@ -690,7 +795,7 @@ func (e *Engine) trySchedule() error {
 		if len(placements) == 0 {
 			return nil
 		}
-		placed := map[int64]bool{}
+		clear(e.placed)
 		for _, p := range placements {
 			var pop PopInfo
 			if e.cfg.Observer != nil && p.Category == sched.AnyCategory {
@@ -715,18 +820,19 @@ func (e *Engine) trySchedule() error {
 			if err := e.place(p.Task, m, slot); err != nil {
 				return err
 			}
-			placed[p.Task.ID] = true
+			e.placed[p.Task.ID] = true
 		}
 		// Keep the unplaced batch members at the front of the backlog,
 		// preserving order — O(batch), never O(backlog).
-		keep := batch[:0]
-		for _, t := range batch {
-			if !placed[t.ID] {
-				keep = append(keep, t)
+		refs := e.queue[e.qhead : e.qhead+batchLen]
+		w := batchLen
+		for i := batchLen - 1; i >= 0; i-- {
+			if !e.placed[e.task(refs[i]).ID] {
+				w--
+				refs[w] = refs[i]
 			}
 		}
-		e.qhead += batchLen - len(keep)
-		copy(e.queue[e.qhead:e.qhead+len(keep)], keep)
+		e.qhead += w
 		if len(placements) < batchLen {
 			return nil // cluster full; wait for completions
 		}

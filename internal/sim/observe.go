@@ -145,8 +145,10 @@ func (v View) TotalSlots() int { return len(v.e.machines) * vmsPerMachine }
 // Backlog returns the current queue length.
 func (v View) Backlog() int { return v.e.backlog() }
 
-// EventHeapLen returns the pending event count (to watch heap bloat).
-func (v View) EventHeapLen() int { return v.e.events.Len() }
+// EventHeapLen returns the pending event count (to watch heap bloat): the
+// event heap's length plus the arrivals not yet taken from the arrival
+// cursor.
+func (v View) EventHeapLen() int { return len(v.e.events) + len(v.e.arrivals) - v.e.next }
 
 // EnergyJ returns the energy integrated so far.
 func (v View) EnergyJ() float64 { return v.e.results.EnergyJ }

@@ -35,6 +35,18 @@ type taskRef = sched.Task
 // prepared depState (nil when no task has dependencies — the common,
 // paper-faithful case costs nothing).
 func validateDAG(tasks []taskRef) (*depState, error) {
+	// Independent tasks with strictly increasing IDs — what every generator
+	// emits — are unique by construction and need no ID map.
+	simple := true
+	for i, t := range tasks {
+		if len(t.DependsOn) > 0 || (i > 0 && t.ID <= tasks[i-1].ID) {
+			simple = false
+			break
+		}
+	}
+	if simple {
+		return nil, nil
+	}
 	hasDeps := false
 	ids := make(map[int64]bool, len(tasks))
 	for _, t := range tasks {

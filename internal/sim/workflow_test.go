@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"tracon/internal/sched"
@@ -137,6 +138,17 @@ func TestWorkflowValidation(t *testing.T) {
 	}
 	if err := run([]sched.Task{{ID: 1, App: "email"}, {ID: 1, App: "web"}}); err == nil {
 		t.Fatal("duplicate IDs accepted")
+	}
+	// Without dependencies, only strictly increasing IDs skip the ID map;
+	// a repeat must still be caught whether or not the IDs are sorted.
+	for _, ids := range [][]int64{{5, 3, 5}, {1, 2, 2}} {
+		var tasks []sched.Task
+		for _, id := range ids {
+			tasks = append(tasks, sched.Task{ID: id, App: "email"})
+		}
+		if err := run(tasks); err == nil || !strings.Contains(err.Error(), "duplicate task ID") {
+			t.Fatalf("IDs %v: err %v, want a duplicate-ID rejection", ids, err)
+		}
 	}
 }
 
