@@ -90,12 +90,14 @@ cover:
 
 # The repository benchmark's self-tests (bench/ is its own module, so
 # `go test ./...` does not see them; about a second) and one iteration of
-# the serve-layer Go benchmark at each inventory size, so it cannot rot.
-# Its deterministic half, allocations per submit → complete cycle, is a
-# tier-1 test: TestPlacerSubmitCompleteAllocs in internal/serve.
+# the serve-layer and scheduler Go benchmarks, so they cannot rot. Their
+# deterministic halves, allocations per submit → complete cycle and per
+# Schedule call, are tier-1 tests: TestPlacerSubmitCompleteAllocs in
+# internal/serve and TestScheduleAllocs in internal/sched.
 bench-test:
 	$(GO) test -C bench . -count=1
 	$(GO) test ./internal/serve -run '^$$' -bench BenchmarkPlacerSubmitComplete -benchtime 1x
+	$(GO) test ./internal/sched -run '^$$' -bench BenchmarkSchedule -benchtime 1x
 
 # Regenerate the paper exhibits through the benchmark harness.
 bench:

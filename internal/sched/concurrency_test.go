@@ -1,69 +1,59 @@
 package sched
 
 import (
+	"math"
+	"reflect"
 	"sync"
 	"testing"
 )
 
-// TestScorerConcurrentUse hammers one shared Scorer from many goroutines —
-// cold cache, so readers and writers of the memo map collide constantly.
-// Run under -race this proves the shared read path of the parallel
-// experiment runner is synchronized; it also checks every goroutine
-// observes the same deterministic scores.
+// TestScorerConcurrentUse makes the first use of one fresh Scorer from 8
+// goroutines at once, so they race to build and publish its table (and
+// schedule with it while they do). Run under -race this proves the shared
+// read path of the parallel experiment runner is synchronized; every
+// goroutine must see one table, bit-identical to a sequentially built one.
 func TestScorerConcurrentUse(t *testing.T) {
-	apps := []string{"cpu", "io", "mid"}
+	pred := newSynthPred(5, 40)
 	for _, obj := range []Objective{MinRuntime, MaxIOPS} {
-		s := NewScorer(fakePred{}, obj)
-
-		// Reference values from a private sequential scorer.
-		ref := NewScorer(fakePred{}, obj)
-		want := map[[2]string]float64{}
-		for _, a := range apps {
-			for _, b := range apps {
-				v, err := ref.PairScore(a, b)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want[[2]string{a, b}] = v
-			}
+		want, err := NewScorer(pred, obj).table()
+		if err != nil {
+			t.Fatal(err)
 		}
-
-		const goroutines = 16
+		s := NewScorer(pred, obj)
+		const goroutines = 8
+		got := make([]*table, goroutines)
+		start := make(chan struct{})
 		var wg sync.WaitGroup
-		errCh := make(chan error, goroutines)
-		for g := 0; g < goroutines; g++ {
+		for g := range got {
 			wg.Add(1)
 			go func(g int) {
 				defer wg.Done()
-				for iter := 0; iter < 50; iter++ {
-					for i, a := range apps {
-						b := apps[(i+g+iter)%len(apps)]
-						v, err := s.PairScore(a, b)
-						if err != nil {
-							errCh <- err
-							return
-						}
-						if v != want[[2]string{a, b}] {
-							t.Errorf("PairScore(%s,%s) = %v, want %v", a, b, v, want[[2]string{a, b}])
-							return
-						}
-						mp, err := s.MeanPairOver([]string{a, b, b})
-						if err != nil {
-							errCh <- err
-							return
-						}
-						if _, err := s.EmptyScore(a, mp, 0.5); err != nil {
-							errCh <- err
-							return
-						}
-					}
+				<-start
+				batch := tasks(pred.apps[g], pred.apps[g+1], pred.apps[g])
+				if _, err := (&MIBS{Scorer: s, QueueLen: 3}).Schedule(batch, Counts{EmptyCategory: 4}, Load{TotalSlots: 8, Queued: 3}); err != nil {
+					t.Error(err)
 				}
+				tab, err := s.table()
+				if err != nil {
+					t.Error(err)
+				}
+				got[g] = tab
 			}(g)
 		}
+		close(start)
 		wg.Wait()
-		close(errCh)
-		for err := range errCh {
-			t.Fatal(err)
+		for g, tab := range got {
+			if tab != got[0] {
+				t.Fatalf("goroutine %d saw a different table than goroutine 0", g)
+			}
+		}
+		if !reflect.DeepEqual(got[0].names, want.names) || len(got[0].score) != len(want.score) {
+			t.Fatalf("concurrent table shape differs from the sequential one")
+		}
+		for i, v := range got[0].score {
+			if math.Float64bits(v) != math.Float64bits(want.score[i]) {
+				t.Fatalf("score[%d] = %v, sequential %v", i, v, want.score[i])
+			}
 		}
 	}
 }

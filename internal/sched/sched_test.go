@@ -57,22 +57,35 @@ func tasks(apps ...string) []Task {
 	return out
 }
 
+// newTestPass builds a pass over the fake predictor's table.
+func newTestPass(t *testing.T, s *Scorer, batch []Task, counts Counts, load Load) *pass {
+	t.Helper()
+	p, err := s.newPass(batch, counts, load, new(passBuf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &p
+}
+
 func TestCountsTake(t *testing.T) {
-	c := Counts{EmptyCategory: 4, "cpu": 1}
-	if err := c.take("cpu", "io"); err != nil {
+	p := newTestPass(t, newScorer(MinRuntime), tasks("io"), Counts{EmptyCategory: 4, "cpu": 1}, Load{})
+	cpu, _ := p.t.app("cpu")
+	io, _ := p.t.app("io")
+	if err := p.take(cpu, io); err != nil {
 		t.Fatal(err)
 	}
-	if c["cpu"] != 0 {
-		t.Fatalf("cpu count = %d", c["cpu"])
+	if p.count[cpu] != 0 || p.free != 4 {
+		t.Fatalf("cpu count = %d, free = %d", p.count[cpu], p.free)
 	}
-	if err := c.take(EmptyCategory, "io"); err != nil {
+	if err := p.take(0, io); err != nil {
 		t.Fatal(err)
 	}
-	if c[EmptyCategory] != 2 || c["io"] != 1 {
-		t.Fatalf("counts after empty take: %v", c)
+	if p.count[0] != 2 || p.count[io] != 1 || p.free != 3 {
+		t.Fatalf("counts after empty take: %v, free %d", p.count, p.free)
 	}
-	if err := c.take("nope", "x"); err == nil {
-		t.Fatal("take from empty category succeeded")
+	p.count[0] = 1
+	if err := p.take(0, io); err == nil {
+		t.Fatal("take of one empty slot on a two-VM machine succeeded")
 	}
 }
 
@@ -262,6 +275,20 @@ func TestMIBSStopsWhenClusterFull(t *testing.T) {
 	}
 }
 
+// totalScore sums the placement scores of an assignment, MIX's criterion.
+func totalScore(t *testing.T, s *Scorer, pl []Placement) float64 {
+	t.Helper()
+	total := 0.0
+	for _, p := range pl {
+		sc, err := s.PlacementScore(p.Task.App, p.Category)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += sc
+	}
+	return total
+}
+
 func TestMIXAtLeastAsGoodAsMIBS(t *testing.T) {
 	// With a queue whose head is adversarial for MIBS, MIX's rotation must
 	// find an assignment whose predicted total is no worse.
@@ -284,14 +311,7 @@ func TestMIXAtLeastAsGoodAsMIBS(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		scB, err := mix.totalScore(plB)
-		if err != nil {
-			t.Fatal(err)
-		}
-		scX, err := mix.totalScore(plX)
-		if err != nil {
-			t.Fatal(err)
-		}
+		scB, scX := totalScore(t, s, plB), totalScore(t, s, plX)
 		if scX > scB+1e-9 {
 			t.Fatalf("queue %v: MIX score %v worse than MIBS %v", queue, scX, scB)
 		}
@@ -424,12 +444,22 @@ func TestPlacementsAreExecutable(t *testing.T) {
 	}
 }
 
+// TestSortedCategoriesDeterministic: whatever order the predictor lists
+// its apps in, the table walks the empty category first and then names in
+// sorted order, which is the schedulers' tie-break.
 func TestSortedCategoriesDeterministic(t *testing.T) {
-	c := Counts{"b": 1, EmptyCategory: 2, "a": 1}
-	got := sortedCategories(c)
-	want := []string{EmptyCategory, "a", "b"}
-	if !sort.StringsAreSorted(got) || len(got) != 3 || got[0] != want[0] {
-		t.Fatalf("sortedCategories = %v", got)
+	pred := newSynthPred(4, 6) // lists its apps shuffled
+	tab, err := NewScorer(pred, MinRuntime).table()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tab.names[0] != EmptyCategory || !sort.StringsAreSorted(tab.names) || len(tab.names) != len(pred.apps)+1 {
+		t.Fatalf("ordinals = %v", tab.names)
+	}
+	for o, name := range tab.names[1:] {
+		if got, err := tab.app(name); err != nil || got != o+1 {
+			t.Fatalf("app(%q) = %d, %v; want %d", name, got, err, o+1)
+		}
 	}
 }
 
@@ -469,14 +499,7 @@ func TestMIXForcedRotationBeatsDegenerateHead(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		scB, err := mix.totalScore(plB)
-		if err != nil {
-			t.Fatal(err)
-		}
-		scX, err := mix.totalScore(plX)
-		if err != nil {
-			t.Fatal(err)
-		}
+		scB, scX := totalScore(t, s, plB), totalScore(t, s, plX)
 		if scX > scB+1e-9 {
 			t.Fatalf("perm %v: MIX %v worse than MIBS %v", perm, scX, scB)
 		}
@@ -516,42 +539,34 @@ func TestPairScorePhaseAwareness(t *testing.T) {
 
 func TestEmptyScoreScalesWithLoad(t *testing.T) {
 	s := newScorer(MinRuntime)
-	mp, err := s.MeanPairOver([]string{"io"})
-	if err != nil {
-		t.Fatal(err)
+	empty := func(app string, load Load) float64 {
+		p := newTestPass(t, s, tasks("io", app), Counts{EmptyCategory: 4}, load)
+		a, _ := p.t.app(app)
+		return p.emptyScore(a)
 	}
-	zero, err := s.EmptyScore("io", mp, 0)
-	if err != nil || zero != 0 {
-		t.Fatalf("zero-load empty score = %v, %v", zero, err)
+	if zero := empty("io", Load{TotalSlots: 4}); zero != 0 {
+		t.Fatalf("zero-load empty score = %v", zero)
 	}
-	half, err := s.EmptyScore("io", mp, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := s.EmptyScore("io", mp, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	half := empty("io", Load{TotalSlots: 8})
+	full := empty("io", Load{TotalSlots: 4, Queued: 100})
 	if !(half > 0 && math.Abs(full-2*half) < 1e-9) {
-		t.Fatalf("EmptyScore not linear in load: %v vs %v", half, full)
+		t.Fatalf("empty score not linear in load: %v vs %v", half, full)
 	}
-	// An app absent from the summary still gets a sensible mean.
-	out, err := s.EmptyScore("cpu", mp, 1)
-	if err != nil || out <= 0 {
-		t.Fatalf("EmptyScore for off-queue app = %v, %v", out, err)
+	if cpu := empty("cpu", Load{TotalSlots: 4, Queued: 4}); cpu <= 0 {
+		t.Fatalf("empty score for cpu = %v", cpu)
 	}
 }
 
 func TestMeanPairOverWeightsCounts(t *testing.T) {
 	s := newScorer(MinRuntime)
-	mp, err := s.MeanPairOver([]string{"io", "io", "cpu"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := newTestPass(t, s, tasks("io", "io", "cpu"), Counts{}, Load{})
 	pIOIO, _ := s.PairScore("io", "io")
 	pIOCPU, _ := s.PairScore("io", "cpu")
 	want := (2*pIOIO + pIOCPU) / 3
-	if math.Abs(mp["io"]-want) > 1e-9 {
-		t.Fatalf("MeanPair[io] = %v want %v", mp["io"], want)
+	if io, _ := p.t.app("io"); math.Abs(p.mean[io]-want) > 1e-9 {
+		t.Fatalf("mean[io] = %v want %v", p.mean[io], want)
+	}
+	if mid, _ := p.t.app("mid"); p.mean[mid] != 0 {
+		t.Fatalf("mean of an app outside the batch = %v", p.mean[mid])
 	}
 }

@@ -44,39 +44,24 @@ func (m *MIOS) BatchSize() int { return 1 }
 
 // Schedule implements Scheduler.
 func (m *MIOS) Schedule(batch []Task, counts Counts, load Load) ([]Placement, error) {
-	meanPair, err := m.Scorer.MeanPairOver(apps(batch))
-	if err != nil {
+	var buf passBuf
+	p, err := m.Scorer.newPass(batch, counts, load, &buf)
+	if err != nil || len(batch) == 0 {
 		return nil, err
 	}
-	var out []Placement
-	for _, t := range batch {
-		p, ok, err := placeOne(m.Scorer, t, counts, meanPair, load)
+	var dbuf [smallPass]decision
+	ds := dbuf[:0]
+	for pos, a := range p.apps {
+		cat, ok, err := p.placeOne(a)
 		if err != nil {
 			return nil, err
 		}
 		if !ok {
 			break // no free VM; the rest of the batch waits too
 		}
-		out = append(out, p)
+		ds = append(ds, decision{pos, cat})
 	}
-	return out, nil
-}
-
-// placeOne runs one MIOS step: pick the best category for the task and
-// consume the slot from counts.
-func placeOne(s *Scorer, t Task, counts Counts, meanPair MeanPair, load Load) (Placement, bool, error) {
-	emptyScore, err := s.EmptyScore(t.App, meanPair, load.Fraction(counts))
-	if err != nil {
-		return Placement{}, false, err
-	}
-	cat, _, ok, err := s.bestCategory(t.App, counts, emptyScore)
-	if err != nil || !ok {
-		return Placement{}, false, err
-	}
-	if err := counts.take(cat, t.App); err != nil {
-		return Placement{}, false, err
-	}
-	return Placement{Task: t, Category: cat}, true, nil
+	return p.placements(batch, ds), nil
 }
 
 // MIBS is the minimum interference batch scheduler (Algorithm 2), built on
@@ -87,9 +72,6 @@ type MIBS struct {
 	Scorer *Scorer
 	// QueueLen is the batch size (the paper evaluates 2, 4 and 8).
 	QueueLen int
-	// forceHead makes the first head the literal batch head instead of the
-	// Min-Min choice; MIX uses it to explore rotations (Algorithm 3).
-	forceHead bool
 }
 
 // Name implements Scheduler, e.g. "MIBS8-RT".
@@ -106,113 +88,102 @@ func (m *MIBS) BatchSize() int {
 }
 
 // Schedule implements Scheduler (Algorithm 2 / the Min-Min heuristic
-// [17]). The first "Min" evaluates every queued task's best VM; the task
-// with the overall minimum predicted score is placed first (this is what
-// makes the batch scheduler beat MIOS when VMs free up one at a time: the
-// batch picks the *task that fits the opening*, the online scheduler is
-// stuck with the head). Its least-interfering companion follows.
+// [17]).
 func (m *MIBS) Schedule(batch []Task, counts Counts, load Load) ([]Placement, error) {
-	queue := append([]Task(nil), batch...)
-	meanPair, err := m.Scorer.MeanPairOver(apps(batch))
+	var buf passBuf
+	p, err := m.Scorer.newPass(batch, counts, load, &buf)
+	if err != nil || len(batch) == 0 {
+		return nil, err
+	}
+	var dbuf [smallPass]decision
+	ds, err := p.minMin(-1, dbuf[:0])
 	if err != nil {
 		return nil, err
 	}
-	var out []Placement
-	first := true
-	for len(queue) > 0 {
+	return p.placements(batch, ds), nil
+}
+
+// minMin runs Algorithm 2 over the batch, appending its decisions to ds.
+// The first "Min" evaluates every queued task's best VM; the task with the
+// overall minimum predicted score is placed first (this is what makes the
+// batch scheduler beat MIOS when VMs free up one at a time: the batch picks
+// the *task that fits the opening*, the online scheduler is stuck with the
+// head). Its least-interfering companion follows. A rotation rot >= 0 makes
+// batch position rot the first head instead of the Min-Min choice, the
+// rest queued in batch order; MIX uses it (Algorithm 3).
+func (p *pass) minMin(rot int, ds []decision) ([]decision, error) {
+	n, queue := p.t.n, p.queue
+	for i := range queue {
+		queue[i] = i
+	}
+	if rot >= 0 {
+		copy(queue[1:], queue[:rot])
+		queue[0] = rot
+	}
+	for first := true; len(queue) > 0; first = false {
 		// candidate1: the queued task with the best achievable placement.
-		headIdx := -1
-		headScore := 0.0
-		if m.forceHead && first {
+		headIdx, headScore := -1, 0.0
+		if rot >= 0 && first {
 			headIdx = 0
 		} else {
-			for i, t := range queue {
-				emptyScore, err := m.Scorer.EmptyScore(t.App, meanPair, load.Fraction(counts))
-				if err != nil {
-					return nil, err
-				}
-				_, sc, ok, err := m.Scorer.bestCategory(t.App, counts, emptyScore)
-				if err != nil {
-					return nil, err
-				}
-				if !ok {
-					continue
-				}
-				if headIdx < 0 || sc < headScore-1e-12 {
+			for i, pos := range queue {
+				a := p.apps[pos]
+				_, sc, ok := p.best(a, p.emptyScore(a))
+				if ok && (headIdx < 0 || sc < headScore-1e-12) {
 					headIdx, headScore = i, sc
 				}
 			}
 		}
-		first = false
 		if headIdx < 0 {
 			break // cluster full
 		}
-		head := queue[headIdx]
-		p1, ok, err := placeOne(m.Scorer, head, counts, meanPair, load)
-		if err != nil {
-			return nil, err
+		head := p.apps[queue[headIdx]]
+		c1, ok, err := p.placeOne(head)
+		if err != nil || !ok {
+			return ds, err
 		}
-		if !ok {
-			break
-		}
-		out = append(out, p1)
+		ds = append(ds, decision{queue[headIdx], c1})
 		queue = append(queue[:headIdx], queue[headIdx+1:]...)
 		if len(queue) == 0 {
 			break
 		}
 
 		// candidate2: the queued task with the least interference against
-		// candidate1 relative to its opportunity cost (the first "Min").
+		// candidate1 relative to its opportunity cost. Raw mutual
+		// interference alone is a trap: two no-I/O tasks always look like
+		// the best pair, which wastes gentle partners on tasks that did not
+		// need them and leaves the heavy tasks to collide at the end of the
+		// batch. The score therefore subtracts the candidate's mean pairing
+		// cost against the whole batch, so a head prefers the partner that
+		// is cheapest *relative to what that partner would cost anyone else*.
 		bestIdx, bestScore := -1, 0.0
-		for i, t := range queue {
-			sc, err := m.Scorer.CompanionScore(t.App, head.App, meanPair)
-			if err != nil {
-				return nil, err
-			}
-			if bestIdx < 0 || sc < bestScore-1e-12 {
+		for i, pos := range queue {
+			a := p.apps[pos]
+			if sc := p.t.score[a*n+head] - p.mean[a]; bestIdx < 0 || sc < bestScore-1e-12 {
 				bestIdx, bestScore = i, sc
 			}
 		}
+		comp := p.apps[queue[bestIdx]]
 		// The companion is committed next to the head when the head opened a
 		// fresh machine AND the pairing actually beats the companion's own
 		// empty-machine option under the expected load — otherwise it gets
 		// its own MIOS placement (in a half-empty cluster, spreading wins).
-		var p2 Placement
-		var ok2 bool
 		commit := false
-		if p1.Category == EmptyCategory && counts[head.App] > 0 {
-			pairSc, err := m.Scorer.PlacementScore(queue[bestIdx].App, head.App)
-			if err != nil {
-				return nil, err
-			}
-			commit = counts[EmptyCategory] == 0
-			if !commit {
-				emptySc, err := m.Scorer.EmptyScore(queue[bestIdx].App, meanPair, load.Fraction(counts))
-				if err != nil {
-					return nil, err
-				}
-				commit = pairSc <= emptySc
-			}
+		if c1 == 0 && p.count[head] > 0 {
+			commit = p.count[0] == 0 || p.t.score[comp*n+head] <= p.emptyScore(comp)
 		}
+		c2 := head
 		if commit {
-			p2 = Placement{Task: queue[bestIdx], Category: head.App}
-			if err := counts.take(head.App, queue[bestIdx].App); err != nil {
-				return nil, err
+			if err := p.take(head, comp); err != nil {
+				return ds, err
 			}
-			ok2 = true
-		} else {
-			p2, ok2, err = placeOne(m.Scorer, queue[bestIdx], counts, meanPair, load)
-			if err != nil {
-				return nil, err
-			}
+		} else if c2, ok, err = p.placeOne(comp); err != nil || !ok {
+			return ds, err
 		}
-		if !ok2 {
-			break
-		}
-		out = append(out, p2)
+		ds = append(ds, decision{queue[bestIdx], c2})
 		queue = append(queue[:bestIdx], queue[bestIdx+1:]...)
 	}
-	return out, nil
+	return ds, nil
 }
 
 // MIX (Algorithm 3) tries every queued task as the head of a hypothetical
@@ -237,75 +208,36 @@ func (m *MIX) BatchSize() int {
 	return m.QueueLen
 }
 
-// Schedule implements Scheduler (Algorithm 3).
+// Schedule implements Scheduler (Algorithm 3). Candidate assignments are
+// the plain Min-Min MIBS run plus one run per rotation in which that task
+// is forced to be the first head ("gives every job a chance to be the
+// first job in the queue"), each on its own copy of the counts.
 func (m *MIX) Schedule(batch []Task, counts Counts, load Load) ([]Placement, error) {
-	if len(batch) == 0 {
-		return nil, nil
+	var buf passBuf
+	p, err := m.Scorer.newPass(batch, counts, load, &buf)
+	if err != nil || len(batch) == 0 {
+		return nil, err
 	}
-	// Candidate assignments: the plain Min-Min MIBS run, plus one run per
-	// rotation in which that task is forced to be the first head ("gives
-	// every job a chance to be the first job in the queue").
-	inner := &MIBS{Scorer: m.Scorer, QueueLen: m.QueueLen}
-	forced := &MIBS{Scorer: m.Scorer, QueueLen: m.QueueLen, forceHead: true}
-
-	var bestPl []Placement
-	bestScore := 0.0
+	var baseBuf [smallPass]int
+	base, free := fit(baseBuf[:], len(p.count)), p.free
+	copy(base, p.count)
+	var trialBuf, bestBuf [smallPass]decision
+	trial, best, bestScore := trialBuf[:0], bestBuf[:0], 0.0
 	for rot := -1; rot < len(batch); rot++ {
-		runner := forced
-		var rotated []Task
-		if rot < 0 {
-			runner = inner
-			rotated = batch
-		} else {
-			rotated = make([]Task, 0, len(batch))
-			rotated = append(rotated, batch[rot])
-			rotated = append(rotated, batch[:rot]...)
-			rotated = append(rotated, batch[rot+1:]...)
-		}
-
-		trial := counts.Clone()
-		pl, err := runner.Schedule(rotated, trial, load)
-		if err != nil {
+		copy(p.count, base)
+		p.free = free
+		if trial, err = p.minMin(rot, trial[:0]); err != nil {
 			return nil, err
 		}
-		sc, err := m.totalScore(pl)
-		if err != nil {
-			return nil, err
+		sc := 0.0
+		for _, d := range trial {
+			sc += p.t.score[p.apps[d.pos]*p.t.n+d.cat]
 		}
 		// Prefer assignments that place more tasks; among equals, the best
 		// total predicted score wins. Ties keep the earliest rotation.
-		if bestPl == nil || len(pl) > len(bestPl) ||
-			(len(pl) == len(bestPl) && sc < bestScore-1e-12) {
-			bestPl, bestScore = pl, sc
+		if rot < 0 || len(trial) > len(best) || (len(trial) == len(best) && sc < bestScore-1e-12) {
+			best, bestScore = append(best[:0], trial...), sc
 		}
 	}
-	// Execute the winning assignment against the real counts.
-	for _, p := range bestPl {
-		if err := counts.take(p.Category, p.Task.App); err != nil {
-			return nil, err
-		}
-	}
-	return bestPl, nil
-}
-
-// totalScore sums the placement scores of an assignment.
-func (m *MIX) totalScore(pl []Placement) (float64, error) {
-	total := 0.0
-	for _, p := range pl {
-		sc, err := m.Scorer.PlacementScore(p.Task.App, p.Category)
-		if err != nil {
-			return 0, err
-		}
-		total += sc
-	}
-	return total, nil
-}
-
-// apps extracts the application names of a batch.
-func apps(batch []Task) []string {
-	out := make([]string, len(batch))
-	for i, t := range batch {
-		out[i] = t.App
-	}
-	return out
+	return p.placements(batch, best), nil
 }

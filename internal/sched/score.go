@@ -3,7 +3,7 @@ package sched
 import (
 	"fmt"
 	"sort"
-	"sync"
+	"sync/atomic"
 
 	"tracon/internal/model"
 )
@@ -11,61 +11,99 @@ import (
 // Scorer turns model predictions into placement scores (lower is better).
 // Scores are expressed as the absolute predicted cost a decision *adds* to
 // the objective: extra total seconds for the runtime objective, lost
-// aggregate IOPS for the throughput objective. Scores are memoized: the
-// application set is small and predictions are deterministic, so large
-// simulations pay for each (target, neighbour) pair once.
+// aggregate IOPS for the throughput objective.
 //
-// A Scorer is safe for concurrent use: the memo cache is guarded by a
-// read-write lock, and because predictions are pure functions of the
-// (target, neighbour) pair, two goroutines racing to fill the same entry
-// compute the same value — the cache contents never depend on
-// interleaving. This is what lets the parallel experiment runner share one
-// trained predictor across simulations.
+// The application set is small and predictions are deterministic, so on
+// first use a Scorer evaluates every pair of its predictor's apps once into
+// an immutable dense table, and the schedulers never consult the predictor
+// again (a model swap builds a new Scorer). The table is published through
+// an atomic pointer, so lookups take no lock and goroutines racing to make
+// the first use each compute the same table: the parallel experiment
+// runner shares one Scorer across simulations.
 type Scorer struct {
 	pred model.Predictor
 	obj  Objective
-
-	mu    sync.RWMutex
-	cache map[[2]string]float64
+	tab  atomic.Pointer[table]
 }
 
 // NewScorer builds a scorer over a predictor for the given objective.
 func NewScorer(pred model.Predictor, obj Objective) *Scorer {
-	return &Scorer{pred: pred, obj: obj, cache: map[[2]string]float64{}}
+	return &Scorer{pred: pred, obj: obj}
 }
 
 // Objective returns the optimization target.
 func (s *Scorer) Objective() Objective { return s.obj }
+
+// table is a Scorer's dense pair-score table. Ordinal 0 is EmptyCategory
+// and ordinals 1..n-1 are the predictor's apps in sorted-name order, so
+// walking ordinals in order is the schedulers' tie-break: idle machines
+// first, then lexicographic.
+type table struct {
+	names []string // ordinal → name
+	n     int
+	// score[a*n+c] is PlacementScore(names[a], names[c]): 0 beside an idle
+	// machine (c == 0), the symmetric pair score otherwise. Row 0 is unused.
+	score []float64
+}
+
+// table returns the Scorer's table, building it on first use. A pair the
+// predictor cannot score fails the build, and so every pass, not only the
+// passes that would consult that pair.
+func (s *Scorer) table() (*table, error) {
+	if t := s.tab.Load(); t != nil {
+		return t, nil
+	}
+	pair := s.pairExtraRuntime
+	if s.obj != MinRuntime {
+		pair = s.pairExtraIOPS
+	}
+	apps := append([]string(nil), s.pred.Apps()...)
+	sort.Strings(apps)
+	names := append([]string{EmptyCategory}, apps...)
+	n := len(names)
+	t := &table{names: names, n: n, score: make([]float64, n*n)}
+	for a := 1; a < n; a++ {
+		for b := a; b < n; b++ {
+			v, err := pair(names[a], names[b])
+			if err != nil {
+				return nil, err
+			}
+			t.score[a*n+b], t.score[b*n+a] = v, v
+		}
+	}
+	if !s.tab.CompareAndSwap(nil, t) {
+		t = s.tab.Load() // an equal table won the race
+	}
+	return t, nil
+}
+
+// app returns an app's ordinal. An app outside the table is the error the
+// predictor lookups it replaces return.
+func (t *table) app(name string) (int, error) {
+	if i := sort.SearchStrings(t.names[1:], name) + 1; i < t.n && t.names[i] == name {
+		return i, nil
+	}
+	return 0, fmt.Errorf("sched: %w: %q is not in the %d-app score table", model.ErrUnknownApp, name, t.n-1)
+}
 
 // PairScore is the predicted cost added by co-locating two fresh tasks,
 // relative to each running alone. For the runtime objective it is
 // phase-aware, the way the data-center executes pairs: both slow each
 // other until the shorter finishes, then the survivor speeds back up.
 func (s *Scorer) PairScore(a, b string) (float64, error) {
-	key := [2]string{a, b}
-	if b < a {
-		key = [2]string{b, a} // symmetric; halve the cache
-	}
-	s.mu.RLock()
-	v, ok := s.cache[key]
-	s.mu.RUnlock()
-	if ok {
-		return v, nil
-	}
-	var score float64
-	var err error
-	if s.obj == MinRuntime {
-		score, err = s.pairExtraRuntime(a, b)
-	} else {
-		score, err = s.pairExtraIOPS(a, b)
-	}
+	t, err := s.table()
 	if err != nil {
 		return 0, err
 	}
-	s.mu.Lock()
-	s.cache[key] = score
-	s.mu.Unlock()
-	return score, nil
+	i, err := t.app(a)
+	if err != nil {
+		return 0, err
+	}
+	j, err := t.app(b)
+	if err != nil {
+		return 0, err
+	}
+	return t.score[i*t.n+j], nil
 }
 
 // pairRuntimes predicts the realized runtimes of a and b started together
@@ -152,7 +190,7 @@ func (s *Scorer) pairExtraIOPS(a, b string) (float64, error) {
 // PlacementScore scores running app on a free VM whose neighbour currently
 // runs neighbour (EmptyCategory for an idle machine): the predicted cost
 // added to the cluster objective by the co-location. An idle machine adds
-// nothing — its forward-looking cost is handled by EmptyScore.
+// nothing — its forward-looking cost is the pass's empty score.
 func (s *Scorer) PlacementScore(app, neighbour string) (float64, error) {
 	if neighbour == EmptyCategory {
 		return 0, nil
@@ -160,122 +198,169 @@ func (s *Scorer) PlacementScore(app, neighbour string) (float64, error) {
 	return s.PairScore(app, neighbour)
 }
 
-// MeanPair summarizes a queue for the batch-scoring formulas: for every
-// distinct application in the queue, the mean pairing cost of that
-// application against the whole queue. Computing it once per Schedule call
-// keeps batch scheduling O(l²) instead of O(l³) (the 1,024-machine static
-// runs schedule 2,048-task batches in one call).
-type MeanPair map[string]float64
+// smallPass bounds the apps and the batch a pass keeps on its caller's
+// stack; larger ones spill to the heap.
+const smallPass = 32
 
-// MeanPairOver builds the summary for a queue.
-func (s *Scorer) MeanPairOver(queueApps []string) (MeanPair, error) {
-	if len(queueApps) == 0 {
-		return MeanPair{}, nil
-	}
-	counts := map[string]int{}
-	for _, a := range queueApps {
-		counts[a]++
-	}
-	out := make(MeanPair, len(counts))
-	for a := range counts {
-		sum := 0.0
-		for b, n := range counts {
-			sc, err := s.PairScore(a, b)
-			if err != nil {
-				return nil, err
-			}
-			sum += sc * float64(n)
-		}
-		out[a] = sum / float64(len(queueApps))
-	}
-	return out, nil
+// passBuf is the backing store of a small pass, declared on the Schedule
+// call's stack so that the call allocates nothing but its result.
+type passBuf struct {
+	count, mult [smallPass]int
+	mean        [smallPass]float64
+	apps, queue [smallPass]int
 }
 
-// EmptyScore scores placing app on an idle machine, accounting for the
-// future: under load, the idle machine will soon receive a neighbour drawn
-// from the current workload mix, so its true cost is the load-weighted
-// mean pairing cost against the queued applications (from the queue's
-// MeanPair summary). Without this, every policy degenerates to "spread
-// out", and batch pairing (the heart of MIBS) never engages.
-func (s *Scorer) EmptyScore(app string, meanPair MeanPair, load float64) (float64, error) {
-	if load <= 0 || len(meanPair) == 0 {
-		return 0, nil
+// fit returns buf[:n] when it is large enough, else a fresh slice.
+func fit[T any](buf []T, n int) []T {
+	if n <= len(buf) {
+		return buf[:n]
 	}
-	if load > 1 {
-		load = 1
-	}
-	mean, ok := meanPair[app]
-	if !ok {
-		// App not in the queue summary (e.g. a forced probe): compute the
-		// mean against the summarized apps directly.
-		sum := 0.0
-		for b := range meanPair {
-			sc, err := s.PairScore(app, b)
-			if err != nil {
-				return 0, err
-			}
-			sum += sc
-		}
-		mean = sum / float64(len(meanPair))
-	}
-	return load * mean, nil
+	return make([]T, n)
 }
 
-// CompanionScore ranks candidate as the batch companion for head (MIBS's
-// first "Min"). Raw mutual interference alone is a trap: two no-I/O tasks
-// always look like the best pair, which wastes gentle partners on tasks
-// that did not need them and leaves the heavy tasks to collide at the end
-// of the batch. The score therefore subtracts the candidate's mean pairing
-// cost against the whole queue — its opportunity cost — so a head prefers
-// the partner that is cheapest *relative to what that partner would cost
-// anyone else*.
-func (s *Scorer) CompanionScore(candidate, head string, meanPair MeanPair) (float64, error) {
-	pair, err := s.PairScore(candidate, head)
+// pass is one Schedule call's working state, dense by ordinal.
+type pass struct {
+	t    *table
+	load Load
+	// count is the free VMs per neighbour ordinal, free their sum.
+	count []int
+	free  int
+	// mean is each batch app's mean pairing cost against the whole batch.
+	// Computing it once per call keeps batch scheduling O(l²) instead of
+	// O(l³) (the 1,024-machine static runs schedule 2,048-task batches).
+	mean []float64
+	apps []int // batch position → app ordinal
+	// queue is MIBS's scratch list of unplaced batch positions.
+	queue []int
+}
+
+// decision is one placement of a pass: a batch position and the ordinal of
+// the neighbour category it takes.
+type decision struct{ pos, cat int }
+
+// newPass reads counts and the batch into ordinals. An app in the batch, or
+// a category with free VMs, that the table does not know wraps
+// model.ErrUnknownApp. An empty batch needs no pass: it gets the zero pass
+// and no error.
+func (s *Scorer) newPass(batch []Task, counts Counts, load Load, buf *passBuf) (pass, error) {
+	if len(batch) == 0 {
+		return pass{}, nil
+	}
+	t, err := s.table()
 	if err != nil {
-		return 0, err
+		return pass{}, err
 	}
-	if len(meanPair) == 0 {
-		return pair, nil
+	p := pass{t: t, load: load, count: fit(buf.count[:], t.n), mean: fit(buf.mean[:], t.n),
+		apps: fit(buf.apps[:], len(batch)), queue: fit(buf.queue[:], len(batch))}
+	for cat, k := range counts {
+		if k == 0 {
+			continue // a spent category is never scored
+		}
+		o := 0
+		if cat != EmptyCategory {
+			if o, err = t.app(cat); err != nil {
+				return pass{}, err
+			}
+		}
+		p.count[o] = k
+		p.free += k
 	}
-	return pair - meanPair[candidate], nil
-}
-
-// bestCategory finds the free-pool category with the minimum placement
-// score for app, using emptyScore for idle machines. Ties break toward
-// the empty category first, then lexicographically, for determinism.
-func (s *Scorer) bestCategory(app string, counts Counts, emptyScore float64) (string, float64, bool, error) {
-	best := ""
-	bestScore := 0.0
-	found := false
-	// Deterministic iteration: empty category first, then sorted names;
-	// only a strictly better score displaces the incumbent, so ties favour
-	// idle machines and then lexicographic order.
-	for _, cat := range sortedCategories(counts) {
-		if counts[cat] <= 0 {
+	mult := fit(buf.mult[:], t.n)
+	for i, task := range batch {
+		if p.apps[i], err = t.app(task.App); err != nil {
+			return pass{}, err
+		}
+		mult[p.apps[i]]++
+	}
+	// Sums run in ordinal order, so a mean does not depend on map order.
+	for a, ma := range mult {
+		if ma == 0 {
 			continue
 		}
-		var sc float64
-		var err error
-		if cat == EmptyCategory {
-			sc = emptyScore
-		} else {
-			sc, err = s.PlacementScore(app, cat)
-			if err != nil {
-				return "", 0, false, err
+		row, sum := t.score[a*t.n:(a+1)*t.n], 0.0
+		for b, mb := range mult {
+			if mb > 0 {
+				sum += row[b] * float64(mb)
 			}
 		}
-		if !found || sc < bestScore-1e-12 {
-			best, bestScore, found = cat, sc, true
-		}
+		p.mean[a] = sum / float64(len(batch))
 	}
-	return best, bestScore, found, nil
+	return p, nil
 }
 
-func sortedCategories(counts Counts) []string {
-	out := make([]string, 0, len(counts))
-	for c := range counts {
-		out = append(out, c)
+// emptyScore scores placing app ordinal a on an idle machine, accounting
+// for the future: under load, the idle machine will soon receive a
+// neighbour drawn from the current workload mix, so its true cost is the
+// load-weighted mean pairing cost against the batch. Without this, every
+// policy degenerates to "spread out", and batch pairing (the heart of
+// MIBS) never engages.
+func (p *pass) emptyScore(a int) float64 {
+	f := p.load.fraction(p.free)
+	if f <= 0 {
+		return 0
 	}
-	sort.Strings(out) // EmptyCategory ("") sorts first
+	return f * p.mean[a]
+}
+
+// best finds the free category with the minimum placement score for app
+// ordinal a, scoring idle machines at empty. Ordinal order puts idle
+// machines first and then names lexicographically, and only a score better
+// by more than 1e-12 displaces the incumbent, so ties favour idle machines
+// and then lexicographic order.
+func (p *pass) best(a int, empty float64) (cat int, score float64, ok bool) {
+	row := p.t.score[a*p.t.n : (a+1)*p.t.n]
+	for c, k := range p.count {
+		if k <= 0 {
+			continue
+		}
+		sc := row[c]
+		if c == 0 {
+			sc = empty
+		}
+		if !ok || sc < score-1e-12 {
+			cat, score, ok = c, sc, true
+		}
+	}
+	return cat, score, ok
+}
+
+// take consumes one free VM of category cat for app ordinal a and updates
+// the bookkeeping for a two-VM machine: placing onto an empty machine
+// converts that machine's other free slot into an a-neighboured slot;
+// placing onto a half-full machine removes its last free slot.
+// The caller has checked that cat has a free VM.
+func (p *pass) take(cat, a int) error {
+	p.free--
+	if cat == 0 {
+		// An idle machine holds two free slots in the empty category.
+		if p.count[0] -= 2; p.count[0] < 0 {
+			return fmt.Errorf("sched: empty-category underflow")
+		}
+		p.count[a]++
+	} else {
+		p.count[cat]--
+	}
+	return nil
+}
+
+// placeOne runs one MIOS step: pick the best category for app ordinal a and
+// consume the slot.
+func (p *pass) placeOne(a int) (cat int, ok bool, err error) {
+	if cat, _, ok = p.best(a, p.emptyScore(a)); ok {
+		err = p.take(cat, a)
+	}
+	return cat, ok && err == nil, err
+}
+
+// placements turns a pass's decisions into the Scheduler's result (nil
+// when nothing was placed).
+func (p *pass) placements(batch []Task, ds []decision) []Placement {
+	if len(ds) == 0 {
+		return nil
+	}
+	out := make([]Placement, len(ds))
+	for i, d := range ds {
+		out[i] = Placement{Task: batch[d.pos], Category: p.t.names[d.cat]}
+	}
 	return out
 }

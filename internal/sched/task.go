@@ -10,8 +10,6 @@
 // simulator in internal/sim executes placements and maintains the pool.
 package sched
 
-import "fmt"
-
 // Task is one unit of work: an instance of a profiled application.
 type Task struct {
 	// ID is unique per simulation.
@@ -72,11 +70,14 @@ type Load struct {
 
 // Fraction estimates the cluster's effective load in [0,1]: occupied slots
 // plus waiting tasks, over capacity.
-func (l Load) Fraction(counts Counts) float64 {
+func (l Load) Fraction(counts Counts) float64 { return l.fraction(counts.Total()) }
+
+// fraction is Fraction given the number of free VMs.
+func (l Load) fraction(free int) float64 {
 	if l.TotalSlots <= 0 {
 		return 1
 	}
-	occupied := l.TotalSlots - counts.Total()
+	occupied := l.TotalSlots - free
 	f := (float64(occupied) + float64(l.Queued)) / float64(l.TotalSlots)
 	if f < 0 {
 		return 0
@@ -94,9 +95,9 @@ type Scheduler interface {
 	// BatchSize is the scheduling queue length (1 for online policies).
 	BatchSize() int
 	// Schedule decides placements for the batch given the free-pool
-	// category counts and the cluster load. Implementations treat counts
-	// as scratch space (callers pass a private copy) and may leave tasks
-	// unplaced when no free VM remains; unplaced tasks stay queued.
+	// category counts and the cluster load. Implementations only read
+	// counts, and may leave tasks unplaced when no free VM remains;
+	// unplaced tasks stay queued.
 	Schedule(batch []Task, counts Counts, load Load) ([]Placement, error)
 }
 
@@ -120,25 +121,4 @@ func (c Counts) Total() int {
 		t += v
 	}
 	return t
-}
-
-// take consumes one free VM of the category and updates the bookkeeping
-// for a two-VM machine: placing app onto an empty machine converts that
-// machine's other free slot into an app-neighboured slot; placing onto a
-// half-full machine removes its last free slot.
-func (c Counts) take(category, app string) error {
-	if c[category] <= 0 {
-		return fmt.Errorf("sched: no free VM with neighbour %q", category)
-	}
-	if category == EmptyCategory {
-		// An idle machine holds two free slots in the empty category.
-		c[EmptyCategory] -= 2
-		if c[EmptyCategory] < 0 {
-			return fmt.Errorf("sched: empty-category underflow")
-		}
-		c[app]++
-	} else {
-		c[category]--
-	}
-	return nil
 }

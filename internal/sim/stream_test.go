@@ -132,10 +132,11 @@ func (p tablePredictor) Apps() []string                          { return p.tb.A
 
 // maxAllocsPerTask is the ceiling on heap allocations per task of the
 // simulator on the Fig 11 cluster (MIBS8, 1 024 machines, 1 000 tasks per
-// simulated minute). It measured 1.93, nearly all of it the scheduler's
-// per-pass maps and sorts; an engine that boxes every arrival into its
-// event heap and copies each task into the backlog needs 4.56.
-const maxAllocsPerTask = 2.2
+// simulated minute). It measured 0.57 once the schedulers scored on a
+// dense table; their per-pass maps and sorts cost 1.93, and an engine that
+// boxes every arrival into its event heap and copies each task into the
+// backlog needs 4.56.
+const maxAllocsPerTask = 0.75
 
 // TestRunAllocsPerTask holds the simulator's allocation rate: 0.48
 // simulated hours (28 800 tasks) of the Fig 11 point, allocations counted
