@@ -91,18 +91,34 @@ func TestFreePoolPerGoroutineOwnership(t *testing.T) {
 }
 
 // TestFreePoolSingleOwnerGuard asserts the documented ownership contract
-// is enforced: a FreePool entered by a second party panics instead of
-// corrupting its heaps. The guard is tripped deterministically by holding
-// the pool "entered" while calling a public method.
+// is enforced: every guarded method of a FreePool entered by a second party
+// panics instead of corrupting its heaps or its caller's map. The guard is
+// tripped deterministically by holding the pool "entered" while calling the
+// method. FreeSlots and Category are reads of a field or two and carry no
+// guard; the race detector covers them.
 func TestFreePoolSingleOwnerGuard(t *testing.T) {
-	p := NewFreePool()
-	p.SetFree(0, 0, EmptyCategory)
-
-	p.enter() // simulate another goroutine mid-call
-	defer func() {
-		if recover() == nil {
-			t.Fatal("concurrent FreePool use did not panic")
-		}
-	}()
-	p.Pop(AnyCategory)
+	for _, c := range []struct {
+		name string
+		call func(p *FreePool)
+	}{
+		{"SetFree", func(p *FreePool) { p.SetFree(1, 0, "io") }},
+		{"SetBusy", func(p *FreePool) { p.SetBusy(0, 0) }},
+		{"Pop", func(p *FreePool) { p.Pop(AnyCategory) }},
+		{"PopTraced", func(p *FreePool) { p.PopTraced(EmptyCategory) }},
+		{"Counts", func(p *FreePool) { p.Counts(Counts{}) }},
+		{"OldestFree", func(p *FreePool) { p.OldestFree() }},
+		{"Stats", func(p *FreePool) { p.Stats() }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			p := NewFreePool()
+			p.SetFree(0, 0, EmptyCategory)
+			p.enter() // simulate another goroutine mid-call
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("concurrent %s did not panic", c.name)
+				}
+			}()
+			c.call(p)
+		})
+	}
 }

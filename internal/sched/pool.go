@@ -19,10 +19,14 @@ import (
 // A FreePool is single-owner state: it is owned by exactly one simulation
 // engine, or by one serving Placer under its mutex, and must not be shared
 // across goroutines (the parallel experiment runner gives every concurrent
-// simulation its own engine and therefore its own pool). Every method
-// carries a cheap atomic reentry guard that panics on concurrent access, so
-// a violation of the ownership contract fails loudly instead of corrupting
-// heaps silently.
+// simulation its own engine and therefore its own pool). The methods that
+// write pool state or a caller's map (SetFree, SetBusy, Pop, PopTraced and
+// Counts) and the whole-pool walks (OldestFree, Stats) carry an atomic
+// reentry guard that panics on concurrent access, so a violation of the
+// ownership contract fails loudly instead of corrupting heaps silently.
+// FreeSlots and Category read a field or two and cannot corrupt anything,
+// so they skip the guard; they are the engine's per-event reads, and the
+// race detector still flags their concurrent use.
 type FreePool struct {
 	heaps  map[string]*slotHeap
 	global slotHeap
@@ -43,7 +47,7 @@ type FreePool struct {
 	idle, untouched int
 }
 
-// enter trips the single-owner guard; every public method must pair it
+// enter trips the single-owner guard; every guarded method must pair it
 // with leave. It is not a lock — it never blocks — it only detects two
 // goroutines inside the pool at once.
 func (p *FreePool) enter() {
@@ -260,26 +264,26 @@ func (p *FreePool) setBusy(idx int) {
 	}
 }
 
-// Counts returns a copy of the per-category free counts (zero entries
-// removed).
-func (p *FreePool) Counts() Counts {
+// Counts clears dst, fills it with the per-category free counts (zero
+// entries omitted) and returns it; a nil dst gets a fresh map. A caller
+// that passes the same map every time allocates nothing once it has grown.
+func (p *FreePool) Counts(dst Counts) Counts {
 	p.enter()
 	defer p.leave()
-	out := make(Counts, len(p.counts))
+	if dst == nil {
+		dst = make(Counts, len(p.counts))
+	}
+	clear(dst)
 	for c, n := range p.counts {
 		if n > 0 {
-			out[c] = n
+			dst[c] = n
 		}
 	}
-	return out
+	return dst
 }
 
 // FreeSlots returns the total number of free slots.
-func (p *FreePool) FreeSlots() int {
-	p.enter()
-	defer p.leave()
-	return p.liveFree()
-}
+func (p *FreePool) FreeSlots() int { return p.free }
 
 // Pop resolves a placement category to a concrete free slot and marks it
 // busy. AnyCategory takes the slot that has been free the longest; a real
@@ -345,8 +349,6 @@ func (p *FreePool) PopTraced(category string) (machine, slot int, freeGen int64,
 // Category returns the current category of a free slot (ok=false if the
 // slot is not free).
 func (p *FreePool) Category(machine, slot int) (string, bool) {
-	p.enter()
-	defer p.leave()
 	idx := slotIndex(machine, slot)
 	if idx >= p.untouched && idx < p.idle {
 		return EmptyCategory, true // as booted; a read does not write it out
@@ -398,7 +400,7 @@ type PoolStats struct {
 func (p *FreePool) Stats() PoolStats {
 	p.enter()
 	defer p.leave()
-	s := PoolStats{FreeSlots: p.liveFree(), GlobalHeapLen: len(p.global), Categories: len(p.heaps)}
+	s := PoolStats{FreeSlots: p.free, GlobalHeapLen: len(p.global), Categories: len(p.heaps)}
 	for _, h := range p.heaps {
 		s.CategoryHeapLen += len(*h)
 	}
@@ -411,14 +413,10 @@ func (p *FreePool) Stats() PoolStats {
 // push.
 const compactMinLen = 4096
 
-// liveFree is the total number of live free slots (internal; callers hold
-// the reentry guard).
-func (p *FreePool) liveFree() int { return p.free }
-
 // maybeCompactGlobal rebuilds the global heap keeping only entries whose
 // freed-order stamp still matches the authoritative slot state.
 func (p *FreePool) maybeCompactGlobal() {
-	if len(p.global) <= compactMinLen || len(p.global) <= 2*p.liveFree() {
+	if len(p.global) <= compactMinLen || len(p.global) <= 2*p.free {
 		return
 	}
 	keep := p.global[:0]

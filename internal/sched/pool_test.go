@@ -155,7 +155,7 @@ func (r *refPool) oldestFree() (int, int, bool) {
 // countsTotal is Σ Counts(), what FreeSlots' running total must equal.
 func countsTotal(p *FreePool) int {
 	sum := 0
-	for _, n := range p.Counts() {
+	for _, n := range p.Counts(nil) {
 		sum += n
 	}
 	return sum
@@ -167,6 +167,7 @@ func TestFreePoolMatchesReferenceRandomized(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		p := NewFreePool()
 		ref := newRefPool()
+		var dst Counts
 		const machines, slots = 5, 2
 		for op := 0; op < 4000; op++ {
 			m, s := rng.Intn(machines), rng.Intn(slots)
@@ -194,7 +195,10 @@ func TestFreePoolMatchesReferenceRandomized(t *testing.T) {
 					t.Fatalf("seed %d op %d Pop(%q) = %d,%d; reference %d,%d", seed, op, cat, gm, gs, wm, ws)
 				}
 			}
-			got, want := p.Counts(), ref.Counts()
+			// One map reused across every op: Counts must clear what it
+			// filled last time.
+			dst = p.Counts(dst)
+			got, want := dst, ref.Counts()
 			for c, n := range want {
 				if n == 0 {
 					delete(want, c)
@@ -309,7 +313,7 @@ func TestIdleFreePoolEqualsIncrementalBuild(t *testing.T) {
 			if b, sum := bulk.FreeSlots(), countsTotal(bulk); b != sum {
 				t.Fatalf("seed %d %s: %d free slots, Σ Counts %d", seed, at, b, sum)
 			}
-			if b, s := fmt.Sprint(bulk.Counts()), fmt.Sprint(step.Counts()); b != s {
+			if b, s := fmt.Sprint(bulk.Counts(nil)), fmt.Sprint(step.Counts(nil)); b != s {
 				t.Fatalf("seed %d %s: counts %s vs incremental %s", seed, at, b, s)
 			}
 			bm, bs, bok := bulk.OldestFree()

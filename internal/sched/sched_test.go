@@ -344,7 +344,7 @@ func TestFreePoolPopOrderAndCategories(t *testing.T) {
 	p.SetFree(1, 1, "cpu")
 	p.SetFree(2, 0, "io")
 
-	if got := p.Counts(); got[EmptyCategory] != 2 || got["cpu"] != 1 || got["io"] != 1 {
+	if got := p.Counts(nil); got[EmptyCategory] != 2 || got["cpu"] != 1 || got["io"] != 1 {
 		t.Fatalf("counts = %v", got)
 	}
 	// AnyCategory is FIFO over VMs: (3,0) was freed first.
@@ -373,7 +373,7 @@ func TestFreePoolRecategorize(t *testing.T) {
 	p := NewFreePool()
 	p.SetFree(0, 1, "io")
 	p.SetFree(0, 1, "cpu") // neighbour changed
-	if got := p.Counts(); got["io"] != 0 || got["cpu"] != 1 {
+	if got := p.Counts(nil); got["io"] != 0 || got["cpu"] != 1 {
 		t.Fatalf("counts = %v", got)
 	}
 	if _, _, err := p.Pop("io"); err == nil {
@@ -402,7 +402,7 @@ func TestFreePoolDuplicateSetFreeSameCategory(t *testing.T) {
 	p := NewFreePool()
 	p.SetFree(0, 0, "cpu")
 	p.SetFree(0, 0, "cpu")
-	if got := p.Counts()["cpu"]; got != 1 {
+	if got := p.Counts(nil)["cpu"]; got != 1 {
 		t.Fatalf("duplicate SetFree inflated count to %d", got)
 	}
 }
@@ -417,7 +417,7 @@ func TestPlacementsAreExecutable(t *testing.T) {
 		p.SetFree(0, 1, EmptyCategory)
 		p.SetFree(1, 0, "cpu")
 		p.SetFree(2, 1, "io")
-		pl, err := sch.Schedule(tasks("io", "cpu", "mid"), p.Counts(), Load{TotalSlots: 8, Queued: 3})
+		pl, err := sch.Schedule(tasks("io", "cpu", "mid"), p.Counts(nil), Load{TotalSlots: 8, Queued: 3})
 		if err != nil {
 			t.Fatalf("%s: %v", sch.Name(), err)
 		}

@@ -39,7 +39,8 @@ func (s *Scorer) Objective() Objective { return s.obj }
 // walking ordinals in order is the schedulers' tie-break: idle machines
 // first, then lexicographic.
 type table struct {
-	names []string // ordinal → name
+	names []string       // ordinal → name
+	ords  map[string]int // name → ordinal, for names[1:]
 	n     int
 	// score[a*n+c] is PlacementScore(names[a], names[c]): 0 beside an idle
 	// machine (c == 0), the symmetric pair score otherwise. Row 0 is unused.
@@ -61,8 +62,9 @@ func (s *Scorer) table() (*table, error) {
 	sort.Strings(apps)
 	names := append([]string{EmptyCategory}, apps...)
 	n := len(names)
-	t := &table{names: names, n: n, score: make([]float64, n*n)}
+	t := &table{names: names, ords: make(map[string]int, n), n: n, score: make([]float64, n*n)}
 	for a := 1; a < n; a++ {
+		t.ords[names[a]] = a
 		for b := a; b < n; b++ {
 			v, err := pair(names[a], names[b])
 			if err != nil {
@@ -80,7 +82,7 @@ func (s *Scorer) table() (*table, error) {
 // app returns an app's ordinal. An app outside the table is the error the
 // predictor lookups it replaces return.
 func (t *table) app(name string) (int, error) {
-	if i := sort.SearchStrings(t.names[1:], name) + 1; i < t.n && t.names[i] == name {
+	if i, ok := t.ords[name]; ok {
 		return i, nil
 	}
 	return 0, fmt.Errorf("sched: %w: %q is not in the %d-app score table", model.ErrUnknownApp, name, t.n-1)

@@ -96,8 +96,8 @@ type Scheduler interface {
 	BatchSize() int
 	// Schedule decides placements for the batch given the free-pool
 	// category counts and the cluster load. Implementations only read
-	// counts, and may leave tasks unplaced when no free VM remains;
-	// unplaced tasks stay queued.
+	// counts, and must not retain counts after the call; they may leave
+	// tasks unplaced when no free VM remains, and unplaced tasks stay queued.
 	Schedule(batch []Task, counts Counts, load Load) ([]Placement, error)
 }
 

@@ -167,13 +167,13 @@ type Placer struct {
 	done    []string
 	doneCap int
 
-	// evbuf is the reusable buffer commit groups are built on and batchbuf
-	// the one a scheduling pass's input is built on; neither leaves the
+	// evbuf, batchbuf and countbuf are reusable buffers for commit groups
+	// and for a scheduling pass's batch and free counts; none leaves the
 	// lock. onCommit, when set, observes each committed group under p.mu
-	// (the follower tests feed a second placer from it). See
-	// commitEventsLocked.
+	// (the follower tests feed a second placer from it). See commitEventsLocked.
 	evbuf    []durable.Event
 	batchbuf []sched.Task
+	countbuf sched.Counts
 	onCommit func(evs []durable.Event)
 }
 
@@ -660,9 +660,9 @@ func (p *Placer) Machines() []MachineView {
 }
 
 // planLocked fails queue entries the library in view cannot score, then
-// builds the next pass's input from the head of the backlog: batch[i] is
-// the record at p.queue[i]. It is empty when there is nothing to schedule
-// (empty backlog or no free slots), and valid until the next pass.
+// builds the next pass's input: batch[i] is the record at p.queue[i], and
+// p.countbuf the free counts. The batch is empty when there is nothing to
+// schedule (empty backlog or no free slots), and valid until the next pass.
 func (p *Placer) planLocked(view ModelView) []sched.Task {
 	// Unknowable queue entries first (possible after a hot-swap to a
 	// different census): fail loudly instead of wedging the queue head.
@@ -677,14 +677,14 @@ func (p *Placer) planLocked(view ModelView) []sched.Task {
 	}
 	_ = p.commitEventsLocked(evs, nil) // failing a queued record cannot fail to apply
 
-	if p.pool.FreeSlots() == 0 {
+	if p.pool.FreeSlots() == 0 || len(p.queue) == 0 {
 		return nil
 	}
 	batch := p.batchbuf[:0]
 	for i, rec := range p.queue[:min(view.Scheduler.BatchSize(), len(p.queue))] {
 		batch = append(batch, sched.Task{ID: int64(i), App: rec.App})
 	}
-	p.batchbuf = batch[:0]
+	p.batchbuf, p.countbuf = batch[:0], p.pool.Counts(p.countbuf)
 	return batch
 }
 
@@ -719,7 +719,7 @@ func (p *Placer) drainLocked() error {
 		available, _ := p.capacityLocked()
 		load := sched.Load{TotalSlots: available, Queued: len(p.queue)}
 		s0 := p.clock.Now()
-		placements, err := view.Scheduler.Schedule(batch, p.pool.Counts(), load)
+		placements, err := view.Scheduler.Schedule(batch, p.countbuf, load)
 		p.tracer.score(len(batch), len(placements), p.clock.Since(s0))
 		if err != nil {
 			return fmt.Errorf("serve: scheduling: %w", err)
@@ -809,7 +809,7 @@ func (p *Placer) CheckInvariants() error {
 			}
 		}
 	}
-	if counts := p.pool.Counts(); up != p.upMachines || p.pool.FreeSlots() != census.Total() || !reflect.DeepEqual(counts, census) {
+	if counts := p.pool.Counts(nil); up != p.upMachines || p.pool.FreeSlots() != census.Total() || !reflect.DeepEqual(counts, census) {
 		return fmt.Errorf("serve: index says %d up machines, %d free slots, census %v; a scan finds %d, %d, %v",
 			p.upMachines, p.pool.FreeSlots(), counts, up, census.Total(), census)
 	}

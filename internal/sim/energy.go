@@ -55,11 +55,11 @@ func (e *Engine) machinePower(m int) float64 {
 			continue
 		}
 		active = true
-		neighbour := ""
+		nb := 0
 		if other := ms.slots[1-s]; other != nil {
-			neighbour = other.task.App
+			nb = other.app
 		}
-		util += e.table.Util(rt.task.App, neighbour)
+		util += e.table.util[rt.app*e.table.n+nb]
 	}
 	// Two VMs share the guest core; utilization saturates at 1 per core
 	// plus Dom0 — watts() clamps.

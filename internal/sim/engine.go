@@ -49,7 +49,7 @@ type Config struct {
 // machine supports two virtual machines").
 const vmsPerMachine = 2
 
-type eventKind int
+type eventKind uint8
 
 const (
 	evArrival eventKind = iota
@@ -62,14 +62,17 @@ const (
 	evTimeout
 )
 
+// event is 32 bytes: the heap moves events on every push and pop, so
+// anything an event refers to lives elsewhere and the event holds a ref.
 type event struct {
-	time    float64
+	time float64
+	seq  int64 // tie-break for determinism
+	// gen is the completion or timeout generation guard, or for evRetry the
+	// retried task's backlog ref (see task).
+	gen     int64
+	machine int32
+	slot    int8
 	kind    eventKind
-	seq     int64      // tie-break for determinism
-	task    sched.Task // the retried task (evRetry only)
-	machine int
-	slot    int
-	gen     int64 // completion generation guard
 }
 
 // eventHeap is a binary min-heap of events ordered by (time, seq). It is
@@ -123,6 +126,7 @@ func (h *eventHeap) pop() event {
 
 type runningTask struct {
 	task       sched.Task
+	app        int     // task.App's table ordinal
 	workLeft   float64 // remaining work in solo-seconds
 	rate       float64 // current progress rate
 	lastUpdate float64
@@ -247,9 +251,10 @@ type Engine struct {
 	// queue[qhead:].
 	queue []int
 	qhead int
-	// batch and placed are the scheduling pass's buffers, reused across
-	// passes.
+	// batch, counts and placed are the scheduling pass's buffers, reused
+	// across passes.
 	batch   []sched.Task
+	counts  sched.Counts
 	placed  map[int64]bool
 	now     float64
 	seq     int64
@@ -314,16 +319,13 @@ func NewEngine(cfg Config) (*Engine, error) {
 // (equal Arrival times keep their input order); Run does not modify the
 // slice.
 func (e *Engine) Run(arrivals []sched.Task, horizon float64) (*Results, error) {
-	for _, t := range arrivals {
-		if !e.table.Has(t.App) {
-			return nil, fmt.Errorf("sim: unknown application %q", t.App)
-		}
-	}
 	var err error
+	if e.arrivals, err = e.timeOrdered(arrivals); err != nil {
+		return nil, err
+	}
 	if e.deps, err = validateDAG(arrivals); err != nil {
 		return nil, err
 	}
-	e.arrivals = timeOrdered(arrivals)
 	e.results.Submitted = len(arrivals)
 	if e.cfg.Faults != nil {
 		// Fault boundaries enter the heap in Timeline's deterministic order,
@@ -333,11 +335,11 @@ func (e *Engine) Run(arrivals []sched.Task, horizon float64) (*Results, error) {
 		for _, b := range e.cfg.Faults.Timeline() {
 			switch b.Kind {
 			case fault.BoundaryDown:
-				e.push(event{time: b.T, kind: evMachineDown, machine: b.Machine, slot: -1})
+				e.push(event{time: b.T, kind: evMachineDown, machine: int32(b.Machine), slot: -1})
 			case fault.BoundaryUp:
-				e.push(event{time: b.T, kind: evMachineUp, machine: b.Machine, slot: -1})
+				e.push(event{time: b.T, kind: evMachineUp, machine: int32(b.Machine), slot: -1})
 			default:
-				e.push(event{time: b.T, kind: evSlowChange, machine: b.Machine, slot: b.Slot})
+				e.push(event{time: b.T, kind: evSlowChange, machine: int32(b.Machine), slot: int8(b.Slot)})
 			}
 		}
 	}
@@ -369,15 +371,16 @@ func (e *Engine) Run(arrivals []sched.Task, horizon float64) (*Results, error) {
 			}
 			e.enqueue(ref, false)
 		case evCompletion:
-			rt := e.machines[ev.machine].slots[ev.slot]
+			m, s := int(ev.machine), int(ev.slot)
+			rt := e.machines[m].slots[s]
 			if rt == nil || rt.gen != ev.gen {
 				continue // stale completion from before a repricing
 			}
 			if e.cfg.Faults != nil && e.cfg.Faults.TaskFails(rt.task.ID, e.attempts[rt.task.ID]) {
 				// The attempt fails at the instant it would have completed.
-				e.evictAttempt(ev.machine, ev.slot, FaultFail)
+				e.evictAttempt(m, s, FaultFail)
 				okind = EvFail
-			} else if err := e.complete(ev.machine, ev.slot); err != nil {
+			} else if err := e.complete(m, s); err != nil {
 				return nil, err
 			}
 		case evFlush:
@@ -388,26 +391,26 @@ func (e *Engine) Run(arrivals []sched.Task, horizon float64) (*Results, error) {
 				e.cfg.Tracer.TraceFlush(e.now)
 			}
 		case evMachineDown:
-			e.machineDown(ev.machine)
+			e.machineDown(int(ev.machine))
 		case evMachineUp:
-			e.machineUp(ev.machine)
+			e.machineUp(int(ev.machine))
 		case evSlowChange:
 			// A slowdown window boundary: settle at the old rate, reprice at
 			// the new one. A crashed machine has nothing running to reprice.
-			if !e.down[ev.machine] {
-				e.settle(ev.machine)
-				e.reprice(ev.machine)
+			if m := int(ev.machine); !e.down[m] {
+				e.settle(m)
+				e.reprice(m)
 			}
 		case evRetry:
-			t := ev.task
-			t.Arrival = e.now // became schedulable now; Wait() measures queueing
-			e.enqueue(e.addExtra(t), false)
+			// Became schedulable now; Wait() measures queueing.
+			e.task(int(ev.gen)).Arrival = e.now
+			e.enqueue(int(ev.gen), false)
 		case evTimeout:
-			rt := e.machines[ev.machine].slots[ev.slot]
-			if rt == nil || rt.placeGen != ev.gen {
+			m, s := int(ev.machine), int(ev.slot)
+			if rt := e.machines[m].slots[s]; rt == nil || rt.placeGen != ev.gen {
 				continue // the attempt completed or was evicted first
 			}
-			e.evictAttempt(ev.machine, ev.slot, FaultTimeout)
+			e.evictAttempt(m, s, FaultTimeout)
 		}
 		if err := e.trySchedule(); err != nil {
 			return nil, err
@@ -452,18 +455,24 @@ func (e *Engine) nextEvent() (ev event, ref int, ok bool) {
 	return e.events.pop(), 0, true
 }
 
-// timeOrdered returns the arrivals in (Arrival, input index) order: the
-// slice itself when it is already in time order (every generator emits
-// it so), else a stably sorted copy.
-func timeOrdered(arrivals []sched.Task) []sched.Task {
-	for i := 1; i < len(arrivals); i++ {
-		if arrivals[i].Arrival < arrivals[i-1].Arrival {
-			sorted := append([]sched.Task(nil), arrivals...)
-			sort.SliceStable(sorted, func(a, b int) bool { return sorted[a].Arrival < sorted[b].Arrival })
-			return sorted
+// timeOrdered checks that the table knows every arrival's app and returns
+// the arrivals in (Arrival, input index) order: the slice itself when it is
+// already in time order (every generator emits it so), else a stably
+// sorted copy.
+func (e *Engine) timeOrdered(arrivals []sched.Task) ([]sched.Task, error) {
+	ordered := true
+	for i := range arrivals {
+		if e.table.ords[arrivals[i].App] == 0 {
+			return nil, fmt.Errorf("sim: unknown application %q", arrivals[i].App)
 		}
+		ordered = ordered && (i == 0 || arrivals[i].Arrival >= arrivals[i-1].Arrival)
 	}
-	return arrivals
+	if ordered {
+		return arrivals, nil
+	}
+	sorted := append([]sched.Task(nil), arrivals...)
+	sort.SliceStable(sorted, func(a, b int) bool { return sorted[a].Arrival < sorted[b].Arrival })
+	return sorted, nil
 }
 
 // task resolves a backlog ref: an index into the arrivals below
@@ -580,11 +589,11 @@ func (e *Engine) reprice(m int) {
 		if rt == nil {
 			continue
 		}
-		neighbour := ""
+		nb := 0
 		if other := ms.slots[1-s]; other != nil {
-			neighbour = other.task.App
+			nb = other.app
 		}
-		rt.rate = e.table.Rate(rt.task.App, neighbour)
+		rt.rate = e.table.rate[rt.app*e.table.n+nb]
 		if rt.rate <= 0 {
 			rt.rate = 1e-9
 		}
@@ -595,7 +604,7 @@ func (e *Engine) reprice(m int) {
 		if e.cfg.Tracer != nil {
 			e.cfg.Tracer.TraceSegment(e.now, Segment{
 				Machine: m, Slot: s, TaskID: rt.task.ID, App: rt.task.App,
-				Rate: rt.rate, Neighbour: neighbour, WorkLeft: rt.workLeft,
+				Rate: rt.rate, Neighbour: e.table.apps[nb], WorkLeft: rt.workLeft,
 			})
 		}
 		// Generations are engine-global: a per-task counter would collide
@@ -608,13 +617,7 @@ func (e *Engine) reprice(m int) {
 			// stale). The slowdown window's end boundary reprices the slot.
 			continue
 		}
-		e.push(event{
-			time:    e.now + rt.workLeft/rt.rate,
-			kind:    evCompletion,
-			machine: m,
-			slot:    s,
-			gen:     rt.gen,
-		})
+		e.push(event{time: e.now + rt.workLeft/rt.rate, kind: evCompletion, machine: int32(m), slot: int8(s), gen: rt.gen})
 	}
 }
 
@@ -654,7 +657,7 @@ func (e *Engine) complete(m, slot int) error {
 	if !e.cfg.DropRecords {
 		e.results.Completed = append(e.results.Completed, rec)
 	}
-	if ops := e.table.Ops(rt.task.App); ops > 0 && rec.Runtime() > 0 {
+	if ops := e.table.ops[rt.app]; ops > 0 && rec.Runtime() > 0 {
 		e.results.TotalIOPS += ops / rec.Runtime()
 	}
 
@@ -682,21 +685,17 @@ func (e *Engine) place(t sched.Task, m, slot int) error {
 		return fmt.Errorf("sim: slot %d/%d already occupied", m, slot)
 	}
 	e.settle(m)
-	ms.slots[slot] = &runningTask{
-		task:       t,
-		workLeft:   e.table.SoloRuntime(t.App),
-		lastUpdate: e.now,
-		start:      e.now,
-	}
+	a := e.table.ords[t.App]
+	ms.slots[slot] = &runningTask{task: t, app: a, workLeft: e.table.soloRT[a], lastUpdate: e.now, start: e.now}
 	// The sibling slot, if free, is now neighboured by this app.
 	if _, free := e.pool.Category(m, 1-slot); free {
 		e.pool.SetFree(m, 1-slot, t.App)
 	}
 	// The placement-time neighbour, captured before reprice (which only
 	// recomputes rates) for the placement trace.
-	neighbour := ""
+	nb := 0
 	if other := ms.slots[1-slot]; other != nil {
-		neighbour = other.task.App
+		nb = other.app
 	}
 	if e.cfg.Faults != nil {
 		e.attempts[t.ID]++
@@ -709,7 +708,7 @@ func (e *Engine) place(t sched.Task, m, slot int) error {
 			// repricing only re-pushes completions with later sequence
 			// numbers — so a timeout landing at the same instant as the
 			// completion deterministically wins.
-			e.push(event{time: e.now + to, kind: evTimeout, machine: m, slot: slot, gen: e.genSeq})
+			e.push(event{time: e.now + to, kind: evTimeout, machine: int32(m), slot: int8(slot), gen: e.genSeq})
 		}
 	}
 	e.reprice(m)
@@ -722,7 +721,7 @@ func (e *Engine) place(t sched.Task, m, slot int) error {
 		// Placed into a fully stalled slowdown window: forecast at the
 		// undilated rate — a forecast of +Inf would be meaningless and
 		// unencodable in the JSON trace.
-		base := e.table.Rate(t.App, neighbour)
+		base := e.table.rate[a*e.table.n+nb]
 		if base <= 0 {
 			base = 1e-9
 		}
@@ -730,7 +729,7 @@ func (e *Engine) place(t sched.Task, m, slot int) error {
 	}
 	if e.cfg.Tracer != nil {
 		e.cfg.Tracer.TracePlace(e.now, PlaceInfo{
-			Task: t, Machine: m, Slot: slot, Neighbour: neighbour,
+			Task: t, Machine: m, Slot: slot, Neighbour: e.table.apps[nb],
 			Work: rt.workLeft, Predicted: rt.predicted,
 		})
 	}
@@ -758,25 +757,25 @@ func (e *Engine) trySchedule() error {
 		batch := e.batch
 		// Crashed machines are not capacity (downCount is zero without faults).
 		load := sched.Load{TotalSlots: (e.cfg.Machines - e.downCount) * vmsPerMachine, Queued: n}
-		counts := e.pool.Counts()
+		e.counts = e.pool.Counts(e.counts)
 		var candidates []CategoryCount
 		if e.cfg.Tracer != nil {
-			// Snapshot the candidate set before Schedule mutates its copy.
-			cats := make([]string, 0, len(counts))
-			for c := range counts {
+			// Snapshot the candidate set the pass is offered.
+			cats := make([]string, 0, len(e.counts))
+			for c := range e.counts {
 				cats = append(cats, c)
 			}
 			sort.Strings(cats)
 			candidates = make([]CategoryCount, len(cats))
 			for i, c := range cats {
-				candidates[i] = CategoryCount{Category: c, N: counts[c]}
+				candidates[i] = CategoryCount{Category: c, N: e.counts[c]}
 			}
 		}
 		var t0 time.Time
 		if e.cfg.Observer != nil {
 			t0 = time.Now()
 		}
-		placements, err := e.cfg.Scheduler.Schedule(batch, counts, load)
+		placements, err := e.cfg.Scheduler.Schedule(batch, e.counts, load)
 		if err != nil {
 			return err
 		}

@@ -113,7 +113,8 @@ func (e *Engine) evictAttempt(m, slot int, kind string) {
 }
 
 // retryOrLose schedules the task's next attempt after the plan's backoff,
-// or abandons it once the attempt budget is exhausted.
+// or abandons it once the attempt budget is exhausted. The retried task
+// waits in e.extra, and its event carries the backlog ref.
 func (e *Engine) retryOrLose(t sched.Task) {
 	made := e.attempts[t.ID]
 	if !e.cfg.Faults.RetryAllowed(made + 1) {
@@ -134,5 +135,5 @@ func (e *Engine) retryOrLose(t sched.Task) {
 			TaskID: t.ID, App: t.App, Attempt: made, Delay: delay,
 		})
 	}
-	e.push(event{time: e.now + delay, kind: evRetry, task: t})
+	e.push(event{time: e.now + delay, kind: evRetry, gen: int64(e.addExtra(t))})
 }

@@ -176,7 +176,7 @@ func (v View) PoolCategory(machine, slot int) (string, bool) {
 }
 
 // PoolCounts returns a copy of the pool's per-category free counts.
-func (v View) PoolCounts() sched.Counts { return v.e.pool.Counts() }
+func (v View) PoolCounts() sched.Counts { return v.e.pool.Counts(nil) }
 
 // PoolStats returns the pool's internal sizes.
 func (v View) PoolStats() sched.PoolStats { return v.e.pool.Stats() }

@@ -17,7 +17,7 @@ var (
 	tblTB   *xen.Testbed
 )
 
-func table(t *testing.T) *InterferenceTable {
+func table(t testing.TB) *InterferenceTable {
 	t.Helper()
 	tblOnce.Do(func() {
 		host, err := xen.NewHost(xen.DefaultHost())
@@ -68,6 +68,30 @@ func TestTableBasicInvariants(t *testing.T) {
 				t.Fatalf("iops(%s|%s) = %v exceeds solo %v", a, b, io, tb.SoloIOPS(a))
 			}
 		}
+	}
+}
+
+// TestTableUnknownNames pins the lookups' answers for a name the table
+// does not know and for "" (no neighbour): an unknown neighbour reads as
+// running alone, and an unknown app is unslowed with zero work, throughput
+// and utilization.
+func TestTableUnknownNames(t *testing.T) {
+	tb := table(t)
+	if tb.Has("") || tb.Has("nope") || !tb.Has("video") {
+		t.Fatal(`Has: want "" and "nope" unknown, "video" known`)
+	}
+	for _, a := range tb.Apps() {
+		if tb.Rate(a, "nope") != 1 || tb.IOPS(a, "nope") != tb.SoloIOPS(a) || tb.IOPS(a, "") != tb.SoloIOPS(a) ||
+			tb.Util(a, "nope") != tb.Util(a, "") || tb.Util(a, "") <= 0 {
+			t.Fatalf("%s beside an unknown neighbour must read as running alone", a)
+		}
+		if tb.Rate("nope", a) != 1 || tb.Util("nope", a) != 0 || tb.IOPS("nope", a) != 0 {
+			t.Fatalf("unknown app beside %s: rate %v, util %v, iops %v; want 1, 0, 0",
+				a, tb.Rate("nope", a), tb.Util("nope", a), tb.IOPS("nope", a))
+		}
+	}
+	if tb.SoloRuntime("nope") != 0 || tb.SoloIOPS("nope") != 0 || tb.Ops("nope") != 0 || tb.Rate("nope", "") != 1 {
+		t.Fatal("an unknown app must have zero solo runtime, throughput and ops, and rate 1")
 	}
 }
 

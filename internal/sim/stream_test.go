@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"tracon/internal/fault"
 	"tracon/internal/sched"
@@ -132,19 +133,23 @@ func (p tablePredictor) Apps() []string                          { return p.tb.A
 
 // maxAllocsPerTask is the ceiling on heap allocations per task of the
 // simulator on the Fig 11 cluster (MIBS8, 1 024 machines, 1 000 tasks per
-// simulated minute). It measured 0.57 once the schedulers scored on a
-// dense table; their per-pass maps and sorts cost 1.93, and an engine that
-// boxes every arrival into its event heap and copies each task into the
-// backlog needs 4.56.
-const maxAllocsPerTask = 0.75
+// simulated minute). It measured 0.24 once the engine reused one counts map
+// across scheduling passes, and 0.57 while FreePool.Counts built a fresh
+// map per pass; the schedulers' per-pass maps and sorts cost 1.93, and an
+// engine that boxes every arrival into its event heap and copies each task
+// into the backlog needs 4.56.
+const maxAllocsPerTask = 0.3
 
-// TestRunAllocsPerTask holds the simulator's allocation rate: 0.48
-// simulated hours (28 800 tasks) of the Fig 11 point, allocations counted
-// around Run alone.
-func TestRunAllocsPerTask(t *testing.T) {
-	const hours = 0.48
+// fig11Hours is the simulated span of the Fig 11 slice the allocation
+// gate and BenchmarkEngineRun run: 0.48 h, about 28 800 tasks.
+const fig11Hours = 0.48
+
+// fig11Slice returns an idle engine of the Fig 11 cluster (MIBS8 over a
+// table-backed predictor, 1 024 machines) and fig11Hours of its arrivals at
+// 1 000 tasks per simulated minute.
+func fig11Slice(tb testing.TB) (*Engine, []sched.Task) {
 	rng := rand.New(rand.NewSource(1))
-	times := workload.Arrivals(rng, 1000, hours*3600)
+	times := workload.Arrivals(rng, 1000, fig11Hours*3600)
 	mix := workload.NewMixer(2)
 	tasks := make([]sched.Task, len(times))
 	for i, tm := range times {
@@ -152,16 +157,23 @@ func TestRunAllocsPerTask(t *testing.T) {
 	}
 	eng, err := NewEngine(Config{
 		Machines:    1024,
-		Scheduler:   &sched.MIBS{Scorer: sched.NewScorer(tablePredictor{table(t)}, sched.MinRuntime), QueueLen: 8},
-		Table:       table(t),
+		Scheduler:   &sched.MIBS{Scorer: sched.NewScorer(tablePredictor{table(tb)}, sched.MinRuntime), QueueLen: 8},
+		Table:       table(tb),
 		DropRecords: true,
 	})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
+	return eng, tasks
+}
+
+// TestRunAllocsPerTask holds the simulator's allocation rate on the Fig 11
+// slice, allocations counted around Run alone.
+func TestRunAllocsPerTask(t *testing.T) {
+	eng, tasks := fig11Slice(t)
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	res, err := eng.Run(tasks, hours*3600)
+	res, err := eng.Run(tasks, fig11Hours*3600)
 	runtime.ReadMemStats(&m1)
 	if err != nil {
 		t.Fatal(err)
@@ -173,5 +185,28 @@ func TestRunAllocsPerTask(t *testing.T) {
 	t.Logf("%d tasks, %.2f allocs per task", len(tasks), perTask)
 	if perTask > maxAllocsPerTask {
 		t.Errorf("%.2f allocations per task, ceiling %.2f", perTask, maxAllocsPerTask)
+	}
+}
+
+// BenchmarkEngineRun times one Run of the Fig 11 slice that
+// TestRunAllocsPerTask counts allocations over.
+func BenchmarkEngineRun(b *testing.B) {
+	b.ReportAllocs()
+	for range b.N {
+		b.StopTimer()
+		eng, tasks := fig11Slice(b)
+		b.StartTimer()
+		if _, err := eng.Run(tasks, fig11Hours*3600); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestEventSize holds the event heap's element at 32 bytes: the heap moves
+// events on every push and pop, and an event that embedded a task was
+// 104 bytes.
+func TestEventSize(t *testing.T) {
+	if n := unsafe.Sizeof(event{}); n > 32 {
+		t.Fatalf("event is %d bytes, limit 32", n)
 	}
 }

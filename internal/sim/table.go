@@ -24,17 +24,23 @@ import (
 // ordered application pair, the progress rate (inverse slowdown) and
 // throughput of the first while co-located with the second.
 //
-// The table is immutable once built, so any number of concurrent
-// simulations may read one shared instance; the parallel experiment runner
-// relies on this.
+// Apps are interned once, at build time, so the engine's per-event lookups
+// index slices. The table is immutable once built, so any number of
+// concurrent simulations may read one shared instance; the parallel
+// experiment runner relies on this.
 type InterferenceTable struct {
-	apps    []string
-	soloRT  map[string]float64
-	soloIO  map[string]float64
-	soloOps map[string]float64
-	rate    map[[2]string]float64
-	iops    map[[2]string]float64
-	util    map[[2]string]float64 // guest CPU + Dom0 utilization attributable
+	// apps is ordinal → name and ords name → ordinal: apps[0] is "", which
+	// stands for no neighbour and for any app the table does not know (ords
+	// has no entry, so it reads 0), and apps[1:] are the measured apps in
+	// sorted order.
+	apps []string
+	ords map[string]int
+	n    int
+	// soloRT, soloIO and ops are by app ordinal; rate, iops and util by
+	// a*n+b, for app a beside neighbour b. Column 0 is a running alone, and
+	// row 0 answers for an unknown app.
+	soloRT, soloIO, ops []float64
+	rate, iops, util    []float64 // util: guest CPU + attributable Dom0
 }
 
 // BuildInterferenceTable measures every ordered pair (and every solo run)
@@ -47,28 +53,22 @@ func BuildInterferenceTable(host *xen.Host, apps []xen.AppSpec) (*InterferenceTa
 // BuildInterferenceTableParallel is BuildInterferenceTable with the solo
 // and pair steady-state solves fanned out over at most workers goroutines.
 // Each solve is an independent pure function of the host configuration, and
-// results are collected by index before the maps are filled in input order,
-// so the table is identical to the sequential build bit-for-bit.
+// results are collected by index before the table is filled, so the table
+// is identical to the sequential build bit-for-bit.
 func BuildInterferenceTableParallel(host *xen.Host, apps []xen.AppSpec, workers int) (*InterferenceTable, error) {
 	n := len(apps)
 	if n == 0 {
 		return nil, fmt.Errorf("sim: no applications")
 	}
-	t := &InterferenceTable{
-		soloRT:  map[string]float64{},
-		soloIO:  map[string]float64{},
-		soloOps: map[string]float64{},
-		rate:    map[[2]string]float64{},
-		iops:    map[[2]string]float64{},
-		util:    map[[2]string]float64{},
-	}
-	seen := map[string]bool{}
+	names, seen := []string{""}, map[string]bool{"": true}
 	for _, a := range apps {
 		if seen[a.Name] {
-			return nil, fmt.Errorf("sim: duplicate application %q", a.Name)
+			return nil, fmt.Errorf("sim: duplicate or empty application name %q", a.Name)
 		}
 		seen[a.Name] = true
+		names = append(names, a.Name)
 	}
+	sort.Strings(names[1:])
 
 	solos := make([]xen.AppSteady, n)
 	err := par.ForEach(workers, n, func(i int) error {
@@ -85,14 +85,21 @@ func BuildInterferenceTableParallel(host *xen.Host, apps []xen.AppSpec, workers 
 	if err != nil {
 		return nil, err
 	}
-	for i, a := range apps {
-		t.apps = append(t.apps, a.Name)
-		t.soloRT[a.Name] = solos[i].Runtime
-		t.soloIO[a.Name] = solos[i].IOPS
-		t.soloOps[a.Name] = a.TotalOps()
-		t.util[[2]string{a.Name, ""}] = solos[i].GuestCPU + solos[i].Dom0CPU
+	w := n + 1 // ordinal 0 is no neighbour, or an unknown app
+	t := &InterferenceTable{apps: names, ords: make(map[string]int, n), n: w,
+		soloRT: make([]float64, w), soloIO: make([]float64, w), ops: make([]float64, w),
+		rate: make([]float64, w*w), iops: make([]float64, w*w), util: make([]float64, w*w)}
+	for o, name := range names[1:] {
+		t.ords[name] = o + 1
 	}
-	sort.Strings(t.apps)
+	for b := range w {
+		t.rate[b] = 1 // an unknown app is not slowed
+	}
+	for i, a := range apps {
+		o := t.ords[a.Name]
+		t.soloRT[o], t.soloIO[o], t.ops[o] = solos[i].Runtime, solos[i].IOPS, a.TotalOps()
+		t.rate[o*w], t.iops[o*w], t.util[o*w] = 1, solos[i].IOPS, solos[i].GuestCPU+solos[i].Dom0CPU
+	}
 
 	pairs := make([]xen.AppSteady, n*n)
 	err = par.ForEach(workers, n*n, func(k int) error {
@@ -108,76 +115,49 @@ func BuildInterferenceTableParallel(host *xen.Host, apps []xen.AppSpec, workers 
 	if err != nil {
 		return nil, err
 	}
-	for i, a := range apps {
-		for j, b := range apps {
-			st := pairs[i*n+j]
-			key := [2]string{a.Name, b.Name}
-			t.rate[key] = st.ProgressRate
-			t.iops[key] = st.IOPS
-			t.util[key] = st.GuestCPU + st.Dom0CPU
-		}
+	for k, st := range pairs {
+		o := t.ords[apps[k/n].Name]*w + t.ords[apps[k%n].Name]
+		t.rate[o], t.iops[o], t.util[o] = st.ProgressRate, st.IOPS, st.GuestCPU+st.Dom0CPU
 	}
 	return t, nil
 }
 
+// pair returns the rate/iops/util index of app beside neighbour.
+func (t *InterferenceTable) pair(app, neighbour string) int {
+	return t.ords[app]*t.n + t.ords[neighbour]
+}
+
 // Apps returns the application names, sorted.
 func (t *InterferenceTable) Apps() []string {
-	return append([]string(nil), t.apps...)
+	return append([]string(nil), t.apps[1:]...)
 }
 
 // Has reports whether the table knows app.
-func (t *InterferenceTable) Has(app string) bool {
-	_, ok := t.soloRT[app]
-	return ok
-}
+func (t *InterferenceTable) Has(app string) bool { return t.ords[app] > 0 }
 
 // SoloRuntime returns the measured no-interference runtime of app.
-func (t *InterferenceTable) SoloRuntime(app string) float64 {
-	return t.soloRT[app]
-}
+func (t *InterferenceTable) SoloRuntime(app string) float64 { return t.soloRT[t.ords[app]] }
 
 // SoloIOPS returns the measured no-interference throughput of app.
-func (t *InterferenceTable) SoloIOPS(app string) float64 {
-	return t.soloIO[app]
-}
+func (t *InterferenceTable) SoloIOPS(app string) float64 { return t.soloIO[t.ords[app]] }
 
 // Ops returns the total I/O request count of one task of app.
-func (t *InterferenceTable) Ops(app string) float64 {
-	return t.soloOps[app]
-}
+func (t *InterferenceTable) Ops(app string) float64 { return t.ops[t.ords[app]] }
 
 // Rate returns app's progress rate (solo-seconds per wall second, in
 // (0, 1]) while co-located with neighbour ("" = running alone).
 func (t *InterferenceTable) Rate(app, neighbour string) float64 {
-	if neighbour == "" {
-		return 1
-	}
-	r, ok := t.rate[[2]string{app, neighbour}]
-	if !ok {
-		return 1
-	}
-	return r
+	return t.rate[t.pair(app, neighbour)]
 }
 
 // Util returns the CPU utilization (guest vCPU plus attributable Dom0
 // work) app drives while co-located with neighbour — the basis of the
 // simulator's energy accounting.
 func (t *InterferenceTable) Util(app, neighbour string) float64 {
-	u, ok := t.util[[2]string{app, neighbour}]
-	if !ok {
-		return t.util[[2]string{app, ""}]
-	}
-	return u
+	return t.util[t.pair(app, neighbour)]
 }
 
 // IOPS returns app's throughput while co-located with neighbour.
 func (t *InterferenceTable) IOPS(app, neighbour string) float64 {
-	if neighbour == "" {
-		return t.soloIO[app]
-	}
-	io, ok := t.iops[[2]string{app, neighbour}]
-	if !ok {
-		return t.soloIO[app]
-	}
-	return io
+	return t.iops[t.pair(app, neighbour)]
 }

@@ -27,18 +27,8 @@ func TestParallelTableMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if !reflect.DeepEqual(p.apps, seq.apps) {
-			t.Fatalf("workers=%d: apps %v vs %v", workers, p.apps, seq.apps)
-		}
-		if !reflect.DeepEqual(p.soloRT, seq.soloRT) ||
-			!reflect.DeepEqual(p.soloIO, seq.soloIO) ||
-			!reflect.DeepEqual(p.soloOps, seq.soloOps) {
-			t.Fatalf("workers=%d: solo maps differ", workers)
-		}
-		if !reflect.DeepEqual(p.rate, seq.rate) ||
-			!reflect.DeepEqual(p.iops, seq.iops) ||
-			!reflect.DeepEqual(p.util, seq.util) {
-			t.Fatalf("workers=%d: pair maps differ", workers)
+		if !reflect.DeepEqual(p, seq) {
+			t.Fatalf("workers=%d: the table differs from the sequential build", workers)
 		}
 	}
 }
