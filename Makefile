@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race audit trace obs-smoke chaos crash-smoke fuzz-smoke dst dst-long cover bench-test bench clean
+.PHONY: ci vet build test race audit paper trace obs-smoke chaos crash-smoke fuzz-smoke dst dst-long cover bench-test bench clean
 
-ci: vet build test race audit trace obs-smoke chaos crash-smoke fuzz-smoke dst cover bench-test
+ci: vet build test race audit paper trace obs-smoke chaos crash-smoke fuzz-smoke dst cover bench-test
 
 vet:
 	$(GO) vet ./...
@@ -28,6 +28,20 @@ race:
 # exits non-zero. Takes a couple of seconds.
 audit:
 	$(GO) run ./cmd/traconbench -quick -hours 0.5 -only table1,fig3,fig8,fig9 -audit -parallel 4 > /dev/null
+
+# Paper gate: regenerate every exhibit at paper scale (spot check
+# included) into a temp dir. Each CSV must match results/ byte for byte
+# and stdout must match results_full.txt, timing lines aside. Prints the
+# time to reproduce. About 7 s on 2 cores.
+paper:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) run ./cmd/traconbench -spotcheck -csv $$tmp/csv > $$tmp/stdout 2> $$tmp/stderr && \
+	test $$(ls $$tmp/csv | wc -l) -eq $$(ls results/*.csv | wc -l) && \
+	for f in results/*.csv; do cmp $$f $$tmp/csv/$$(basename $$f) || exit 1; done && \
+	grep -v 'done in' results_full.txt > $$tmp/want && \
+	grep -v 'done in' $$tmp/stdout > $$tmp/got && \
+	diff $$tmp/want $$tmp/got && \
+	grep -E 'environment ready|all done in' $$tmp/stderr
 
 # Tracing gate: the tracontrace CLI must build and the trace exports must
 # be byte-identical across worker counts (and leave results untouched).

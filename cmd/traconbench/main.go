@@ -30,7 +30,6 @@ import (
 	"tracon/internal/obs"
 	"tracon/internal/sched"
 	"tracon/internal/sim"
-	"tracon/internal/trace"
 )
 
 func main() {
@@ -155,9 +154,9 @@ func main() {
 		}
 		fmt.Println(oc.Result.String())
 		if *csvDir != "" {
-			if tab, ok := oc.Result.(trace.Tabular); ok {
+			if tab, ok := oc.Result.(experiments.Tabular); ok {
 				path := filepath.Join(*csvDir, oc.Name+".csv")
-				if err := trace.Save(path, tab.Table()); err != nil {
+				if err := experiments.SaveCSV(path, tab.Table()); err != nil {
 					log.Fatalf("%s: writing %s: %v", oc.Name, path, err)
 				}
 				fmt.Fprintf(os.Stderr, "[%s CSV → %s]\n", oc.Name, path)

@@ -16,6 +16,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime"
 	"runtime/pprof"
 	"strings"
 	"syscall"
@@ -348,37 +349,33 @@ type trainer struct {
 }
 
 // trainLibrary runs the full bring-up pipeline: profile each Table 3
-// benchmark against the 125-point synthetic grid and fit the family.
+// benchmark against the 125-point synthetic grid, on up to GOMAXPROCS
+// testbed clones at once, and fit the family.
 func trainLibrary(kind model.Kind, seed int64) (*trainer, error) {
 	host, err := xen.NewHost(xen.DefaultHost())
 	if err != nil {
 		return nil, err
 	}
 	tb := xen.NewTestbed(host, 3, 0.05, seed)
-	var bgs []xen.AppSpec
+	var bgs, specs []xen.AppSpec
 	for _, w := range workload.ProfilingWorkloads(host.Config().Disk) {
 		bgs = append(bgs, w.Spec)
 	}
-	prof := &model.Profiler{TB: tb}
-	tr := &trainer{
-		lib:   model.NewLibrary(kind),
-		sets:  map[string]*model.TrainingSet{},
-		solos: map[string]xen.SoloProfile{},
-	}
 	for _, b := range workload.Benchmarks() {
-		ts, err := prof.Profile(b.Spec, bgs)
-		if err != nil {
-			return nil, err
-		}
-		solo, err := tb.ProfileSolo(b.Spec)
-		if err != nil {
-			return nil, err
-		}
-		if err := tr.lib.Add(ts, solo); err != nil {
-			return nil, err
-		}
-		tr.sets[b.Spec.Name] = ts
-		tr.solos[b.Spec.Name] = solo
+		specs = append(specs, b.Spec)
+	}
+	sets, solos, err := model.ProfileAll(tb, specs, bgs, runtime.GOMAXPROCS(0))
+	if err != nil {
+		return nil, err
+	}
+	lib, err := model.TrainLibrary(kind, sets, solos)
+	if err != nil {
+		return nil, err
+	}
+	tr := &trainer{lib: lib, sets: map[string]*model.TrainingSet{}, solos: map[string]xen.SoloProfile{}}
+	for i, spec := range specs {
+		tr.sets[spec.Name] = sets[i]
+		tr.solos[spec.Name] = solos[i]
 	}
 	return tr, nil
 }

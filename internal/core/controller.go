@@ -14,6 +14,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 
 	"tracon/internal/model"
@@ -107,45 +108,55 @@ func (c *Controller) Library() *model.Library { return c.lib }
 // grid, trains its interference model and starts its adaptation loop —
 // the automated new-application pipeline of Sec. 3.1.
 func (c *Controller) Register(app xen.AppSpec) error {
-	if err := app.Validate(); err != nil {
-		return err
-	}
-	if _, dup := c.specs[app.Name]; dup {
-		return fmt.Errorf("core: application %q already registered", app.Name)
-	}
-	prof := &model.Profiler{TB: c.tb}
-	ts, err := prof.Profile(app, c.bgs)
-	if err != nil {
-		return err
-	}
-	solo, err := c.mon.ObserveSolo(app)
-	if err != nil {
-		return err
-	}
-	if err := c.lib.Add(ts, solo); err != nil {
-		return err
-	}
-	acfg := c.cfg.Adaptive
-	if acfg.Detector == nil {
-		acfg.Detector = monitor.NewDetector(monitor.DriftConfig{})
-	}
-	ad, err := model.NewAdaptive(ts, c.cfg.Kind, acfg)
-	if err != nil {
-		return err
-	}
-	c.specs[app.Name] = app
-	c.sets[app.Name] = ts
-	c.adaptive[app.Name] = ad
-	c.table = nil // invalidate; app set changed
-	return nil
+	return c.register([]xen.AppSpec{app}, 1)
 }
 
-// RegisterBenchmarks registers all eight Table 3 applications.
+// RegisterBenchmarks registers all eight Table 3 applications, profiling
+// them on up to GOMAXPROCS testbed clones at once.
 func (c *Controller) RegisterBenchmarks() error {
+	var apps []xen.AppSpec
 	for _, b := range workload.Benchmarks() {
-		if err := c.Register(b.Spec); err != nil {
+		apps = append(apps, b.Spec)
+	}
+	return c.register(apps, runtime.GOMAXPROCS(0))
+}
+
+// register profiles apps on up to workers testbed clones, then trains and
+// installs each one in order.
+func (c *Controller) register(apps []xen.AppSpec, workers int) error {
+	for _, app := range apps {
+		if err := app.Validate(); err != nil {
 			return err
 		}
+		if _, dup := c.specs[app.Name]; dup {
+			return fmt.Errorf("core: application %q already registered", app.Name)
+		}
+	}
+	sets, solos, err := model.ProfileAll(c.tb, apps, c.bgs, workers)
+	if err != nil {
+		return err
+	}
+	c.table = nil // invalidate; the app set changes
+	for i, app := range apps {
+		// The monitor keeps its own running estimate of each app.
+		if _, err := c.mon.ObserveSolo(app); err != nil {
+			return err
+		}
+		acfg := c.cfg.Adaptive
+		if acfg.Detector == nil {
+			acfg.Detector = monitor.NewDetector(monitor.DriftConfig{})
+		}
+		ad, err := model.NewAdaptive(sets[i], c.cfg.Kind, acfg)
+		if err != nil {
+			return fmt.Errorf("core: training %s: %w", app.Name, err)
+		}
+		// The adaptive loop's initial model is the one the library serves.
+		if err := c.lib.AddTrained(ad.Model(), sets[i].Features, solos[i]); err != nil {
+			return err
+		}
+		c.specs[app.Name] = app
+		c.sets[app.Name] = sets[i]
+		c.adaptive[app.Name] = ad
 	}
 	return nil
 }
@@ -231,19 +242,7 @@ func (c *Controller) NewScheduler(spec SchedulerSpec) (sched.Scheduler, error) {
 		}
 		pred = model.NewOracle(c.tb, specs)
 	}
-	scorer := sched.NewScorer(pred, spec.Objective)
-	switch spec.Policy {
-	case "fifo":
-		return sched.FIFO{}, nil
-	case "mios":
-		return &sched.MIOS{Scorer: scorer}, nil
-	case "mibs":
-		return &sched.MIBS{Scorer: scorer, QueueLen: spec.QueueLen}, nil
-	case "mix":
-		return &sched.MIX{Scorer: scorer, QueueLen: spec.QueueLen}, nil
-	default:
-		return nil, fmt.Errorf("core: unknown policy %q", spec.Policy)
-	}
+	return sched.New(spec.Policy, spec.QueueLen, sched.NewScorer(pred, spec.Objective))
 }
 
 // InterferenceTable returns (building on first use) the measured pairwise

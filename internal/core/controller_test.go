@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"sync"
 	"testing"
 
@@ -148,43 +147,6 @@ func TestObserveFeedsAdaptation(t *testing.T) {
 	}
 	if _, err := c.Observe("nope", model.Sample{}); err == nil {
 		t.Fatal("unknown target accepted")
-	}
-}
-
-func TestSimulatePartitionedMatchesAggregates(t *testing.T) {
-	c := fixture(t)
-	mix := workload.NewMixer(13)
-	batch := mix.Batch(workload.MediumIO, 64)
-	tasks := make([]sched.Task, len(batch))
-	for i, spec := range batch {
-		tasks[i] = sched.Task{ID: int64(i), App: workload.BaseName(spec.Name), Arrival: float64(i)}
-	}
-	spec := SchedulerSpec{Policy: "mios", Objective: sched.MinRuntime}
-	part, err := c.SimulatePartitioned(spec, 32, 4, tasks, math.Inf(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if part.CompletedCount != 64 || part.Submitted != 64 {
-		t.Fatalf("partitioned completed %d submitted %d", part.CompletedCount, part.Submitted)
-	}
-	if len(part.Groups) != 4 {
-		t.Fatalf("groups = %d", len(part.Groups))
-	}
-	// Each group must have received a quarter of the tasks.
-	for g, r := range part.Groups {
-		if r.Submitted != 16 {
-			t.Fatalf("group %d got %d tasks", g, r.Submitted)
-		}
-	}
-}
-
-func TestSimulatePartitionedValidation(t *testing.T) {
-	c := fixture(t)
-	if _, err := c.SimulatePartitioned(SchedulerSpec{Policy: "fifo"}, 10, 3, nil, 0); err == nil {
-		t.Fatal("uneven split accepted")
-	}
-	if _, err := c.SimulatePartitioned(SchedulerSpec{Policy: "fifo"}, 2, 0, nil, 0); err == nil {
-		t.Fatal("zero groups accepted")
 	}
 }
 

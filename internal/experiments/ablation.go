@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"math"
+
 	"tracon/internal/model"
 	"tracon/internal/sched"
 	"tracon/internal/sim"
@@ -10,7 +12,7 @@ import (
 // RunStaticPublic exposes the static-batch runner for the ablation benches
 // in the repository root.
 func (e *Env) RunStaticPublic(s sched.Scheduler, machines int, tasks []sched.Task) (*sim.Results, error) {
-	return e.runStatic(s, machines, tasks)
+	return e.simulate("static", s, machines, tasks, math.Inf(1))
 }
 
 // RunQueueLength runs MIBS with the given queue length under Poisson
@@ -19,12 +21,12 @@ func (e *Env) RunStaticPublic(s sched.Scheduler, machines int, tasks []sched.Tas
 // (q = 1 degenerates to head-only batching, close to MIOS).
 func RunQueueLength(e *Env, q, machines int, lambda, horizon float64) (float64, error) {
 	tasks := poissonTasks(workload.MediumIO, lambda, horizon, e.Seed+int64(q)*37)
-	fifo, err := e.runDynamic(sched.FIFO{}, machines, tasks, horizon)
+	fifo, err := e.simulate("dynamic", sched.FIFO{}, machines, tasks, horizon)
 	if err != nil {
 		return 0, err
 	}
-	mibs, err := e.runDynamic(&sched.MIBS{
-		Scorer:   e.scorerFor(model.NLM, sched.MinRuntime, false),
+	mibs, err := e.simulate("dynamic", &sched.MIBS{
+		Scorer:   e.scorerFor(model.NLM, sched.MinRuntime),
 		QueueLen: q,
 	}, machines, tasks, horizon)
 	if err != nil {
@@ -34,16 +36,4 @@ func RunQueueLength(e *Env, q, machines int, lambda, horizon float64) (float64, 
 		return 0, nil
 	}
 	return mibs.CompletedTasks() / fifo.CompletedTasks(), nil
-}
-
-// StaticTasksPublic exposes the deterministic static task generator for
-// the ablation benches and diagnostics.
-func StaticTasksPublic(mix workload.IOIntensity, n int, seed int64) []sched.Task {
-	return staticTasks(mix, n, seed)
-}
-
-// PoissonTasksPublic exposes the Poisson arrival generator for diagnostics
-// and ablation benches.
-func PoissonTasksPublic(mix workload.IOIntensity, lambda, horizon float64, seed int64) []sched.Task {
-	return poissonTasks(mix, lambda, horizon, seed)
 }

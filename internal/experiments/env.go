@@ -7,7 +7,6 @@
 package experiments
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 
@@ -38,6 +37,12 @@ type Env struct {
 	Oracle *model.Oracle
 
 	Seed int64
+
+	// workers is the width the Env was built with; SpotCheck10k's groups
+	// fan out over it.
+	workers int
+	// scorers holds one shared scorer per trained family and objective.
+	scorers map[scorerKey]*sched.Scorer
 
 	// Observe, when non-nil, supplies an observer for every simulation the
 	// experiments launch (metrics collection, invariant auditing). It is
@@ -74,30 +79,6 @@ type TracerFactory func(kind, scheduler string, machines int, tasks []sched.Task
 // the run's cluster size via Plan.ForMachines.
 type FaultFactory func(kind, scheduler string, machines int, tasks []sched.Task) *fault.Plan
 
-// observer resolves the factory for one run, nil-safe.
-func (e *Env) observer(kind, scheduler string, machines int, tasks []sched.Task) sim.Observer {
-	if e.Observe == nil {
-		return nil
-	}
-	return e.Observe(kind, scheduler, machines, tasks)
-}
-
-// tracer resolves the tracer factory for one run, nil-safe.
-func (e *Env) tracer(kind, scheduler string, machines int, tasks []sched.Task) sim.Tracer {
-	if e.Trace == nil {
-		return nil
-	}
-	return e.Trace(kind, scheduler, machines, tasks)
-}
-
-// faults resolves the fault-plan factory for one run, nil-safe.
-func (e *Env) faults(kind, scheduler string, machines int, tasks []sched.Task) *fault.Plan {
-	if e.Faults == nil {
-		return nil
-	}
-	return e.Faults(kind, scheduler, machines, tasks)
-}
-
 // NewEnv measures, profiles and trains everything once, sequentially. With
 // the default settings this takes a few seconds; NewEnvParallel produces
 // the identical Env using a bounded worker pool.
@@ -109,10 +90,10 @@ func NewEnv(seed int64) (*Env, error) {
 var envLibraryKinds = []model.Kind{model.WMM, model.LM, model.NLM}
 
 // NewEnvParallel builds the Env with up to workers concurrent goroutines:
-// the eight per-benchmark profiling runs fan out first (each worker on its
-// own testbed clone), then the three model-family trainings and the
-// interference-table solves. workers <= 1 is the sequential reference
-// build.
+// the eight per-benchmark profiling runs fan out first (model.ProfileAll),
+// then the three model-family trainings and the interference-table solves.
+// workers <= 1 is the sequential reference build. The same width bounds
+// the fan-out inside SpotCheck10k's manager hierarchy.
 //
 // Parallel construction is byte-identical to sequential construction for
 // the same seed: testbed measurement noise is key-addressed (derived from
@@ -136,42 +117,26 @@ func NewEnvParallel(seed int64, workers int) (*Env, error) {
 		Solo:         map[string]xen.SoloProfile{},
 		Libraries:    map[model.Kind]*model.Library{},
 		Seed:         seed,
+		workers:      workers,
+		scorers:      map[scorerKey]*sched.Scorer{},
 	}
 	for _, w := range workload.ProfilingWorkloads(hostCfg.Disk) {
 		e.Backgrounds = append(e.Backgrounds, w.Spec)
 	}
+	specs := make([]xen.AppSpec, len(e.Benchmarks))
+	for i, b := range e.Benchmarks {
+		specs[i] = b.Spec
+	}
 
 	// Stage 1: per-benchmark profiling (the 8 × 125 measurement sweep plus
-	// solo runs). Each job owns a testbed clone, so no state is shared even
-	// though a shared testbed would be safe; clones keep the same seed, so
-	// the key-addressed noise reproduces the sequential measurements.
-	type profiled struct {
-		ts   *model.TrainingSet
-		solo xen.SoloProfile
-	}
-	profs := make([]profiled, len(e.Benchmarks))
-	err = par.ForEach(workers, len(e.Benchmarks), func(i int) error {
-		wtb := tb.Clone()
-		prof := &model.Profiler{TB: wtb}
-		ts, err := prof.Profile(e.Benchmarks[i].Spec, e.Backgrounds)
-		if err != nil {
-			return err
-		}
-		solo, err := wtb.ProfileSolo(e.Benchmarks[i].Spec)
-		if err != nil {
-			return err
-		}
-		profs[i] = profiled{ts: ts, solo: solo}
-		return nil
-	})
+	// solo runs).
+	sets, solos, err := model.ProfileAll(tb, specs, e.Backgrounds, workers)
 	if err != nil {
 		return nil, err
 	}
-	var specs []xen.AppSpec
-	for i, b := range e.Benchmarks {
-		e.TrainingSets[b.Spec.Name] = profs[i].ts
-		e.Solo[b.Spec.Name] = profs[i].solo
-		specs = append(specs, b.Spec)
+	for i, spec := range specs {
+		e.TrainingSets[spec.Name] = sets[i]
+		e.Solo[spec.Name] = solos[i]
 	}
 
 	// Stage 2: once the profiles land, the three model-family trainings
@@ -179,20 +144,18 @@ func NewEnvParallel(seed int64, workers int) (*Env, error) {
 	// one job while it trains.
 	libs := make([]*model.Library, len(envLibraryKinds))
 	err = par.ForEach(workers, len(envLibraryKinds), func(i int) error {
-		lib := model.NewLibrary(envLibraryKinds[i])
-		for _, b := range e.Benchmarks {
-			if err := lib.Add(e.TrainingSets[b.Spec.Name], e.Solo[b.Spec.Name]); err != nil {
-				return err
-			}
-		}
+		lib, err := model.TrainLibrary(envLibraryKinds[i], sets, solos)
 		libs[i] = lib
-		return nil
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
 	for i, k := range envLibraryKinds {
 		e.Libraries[k] = libs[i]
+		for _, obj := range []sched.Objective{sched.MinRuntime, sched.MaxIOPS} {
+			e.scorers[scorerKey{k, obj}] = sched.NewScorer(libs[i], obj)
+		}
 	}
 
 	// Stage 3: the interference table's n solo + n² pair solves fan out
@@ -205,38 +168,11 @@ func NewEnvParallel(seed int64, workers int) (*Env, error) {
 	return e, nil
 }
 
-// newScheduler builds a policy instance over the given predictor.
-func newScheduler(policy string, q int, scorer *sched.Scorer) (sched.Scheduler, error) {
-	switch policy {
-	case "fifo":
-		return sched.FIFO{}, nil
-	case "mios":
-		return &sched.MIOS{Scorer: scorer}, nil
-	case "mibs":
-		return &sched.MIBS{Scorer: scorer, QueueLen: q}, nil
-	case "mix":
-		return &sched.MIX{Scorer: scorer, QueueLen: q}, nil
-	default:
-		return nil, fmt.Errorf("experiments: unknown policy %q", policy)
-	}
-}
-
-// staticTasks draws n tasks from the mix, deterministically for the seed.
-func staticTasks(mix workload.IOIntensity, n int, seed int64) []sched.Task {
-	mixer := workload.NewMixer(seed)
-	batch := mixer.Batch(mix, n)
-	tasks := make([]sched.Task, n)
-	for i, spec := range batch {
-		tasks[i] = sched.Task{ID: int64(i), App: workload.BaseName(spec.Name)}
-	}
-	return tasks
-}
-
-// uniformTasks draws n tasks uniformly over the eight benchmarks.
-func uniformTasks(n int, seed int64) []sched.Task {
-	mixer := workload.NewMixer(seed)
-	batch := mixer.UniformBatch(n)
-	tasks := make([]sched.Task, n)
+// batchTasks numbers a drawn static batch as tasks, all present at time
+// zero: batchTasks(workload.NewMixer(seed).Batch(mix, n)) draws from a mix,
+// UniformBatch uniformly over the eight benchmarks.
+func batchTasks(batch []xen.AppSpec) []sched.Task {
+	tasks := make([]sched.Task, len(batch))
 	for i, spec := range batch {
 		tasks[i] = sched.Task{ID: int64(i), App: workload.BaseName(spec.Name)}
 	}
@@ -256,54 +192,48 @@ func poissonTasks(mix workload.IOIntensity, lambda, horizon float64, seed int64)
 	return tasks
 }
 
-// runStatic executes a static batch to completion.
-func (e *Env) runStatic(s sched.Scheduler, machines int, tasks []sched.Task) (*sim.Results, error) {
-	return e.runStaticTagged("static", s, machines, tasks)
-}
-
-// runStaticTagged is runStatic with an explicit run-kind tag. Call sites
-// that launch the same scheduler on the same task stream more than once —
-// fig4 reruns MIBS per model family — must tag each launch distinctly, or
+// simulate runs one engine over tasks until the horizon (math.Inf(1)
+// runs a static batch to completion), with the Env's observer, tracer and
+// fault hooks attached. kind names the call site for those hooks. Call
+// sites that launch the same scheduler on the same task stream more than
+// once — fig4 reruns MIBS per model family — must pass distinct kinds, or
 // the runs collide on one observability label (see obs.RunLabel).
-func (e *Env) runStaticTagged(kind string, s sched.Scheduler, machines int, tasks []sched.Task) (*sim.Results, error) {
-	eng, err := sim.NewEngine(sim.Config{
+// Per-task records are kept only for static batches of up to 200 000
+// tasks.
+func (e *Env) simulate(kind string, s sched.Scheduler, machines int, tasks []sched.Task, horizon float64) (*sim.Results, error) {
+	cfg := sim.Config{
 		Machines:    machines,
 		Scheduler:   s,
 		Table:       e.Table,
-		DropRecords: len(tasks) > 200000,
-		Observer:    e.observer(kind, s.Name(), machines, tasks),
-		Tracer:      e.tracer(kind, s.Name(), machines, tasks),
-		Faults:      e.faults(kind, s.Name(), machines, tasks),
-	})
-	if err != nil {
-		return nil, err
+		DropRecords: !math.IsInf(horizon, 1) || len(tasks) > 200000,
 	}
-	return eng.Run(tasks, math.Inf(1))
-}
-
-// runDynamic executes Poisson arrivals until the horizon.
-func (e *Env) runDynamic(s sched.Scheduler, machines int, tasks []sched.Task, horizon float64) (*sim.Results, error) {
-	eng, err := sim.NewEngine(sim.Config{
-		Machines:    machines,
-		Scheduler:   s,
-		Table:       e.Table,
-		DropRecords: true,
-		Observer:    e.observer("dynamic", s.Name(), machines, tasks),
-		Tracer:      e.tracer("dynamic", s.Name(), machines, tasks),
-		Faults:      e.faults("dynamic", s.Name(), machines, tasks),
-	})
+	if e.Observe != nil {
+		cfg.Observer = e.Observe(kind, s.Name(), machines, tasks)
+	}
+	if e.Trace != nil {
+		cfg.Tracer = e.Trace(kind, s.Name(), machines, tasks)
+	}
+	if e.Faults != nil {
+		cfg.Faults = e.Faults(kind, s.Name(), machines, tasks)
+	}
+	eng, err := sim.NewEngine(cfg)
 	if err != nil {
 		return nil, err
 	}
 	return eng.Run(tasks, horizon)
 }
 
-// scorerFor builds a scorer over a trained library (or the oracle).
-func (e *Env) scorerFor(kind model.Kind, obj sched.Objective, oracle bool) *sched.Scorer {
-	if oracle {
-		return sched.NewScorer(e.Oracle, obj)
-	}
-	return sched.NewScorer(e.Libraries[kind], obj)
+// scorerKey names one of the Env's shared scorers.
+type scorerKey struct {
+	kind model.Kind
+	obj  sched.Objective
+}
+
+// scorerFor returns the Env's scorer over a trained library. Each scorer
+// is built once per Env and shared by every simulation: its pair table is
+// immutable once built and safe for concurrent use.
+func (e *Env) scorerFor(kind model.Kind, obj sched.Objective) *sched.Scorer {
+	return e.scorers[scorerKey{kind, obj}]
 }
 
 // BenchmarkNames returns the application names in Table 3 order.

@@ -2,11 +2,13 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"tracon/internal/model"
 	"tracon/internal/sched"
 	"tracon/internal/stats"
+	"tracon/internal/workload"
 )
 
 // Fig4Result reproduces Fig 4: the effect of the model family on the
@@ -38,8 +40,8 @@ func Fig4(e *Env, batches int) (*Fig4Result, error) {
 	speedups := map[model.Kind][]float64{}
 	boosts := map[model.Kind][]float64{}
 	for trial := 0; trial < batches; trial++ {
-		tasks := uniformTasks(batchSize, e.Seed+int64(trial)*101)
-		fifo, err := e.runStatic(sched.FIFO{}, machines, tasks)
+		tasks := batchTasks(workload.NewMixer(e.Seed + int64(trial)*101).UniformBatch(batchSize))
+		fifo, err := e.simulate("static", sched.FIFO{}, machines, tasks, math.Inf(1))
 		if err != nil {
 			return nil, err
 		}
@@ -48,17 +50,17 @@ func Fig4(e *Env, batches int) (*Fig4Result, error) {
 			// stream repeat across WMM/LM/NLM, so the family must key the
 			// observability label.
 			tag := "static-" + k.String()
-			rt, err := e.runStaticTagged(tag, &sched.MIBS{
-				Scorer:   e.scorerFor(k, sched.MinRuntime, false),
+			rt, err := e.simulate(tag, &sched.MIBS{
+				Scorer:   e.scorerFor(k, sched.MinRuntime),
 				QueueLen: batchSize,
-			}, machines, tasks)
+			}, machines, tasks, math.Inf(1))
 			if err != nil {
 				return nil, err
 			}
-			io, err := e.runStaticTagged(tag, &sched.MIBS{
-				Scorer:   e.scorerFor(k, sched.MaxIOPS, false),
+			io, err := e.simulate(tag, &sched.MIBS{
+				Scorer:   e.scorerFor(k, sched.MaxIOPS),
 				QueueLen: batchSize,
-			}, machines, tasks)
+			}, machines, tasks, math.Inf(1))
 			if err != nil {
 				return nil, err
 			}

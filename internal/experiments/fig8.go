@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"tracon/internal/model"
@@ -47,22 +48,22 @@ func Fig8(e *Env, machines []int, repeats int) (*Fig8Result, error) {
 		for _, mix := range res.Mixes {
 			var sumFifoRT, sumRT, sumFifoIO, sumIO, sumIOBoostNum float64
 			for rep := 0; rep < repeats; rep++ {
-				tasks := staticTasks(mix, 2*m, e.Seed+int64(rep)*307+int64(m))
-				fifo, err := e.runStatic(sched.FIFO{}, m, tasks)
+				tasks := batchTasks(workload.NewMixer(e.Seed+int64(rep)*307+int64(m)).Batch(mix, 2*m))
+				fifo, err := e.simulate("static", sched.FIFO{}, m, tasks, math.Inf(1))
 				if err != nil {
 					return nil, err
 				}
-				rt, err := e.runStatic(&sched.MIBS{
-					Scorer:   e.scorerFor(model.NLM, sched.MinRuntime, false),
+				rt, err := e.simulate("static", &sched.MIBS{
+					Scorer:   e.scorerFor(model.NLM, sched.MinRuntime),
 					QueueLen: len(tasks),
-				}, m, tasks)
+				}, m, tasks, math.Inf(1))
 				if err != nil {
 					return nil, err
 				}
-				io, err := e.runStatic(&sched.MIBS{
-					Scorer:   e.scorerFor(model.NLM, sched.MaxIOPS, false),
+				io, err := e.simulate("static", &sched.MIBS{
+					Scorer:   e.scorerFor(model.NLM, sched.MaxIOPS),
 					QueueLen: len(tasks),
-				}, m, tasks)
+				}, m, tasks, math.Inf(1))
 				if err != nil {
 					return nil, err
 				}

@@ -41,18 +41,18 @@ type dynPolicy struct {
 // and returns normalized throughputs.
 func (e *Env) runDynamicSet(policies []dynPolicy, machines int, lambda float64, mix workload.IOIntensity, horizon float64, seed int64) ([]DynamicCell, error) {
 	tasks := poissonTasks(mix, lambda, horizon, seed)
-	fifo, err := e.runDynamic(sched.FIFO{}, machines, tasks, horizon)
+	fifo, err := e.simulate("dynamic", sched.FIFO{}, machines, tasks, horizon)
 	if err != nil {
 		return nil, err
 	}
 	base := fifo.CompletedTasks()
 	var out []DynamicCell
 	for _, p := range policies {
-		s, err := newScheduler(p.policy, p.queue, e.scorerFor(model.NLM, sched.MinRuntime, false))
+		s, err := sched.New(p.policy, p.queue, e.scorerFor(model.NLM, sched.MinRuntime))
 		if err != nil {
 			return nil, err
 		}
-		res, err := e.runDynamic(s, machines, tasks, horizon)
+		res, err := e.simulate("dynamic", s, machines, tasks, horizon)
 		if err != nil {
 			return nil, err
 		}
@@ -90,70 +90,53 @@ var queuePolicies = []dynPolicy{
 // varying arrival rates λ on 64 machines over ten hours, for the three
 // I/O mixes.
 func Fig9(e *Env, lambdas []float64, horizonHours float64) (*DynamicResult, error) {
-	if len(lambdas) == 0 {
-		lambdas = []float64{2, 5, 10, 20, 50, 100}
-	}
-	if horizonHours <= 0 {
-		horizonHours = 10
-	}
-	res := &DynamicResult{Title: "Fig 9: normalized throughput vs λ (64 machines)", HorizonHours: horizonHours}
-	for _, mix := range []workload.IOIntensity{workload.LightIO, workload.MediumIO, workload.HeavyIO} {
-		for _, lam := range lambdas {
-			cells, err := e.runDynamicSet(fig9Policies, 64, lam, mix, horizonHours*3600, e.Seed+int64(lam*13))
-			if err != nil {
-				return nil, err
-			}
-			res.Cells = append(res.Cells, cells...)
-		}
-	}
-	return res, nil
+	return e.lambdaSweep("Fig 9: normalized throughput vs λ (64 machines)", fig9Policies, lambdas, horizonHours, 13)
 }
 
 // Fig10 reproduces Fig 10: MIBS queue lengths 2/4/8 vs λ.
 func Fig10(e *Env, lambdas []float64, horizonHours float64) (*DynamicResult, error) {
-	if len(lambdas) == 0 {
-		lambdas = []float64{2, 5, 10, 20, 50, 100}
-	}
-	if horizonHours <= 0 {
-		horizonHours = 10
-	}
-	res := &DynamicResult{Title: "Fig 10: MIBS queue lengths vs λ (64 machines)", HorizonHours: horizonHours}
-	for _, mix := range []workload.IOIntensity{workload.LightIO, workload.MediumIO, workload.HeavyIO} {
-		for _, lam := range lambdas {
-			cells, err := e.runDynamicSet(queuePolicies, 64, lam, mix, horizonHours*3600, e.Seed+int64(lam*17))
-			if err != nil {
-				return nil, err
-			}
-			res.Cells = append(res.Cells, cells...)
-		}
-	}
-	return res, nil
+	return e.lambdaSweep("Fig 10: MIBS queue lengths vs λ (64 machines)", queuePolicies, lambdas, horizonHours, 17)
 }
 
 // Fig11 reproduces Fig 11: scalability of MIBS8/MIOS/MIX8 at λ = 1000
 // tasks/minute for 8–1024 machines.
 func Fig11(e *Env, machines []int, horizonHours float64) (*DynamicResult, error) {
-	if len(machines) == 0 {
-		machines = []int{8, 64, 256, 1024}
-	}
-	if horizonHours <= 0 {
-		horizonHours = 10
-	}
-	const lambda = 1000
-	res := &DynamicResult{Title: "Fig 11: normalized throughput vs machines (λ=1000/min, medium mix)", HorizonHours: horizonHours}
-	for _, m := range machines {
-		cells, err := e.runDynamicSet(fig9Policies, m, lambda, workload.MediumIO, horizonHours*3600, e.Seed+int64(m))
-		if err != nil {
-			return nil, err
-		}
-		res.Cells = append(res.Cells, cells...)
-	}
-	return res, nil
+	return e.machineSweep("Fig 11: normalized throughput vs machines (λ=1000/min, medium mix)", fig9Policies, machines, horizonHours, 1)
 }
 
 // Fig12 reproduces Fig 12: MIBS queue lengths vs machine count at
 // λ = 1000 tasks/minute.
 func Fig12(e *Env, machines []int, horizonHours float64) (*DynamicResult, error) {
+	return e.machineSweep("Fig 12: MIBS queue lengths vs machines (λ=1000/min, medium mix)", queuePolicies, machines, horizonHours, 3)
+}
+
+// lambdaSweep runs the policies on 64 machines at each arrival rate
+// (default the paper's six) for the three I/O mixes, over horizonHours
+// (default 10). Each rate's arrivals are seeded by int64(λ·seedScale).
+func (e *Env) lambdaSweep(title string, policies []dynPolicy, lambdas []float64, horizonHours, seedScale float64) (*DynamicResult, error) {
+	if len(lambdas) == 0 {
+		lambdas = []float64{2, 5, 10, 20, 50, 100}
+	}
+	if horizonHours <= 0 {
+		horizonHours = 10
+	}
+	res := &DynamicResult{Title: title, HorizonHours: horizonHours}
+	for _, mix := range []workload.IOIntensity{workload.LightIO, workload.MediumIO, workload.HeavyIO} {
+		for _, lam := range lambdas {
+			cells, err := e.runDynamicSet(policies, 64, lam, mix, horizonHours*3600, e.Seed+int64(lam*seedScale))
+			if err != nil {
+				return nil, err
+			}
+			res.Cells = append(res.Cells, cells...)
+		}
+	}
+	return res, nil
+}
+
+// machineSweep runs the policies at λ = 1000 tasks/minute on the medium
+// mix for each cluster size (default 8–1024 machines), over horizonHours
+// (default 10). Each size's arrivals are seeded by machines·seedScale.
+func (e *Env) machineSweep(title string, policies []dynPolicy, machines []int, horizonHours float64, seedScale int64) (*DynamicResult, error) {
 	if len(machines) == 0 {
 		machines = []int{8, 64, 256, 1024}
 	}
@@ -161,9 +144,9 @@ func Fig12(e *Env, machines []int, horizonHours float64) (*DynamicResult, error)
 		horizonHours = 10
 	}
 	const lambda = 1000
-	res := &DynamicResult{Title: "Fig 12: MIBS queue lengths vs machines (λ=1000/min, medium mix)", HorizonHours: horizonHours}
+	res := &DynamicResult{Title: title, HorizonHours: horizonHours}
 	for _, m := range machines {
-		cells, err := e.runDynamicSet(queuePolicies, m, lambda, workload.MediumIO, horizonHours*3600, e.Seed+int64(m)*3)
+		cells, err := e.runDynamicSet(policies, m, lambda, workload.MediumIO, horizonHours*3600, e.Seed+int64(m)*seedScale)
 		if err != nil {
 			return nil, err
 		}

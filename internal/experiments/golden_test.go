@@ -8,8 +8,6 @@ import (
 	"os"
 	"strings"
 	"testing"
-
-	"tracon/internal/trace"
 )
 
 var exhibitsUpdate = flag.String("exhibits-update", "",
@@ -37,12 +35,12 @@ func TestExhibitsGolden(t *testing.T) {
 		if oc.Err != nil {
 			t.Fatalf("%s: %v", oc.Name, oc.Err)
 		}
-		tab, ok := oc.Result.(trace.Tabular)
+		tab, ok := oc.Result.(Tabular)
 		if !ok {
 			continue
 		}
 		var buf bytes.Buffer
-		if err := trace.Write(&buf, tab.Table()); err != nil {
+		if err := WriteCSV(&buf, tab.Table()); err != nil {
 			t.Fatal(err)
 		}
 		names = append(names, oc.Name)

@@ -170,7 +170,7 @@ func TestSuiteSelection(t *testing.T) {
 // paths of the -only/policy plumbing.
 func TestNewSchedulerTable(t *testing.T) {
 	e := testEnv(t)
-	scorer := e.scorerFor(model.NLM, sched.MinRuntime, false)
+	scorer := e.scorerFor(model.NLM, sched.MinRuntime)
 	cases := []struct {
 		policy  string
 		queue   int
@@ -209,7 +209,7 @@ func TestNewSchedulerTable(t *testing.T) {
 		{"", 0, true, nil},
 	}
 	for _, c := range cases {
-		s, err := newScheduler(c.policy, c.queue, scorer)
+		s, err := sched.New(c.policy, c.queue, scorer)
 		if c.wantErr {
 			if err == nil {
 				t.Errorf("policy %q: expected error, got %T", c.policy, s)
@@ -238,11 +238,11 @@ func TestTaskGeneratorsSeedStable(t *testing.T) {
 		make func(seed int64) interface{}
 	}
 	gens := []gen{
-		{"staticTasks", func(seed int64) interface{} {
-			return staticTasks(workload.MediumIO, 64, seed)
+		{"batchTasks/mix", func(seed int64) interface{} {
+			return batchTasks(workload.NewMixer(seed).Batch(workload.MediumIO, 64))
 		}},
-		{"uniformTasks", func(seed int64) interface{} {
-			return uniformTasks(64, seed)
+		{"batchTasks/uniform", func(seed int64) interface{} {
+			return batchTasks(workload.NewMixer(seed).UniformBatch(64))
 		}},
 		{"poissonTasks", func(seed int64) interface{} {
 			return poissonTasks(workload.HeavyIO, 30, 1800, seed)

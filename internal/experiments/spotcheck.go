@@ -3,9 +3,9 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"tracon/internal/model"
+	"tracon/internal/par"
 	"tracon/internal/sched"
 	"tracon/internal/sim"
 	"tracon/internal/workload"
@@ -39,71 +39,56 @@ func SpotCheck10k(e *Env, horizonHours float64) (*SpotCheckResult, error) {
 	horizon := horizonHours * 3600
 	tasks := poissonTasks(workload.MediumIO, lambda, horizon, e.Seed+101)
 
-	run := func(policy string, q int) (float64, error) {
-		routed := make([][]sched.Task, groups)
-		for i, t := range tasks {
-			routed[i%groups] = append(routed[i%groups], t)
-		}
-		totals := make([]float64, groups)
-		errs := make([]error, groups)
-		var wg sync.WaitGroup
-		for g := 0; g < groups; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				s, err := newScheduler(policy, q, e.scorerFor(model.NLM, sched.MinRuntime, false))
-				if err != nil {
-					errs[g] = err
-					return
-				}
-				eng, err := sim.NewEngine(sim.Config{
-					Machines:    machines / groups,
-					Scheduler:   s,
-					Table:       e.Table,
-					DropRecords: true,
-					Observer:    e.observer("spotcheck", s.Name(), machines/groups, routed[g]),
-					Tracer:      e.tracer("spotcheck", s.Name(), machines/groups, routed[g]),
-					Faults:      e.faults("spotcheck", s.Name(), machines/groups, routed[g]),
-				})
-				if err != nil {
-					errs[g] = err
-					return
-				}
-				res, err := eng.Run(routed[g], horizon)
-				if err != nil {
-					errs[g] = err
-					return
-				}
-				totals[g] = res.CompletedTasks()
-			}(g)
-		}
-		wg.Wait()
-		total := 0.0
-		for g := 0; g < groups; g++ {
-			if errs[g] != nil {
-				return 0, errs[g]
-			}
-			total += totals[g]
-		}
-		return total, nil
-	}
-
-	fifo, err := run("fifo", 1)
+	fifo, err := e.hierarchy("fifo", 1, machines, groups, tasks, horizon)
 	if err != nil {
 		return nil, err
 	}
-	mibs, err := run("mibs", 8)
+	mibs, err := e.hierarchy("mibs", 8, machines, groups, tasks, horizon)
 	if err != nil {
 		return nil, err
 	}
 	res := &SpotCheckResult{
 		Machines: machines, Lambda: lambda, Groups: groups,
-		HorizonHours: horizonHours, FIFO: fifo, MIBS8: mibs,
+		HorizonHours: horizonHours, FIFO: completed(fifo), MIBS8: completed(mibs),
 	}
-	if fifo > 0 {
-		res.Normalized = mibs / fifo
+	if res.FIFO > 0 {
+		res.Normalized = res.MIBS8 / res.FIFO
 	}
 	return res, nil
+}
+
+// hierarchy is the manager-server hierarchy of Sec. 3: the machines split
+// evenly into groups, the root manager routes tasks round-robin, and each
+// group is scheduled by its own instance of the policy over the NLM
+// runtime scorer. Groups simulate on up to the Env's worker count of
+// goroutines; results come back in group order.
+func (e *Env) hierarchy(policy string, q, machines, groups int, tasks []sched.Task, horizon float64) ([]*sim.Results, error) {
+	routed := make([][]sched.Task, groups)
+	for i, t := range tasks {
+		routed[i%groups] = append(routed[i%groups], t)
+	}
+	out := make([]*sim.Results, groups)
+	err := par.ForEach(e.workers, groups, func(g int) error {
+		s, err := sched.New(policy, q, e.scorerFor(model.NLM, sched.MinRuntime))
+		if err != nil {
+			return err
+		}
+		out[g], err = e.simulate("spotcheck", s, machines/groups, routed[g], horizon)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// completed sums the groups' completed-task counts.
+func completed(groups []*sim.Results) float64 {
+	total := 0.0
+	for _, r := range groups {
+		total += r.CompletedTasks()
+	}
+	return total
 }
 
 // String renders the spot check.

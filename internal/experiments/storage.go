@@ -78,35 +78,22 @@ func storageRow(e *Env, dev xen.DiskParams) (StorageRow, error) {
 	if err != nil {
 		return StorageRow{}, err
 	}
-	oracle := model.NewOracle(tb, specs)
+	// The device's simulations run with the Env's hooks over its own table.
+	de := *e
+	de.Table = table
+	scorer := sched.NewScorer(model.NewOracle(tb, specs), sched.MinRuntime)
 
 	var fifoRT, mibsRT, fifoE, mibsE float64
 	for seed := int64(1); seed <= 4; seed++ {
-		tasks := staticTasks(workload.MediumIO, 32, e.Seed+seed*211)
-		run := func(s sched.Scheduler) (*sim.Results, error) {
-			eng, err := sim.NewEngine(sim.Config{
-				Machines:  16,
-				Scheduler: s,
-				Table:     table,
-				// The device name keys the label: the task stream and cluster
-				// size repeat across devices, only the table differs.
-				Observer: e.observer("storage-"+dev.Name, s.Name(), 16, tasks),
-				Tracer:   e.tracer("storage-"+dev.Name, s.Name(), 16, tasks),
-				Faults:   e.faults("storage-"+dev.Name, s.Name(), 16, tasks),
-			})
-			if err != nil {
-				return nil, err
-			}
-			return eng.Run(tasks, math.Inf(1))
-		}
-		fifo, err := run(sched.FIFO{})
+		tasks := batchTasks(workload.NewMixer(e.Seed+seed*211).Batch(workload.MediumIO, 32))
+		// The device name keys the observability label: the task stream
+		// and cluster size repeat across devices, only the table differs.
+		kind := "storage-" + dev.Name
+		fifo, err := de.simulate(kind, sched.FIFO{}, 16, tasks, math.Inf(1))
 		if err != nil {
 			return StorageRow{}, err
 		}
-		mibs, err := run(&sched.MIBS{
-			Scorer:   sched.NewScorer(oracle, sched.MinRuntime),
-			QueueLen: len(tasks),
-		})
+		mibs, err := de.simulate(kind, &sched.MIBS{Scorer: scorer, QueueLen: len(tasks)}, 16, tasks, math.Inf(1))
 		if err != nil {
 			return StorageRow{}, err
 		}

@@ -5,7 +5,7 @@ import (
 )
 
 // DriftDetector watches a stream of prediction errors and reports when the
-// model has stopped describing reality (a mean shift or a variance surge —
+// model has stopped describing reality (a mean shift of the error —
 // the "predefined events" of Sec. 3.1). The monitor package provides the
 // implementation; the interface lives here so the adaptive model does not
 // depend on it.

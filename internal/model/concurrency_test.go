@@ -1,6 +1,7 @@
 package model
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -146,4 +147,38 @@ func mustSpec(t *testing.T, name string) xen.AppSpec {
 		t.Fatal(err)
 	}
 	return b.Spec
+}
+
+// TestProfileAllWorkerCountInvariant: the bring-up's profiling stage
+// returns the same training sets and solo profiles, in target order, at
+// one, two and eight workers.
+func TestProfileAllWorkerCountInvariant(t *testing.T) {
+	_, tb := fixture(t)
+	var targets, bgs []xen.AppSpec
+	for _, b := range workload.Benchmarks() {
+		targets = append(targets, b.Spec)
+	}
+	for i, w := range workload.ProfilingWorkloads(tb.Host().Config().Disk) {
+		if i%5 == 0 { // a fifth of the grid keeps the test quick
+			bgs = append(bgs, w.Spec)
+		}
+	}
+	wantSets, wantSolos, err := ProfileAll(tb, targets, bgs, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, ts := range wantSets {
+		if ts.App != targets[i].Name {
+			t.Fatalf("set %d is %q, want %q", i, ts.App, targets[i].Name)
+		}
+	}
+	for _, workers := range []int{2, 8} {
+		sets, solos, err := ProfileAll(tb, targets, bgs, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(sets, wantSets) || !reflect.DeepEqual(solos, wantSolos) {
+			t.Fatalf("ProfileAll at %d workers differs from the sequential profile", workers)
+		}
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"sync"
 
+	"tracon/internal/par"
 	"tracon/internal/xen"
 )
 
@@ -230,21 +231,50 @@ func (l *Library) corunnerFeaturesLocked(corunner string) ([]float64, error) {
 
 // BuildLibrary profiles and trains models for every target application
 // against the given background workloads — the full TRACON bring-up
-// pipeline. This is the expensive call (apps × backgrounds measurements);
-// experiments build one library per model family and reuse it.
+// pipeline, run sequentially. This is the expensive call (apps ×
+// backgrounds measurements); experiments build one library per model
+// family and reuse it.
 func BuildLibrary(tb *xen.Testbed, targets []xen.AppSpec, backgrounds []xen.AppSpec, k Kind) (*Library, error) {
+	sets, solos, err := ProfileAll(tb, targets, backgrounds, 1)
+	if err != nil {
+		return nil, err
+	}
+	return TrainLibrary(k, sets, solos)
+}
+
+// ProfileAll is the profiling stage of the bring-up: each target against
+// every background, plus its solo profile. Training sets and solos come
+// back indexed like targets. Up to workers targets are measured at once,
+// each on its own clone of tb; the testbed's noise is key-addressed, so
+// the result is the same at any worker count.
+func ProfileAll(tb *xen.Testbed, targets, backgrounds []xen.AppSpec, workers int) ([]*TrainingSet, []xen.SoloProfile, error) {
+	sets := make([]*TrainingSet, len(targets))
+	solos := make([]xen.SoloProfile, len(targets))
+	err := par.ForEach(workers, len(targets), func(i int) error {
+		wtb := tb.Clone()
+		ts, err := (&Profiler{TB: wtb}).Profile(targets[i], backgrounds)
+		if err != nil {
+			return err
+		}
+		solo, err := wtb.ProfileSolo(targets[i])
+		if err != nil {
+			return err
+		}
+		sets[i], solos[i] = ts, solo
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return sets, solos, nil
+}
+
+// TrainLibrary fits family k to each profiled application; solos[i] is
+// sets[i]'s solo profile.
+func TrainLibrary(k Kind, sets []*TrainingSet, solos []xen.SoloProfile) (*Library, error) {
 	lib := NewLibrary(k)
-	prof := &Profiler{TB: tb}
-	for _, t := range targets {
-		ts, err := prof.Profile(t, backgrounds)
-		if err != nil {
-			return nil, err
-		}
-		solo, err := tb.ProfileSolo(t)
-		if err != nil {
-			return nil, err
-		}
-		if err := lib.Add(ts, solo); err != nil {
+	for i, ts := range sets {
+		if err := lib.Add(ts, solos[i]); err != nil {
 			return nil, err
 		}
 	}

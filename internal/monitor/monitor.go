@@ -2,7 +2,7 @@
 // it observes the four Table 2 application characteristics the way xentop
 // and iostat would (noisy, sampled, aggregated in Dom0), maintains running
 // per-application estimates, and watches model prediction errors for the
-// drift events — a significant mean shift or a variance surge — that
+// drift events — a significant shift of the mean prediction error — that
 // trigger online model rebuilds (Sec. 3.1).
 package monitor
 

@@ -106,29 +106,6 @@ func TestDetectorFiresOnMeanShift(t *testing.T) {
 	}
 }
 
-func TestDetectorFiresOnVarianceSurge(t *testing.T) {
-	d := NewDetector(DriftConfig{MinMeanShift: 10}) // disable the mean path
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 100; i++ {
-		d.Observe(0.1 + rng.Float64()*0.02)
-	}
-	fired := false
-	for i := 0; i < 60; i++ {
-		// Same-ish mean, huge spread.
-		e := 0.11 + rng.NormFloat64()*0.4
-		if e < 0 {
-			e = -e
-		}
-		if d.Observe(e) {
-			fired = true
-			break
-		}
-	}
-	if !fired {
-		t.Fatal("detector missed a variance surge")
-	}
-}
-
 func TestDetectorResetRestartsBaseline(t *testing.T) {
 	d := NewDetector(DriftConfig{})
 	rng := rand.New(rand.NewSource(4))

@@ -570,3 +570,37 @@ func TestMeanPairOverWeightsCounts(t *testing.T) {
 		t.Fatalf("mean of an app outside the batch = %v", p.mean[mid])
 	}
 }
+
+// TestNewPolicies: sched.New builds each of the four policies by name over
+// the given scorer and queue length, and rejects any other name.
+func TestNewPolicies(t *testing.T) {
+	scorer := newScorer(MinRuntime)
+	cases := []struct {
+		policy string
+		queue  int
+		want   string // Name() of the built scheduler; "" means an error
+	}{
+		{"fifo", 0, "FIFO"},
+		{"mios", 0, "MIOSRT"},
+		{"mibs", 8, "MIBS8-RT"},
+		{"mix", 4, "MIX4-RT"},
+		{"MIBS", 8, ""},
+		{"", 0, ""},
+	}
+	for _, c := range cases {
+		s, err := New(c.policy, c.queue, scorer)
+		if c.want == "" {
+			if err == nil {
+				t.Errorf("New(%q) built %s, want an error", c.policy, s.Name())
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("New(%q): %v", c.policy, err)
+			continue
+		}
+		if s.Name() != c.want {
+			t.Errorf("New(%q).Name() = %q, want %q", c.policy, s.Name(), c.want)
+		}
+	}
+}

@@ -4,6 +4,24 @@ import (
 	"fmt"
 )
 
+// New builds the named policy: "fifo", "mios", "mibs" or "mix". queueLen
+// is the batch length of mibs and mix; scorer is shared by the three
+// interference-aware policies and ignored by fifo.
+func New(policy string, queueLen int, scorer *Scorer) (Scheduler, error) {
+	switch policy {
+	case "fifo":
+		return FIFO{}, nil
+	case "mios":
+		return &MIOS{Scorer: scorer}, nil
+	case "mibs":
+		return &MIBS{Scorer: scorer, QueueLen: queueLen}, nil
+	case "mix":
+		return &MIX{Scorer: scorer, QueueLen: queueLen}, nil
+	default:
+		return nil, fmt.Errorf("sched: unknown policy %q", policy)
+	}
+}
+
 // FIFO is the paper's baseline: tasks go to free VMs in first-in,
 // first-out order, with no regard for interference.
 type FIFO struct{}

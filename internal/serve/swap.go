@@ -46,9 +46,16 @@ type ModelView struct {
 }
 
 // NewModelSet builds the initial generation over lib. policy is one of
-// "fifo", "mios", "mibs", "mix" (queueLen applies to the batch policies);
-// cache may be nil to score without memoization.
+// "fifo", "mios" (the default, when empty), "mibs", "mix"; queueLen
+// applies to the batch policies and defaults to 4. cache may be nil to
+// score without memoization.
 func NewModelSet(lib *model.Library, policy string, queueLen int, objective sched.Objective, cache *PredCache) (*ModelSet, error) {
+	if policy == "" {
+		policy = "mios"
+	}
+	if queueLen <= 0 {
+		queueLen = 4
+	}
 	ms := &ModelSet{
 		policy:    policy,
 		queueLen:  queueLen,
@@ -75,7 +82,7 @@ func (ms *ModelSet) install(lib *model.Library, gen uint64) error {
 		pred = cp
 	}
 	scorer := sched.NewScorer(pred, ms.objective)
-	scheduler, err := buildScheduler(ms.policy, ms.queueLen, scorer)
+	scheduler, err := sched.New(ms.policy, ms.queueLen, scorer)
 	if err != nil {
 		return err
 	}
@@ -143,25 +150,6 @@ func (ms *ModelSet) Kind() model.Kind {
 	ms.mu.RLock()
 	defer ms.mu.RUnlock()
 	return ms.lib.Kind
-}
-
-// buildScheduler constructs the named policy over a scorer.
-func buildScheduler(policy string, queueLen int, scorer *sched.Scorer) (sched.Scheduler, error) {
-	if queueLen <= 0 {
-		queueLen = 4
-	}
-	switch policy {
-	case "fifo":
-		return sched.FIFO{}, nil
-	case "", "mios":
-		return &sched.MIOS{Scorer: scorer}, nil
-	case "mibs":
-		return &sched.MIBS{Scorer: scorer, QueueLen: queueLen}, nil
-	case "mix":
-		return &sched.MIX{Scorer: scorer, QueueLen: queueLen}, nil
-	default:
-		return nil, fmt.Errorf("serve: unknown policy %q", policy)
-	}
 }
 
 // Retrainer produces a fresh library for a hot-swap. recent holds the

@@ -80,8 +80,8 @@ func Percentile(sorted []float64, p float64) float64 {
 }
 
 // Welford maintains running mean and variance in a single pass. The
-// monitor's drift detector uses two of these (baseline window vs current
-// window) to spot mean shifts and variance surges (Sec. 3.1).
+// monitor's drift detector keeps its error baseline in one, to spot mean
+// shifts (Sec. 3.1).
 type Welford struct {
 	n    int
 	mean float64

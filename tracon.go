@@ -367,29 +367,8 @@ func (s *System) RunStaticMix(p Policy, machines int, apps []string, mix Mix) (R
 	for i, a := range apps {
 		tasks[i] = sched.Task{ID: int64(i), App: a}
 	}
-	spec, err := s.schedulerSpec(p)
-	if err != nil {
-		return Report{}, err
-	}
-	// Static scheduling considers the whole list as one batch.
-	if spec.Policy == "mibs" || spec.Policy == "mix" {
-		spec.QueueLen = len(tasks)
-	}
-	res, err := s.ctrl.Simulate(spec, machines, tasks, math.Inf(1))
-	if err != nil {
-		return Report{}, err
-	}
-	return Report{
-		Scheduler:    res.Scheduler,
-		Machines:     machines,
-		Submitted:    res.Submitted,
-		Completed:    res.CompletedCount,
-		TotalRuntime: res.TotalRuntime,
-		TotalIOPS:    res.TotalIOPS,
-		MeanRuntime:  res.MeanRuntime(),
-		MeanWait:     res.MeanWait(),
-		Horizon:      res.Horizon,
-	}, nil
+	rep, _, err := s.simulate(p, machines, tasks, math.Inf(1))
+	return rep, err
 }
 
 // RunDynamic runs the dynamic-workload scenario (Sec. 4.7): Poisson
@@ -410,25 +389,8 @@ func (s *System) RunDynamic(p Policy, machines int, lambda, horizonHours float64
 	for i, tm := range times {
 		tasks[i] = sched.Task{ID: int64(i), App: workload.BaseName(mixer.Draw(m).Spec.Name), Arrival: tm}
 	}
-	spec, err := s.schedulerSpec(p)
-	if err != nil {
-		return Report{}, err
-	}
-	res, err := s.ctrl.Simulate(spec, machines, tasks, horizon)
-	if err != nil {
-		return Report{}, err
-	}
-	return Report{
-		Scheduler:    res.Scheduler,
-		Machines:     machines,
-		Submitted:    res.Submitted,
-		Completed:    res.CompletedCount,
-		TotalRuntime: res.TotalRuntime,
-		TotalIOPS:    res.TotalIOPS,
-		MeanRuntime:  res.MeanRuntime(),
-		MeanWait:     res.MeanWait(),
-		Horizon:      res.Horizon,
-	}, nil
+	rep, _, err := s.simulate(p, machines, tasks, horizon)
+	return rep, err
 }
 
 // WorkflowTask is one stage of a data-intensive scientific workflow: an
@@ -472,14 +434,21 @@ func (s *System) RunWorkflow(p Policy, machines int, stages []WorkflowTask) (Rep
 		}
 		tasks[i] = t
 	}
+	return s.simulate(p, machines, tasks, math.Inf(1))
+}
+
+// simulate runs tasks on the cluster under p until the horizon and
+// summarizes the run; it also returns the last completion time. A static
+// run (an infinite horizon) schedules the whole task list as one batch.
+func (s *System) simulate(p Policy, machines int, tasks []sched.Task, horizon float64) (Report, float64, error) {
 	spec, err := s.schedulerSpec(p)
 	if err != nil {
 		return Report{}, 0, err
 	}
-	if spec.Policy == "mibs" || spec.Policy == "mix" {
+	if math.IsInf(horizon, 1) && (spec.Policy == "mibs" || spec.Policy == "mix") {
 		spec.QueueLen = len(tasks)
 	}
-	res, err := s.ctrl.Simulate(spec, machines, tasks, math.Inf(1))
+	res, err := s.ctrl.Simulate(spec, machines, tasks, horizon)
 	if err != nil {
 		return Report{}, 0, err
 	}
