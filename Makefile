@@ -104,16 +104,18 @@ cover:
 
 # The repository benchmark's self-tests (bench/ is its own module, so
 # `go test ./...` does not see them; about a second) and one iteration of
-# the serve-layer, scheduler and simulator Go benchmarks, so they cannot
-# rot. Their deterministic halves, allocations per submit → complete cycle,
-# per Schedule call and per simulated task, are tier-1 tests:
-# TestPlacerSubmitCompleteAllocs in internal/serve, TestScheduleAllocs in
-# internal/sched and TestRunAllocsPerTask in internal/sim.
+# the serve-layer, scheduler, simulator and bring-up Go benchmarks, so they
+# cannot rot. Their deterministic halves, allocations per submit → complete
+# cycle, per Schedule call, per simulated task and per profiling sweep, are
+# tier-1 tests: TestPlacerSubmitCompleteAllocs in internal/serve,
+# TestScheduleAllocs in internal/sched, TestRunAllocsPerTask in internal/sim
+# and TestProfileAllAllocs in internal/model.
 bench-test:
 	$(GO) test -C bench . -count=1
 	$(GO) test ./internal/serve -run '^$$' -bench BenchmarkPlacerSubmitComplete -benchtime 1x
 	$(GO) test ./internal/sched -run '^$$' -bench BenchmarkSchedule -benchtime 1x
 	$(GO) test ./internal/sim -run '^$$' -bench BenchmarkEngineRun -benchtime 1x
+	$(GO) test ./internal/model -run '^$$' -bench 'BenchmarkProfileAll|BenchmarkTrainLibrary' -benchtime 1x
 
 # Regenerate the paper exhibits through the benchmark harness.
 bench:

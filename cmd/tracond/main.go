@@ -350,7 +350,7 @@ type trainer struct {
 
 // trainLibrary runs the full bring-up pipeline: profile each Table 3
 // benchmark against the 125-point synthetic grid, on up to GOMAXPROCS
-// testbed clones at once, and fit the family.
+// testbed clones at once, and fit the family one app per core.
 func trainLibrary(kind model.Kind, seed int64) (*trainer, error) {
 	host, err := xen.NewHost(xen.DefaultHost())
 	if err != nil {
@@ -368,7 +368,7 @@ func trainLibrary(kind model.Kind, seed int64) (*trainer, error) {
 	if err != nil {
 		return nil, err
 	}
-	lib, err := model.TrainLibrary(kind, sets, solos)
+	lib, err := model.TrainLibrary(kind, sets, solos, runtime.GOMAXPROCS(0))
 	if err != nil {
 		return nil, err
 	}

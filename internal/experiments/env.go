@@ -144,7 +144,7 @@ func NewEnvParallel(seed int64, workers int) (*Env, error) {
 	// one job while it trains.
 	libs := make([]*model.Library, len(envLibraryKinds))
 	err = par.ForEach(workers, len(envLibraryKinds), func(i int) error {
-		lib, err := model.TrainLibrary(envLibraryKinds[i], sets, solos)
+		lib, err := model.TrainLibrary(envLibraryKinds[i], sets, solos, 1)
 		libs[i] = lib
 		return err
 	})

@@ -239,7 +239,7 @@ func BuildLibrary(tb *xen.Testbed, targets []xen.AppSpec, backgrounds []xen.AppS
 	if err != nil {
 		return nil, err
 	}
-	return TrainLibrary(k, sets, solos)
+	return TrainLibrary(k, sets, solos, 1)
 }
 
 // ProfileAll is the profiling stage of the bring-up: each target against
@@ -269,14 +269,17 @@ func ProfileAll(tb *xen.Testbed, targets, backgrounds []xen.AppSpec, workers int
 	return sets, solos, nil
 }
 
-// TrainLibrary fits family k to each profiled application; solos[i] is
-// sets[i]'s solo profile.
-func TrainLibrary(k Kind, sets []*TrainingSet, solos []xen.SoloProfile) (*Library, error) {
+// TrainLibrary fits family k to each profiled application, up to workers
+// apps at once; solos[i] is sets[i]'s solo profile. Each fit reads only its
+// own set, so the library is the same at any worker count. If any fit
+// fails, the lowest-indexed failure is returned and no library.
+func TrainLibrary(k Kind, sets []*TrainingSet, solos []xen.SoloProfile, workers int) (*Library, error) {
 	lib := NewLibrary(k)
-	for i, ts := range sets {
-		if err := lib.Add(ts, solos[i]); err != nil {
-			return nil, err
-		}
+	err := par.ForEach(workers, len(sets), func(i int) error {
+		return lib.Add(sets[i], solos[i])
+	})
+	if err != nil {
+		return nil, err
 	}
 	return lib, nil
 }

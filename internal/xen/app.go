@@ -79,11 +79,11 @@ func (a AppSpec) Validate() error {
 }
 
 // TotalOps returns the total number of I/O requests of a finite app.
-func (a AppSpec) TotalOps() float64 { return a.ReadOps + a.WriteOps }
+func (a *AppSpec) TotalOps() float64 { return a.ReadOps + a.WriteOps }
 
 // ReadFraction returns the share of reads in the app's I/O mix (0.5 for an
 // app with no I/O, which keeps downstream arithmetic well-defined).
-func (a AppSpec) ReadFraction() float64 {
+func (a *AppSpec) ReadFraction() float64 {
 	if a.Endless {
 		tot := a.TargetReadRate + a.TargetWriteRate
 		if tot == 0 {
@@ -99,7 +99,7 @@ func (a AppSpec) ReadFraction() float64 {
 }
 
 // depth returns the I/O queue depth, defaulting to 1 (synchronous).
-func (a AppSpec) depth() float64 {
+func (a *AppSpec) depth() float64 {
 	if a.MaxIODepth < 1 {
 		return 1
 	}

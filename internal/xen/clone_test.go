@@ -39,46 +39,3 @@ func TestCloneReproducesMeasurements(t *testing.T) {
 		t.Error("clone changed the seed")
 	}
 }
-
-func TestWithSeedChangesNoiseStream(t *testing.T) {
-	h, err := NewHost(DefaultHost())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb := NewTestbed(h, 3, 0.05, 7)
-	a, err := tb.MeasureAgainstBackground(cloneApp(), cloneBG())
-	if err != nil {
-		t.Fatal(err)
-	}
-	other := tb.WithSeed(8)
-	if other.Seed() != 8 {
-		t.Fatalf("WithSeed seed = %d", other.Seed())
-	}
-	b, err := other.MeasureAgainstBackground(cloneApp(), cloneBG())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a == b {
-		t.Error("different seeds produced identical noisy measurements")
-	}
-	// Same derived seed → same measurement again.
-	c, err := tb.WithSeed(8).MeasureAgainstBackground(cloneApp(), cloneBG())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b != c {
-		t.Errorf("same seed gave %+v then %+v", b, c)
-	}
-}
-
-func TestDeriveSeed(t *testing.T) {
-	if DeriveSeed(1, "fig9") != DeriveSeed(1, "fig9") {
-		t.Error("DeriveSeed is not deterministic")
-	}
-	if DeriveSeed(1, "fig9") == DeriveSeed(1, "fig10") {
-		t.Error("distinct labels must derive distinct seeds")
-	}
-	if DeriveSeed(1, "fig9") == DeriveSeed(2, "fig9") {
-		t.Error("distinct bases must derive distinct seeds")
-	}
-}

@@ -3,6 +3,7 @@ package xen
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -270,6 +271,152 @@ func TestWaterfillProperties(t *testing.T) {
 	}
 }
 
+// waterfill is waterfillInto on fresh buffers.
+func waterfill(demands []float64, capacity float64) []float64 {
+	alloc := make([]float64, len(demands))
+	waterfillInto(alloc, make([]int, len(demands)), demands, capacity)
+	return alloc
+}
+
+// waterfillSortSlice is the water-fill as it was written before the solve
+// stopped allocating: fresh buffers and sort.Slice. It is the reference
+// waterfillInto must reproduce bit for bit.
+func waterfillSortSlice(demands []float64, capacity float64) []float64 {
+	n := len(demands)
+	alloc := make([]float64, n)
+	if n == 0 || capacity <= 0 {
+		return alloc
+	}
+	type entry struct {
+		d float64
+		i int
+	}
+	order := make([]entry, n)
+	for i, d := range demands {
+		order[i] = entry{d: d, i: i}
+	}
+	sort.Slice(order, func(a, b int) bool { return order[a].d < order[b].d })
+	remaining := capacity
+	left := n
+	for _, e := range order {
+		share := remaining / float64(left)
+		give := e.d
+		if give > share {
+			give = share
+		}
+		alloc[e.i] = give
+		remaining -= give
+		left--
+	}
+	return alloc
+}
+
+// TestWaterfillIntoMatchesReference: on random inputs of 1–16 entries,
+// with ties, zeros, non-positive capacity and capacity above the total
+// demand, waterfillInto gives the reference's shares bit for bit, on
+// buffers left dirty by the previous input.
+func TestWaterfillIntoMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	alloc := make([]float64, 16)
+	order := make([]int, 16)
+	for c := 0; c < 10000; c++ {
+		n := 1 + rng.Intn(16)
+		levels := 1 + rng.Intn(n) // few levels force ties
+		demands := make([]float64, n)
+		total := 0.0
+		for i := range demands {
+			switch rng.Intn(4) {
+			case 0:
+				demands[i] = 0
+			case 1:
+				demands[i] = float64(rng.Intn(levels)) / float64(levels)
+			default:
+				demands[i] = rng.Float64() * 2
+			}
+			total += demands[i]
+		}
+		var capacity float64
+		switch rng.Intn(4) {
+		case 0:
+			capacity = -rng.Float64() * float64(rng.Intn(2))
+		case 1:
+			capacity = total + rng.Float64()
+		default:
+			capacity = rng.Float64() * total
+		}
+		want := waterfillSortSlice(demands, capacity)
+		for i := range alloc {
+			alloc[i] = math.NaN()
+		}
+		waterfillInto(alloc[:n], order[:n], demands, capacity)
+		for i := range want {
+			if math.Float64bits(alloc[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("case %d: waterfillInto(%v, %v) = %v, reference %v", c, demands, capacity, alloc[:n], want)
+			}
+		}
+	}
+}
+
+// TestSteadyAllocs: one 2-app solve allocates its working vectors, its
+// sort scratch and its result, and nothing per iteration, so the count
+// does not move with MaxIters.
+func TestSteadyAllocs(t *testing.T) {
+	apps := []AppSpec{seqReader("a"), ioHogBG("b")}
+	var counts []float64
+	for _, iters := range []int{10, 3000} {
+		cfg := DefaultHost()
+		cfg.MaxIters = iters
+		h, err := NewHost(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := testing.AllocsPerRun(50, func() {
+			if _, err := h.Steady(apps); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("MaxIters %d: %.0f allocs per Steady", iters, got)
+		if got > 3 {
+			t.Errorf("MaxIters %d: %.0f allocs per Steady, ceiling 3", iters, got)
+		}
+		counts = append(counts, got)
+	}
+	if counts[0] != counts[1] {
+		t.Errorf("allocs per Steady moved with MaxIters: %v", counts)
+	}
+}
+
+// TestSteadyNoStaleState: a solve returns the same bits whatever was
+// solved before it, including a finite app with no I/O, whose desired
+// request rate must not carry over.
+func TestSteadyNoStaleState(t *testing.T) {
+	h := newTestHost(t)
+	cpuOnly := AppSpec{Name: "cpu", CPUSeconds: 10, ReqSizeKB: 4}
+	for _, apps := range [][]AppSpec{
+		{seqReader("a"), ioHogBG("b")},
+		{cpuOnly, seqReader("a")},
+		{seqReader("a"), cpuOnly},
+		{cpuOnly},
+	} {
+		first, err := h.Steady(apps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.Steady([]AppSpec{ioHogBG("x"), seqReader("y"), cpuHog("z", 0.7)}); err != nil {
+			t.Fatal(err)
+		}
+		again, err := h.Steady(apps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range first {
+			if first[i] != again[i] {
+				t.Fatalf("%s: %+v after another solve, %+v before", apps[i].Name, again[i], first[i])
+			}
+		}
+	}
+}
+
 func TestSteadyDeterministic(t *testing.T) {
 	h := newTestHost(t)
 	apps := []AppSpec{seqReader("a"), ioHogBG("b")}
@@ -376,7 +523,7 @@ func TestReadFraction(t *testing.T) {
 	if got := a.ReadFraction(); math.Abs(got-0.75) > 1e-12 {
 		t.Fatalf("ReadFraction = %v", got)
 	}
-	if got := (AppSpec{}).ReadFraction(); got != 0.5 {
+	if got := (&AppSpec{}).ReadFraction(); got != 0.5 {
 		t.Fatalf("no-IO ReadFraction = %v want 0.5", got)
 	}
 	e := AppSpec{Endless: true, TargetReadRate: 10, TargetWriteRate: 30}

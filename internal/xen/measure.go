@@ -81,25 +81,6 @@ func (tb *Testbed) Clone() *Testbed {
 	return &c
 }
 
-// WithSeed returns a clone whose noise stream is driven by the given seed.
-// Use DeriveSeed to obtain well-separated per-worker or per-experiment
-// seeds from a base seed.
-func (tb *Testbed) WithSeed(seed int64) *Testbed {
-	c := *tb
-	c.seed = seed
-	return &c
-}
-
-// DeriveSeed deterministically derives an independent seed from a base seed
-// and a label (e.g. a worker's experiment name). Distinct labels give
-// well-separated streams; the same (base, label) pair always gives the same
-// seed, so parallel runs that partition work by label stay reproducible.
-func DeriveSeed(base int64, label string) int64 {
-	h := fnv.New64a()
-	h.Write([]byte(label))
-	return base ^ int64(h.Sum64())
-}
-
 // ProfileSolo measures an application running alone (the other VM idle).
 func (tb *Testbed) ProfileSolo(app AppSpec) (SoloProfile, error) {
 	st, err := tb.host.Steady([]AppSpec{app})
@@ -130,65 +111,6 @@ func (tb *Testbed) MeasureAgainstBackground(target, bg AppSpec) (Measurement, er
 		return Measurement{}, err
 	}
 	return tb.noisy(target.Name+"|"+bg.Name, st[0].Runtime, st[0].IOPS), nil
-}
-
-// PairResult reports a full co-run of two finite applications started
-// together: each runs under contention until the shorter finishes, then the
-// survivor continues alone.
-type PairResult struct {
-	RuntimeA, RuntimeB float64
-	IOPSA, IOPSB       float64 // average over each app's own runtime
-}
-
-// MeasurePair runs two finite applications to completion, phase-wise.
-func (tb *Testbed) MeasurePair(a, b AppSpec) (PairResult, error) {
-	if a.Endless || b.Endless {
-		return PairResult{}, fmt.Errorf("xen: MeasurePair requires finite apps")
-	}
-	st, err := tb.host.Steady([]AppSpec{a, b})
-	if err != nil {
-		return PairResult{}, err
-	}
-	soloA, err := tb.host.Steady([]AppSpec{a})
-	if err != nil {
-		return PairResult{}, err
-	}
-	soloB, err := tb.host.Steady([]AppSpec{b})
-	if err != nil {
-		return PairResult{}, err
-	}
-
-	// Phase 1: both run at contended rates until the first completion.
-	// Work is measured in solo-seconds; progress rate is 1/slowdown.
-	workA, workB := soloA[0].Runtime, soloB[0].Runtime
-	rateA, rateB := st[0].ProgressRate, st[1].ProgressRate
-	doneA, doneB := workA/rateA, workB/rateB
-
-	var rtA, rtB float64
-	if doneA <= doneB {
-		rtA = doneA
-		// B finishes the remaining work alone.
-		remaining := workB - rateB*doneA
-		rtB = doneA + remaining
-	} else {
-		rtB = doneB
-		remaining := workA - rateA*doneB
-		rtA = doneB + remaining
-	}
-
-	res := PairResult{RuntimeA: rtA, RuntimeB: rtB}
-	if rtA > 0 {
-		res.IOPSA = a.TotalOps() / rtA
-	}
-	if rtB > 0 {
-		res.IOPSB = b.TotalOps() / rtB
-	}
-
-	mA := tb.noisy("pair:"+a.Name+"|"+b.Name+":A", res.RuntimeA, res.IOPSA)
-	mB := tb.noisy("pair:"+a.Name+"|"+b.Name+":B", res.RuntimeB, res.IOPSB)
-	res.RuntimeA, res.IOPSA = mA.Runtime, mA.IOPS
-	res.RuntimeB, res.IOPSB = mB.Runtime, mB.IOPS
-	return res, nil
 }
 
 // noisy applies tb.runs repetitions of multiplicative Gaussian noise and

@@ -98,55 +98,6 @@ func TestMoreRunsReduceNoise(t *testing.T) {
 	}
 }
 
-func TestMeasurePairSymmetricApps(t *testing.T) {
-	tb := newTestbedT(t, 1, 0)
-	a := seqReader("a")
-	b := seqReader("b")
-	res, err := tb.MeasurePair(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res.RuntimeA-res.RuntimeB)/res.RuntimeA > 0.02 {
-		t.Fatalf("identical apps should finish together: %v vs %v", res.RuntimeA, res.RuntimeB)
-	}
-	solo, err := tb.ProfileSolo(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.RuntimeA < solo.Runtime*2 {
-		t.Fatalf("two colliding sequential readers should be far slower than solo: %v vs %v", res.RuntimeA, solo.Runtime)
-	}
-}
-
-func TestMeasurePairShortAndLong(t *testing.T) {
-	tb := newTestbedT(t, 1, 0)
-	long := seqReader("long")
-	short := AppSpec{Name: "short", CPUSeconds: 2, ReqSizeKB: 4}
-	res, err := tb.MeasurePair(long, short)
-	if err != nil {
-		t.Fatal(err)
-	}
-	solo, err := tb.ProfileSolo(long)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The CPU-only short app barely disturbs the reader and finishes fast;
-	// the reader's runtime should be close to solo.
-	if res.RuntimeA > solo.Runtime*1.2 {
-		t.Fatalf("long app runtime %v should be near solo %v", res.RuntimeA, solo.Runtime)
-	}
-	if res.RuntimeB > 10 {
-		t.Fatalf("short app should finish quickly, took %v", res.RuntimeB)
-	}
-}
-
-func TestMeasurePairRejectsEndless(t *testing.T) {
-	tb := newTestbedT(t, 1, 0)
-	if _, err := tb.MeasurePair(seqReader("a"), Idle()); err == nil {
-		t.Fatal("endless app accepted in MeasurePair")
-	}
-}
-
 func TestSlowdownAgainstIdleIsOne(t *testing.T) {
 	tb := newTestbedT(t, 1, 0)
 	sd, err := tb.Slowdown(seqReader("sr"), Idle())
