@@ -119,7 +119,7 @@ bench-test:
 
 # Regenerate the paper exhibits through the benchmark harness.
 bench:
-	$(GO) test -bench=. -benchmem -count=1 .
+	$(GO) test -bench=. -benchmem -count=1 ./internal/experiments
 
 clean:
 	$(GO) clean ./...

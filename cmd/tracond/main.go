@@ -47,7 +47,6 @@ func main() {
 		maxQueue    = flag.Int("max-queue", 0, "max queued tasks before 429 (0 = default, negative = unbounded)")
 		batchWindow = flag.Duration("batch-window", 0, "coalesce singleton submissions for up to this long into one scheduling pass (0 = off)")
 		batchMax    = flag.Int("batch-max", 0, "max tasks per scheduling pass and per /v1/tasks:batch request (0 = default)")
-		syncRetrain = flag.Bool("sync-retrain", false, "run drift-triggered retrains on the request path (deterministic)")
 		cpuProf     = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf     = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		logFormat   = flag.String("log-format", "text", "structured log encoding: text or json")
@@ -76,7 +75,7 @@ func main() {
 		objName: *objName, seed: *seed, modelsIn: *modelsIn,
 		modelsOut: *modelsOut, maxInflight: *maxInflight, maxQueue: *maxQueue,
 		batchWindow: *batchWindow, batchMax: *batchMax,
-		syncRetrain: *syncRetrain, cpuProf: *cpuProf, memProf: *memProf,
+		cpuProf: *cpuProf, memProf: *memProf,
 		logger: logger, traceCap: *traceCap, sloWindow: *sloWindow,
 		sloP99: *sloP99, sloErrRate: *sloErrRate, statsEvery: *statsEvery,
 		dataDir: *dataDir, fsync: *fsync, fsyncEvery: *fsyncEvery,
@@ -116,7 +115,6 @@ type daemonConfig struct {
 	maxInflight, maxQueue int
 	batchWindow           time.Duration
 	batchMax              int
-	syncRetrain           bool
 	cpuProf, memProf      string
 	logger                *slog.Logger
 	traceCap              int
@@ -238,7 +236,6 @@ func run(cfg daemonConfig) error {
 		CoalesceWindow: cfg.batchWindow,
 		BatchMax:       cfg.batchMax,
 		Retrain:        brain.retrain,
-		SyncRetrain:    cfg.syncRetrain,
 		Logger:         cfg.logger,
 		TraceCap:       cfg.traceCap,
 		SLOWindow:      cfg.sloWindow,

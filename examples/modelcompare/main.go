@@ -47,13 +47,13 @@ func main() {
 				log.Fatal(err)
 			}
 			means[k] += m
-			fmt.Printf("   %5.1f ", m*100)
+			fmt.Printf("    %5.1f", m*100)
 		}
 		fmt.Println()
 	}
 	fmt.Printf("%-10s", "MEAN")
 	for _, k := range kinds {
-		fmt.Printf("   %5.1f ", means[k]/float64(len(apps))*100)
+		fmt.Printf("    %5.1f", means[k]/float64(len(apps))*100)
 	}
 	fmt.Println()
 

@@ -43,19 +43,6 @@ type Config struct {
 	Adaptive model.AdaptiveConfig
 }
 
-// DefaultConfig returns the paper's deployment: NLM models on the
-// calibrated HDD testbed, three averaged runs per measurement.
-func DefaultConfig() Config {
-	return Config{
-		Host:             xen.DefaultHost(),
-		MeasurementRuns:  3,
-		MeasurementNoise: 0.05,
-		Seed:             1,
-		Kind:             model.NLM,
-		Adaptive:         model.DefaultAdaptive(),
-	}
-}
-
 // Controller is the TRACON manager.
 type Controller struct {
 	cfg      Config
@@ -94,9 +81,6 @@ func New(cfg Config) (*Controller, error) {
 		bgs:      bgs,
 	}, nil
 }
-
-// Testbed exposes the measurement harness.
-func (c *Controller) Testbed() *xen.Testbed { return c.tb }
 
 // Monitor exposes the task and resource monitor.
 func (c *Controller) Monitor() *monitor.Monitor { return c.mon }

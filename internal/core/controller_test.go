@@ -10,6 +10,19 @@ import (
 	"tracon/internal/xen"
 )
 
+// paperConfig returns the paper's deployment: NLM models on the
+// calibrated HDD testbed, three averaged runs per measurement.
+func paperConfig() Config {
+	return Config{
+		Host:             xen.DefaultHost(),
+		MeasurementRuns:  3,
+		MeasurementNoise: 0.05,
+		Seed:             1,
+		Kind:             model.NLM,
+		Adaptive:         model.DefaultAdaptive(),
+	}
+}
+
 var (
 	ctrlOnce sync.Once
 	ctrl     *Controller
@@ -19,7 +32,7 @@ var (
 func fixture(t *testing.T) *Controller {
 	t.Helper()
 	ctrlOnce.Do(func() {
-		c, err := New(DefaultConfig())
+		c, err := New(paperConfig())
 		if err != nil {
 			panic(err)
 		}
@@ -166,7 +179,7 @@ func TestOracleSchedulerWorks(t *testing.T) {
 }
 
 func TestControllerRequiresAppsForTable(t *testing.T) {
-	c, err := New(DefaultConfig())
+	c, err := New(paperConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,17 @@ import (
 	"testing"
 )
 
+// LastSeq returns the newest sequence number the recovered state covers.
+func (r RecoveryInfo) LastSeq() uint64 {
+	if n := len(r.Events); n > 0 {
+		return r.Events[n-1].Seq
+	}
+	if r.Snapshot != nil {
+		return r.Snapshot.Seq
+	}
+	return 0
+}
+
 func readAllMem(t *testing.T, m *MemFS, name string) []byte {
 	t.Helper()
 	r, err := m.Open(name)

@@ -79,17 +79,6 @@ type RecoveryInfo struct {
 	Segments int
 }
 
-// LastSeq returns the newest sequence number the recovered state covers.
-func (r RecoveryInfo) LastSeq() uint64 {
-	if n := len(r.Events); n > 0 {
-		return r.Events[n-1].Seq
-	}
-	if r.Snapshot != nil {
-		return r.Snapshot.Seq
-	}
-	return 0
-}
-
 // Manager owns one data directory: the live WAL segment, the snapshot
 // set, and the append cursor. Append and WriteSnapshot are safe for
 // concurrent use; callers that need event order to match state mutation
@@ -293,9 +282,6 @@ func (m *Manager) LastSeq() uint64 {
 	defer m.mu.Unlock()
 	return m.lastSeq
 }
-
-// Dir returns the data directory.
-func (m *Manager) Dir() string { return m.dir }
 
 // Fsync returns the configured append durability policy.
 func (m *Manager) Fsync() FsyncPolicy { return m.opts.Fsync }

@@ -1,49 +1,32 @@
-package tracon
+package experiments
 
 // The benchmark harness regenerates every table and figure of the paper's
 // evaluation (one Benchmark per exhibit) and adds ablation benches for the
 // design choices DESIGN.md calls out. Key reproduced quantities are
 // attached to each bench via b.ReportMetric, so
 //
-//	go test -bench=. -benchmem
+//	go test -bench=. -benchmem ./internal/experiments
 //
 // doubles as the experiment log. The heavyweight dynamic sweeps run with
 // reduced dimensions here; cmd/traconbench runs them at paper scale.
 
 import (
 	"fmt"
+	"math"
 	"runtime"
-	"sync"
+	"strconv"
 	"testing"
 
-	"tracon/internal/experiments"
 	"tracon/internal/model"
 	"tracon/internal/sched"
 	"tracon/internal/workload"
 )
 
-var (
-	benchEnvOnce sync.Once
-	benchEnv     *experiments.Env
-)
-
-func experimentEnv(b *testing.B) *experiments.Env {
-	b.Helper()
-	benchEnvOnce.Do(func() {
-		e, err := experiments.NewEnv(1)
-		if err != nil {
-			panic(err)
-		}
-		benchEnv = e
-	})
-	return benchEnv
-}
-
 // BenchmarkTable1 regenerates Table 1 (interference characterization).
 func BenchmarkTable1(b *testing.B) {
-	e := experimentEnv(b)
+	e := testEnv(b)
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Table1(e)
+		res, err := Table1(e)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -54,9 +37,9 @@ func BenchmarkTable1(b *testing.B) {
 
 // BenchmarkFig3Runtime regenerates Fig 3(a): runtime prediction errors.
 func BenchmarkFig3Runtime(b *testing.B) {
-	e := experimentEnv(b)
+	e := testEnv(b)
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig3(e)
+		res, err := Fig3(e)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -68,9 +51,9 @@ func BenchmarkFig3Runtime(b *testing.B) {
 
 // BenchmarkFig3IOPS regenerates Fig 3(b): IOPS prediction errors.
 func BenchmarkFig3IOPS(b *testing.B) {
-	e := experimentEnv(b)
+	e := testEnv(b)
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig3(e)
+		res, err := Fig3(e)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -82,9 +65,9 @@ func BenchmarkFig3IOPS(b *testing.B) {
 
 // BenchmarkFig4 regenerates Fig 4: scheduling with different models.
 func BenchmarkFig4(b *testing.B) {
-	e := experimentEnv(b)
+	e := testEnv(b)
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig4(e, 10)
+		res, err := Fig4(e, 10)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -95,9 +78,9 @@ func BenchmarkFig4(b *testing.B) {
 
 // BenchmarkFig5 regenerates Fig 5: predicted minimum runtimes.
 func BenchmarkFig5(b *testing.B) {
-	e := experimentEnv(b)
+	e := testEnv(b)
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig5(e)
+		res, err := Fig5(e)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -112,9 +95,9 @@ func BenchmarkFig5(b *testing.B) {
 
 // BenchmarkFig6 regenerates Fig 6: predicted maximum IOPS.
 func BenchmarkFig6(b *testing.B) {
-	e := experimentEnv(b)
+	e := testEnv(b)
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig6(e)
+		res, err := Fig6(e)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -128,9 +111,9 @@ func BenchmarkFig6(b *testing.B) {
 
 // BenchmarkFig7 regenerates Fig 7: online model learning.
 func BenchmarkFig7(b *testing.B) {
-	e := experimentEnv(b)
+	e := testEnv(b)
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig7(e)
+		res, err := Fig7(e)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -143,13 +126,13 @@ func BenchmarkFig7(b *testing.B) {
 // BenchmarkFig8 regenerates Fig 8: static-workload speedups (reduced
 // machine range under -short).
 func BenchmarkFig8(b *testing.B) {
-	e := experimentEnv(b)
+	e := testEnv(b)
 	machines := []int{8, 64, 256, 1024}
 	if testing.Short() {
 		machines = []int{8, 64}
 	}
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig8(e, machines, 3)
+		res, err := Fig8(e, machines, 3)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -170,10 +153,10 @@ func benchDynamicDims() (lambdas []float64, hours float64, machines []int) {
 
 // BenchmarkFig9 regenerates Fig 9: schedulers vs arrival rate.
 func BenchmarkFig9(b *testing.B) {
-	e := experimentEnv(b)
+	e := testEnv(b)
 	lambdas, hours, _ := benchDynamicDims()
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig9(e, lambdas, hours)
+		res, err := Fig9(e, lambdas, hours)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -188,10 +171,10 @@ func BenchmarkFig9(b *testing.B) {
 
 // BenchmarkFig10 regenerates Fig 10: MIBS queue lengths vs arrival rate.
 func BenchmarkFig10(b *testing.B) {
-	e := experimentEnv(b)
+	e := testEnv(b)
 	lambdas, hours, _ := benchDynamicDims()
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig10(e, lambdas, hours)
+		res, err := Fig10(e, lambdas, hours)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -207,10 +190,10 @@ func BenchmarkFig10(b *testing.B) {
 
 // BenchmarkFig11 regenerates Fig 11: scalability at λ=1000/min.
 func BenchmarkFig11(b *testing.B) {
-	e := experimentEnv(b)
+	e := testEnv(b)
 	_, hours, machines := benchDynamicDims()
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig11(e, machines, hours)
+		res, err := Fig11(e, machines, hours)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -223,10 +206,10 @@ func BenchmarkFig11(b *testing.B) {
 
 // BenchmarkFig12 regenerates Fig 12: MIBS queue lengths vs machines.
 func BenchmarkFig12(b *testing.B) {
-	e := experimentEnv(b)
+	e := testEnv(b)
 	_, hours, machines := benchDynamicDims()
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig12(e, machines, hours)
+		res, err := Fig12(e, machines, hours)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -243,9 +226,9 @@ func BenchmarkSpotCheck10k(b *testing.B) {
 	if testing.Short() {
 		b.Skip("10,000-machine run skipped under -short")
 	}
-	e := experimentEnv(b)
+	e := testEnv(b)
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.SpotCheck10k(e, 1)
+		res, err := SpotCheck10k(e, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -256,7 +239,7 @@ func BenchmarkSpotCheck10k(b *testing.B) {
 // --- Ablation benches: the design choices DESIGN.md calls out. ---
 
 // staticSpeedup measures MIBS-over-FIFO speedup for a given scorer setup.
-func staticSpeedup(b *testing.B, e *experiments.Env, scorer *sched.Scorer) float64 {
+func staticSpeedup(b *testing.B, e *Env, scorer *sched.Scorer) float64 {
 	b.Helper()
 	var fifoTotal, mibsTotal float64
 	for seed := int64(1); seed <= 6; seed++ {
@@ -266,11 +249,11 @@ func staticSpeedup(b *testing.B, e *experiments.Env, scorer *sched.Scorer) float
 		for i, spec := range batch {
 			tasks[i] = sched.Task{ID: int64(i), App: workload.BaseName(spec.Name)}
 		}
-		fifo, err := e.RunStaticPublic(sched.FIFO{}, 16, tasks)
+		fifo, err := e.simulate("static", sched.FIFO{}, 16, tasks, math.Inf(1))
 		if err != nil {
 			b.Fatal(err)
 		}
-		mibs, err := e.RunStaticPublic(&sched.MIBS{Scorer: scorer, QueueLen: len(tasks)}, 16, tasks)
+		mibs, err := e.simulate("static", &sched.MIBS{Scorer: scorer, QueueLen: len(tasks)}, 16, tasks, math.Inf(1))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -283,7 +266,7 @@ func staticSpeedup(b *testing.B, e *experiments.Env, scorer *sched.Scorer) float
 // BenchmarkAblationOracleVsNLM compares the trained NLM scheduler against
 // the ground-truth oracle — how much headroom better models would buy.
 func BenchmarkAblationOracleVsNLM(b *testing.B) {
-	e := experimentEnv(b)
+	e := testEnv(b)
 	for i := 0; i < b.N; i++ {
 		nlm := staticSpeedup(b, e, sched.NewScorer(e.Libraries[model.NLM], sched.MinRuntime))
 		oracle := staticSpeedup(b, e, sched.NewScorer(e.Oracle, sched.MinRuntime))
@@ -295,9 +278,9 @@ func BenchmarkAblationOracleVsNLM(b *testing.B) {
 // BenchmarkAblationDom0Feature quantifies the paper's fourth-parameter
 // claim: NLM trained without the Dom0 CPU characteristic.
 func BenchmarkAblationDom0Feature(b *testing.B) {
-	e := experimentEnv(b)
+	e := testEnv(b)
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig3(e)
+		res, err := Fig3(e)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -312,32 +295,25 @@ func BenchmarkAblationDom0Feature(b *testing.B) {
 // BenchmarkAblationQueueLength sweeps the MIBS batch length beyond the
 // paper's 2/4/8 to show diminishing returns.
 func BenchmarkAblationQueueLength(b *testing.B) {
-	e := experimentEnv(b)
+	e := testEnv(b)
 	for i := 0; i < b.N; i++ {
 		for _, q := range []int{1, 2, 4, 8, 16} {
-			cells, err := experiments.RunQueueLength(e, q, 64, 50, 2*3600)
+			cells, err := RunQueueLength(e, q, 64, 50, 2*3600)
 			if err != nil {
 				b.Fatal(err)
 			}
-			b.ReportMetric(cells, "q"+itoa(q)+"-vs-fifo")
+			b.ReportMetric(cells, "q"+strconv.Itoa(q)+"-vs-fifo")
 		}
 	}
-}
-
-func itoa(n int) string {
-	if n >= 10 {
-		return string(rune('0'+n/10)) + string(rune('0'+n%10))
-	}
-	return string(rune('0' + n))
 }
 
 // BenchmarkStorageStudy runs the future-work device comparison: how
 // violent interference is per device class and how much scheduling
 // recovers on each.
 func BenchmarkStorageStudy(b *testing.B) {
-	e := experimentEnv(b)
+	e := testEnv(b)
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.StorageStudy(e)
+		res, err := StorageStudy(e)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -350,7 +326,7 @@ func BenchmarkStorageStudy(b *testing.B) {
 // BenchmarkAblationForestModel compares the future-work regression-forest
 // model against the paper's NLM on cross-validated prediction error.
 func BenchmarkAblationForestModel(b *testing.B) {
-	e := experimentEnv(b)
+	e := testEnv(b)
 	for i := 0; i < b.N; i++ {
 		for _, k := range []model.Kind{model.NLM, model.Forest} {
 			tot := 0.0
@@ -384,7 +360,7 @@ func BenchmarkAblationForestModel(b *testing.B) {
 // every benchmark, training three libraries and solving the n² pair table.
 func BenchmarkNewEnvSequential(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.NewEnvParallel(1, 1); err != nil {
+		if _, err := NewEnvParallel(1, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -399,7 +375,7 @@ func BenchmarkNewEnvParallel(b *testing.B) {
 		workers = 4
 	}
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.NewEnvParallel(1, workers); err != nil {
+		if _, err := NewEnvParallel(1, workers); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -407,20 +383,20 @@ func BenchmarkNewEnvParallel(b *testing.B) {
 
 // benchRunnerSuite is the experiment slice the Runner benches fan out:
 // one table plus two figure experiments of distinct cost profiles.
-func benchRunnerSuite() []experiments.Experiment {
-	return []experiments.Experiment{
-		{Name: "table1", Run: func(e *experiments.Env) (fmt.Stringer, error) { return experiments.Table1(e) }},
-		{Name: "fig4", Run: func(e *experiments.Env) (fmt.Stringer, error) { return experiments.Fig4(e, 4) }},
-		{Name: "fig9", Run: func(e *experiments.Env) (fmt.Stringer, error) { return experiments.Fig9(e, []float64{2, 50}, 1) }},
+func benchRunnerSuite() []Experiment {
+	return []Experiment{
+		{Name: "table1", Run: func(e *Env) (fmt.Stringer, error) { return Table1(e) }},
+		{Name: "fig4", Run: func(e *Env) (fmt.Stringer, error) { return Fig4(e, 4) }},
+		{Name: "fig9", Run: func(e *Env) (fmt.Stringer, error) { return Fig9(e, []float64{2, 50}, 1) }},
 	}
 }
 
 // BenchmarkRunnerSequential runs the slice on one worker.
 func BenchmarkRunnerSequential(b *testing.B) {
-	e := experimentEnv(b)
+	e := testEnv(b)
 	suite := benchRunnerSuite()
 	for i := 0; i < b.N; i++ {
-		for _, oc := range (experiments.Runner{Workers: 1}).Run(e, suite) {
+		for _, oc := range (Runner{Workers: 1}).Run(e, suite) {
 			if oc.Err != nil {
 				b.Fatal(oc.Err)
 			}
@@ -430,14 +406,14 @@ func BenchmarkRunnerSequential(b *testing.B) {
 
 // BenchmarkRunnerParallel fans the same slice across the worker pool.
 func BenchmarkRunnerParallel(b *testing.B) {
-	e := experimentEnv(b)
+	e := testEnv(b)
 	suite := benchRunnerSuite()
 	workers := runtime.GOMAXPROCS(0)
 	if workers < 4 {
 		workers = 4
 	}
 	for i := 0; i < b.N; i++ {
-		for _, oc := range (experiments.Runner{Workers: workers}).Run(e, suite) {
+		for _, oc := range (Runner{Workers: workers}).Run(e, suite) {
 			if oc.Err != nil {
 				b.Fatal(oc.Err)
 			}
@@ -448,7 +424,7 @@ func BenchmarkRunnerParallel(b *testing.B) {
 // BenchmarkSchedulerOverhead measures the decision cost of each policy —
 // the paper's stated trade-off (MIOS cheapest, MIX most expensive).
 func BenchmarkSchedulerOverhead(b *testing.B) {
-	e := experimentEnv(b)
+	e := testEnv(b)
 	scorer := sched.NewScorer(e.Libraries[model.NLM], sched.MinRuntime)
 	batch := make([]sched.Task, 8)
 	mixer := workload.NewMixer(1)

@@ -79,13 +79,6 @@ type TracerFactory func(kind, scheduler string, machines int, tasks []sched.Task
 // the run's cluster size via Plan.ForMachines.
 type FaultFactory func(kind, scheduler string, machines int, tasks []sched.Task) *fault.Plan
 
-// NewEnv measures, profiles and trains everything once, sequentially. With
-// the default settings this takes a few seconds; NewEnvParallel produces
-// the identical Env using a bounded worker pool.
-func NewEnv(seed int64) (*Env, error) {
-	return NewEnvParallel(seed, 1)
-}
-
 // envLibraryKinds are the model families every Env trains, in build order.
 var envLibraryKinds = []model.Kind{model.WMM, model.LM, model.NLM}
 

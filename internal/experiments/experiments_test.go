@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"tracon/internal/model"
+	"tracon/internal/sched"
 	"tracon/internal/workload"
 )
 
@@ -14,16 +15,36 @@ var (
 	env     *Env
 )
 
-func testEnv(t *testing.T) *Env {
+func testEnv(t testing.TB) *Env {
 	t.Helper()
 	envOnce.Do(func() {
-		e, err := NewEnv(1)
+		e, err := NewEnvParallel(1, 1)
 		if err != nil {
 			panic(err)
 		}
 		env = e
 	})
 	return env
+}
+
+// Cell finds the result for a machine count and mix.
+func (r *Fig8Result) Cell(machines int, mix workload.IOIntensity) (Fig8Cell, bool) {
+	for _, c := range r.Cells {
+		if c.Machines == machines && c.Mix == mix {
+			return c, true
+		}
+	}
+	return Fig8Cell{}, false
+}
+
+// Cell returns the point for (scheduler, machines, lambda, mix).
+func (r *DynamicResult) Cell(schedName string, machines int, lambda float64, mix workload.IOIntensity) (DynamicCell, bool) {
+	for _, c := range r.Cells {
+		if c.Scheduler == schedName && c.Machines == machines && c.Lambda == lambda && c.Mix == mix {
+			return c, true
+		}
+	}
+	return DynamicCell{}, false
 }
 
 func TestEnvArtifacts(t *testing.T) {
@@ -36,8 +57,10 @@ func TestEnvArtifacts(t *testing.T) {
 			t.Fatalf("library %v incomplete", k)
 		}
 	}
-	if len(e.Table.Apps()) != 8 {
-		t.Fatal("table incomplete")
+	for _, app := range e.BenchmarkNames() {
+		if !e.Table.Has(app) {
+			t.Fatalf("table lacks %s", app)
+		}
 	}
 }
 
@@ -319,6 +342,29 @@ func TestCSVTables(t *testing.T) {
 	if got := len(f5.Table().Rows); got != 7 {
 		t.Fatalf("fig5 CSV rows %d", got)
 	}
+}
+
+// RunQueueLength runs MIBS with the given queue length under Poisson
+// arrivals and returns its throughput normalized to FIFO on the same
+// arrivals — the ablation behind Figs 10/12 extended to arbitrary q
+// (q = 1 degenerates to head-only batching, close to MIOS).
+func RunQueueLength(e *Env, q, machines int, lambda, horizon float64) (float64, error) {
+	tasks := poissonTasks(workload.MediumIO, lambda, horizon, e.Seed+int64(q)*37)
+	fifo, err := e.simulate("dynamic", sched.FIFO{}, machines, tasks, horizon)
+	if err != nil {
+		return 0, err
+	}
+	mibs, err := e.simulate("dynamic", &sched.MIBS{
+		Scorer:   e.scorerFor(model.NLM, sched.MinRuntime),
+		QueueLen: q,
+	}, machines, tasks, horizon)
+	if err != nil {
+		return 0, err
+	}
+	if fifo.CompletedTasks() == 0 {
+		return 0, nil
+	}
+	return mibs.CompletedTasks() / fifo.CompletedTasks(), nil
 }
 
 func TestRunQueueLengthAblation(t *testing.T) {

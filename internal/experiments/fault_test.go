@@ -88,7 +88,7 @@ func TestChaosExperimentsDeterministicAcrossWorkers(t *testing.T) {
 			e = testEnv(t)
 		} else {
 			var err error
-			e, err = NewEnv(seed)
+			e, err = NewEnvParallel(seed, 1)
 			if err != nil {
 				t.Fatal(err)
 			}

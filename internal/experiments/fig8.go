@@ -85,16 +85,6 @@ func Fig8(e *Env, machines []int, repeats int) (*Fig8Result, error) {
 	return res, nil
 }
 
-// Cell finds the result for a machine count and mix.
-func (r *Fig8Result) Cell(machines int, mix workload.IOIntensity) (Fig8Cell, bool) {
-	for _, c := range r.Cells {
-		if c.Machines == machines && c.Mix == mix {
-			return c, true
-		}
-	}
-	return Fig8Cell{}, false
-}
-
 // String renders the sweep.
 func (r *Fig8Result) String() string {
 	var b strings.Builder

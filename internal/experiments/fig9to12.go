@@ -155,16 +155,6 @@ func (e *Env) machineSweep(title string, policies []dynPolicy, machines []int, h
 	return res, nil
 }
 
-// Cell returns the point for (scheduler, machines, lambda, mix).
-func (r *DynamicResult) Cell(schedName string, machines int, lambda float64, mix workload.IOIntensity) (DynamicCell, bool) {
-	for _, c := range r.Cells {
-		if c.Scheduler == schedName && c.Machines == machines && c.Lambda == lambda && c.Mix == mix {
-			return c, true
-		}
-	}
-	return DynamicCell{}, false
-}
-
 // String renders the sweep.
 func (r *DynamicResult) String() string {
 	var b strings.Builder

@@ -46,14 +46,9 @@ func envFingerprint(e *Env) string {
 			}
 		}
 	}
-	for _, a := range e.Table.Apps() {
-		fmt.Fprintf(&b, "table %s solo rt=%v io=%v ops=%v util=%v\n",
-			a, e.Table.SoloRuntime(a), e.Table.SoloIOPS(a), e.Table.Ops(a), e.Table.Util(a, ""))
-		for _, n := range e.Table.Apps() {
-			fmt.Fprintf(&b, "  pair %s|%s rate=%v io=%v util=%v\n",
-				a, n, e.Table.Rate(a, n), e.Table.IOPS(a, n), e.Table.Util(a, n))
-		}
-	}
+	// The table holds no pointers, so %+v prints all of it: its interned
+	// names, the name → ordinal map (in key order) and every float.
+	fmt.Fprintf(&b, "table %+v\n", *e.Table)
 	return b.String()
 }
 

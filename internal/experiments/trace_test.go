@@ -43,7 +43,7 @@ func TestTraceExportDeterministicAcrossWorkers(t *testing.T) {
 			e = testEnv(t)
 		} else {
 			var err error
-			e, err = NewEnv(seed)
+			e, err = NewEnvParallel(seed, 1)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -114,12 +114,6 @@ type Plan struct {
 	Slowdowns []Slowdown `json:"slowdowns,omitempty"`
 }
 
-// Empty reports whether the plan injects nothing at all.
-func (p *Plan) Empty() bool {
-	return p == nil ||
-		(p.FailProb <= 0 && p.TaskTimeout <= 0 && len(p.Crashes) == 0 && len(p.Slowdowns) == 0)
-}
-
 // Validate checks the plan against a cluster of the given size (machines
 // with slotsPer VM slots each). machines <= 0 skips the bounds checks, for
 // validating a plan before the cluster size is known.
@@ -364,11 +358,4 @@ func LoadFile(path string) (*Plan, error) {
 		return nil, fmt.Errorf("fault: %s: %w", path, err)
 	}
 	return p, nil
-}
-
-// Save writes the plan as indented JSON.
-func (p *Plan) Save(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(p)
 }

@@ -2,10 +2,25 @@ package fault
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
 	"math"
 	"strings"
 	"testing"
 )
+
+// Empty reports whether the plan injects nothing at all.
+func (p *Plan) Empty() bool {
+	return p == nil ||
+		(p.FailProb <= 0 && p.TaskTimeout <= 0 && len(p.Crashes) == 0 && len(p.Slowdowns) == 0)
+}
+
+// Save writes the plan as indented JSON.
+func (p *Plan) Save(w io.Writer) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(p)
+}
 
 func TestRetryDelayTable(t *testing.T) {
 	cases := []struct {

@@ -178,9 +178,6 @@ func TestCholeskyRejectsIndefinite(t *testing.T) {
 
 func TestVectorHelpers(t *testing.T) {
 	a := []float64{3, 4}
-	if Norm2(a) != 5 {
-		t.Fatalf("Norm2 = %v", Norm2(a))
-	}
 	if Dot(a, []float64{1, 2}) != 11 {
 		t.Fatal("Dot wrong")
 	}
@@ -190,12 +187,6 @@ func TestVectorHelpers(t *testing.T) {
 	if got := AddVec(a, a); got[0] != 6 || got[1] != 8 {
 		t.Fatalf("AddVec = %v", got)
 	}
-	if got := SubVec(a, a); got[0] != 0 || got[1] != 0 {
-		t.Fatalf("SubVec = %v", got)
-	}
-	if got := ScaleVec(2, a); got[0] != 6 || got[1] != 8 {
-		t.Fatalf("ScaleVec = %v", got)
-	}
 	if Mean(nil) != 0 {
 		t.Fatal("Mean(nil) must be 0")
 	}
@@ -204,12 +195,12 @@ func TestVectorHelpers(t *testing.T) {
 	}
 }
 
-func TestNorm2Overflow(t *testing.T) {
+func TestDistanceOverflow(t *testing.T) {
 	// Naive sum-of-squares would overflow here.
 	v := []float64{1e200, 1e200}
 	want := 1e200 * math.Sqrt2
-	if got := Norm2(v); math.Abs(got-want)/want > 1e-12 {
-		t.Fatalf("Norm2 overflow-guard failed: %v", got)
+	if got := Distance(v, []float64{0, 0}); math.Abs(got-want)/want > 1e-12 {
+		t.Fatalf("Distance overflow-guard failed: %v", got)
 	}
 }
 

@@ -47,21 +47,6 @@ func NewFromSlice(r, c int, data []float64) *Matrix {
 	return m
 }
 
-// NewFromRows builds a matrix from a slice of equal-length rows.
-func NewFromRows(rows [][]float64) *Matrix {
-	if len(rows) == 0 || len(rows[0]) == 0 {
-		panic("mat: empty row set")
-	}
-	m := New(len(rows), len(rows[0]))
-	for i, row := range rows {
-		if len(row) != m.cols {
-			panic(fmt.Sprintf("mat: ragged rows: row %d has %d columns, want %d", i, len(row), m.cols))
-		}
-		copy(m.data[i*m.cols:(i+1)*m.cols], row)
-	}
-	return m
-}
-
 // Identity returns the n×n identity matrix.
 func Identity(n int) *Matrix {
 	m := New(n, n)
@@ -96,16 +81,6 @@ func (m *Matrix) check(i, j int) {
 	if i < 0 || i >= m.rows || j < 0 || j >= m.cols {
 		panic(fmt.Sprintf("mat: index (%d,%d) out of range %dx%d", i, j, m.rows, m.cols))
 	}
-}
-
-// Row returns a copy of row i.
-func (m *Matrix) Row(i int) []float64 {
-	if i < 0 || i >= m.rows {
-		panic(fmt.Sprintf("mat: row %d out of range", i))
-	}
-	out := make([]float64, m.cols)
-	copy(out, m.data[i*m.cols:(i+1)*m.cols])
-	return out
 }
 
 // RawRow returns row i as a slice aliasing the matrix storage. Mutating the
@@ -192,39 +167,6 @@ func (m *Matrix) MulVec(v []float64) []float64 {
 	return out
 }
 
-// Add returns m + b.
-func (m *Matrix) Add(b *Matrix) *Matrix {
-	if m.rows != b.rows || m.cols != b.cols {
-		panic(ErrShape)
-	}
-	out := m.Clone()
-	for i := range out.data {
-		out.data[i] += b.data[i]
-	}
-	return out
-}
-
-// Sub returns m - b.
-func (m *Matrix) Sub(b *Matrix) *Matrix {
-	if m.rows != b.rows || m.cols != b.cols {
-		panic(ErrShape)
-	}
-	out := m.Clone()
-	for i := range out.data {
-		out.data[i] -= b.data[i]
-	}
-	return out
-}
-
-// Scale returns s·m.
-func (m *Matrix) Scale(s float64) *Matrix {
-	out := m.Clone()
-	for i := range out.data {
-		out.data[i] *= s
-	}
-	return out
-}
-
 // SelectColumns returns a new matrix containing the listed columns of m, in
 // the given order. Used by stepwise model selection to build candidate
 // design matrices.
@@ -267,17 +209,4 @@ func (m *Matrix) MaxAbs() float64 {
 		}
 	}
 	return max
-}
-
-// Equal reports whether m and b have the same shape and entries within tol.
-func (m *Matrix) Equal(b *Matrix, tol float64) bool {
-	if m.rows != b.rows || m.cols != b.cols {
-		return false
-	}
-	for i := range m.data {
-		if math.Abs(m.data[i]-b.data[i]) > tol {
-			return false
-		}
-	}
-	return true
 }

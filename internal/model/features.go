@@ -23,9 +23,6 @@ import (
 // read req/s, write req/s, DomU CPU, Dom0 CPU.
 const NumFeatures = 4
 
-// FeatureNames labels the Table 2 characteristics, in vector order.
-var FeatureNames = [NumFeatures]string{"read/s", "write/s", "domU-cpu", "dom0-cpu"}
-
 // Response selects which observable a model predicts.
 type Response int
 

@@ -17,6 +17,9 @@ var (
 	fixtureTB   *xen.Testbed
 )
 
+// Kinds returns the three families of Fig 3/4 in presentation order.
+func Kinds() []Kind { return []Kind{WMM, LM, NLM} }
+
 func fixture(t *testing.T) (map[string]*TrainingSet, *xen.Testbed) {
 	t.Helper()
 	fixtureOnce.Do(func() {
@@ -291,36 +294,5 @@ func TestOraclePredictor(t *testing.T) {
 	}
 	if same <= solo {
 		t.Fatalf("self co-location should still interfere: %v vs %v", same, solo)
-	}
-}
-
-func TestPooledModelTrainsAndOrders(t *testing.T) {
-	tss, _ := fixture(t)
-	var sets []*TrainingSet
-	for _, ts := range tss {
-		sets = append(sets, ts)
-	}
-	pm, err := TrainPooled(sets, NLM)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blastn := tss["blastn"]
-	// The heaviest *grid* sample (the trailing samples are idle replicas).
-	heavy := blastn.Samples[124].BG
-	idle := pm.PredictRuntime(blastn.Features, zeroFeatures())
-	loaded := pm.PredictRuntime(blastn.Features, heavy)
-	// The pooled model is a coarse cross-application extension; require
-	// sane, ordered (non-strict: clamping may saturate both) predictions.
-	if loaded < idle || idle <= 0 || math.IsNaN(loaded) {
-		t.Fatalf("pooled: heavy corunner %v < idle %v", loaded, idle)
-	}
-	if pm.PredictIOPS(blastn.Features, heavy) > pm.PredictIOPS(blastn.Features, zeroFeatures()) {
-		t.Fatal("pooled IOPS should drop under interference")
-	}
-}
-
-func TestTrainPooledEmpty(t *testing.T) {
-	if _, err := TrainPooled(nil, NLM); err == nil {
-		t.Fatal("empty pooled training accepted")
 	}
 }

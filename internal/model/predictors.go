@@ -42,9 +42,6 @@ func (k Kind) String() string {
 	}
 }
 
-// Kinds returns the three families of Fig 3/4 in presentation order.
-func Kinds() []Kind { return []Kind{WMM, LM, NLM} }
-
 // predictor is one trained response model.
 type predictor interface {
 	predict(bg []float64) float64

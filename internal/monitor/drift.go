@@ -94,6 +94,3 @@ func (d *Detector) Reset() {
 	d.baseline.Reset()
 	d.recent = d.recent[:0]
 }
-
-// BaselineReady reports whether the reference window is full.
-func (d *Detector) BaselineReady() bool { return d.baseline.N() >= d.cfg.Baseline }

@@ -10,6 +10,9 @@ import (
 	"tracon/internal/xen"
 )
 
+// BaselineReady reports whether the reference window is full.
+func (d *Detector) BaselineReady() bool { return d.baseline.N() >= d.cfg.Baseline }
+
 // The boundary tests run the detector on hand-built error streams where
 // the thresholds can be computed exactly, so firing behaviour is pinned at
 // the decision boundary rather than just "somewhere past it".
@@ -17,6 +20,7 @@ import (
 // TestDetectorMeanShiftFloorBoundary: with a zero-variance baseline the
 // sigma threshold collapses and MinMeanShift is the floor; a shift exactly
 // at the floor must stay quiet, a shift just past it must fire.
+
 func TestDetectorMeanShiftFloorBoundary(t *testing.T) {
 	cfg := DriftConfig{Baseline: 30, Window: 10, MeanShiftSigmas: 3, MinMeanShift: 0.10}
 	baseline := func(d *Detector) {

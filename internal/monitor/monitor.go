@@ -8,7 +8,6 @@ package monitor
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"tracon/internal/model"
@@ -24,7 +23,6 @@ type Monitor struct {
 
 	mu    sync.Mutex
 	feats map[string][]stats.Welford // per app: one accumulator per feature
-	runs  map[string]*stats.Welford  // per app: observed solo runtimes
 }
 
 // New builds a Monitor over the given testbed.
@@ -32,7 +30,6 @@ func New(tb *xen.Testbed) *Monitor {
 	return &Monitor{
 		tb:    tb,
 		feats: map[string][]stats.Welford{},
-		runs:  map[string]*stats.Welford{},
 	}
 }
 
@@ -49,12 +46,10 @@ func (m *Monitor) ObserveSolo(app xen.AppSpec) (xen.SoloProfile, error) {
 	if !ok {
 		agg = make([]stats.Welford, model.NumFeatures)
 		m.feats[app.Name] = agg
-		m.runs[app.Name] = &stats.Welford{}
 	}
 	for i, v := range p.Features() {
 		agg[i].Add(v)
 	}
-	m.runs[app.Name].Add(p.Runtime)
 	return p, nil
 }
 
@@ -71,29 +66,6 @@ func (m *Monitor) Features(app string) ([]float64, error) {
 		out[i] = agg[i].Mean()
 	}
 	return out, nil
-}
-
-// MeanSoloRuntime returns the running solo-runtime estimate.
-func (m *Monitor) MeanSoloRuntime(app string) (float64, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	w, ok := m.runs[app]
-	if !ok {
-		return 0, fmt.Errorf("monitor: app %q never observed", app)
-	}
-	return w.Mean(), nil
-}
-
-// Apps lists observed applications, sorted.
-func (m *Monitor) Apps() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]string, 0, len(m.feats))
-	for a := range m.feats {
-		out = append(out, a)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // ObserveCoRun measures the target against a background workload and

@@ -46,12 +46,8 @@ func TestObserveSoloAccumulates(t *testing.T) {
 			t.Fatalf("feature %d estimate %v far from observation %v", i, f[i], v)
 		}
 	}
-	rt, err := m.MeanSoloRuntime("blastn")
-	if err != nil || rt <= 0 {
-		t.Fatalf("runtime estimate %v err %v", rt, err)
-	}
-	if got := m.Apps(); len(got) != 1 || got[0] != "blastn" {
-		t.Fatalf("Apps = %v", got)
+	if len(m.feats) != 1 || m.feats["blastn"] == nil {
+		t.Fatalf("observed apps = %v, want blastn only", m.feats)
 	}
 }
 

@@ -26,9 +26,9 @@ import (
 //
 // The full-state scan runs only from OnEvent (where the engine guarantees
 // a consistent snapshot — OnComplete and OnPop fire mid-transition) and can
-// be sampled via Every to keep large runs cheap. In Strict mode (the
-// default via NewAuditor) the first violation aborts the run with an error;
-// otherwise violations are tallied and kept for Summary.
+// be sampled via Every to keep large runs cheap. In Strict mode the
+// first violation aborts the run with an error; otherwise violations are
+// tallied and kept for Summary.
 type InvariantAuditor struct {
 	mu sync.Mutex
 
@@ -63,11 +63,6 @@ func (v Violation) String() string {
 
 // keptViolations bounds the recorded (not counted) violations.
 const keptViolations = 100
-
-// NewAuditor returns a strict auditor that full-scans every event.
-func NewAuditor() *InvariantAuditor {
-	return &InvariantAuditor{Every: 1, Strict: true}
-}
 
 func (a *InvariantAuditor) report(now float64, kind, format string, args ...any) error {
 	viol := Violation{Time: now, Kind: kind, Detail: fmt.Sprintf(format, args...)}
@@ -284,13 +279,6 @@ func (a *InvariantAuditor) Total() int64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.total
-}
-
-// Violations returns the recorded violations (capped at keptViolations).
-func (a *InvariantAuditor) Violations() []Violation {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return append([]Violation(nil), a.violations...)
 }
 
 // Summary renders a one-paragraph audit report.

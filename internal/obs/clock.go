@@ -120,19 +120,6 @@ func (c *VirtualClock) Advance(d time.Duration) int {
 	return fired
 }
 
-// PendingTimers reports how many armed, unfired timers are outstanding.
-func (c *VirtualClock) PendingTimers() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for _, t := range c.timers {
-		if !t.stopped {
-			n++
-		}
-	}
-	return n
-}
-
 type virtualTimer struct {
 	clock   *VirtualClock
 	when    time.Time

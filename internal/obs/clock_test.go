@@ -7,6 +7,19 @@ import (
 	"time"
 )
 
+// PendingTimers reports how many armed, unfired timers are outstanding.
+func (c *VirtualClock) PendingTimers() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := 0
+	for _, t := range c.timers {
+		if !t.stopped {
+			n++
+		}
+	}
+	return n
+}
+
 func TestWallClockBasics(t *testing.T) {
 	before := time.Now()
 	now := Wall.Now()

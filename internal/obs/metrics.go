@@ -187,9 +187,6 @@ func (s HistogramSnapshot) Quantile(q float64) float64 {
 	return s.Bounds[len(s.Bounds)-1]
 }
 
-// Quantile estimates the q-quantile of the live histogram.
-func (h *Histogram) Quantile(q float64) float64 { return h.Snapshot().Quantile(q) }
-
 // Snapshot copies the histogram's current state.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	h.mu.Lock()

@@ -123,7 +123,7 @@ func TestHistogramBuckets(t *testing.T) {
 
 func TestSimStatsEndToEnd(t *testing.T) {
 	stats := NewSimStats("test-run")
-	audit := NewAuditor()
+	audit := &InvariantAuditor{Every: 1, Strict: true}
 	res := runObserved(t, Multi{stats, audit}, 3, 150)
 
 	if n := audit.Total(); n != 0 {
@@ -201,7 +201,7 @@ func TestAuditorCatchesViolations(t *testing.T) {
 	runObserved(t, grab, 5, 40)
 
 	t.Run("time-backwards", func(t *testing.T) {
-		a := NewAuditor()
+		a := &InvariantAuditor{Every: 1, Strict: true}
 		if err := a.OnEvent(captured, sim.EvArrival, 100); err != nil {
 			t.Fatalf("first event: %v", err)
 		}
@@ -210,7 +210,7 @@ func TestAuditorCatchesViolations(t *testing.T) {
 		}
 	})
 	t.Run("residual-work", func(t *testing.T) {
-		a := NewAuditor()
+		a := &InvariantAuditor{Every: 1, Strict: true}
 		c := sim.Completion{Residual: 0.5}
 		c.Record.Task.ID = 7
 		c.Record.Task.App = "email"
@@ -222,7 +222,7 @@ func TestAuditorCatchesViolations(t *testing.T) {
 		}
 	})
 	t.Run("unfair-pop", func(t *testing.T) {
-		a := NewAuditor()
+		a := &InvariantAuditor{Every: 1, Strict: true}
 		p := sim.PopInfo{Category: sched.AnyCategory, Machine: 1, Slot: 0,
 			OldestMachine: 0, OldestSlot: 1, OldestOK: true}
 		if err := a.OnPop(captured, p); err == nil {

@@ -345,12 +345,3 @@ func writeServeEvent(out *perfettoFile, ev TraceEvent, schedPID int, machineMeta
 		})
 	}
 }
-
-// WritePerfetto renders this tracer's retained events (a convenience for
-// in-process export; file-based pipelines go NDJSON → tracontrace).
-func (t *Tracer) WritePerfetto(w io.Writer) error {
-	return WritePerfetto(w, &RunTrace{
-		Label: t.label, Scheduler: t.scheduler, Machines: t.machines,
-		Total: t.Total(), Dropped: t.Dropped(), Events: t.Events(),
-	})
-}

@@ -222,9 +222,6 @@ func NewTracer(label, scheduler string, machines, capacity int) *Tracer {
 	return &Tracer{label: label, scheduler: scheduler, machines: machines, cap: capacity}
 }
 
-// Label returns the run label.
-func (t *Tracer) Label() string { return t.label }
-
 // record appends one event, overwriting the oldest once the ring is full.
 func (t *Tracer) record(ev TraceEvent) {
 	t.mu.Lock()
@@ -241,13 +238,6 @@ func (t *Tracer) record(ev TraceEvent) {
 // Append records one externally built event (the serving daemon's span
 // emitters); Seq is stamped by the ring exactly as for sim events.
 func (t *Tracer) Append(ev TraceEvent) { t.record(ev) }
-
-// Total returns the number of events emitted (dropped ones included).
-func (t *Tracer) Total() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.total
-}
 
 // Dropped returns how many events the ring overwrote.
 func (t *Tracer) Dropped() int64 {

@@ -13,6 +13,14 @@ import (
 )
 
 // runTraced executes one MIBS run with the given tracer attached.
+
+// Total returns the number of events emitted (dropped ones included).
+func (t *Tracer) Total() int64 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.total
+}
+
 func runTraced(t *testing.T, tr sim.Tracer, seed int64, n int) *sim.Results {
 	t.Helper()
 	s := &sched.MIBS{Scorer: sched.NewScorer(oracle(t), sched.MinRuntime), QueueLen: 6}
@@ -122,7 +130,11 @@ func TestPerfettoExport(t *testing.T) {
 	tr := NewTracer("perfetto", "MIBS6-RT", 4, 0)
 	runTraced(t, tr, 21, 40)
 	var buf bytes.Buffer
-	if err := tr.WritePerfetto(&buf); err != nil {
+	run := &RunTrace{
+		Label: tr.label, Scheduler: tr.scheduler, Machines: tr.machines,
+		Total: tr.Total(), Dropped: tr.Dropped(), Events: tr.Events(),
+	}
+	if err := WritePerfetto(&buf, run); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -161,7 +173,7 @@ func TestPerfettoExport(t *testing.T) {
 func TestTaskSpansAndBreakdowns(t *testing.T) {
 	tr := NewTracer("spans", "MIBS6-RT", 4, 0)
 	res := runTraced(t, tr, 31, 70)
-	run := &RunTrace{Label: tr.Label(), Total: tr.Total(), Events: tr.Events()}
+	run := &RunTrace{Label: tr.label, Total: tr.Total(), Events: tr.Events()}
 
 	spans := run.TaskSpans()
 	if len(spans) != res.Submitted {
@@ -298,7 +310,7 @@ func TestTraceCollectorCollisions(t *testing.T) {
 	if c.Collisions() != 1 || c.Len() != 2 {
 		t.Fatalf("collisions=%d len=%d", c.Collisions(), c.Len())
 	}
-	if a.Label() == b.Label() {
+	if a.label == b.label {
 		t.Fatal("duplicate labels not disambiguated")
 	}
 	a.TraceFlush(1)
@@ -334,7 +346,7 @@ func TestFindRuns(t *testing.T) {
 
 func TestHistogramQuantile(t *testing.T) {
 	t.Run("empty", func(t *testing.T) {
-		if q := NewHistogram([]float64{1, 2}).Quantile(0.5); q != 0 {
+		if q := NewHistogram([]float64{1, 2}).Snapshot().Quantile(0.5); q != 0 {
 			t.Fatalf("empty histogram p50 = %v", q)
 		}
 	})
@@ -344,10 +356,10 @@ func TestHistogramQuantile(t *testing.T) {
 			h.Observe(3)
 		}
 		// All mass in [0,10]: the median interpolates to the bucket middle.
-		if q := h.Quantile(0.5); q != 5 {
+		if q := h.Snapshot().Quantile(0.5); q != 5 {
 			t.Fatalf("p50 = %v, want 5", q)
 		}
-		if q := h.Quantile(1); q != 10 {
+		if q := h.Snapshot().Quantile(1); q != 10 {
 			t.Fatalf("p100 = %v, want 10", q)
 		}
 	})
@@ -357,7 +369,7 @@ func TestHistogramQuantile(t *testing.T) {
 		h.Observe(50)
 		// The histogram cannot see past its last bound; the estimate
 		// saturates there.
-		if q := h.Quantile(0.5); q != 1 {
+		if q := h.Snapshot().Quantile(0.5); q != 1 {
 			t.Fatalf("overflow p50 = %v, want last bound 1", q)
 		}
 	})
@@ -367,17 +379,17 @@ func TestHistogramQuantile(t *testing.T) {
 			h.Observe(v)
 		}
 		// target(0.5)=2.5 → 1.5 ranks into bucket (1,2]: 1 + (2.5−1)/2 × 1.
-		if q := h.Quantile(0.5); math.Abs(q-1.75) > 1e-12 {
+		if q := h.Snapshot().Quantile(0.5); math.Abs(q-1.75) > 1e-12 {
 			t.Fatalf("p50 = %v, want 1.75", q)
 		}
-		if p95, p99 := h.Quantile(0.95), h.Quantile(0.99); p95 > p99 {
+		if p95, p99 := h.Snapshot().Quantile(0.95), h.Snapshot().Quantile(0.99); p95 > p99 {
 			t.Fatalf("quantiles not monotone: p95=%v p99=%v", p95, p99)
 		}
 	})
 	t.Run("clamping", func(t *testing.T) {
 		h := NewHistogram([]float64{1})
 		h.Observe(0.5)
-		if h.Quantile(-3) != h.Quantile(0) || h.Quantile(7) != h.Quantile(1) {
+		if h.Snapshot().Quantile(-3) != h.Snapshot().Quantile(0) || h.Snapshot().Quantile(7) != h.Snapshot().Quantile(1) {
 			t.Fatal("q not clamped to [0,1]")
 		}
 	})

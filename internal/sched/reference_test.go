@@ -17,6 +17,44 @@ import (
 // dense ones to. Only the names changed (a ref prefix); the pair formulas
 // are the Scorer's own.
 
+// The Scorer's name-based lookups and Load.Fraction below serve the tests
+// only: the schedulers read the dense table and the free-VM total.
+
+// PairScore is the predicted cost added by co-locating two fresh tasks,
+// relative to each running alone. For the runtime objective it is
+// phase-aware, the way the data-center executes pairs: both slow each
+// other until the shorter finishes, then the survivor speeds back up.
+func (s *Scorer) PairScore(a, b string) (float64, error) {
+	t, err := s.table()
+	if err != nil {
+		return 0, err
+	}
+	i, err := t.app(a)
+	if err != nil {
+		return 0, err
+	}
+	j, err := t.app(b)
+	if err != nil {
+		return 0, err
+	}
+	return t.score[i*t.n+j], nil
+}
+
+// PlacementScore scores running app on a free VM whose neighbour currently
+// runs neighbour (EmptyCategory for an idle machine): the predicted cost
+// added to the cluster objective by the co-location. An idle machine adds
+// nothing — its forward-looking cost is the pass's empty score.
+func (s *Scorer) PlacementScore(app, neighbour string) (float64, error) {
+	if neighbour == EmptyCategory {
+		return 0, nil
+	}
+	return s.PairScore(app, neighbour)
+}
+
+// Fraction estimates the cluster's effective load in [0,1]: occupied slots
+// plus waiting tasks, over capacity.
+func (l Load) Fraction(counts Counts) float64 { return l.fraction(counts.Total()) }
+
 // refScorer is the old Scorer memo: an RWMutex-guarded map keyed by the
 // sorted name pair, filled in query order.
 type refScorer struct {

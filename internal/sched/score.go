@@ -42,8 +42,8 @@ type table struct {
 	names []string       // ordinal → name
 	ords  map[string]int // name → ordinal, for names[1:]
 	n     int
-	// score[a*n+c] is PlacementScore(names[a], names[c]): 0 beside an idle
-	// machine (c == 0), the symmetric pair score otherwise. Row 0 is unused.
+	// score[a*n+c] is the cost of placing names[a] beside names[c]: 0
+	// beside an idle machine (c == 0), the symmetric pair score otherwise. Row 0 is unused.
 	score []float64
 }
 
@@ -86,26 +86,6 @@ func (t *table) app(name string) (int, error) {
 		return i, nil
 	}
 	return 0, fmt.Errorf("sched: %w: %q is not in the %d-app score table", model.ErrUnknownApp, name, t.n-1)
-}
-
-// PairScore is the predicted cost added by co-locating two fresh tasks,
-// relative to each running alone. For the runtime objective it is
-// phase-aware, the way the data-center executes pairs: both slow each
-// other until the shorter finishes, then the survivor speeds back up.
-func (s *Scorer) PairScore(a, b string) (float64, error) {
-	t, err := s.table()
-	if err != nil {
-		return 0, err
-	}
-	i, err := t.app(a)
-	if err != nil {
-		return 0, err
-	}
-	j, err := t.app(b)
-	if err != nil {
-		return 0, err
-	}
-	return t.score[i*t.n+j], nil
 }
 
 // pairRuntimes predicts the realized runtimes of a and b started together
@@ -187,17 +167,6 @@ func (s *Scorer) pairExtraIOPS(a, b string) (float64, error) {
 	}
 	opsA, opsB := ioA*sa, ioB*sb
 	return (opsA/sa - opsA/rtA) + (opsB/sb - opsB/rtB), nil
-}
-
-// PlacementScore scores running app on a free VM whose neighbour currently
-// runs neighbour (EmptyCategory for an idle machine): the predicted cost
-// added to the cluster objective by the co-location. An idle machine adds
-// nothing — its forward-looking cost is the pass's empty score.
-func (s *Scorer) PlacementScore(app, neighbour string) (float64, error) {
-	if neighbour == EmptyCategory {
-		return 0, nil
-	}
-	return s.PairScore(app, neighbour)
 }
 
 // smallPass bounds the apps and the batch a pass keeps on its caller's

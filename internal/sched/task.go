@@ -68,11 +68,8 @@ type Load struct {
 	Queued int
 }
 
-// Fraction estimates the cluster's effective load in [0,1]: occupied slots
-// plus waiting tasks, over capacity.
-func (l Load) Fraction(counts Counts) float64 { return l.fraction(counts.Total()) }
-
-// fraction is Fraction given the number of free VMs.
+// fraction estimates the cluster's effective load in [0,1], given the
+// number of free VMs: occupied slots plus waiting tasks, over capacity.
 func (l Load) fraction(free int) float64 {
 	if l.TotalSlots <= 0 {
 		return 1

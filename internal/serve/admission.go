@@ -49,9 +49,6 @@ func (a *Admission) TryAcquire() bool {
 // Release returns a token claimed with TryAcquire.
 func (a *Admission) Release() { <-a.sem }
 
-// InFlight returns the number of tokens currently claimed.
-func (a *Admission) InFlight() int { return len(a.sem) }
-
 // ScaledBound resolves the queue bound against the fraction of the
 // inventory that is actually schedulable: a cluster serving at half
 // capacity queues half as much before shedding, and one with no up
@@ -71,17 +68,6 @@ func (a *Admission) ScaledBound(available, total int) int {
 		bound = 1
 	}
 	return bound
-}
-
-// WouldRejectScaled reports whether a submission arriving at the given
-// backlog depth should shed under ScaledBound. Pure: no counter is touched.
-func (a *Admission) WouldRejectScaled(depth, available, total int) bool {
-	switch bound := a.ScaledBound(available, total); {
-	case bound < 0:
-		return false
-	default:
-		return depth >= bound
-	}
 }
 
 // CountRejections records n refused submissions. This is the only mutator

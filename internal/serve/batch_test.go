@@ -458,10 +458,10 @@ func TestSlowBodyDoesNotPinToken(t *testing.T) {
 	// While the slow request is wedged in its decode, the single token is
 	// free and a well-behaved submission goes straight through.
 	deadline := time.After(5 * time.Second)
-	for s.admission.InFlight() != 0 {
+	for len(s.admission.sem) != 0 {
 		select {
 		case <-deadline:
-			t.Fatalf("in-flight token held during body decode: %d", s.admission.InFlight())
+			t.Fatalf("in-flight token held during body decode: %d", len(s.admission.sem))
 		default:
 			time.Sleep(time.Millisecond)
 		}

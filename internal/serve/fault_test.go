@@ -224,15 +224,16 @@ func TestAdmissionSheddingTable(t *testing.T) {
 	}
 	for _, tc := range cases {
 		a := NewAdmission(0, tc.maxQueue)
-		if got := a.WouldRejectScaled(tc.depth, tc.available, tc.total); got != tc.full {
-			t.Errorf("%s: WouldRejectScaled = %v, want %v", tc.name, got, tc.full)
+		bound := a.ScaledBound(tc.available, tc.total)
+		if got := bound >= 0 && tc.depth >= bound; got != tc.full {
+			t.Errorf("%s: ScaledBound %d sheds depth %d = %v, want %v", tc.name, bound, tc.depth, got, tc.full)
 		}
 		if got := retryAfter(tc.available, tc.total); got != tc.after {
 			t.Errorf("%s: retryAfter = %d, want %d", tc.name, got, tc.after)
 		}
 		// The checks are pure: probing must never inflate the counter.
 		if got := a.Rejected(); got != 0 {
-			t.Errorf("%s: WouldRejectScaled mutated the rejection counter to %d", tc.name, got)
+			t.Errorf("%s: ScaledBound mutated the rejection counter to %d", tc.name, got)
 		}
 	}
 }

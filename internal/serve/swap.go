@@ -145,13 +145,6 @@ func (ms *ModelSet) Generation() uint64 {
 // Swaps returns how many hot-swaps have been executed.
 func (ms *ModelSet) Swaps() uint64 { return ms.swaps.Load() }
 
-// Kind returns the served model family.
-func (ms *ModelSet) Kind() model.Kind {
-	ms.mu.RLock()
-	defer ms.mu.RUnlock()
-	return ms.lib.Kind
-}
-
 // Retrainer produces a fresh library for a hot-swap. recent holds the
 // bounded window of production observations per application, newest last;
 // implementations typically fold them into the original training profile

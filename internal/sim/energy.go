@@ -92,9 +92,6 @@ func (e *Engine) flushEnergy(until float64) {
 	}
 }
 
-// EnergyKWh converts the run's integrated energy to kilowatt-hours.
-func (r *Results) EnergyKWh() float64 { return r.EnergyJ / 3.6e6 }
-
 // EnergyPerTaskKJ is the energy bill per completed task in kilojoules.
 func (r *Results) EnergyPerTaskKJ() float64 {
 	if r.CompletedCount == 0 {

@@ -205,14 +205,6 @@ type Results struct {
 // wrongly suggested a rate.)
 func (r *Results) CompletedTasks() float64 { return float64(r.CompletedCount) }
 
-// TasksPerHour is a true rate: completed tasks per simulated hour.
-func (r *Results) TasksPerHour() float64 {
-	if r.Horizon <= 0 {
-		return 0
-	}
-	return float64(r.CompletedCount) / (r.Horizon / 3600)
-}
-
 // MeanRuntime returns the average execution time of completed tasks.
 func (r *Results) MeanRuntime() float64 {
 	if r.CompletedCount == 0 {
@@ -840,6 +832,3 @@ func (e *Engine) trySchedule() error {
 }
 
 func (e *Engine) backlog() int { return len(e.queue) - e.qhead }
-
-// QueueLength reports the current backlog (for tests and diagnostics).
-func (e *Engine) QueueLength() int { return e.backlog() }

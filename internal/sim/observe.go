@@ -133,9 +133,6 @@ type View struct{ e *Engine }
 // Now returns the current simulation time.
 func (v View) Now() float64 { return v.e.now }
 
-// SchedulerName returns the policy under test.
-func (v View) SchedulerName() string { return v.e.results.Scheduler }
-
 // Machines returns the cluster size.
 func (v View) Machines() int { return len(v.e.machines) }
 
@@ -181,9 +178,6 @@ func (v View) PoolCounts() sched.Counts { return v.e.pool.Counts(nil) }
 // PoolStats returns the pool's internal sizes.
 func (v View) PoolStats() sched.PoolStats { return v.e.pool.Stats() }
 
-// CompletedCount returns the number of tasks completed so far.
-func (v View) CompletedCount() int { return v.e.results.CompletedCount }
-
 // MachineDown reports whether the machine is currently crashed under the
 // run's fault plan (always false in fault-free runs).
 func (v View) MachineDown(machine int) bool {
@@ -192,7 +186,3 @@ func (v View) MachineDown(machine int) bool {
 
 // DownMachines returns the number of currently crashed machines.
 func (v View) DownMachines() int { return v.e.downCount }
-
-// HeldTasks returns the number of arrived tasks parked on unmet workflow
-// dependencies.
-func (v View) HeldTasks() int { return v.e.deps.heldCount() }

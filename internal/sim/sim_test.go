@@ -17,6 +17,46 @@ var (
 	tblTB   *xen.Testbed
 )
 
+// The table's read accessors below serve the tests only: the engine
+// indexes the table's slices by app ordinal directly.
+
+// pair returns the rate/iops/util index of app beside neighbour.
+func (t *InterferenceTable) pair(app, neighbour string) int {
+	return t.ords[app]*t.n + t.ords[neighbour]
+}
+
+// Apps returns the application names, sorted.
+func (t *InterferenceTable) Apps() []string {
+	return append([]string(nil), t.apps[1:]...)
+}
+
+// SoloRuntime returns the measured no-interference runtime of app.
+func (t *InterferenceTable) SoloRuntime(app string) float64 { return t.soloRT[t.ords[app]] }
+
+// SoloIOPS returns the measured no-interference throughput of app.
+func (t *InterferenceTable) SoloIOPS(app string) float64 { return t.soloIO[t.ords[app]] }
+
+// Ops returns the total I/O request count of one task of app.
+func (t *InterferenceTable) Ops(app string) float64 { return t.ops[t.ords[app]] }
+
+// Rate returns app's progress rate (solo-seconds per wall second, in
+// (0, 1]) while co-located with neighbour ("" = running alone).
+func (t *InterferenceTable) Rate(app, neighbour string) float64 {
+	return t.rate[t.pair(app, neighbour)]
+}
+
+// Util returns the CPU utilization (guest vCPU plus attributable Dom0
+// work) app drives while co-located with neighbour — the basis of the
+// simulator's energy accounting.
+func (t *InterferenceTable) Util(app, neighbour string) float64 {
+	return t.util[t.pair(app, neighbour)]
+}
+
+// IOPS returns app's throughput while co-located with neighbour.
+func (t *InterferenceTable) IOPS(app, neighbour string) float64 {
+	return t.iops[t.pair(app, neighbour)]
+}
+
 func table(t testing.TB) *InterferenceTable {
 	t.Helper()
 	tblOnce.Do(func() {
@@ -488,7 +528,7 @@ func TestEnergyAccounting(t *testing.T) {
 	if resBusy.EnergyJ > maxPossible {
 		t.Fatalf("energy %v exceeds physical bound %v", resBusy.EnergyJ, maxPossible)
 	}
-	if resBusy.EnergyKWh() <= 0 || resBusy.EnergyPerTaskKJ() <= 0 {
+	if resBusy.EnergyJ <= 0 || resBusy.EnergyPerTaskKJ() <= 0 {
 		t.Fatal("energy conversions broken")
 	}
 }

@@ -122,42 +122,5 @@ func BuildInterferenceTableParallel(host *xen.Host, apps []xen.AppSpec, workers 
 	return t, nil
 }
 
-// pair returns the rate/iops/util index of app beside neighbour.
-func (t *InterferenceTable) pair(app, neighbour string) int {
-	return t.ords[app]*t.n + t.ords[neighbour]
-}
-
-// Apps returns the application names, sorted.
-func (t *InterferenceTable) Apps() []string {
-	return append([]string(nil), t.apps[1:]...)
-}
-
 // Has reports whether the table knows app.
 func (t *InterferenceTable) Has(app string) bool { return t.ords[app] > 0 }
-
-// SoloRuntime returns the measured no-interference runtime of app.
-func (t *InterferenceTable) SoloRuntime(app string) float64 { return t.soloRT[t.ords[app]] }
-
-// SoloIOPS returns the measured no-interference throughput of app.
-func (t *InterferenceTable) SoloIOPS(app string) float64 { return t.soloIO[t.ords[app]] }
-
-// Ops returns the total I/O request count of one task of app.
-func (t *InterferenceTable) Ops(app string) float64 { return t.ops[t.ords[app]] }
-
-// Rate returns app's progress rate (solo-seconds per wall second, in
-// (0, 1]) while co-located with neighbour ("" = running alone).
-func (t *InterferenceTable) Rate(app, neighbour string) float64 {
-	return t.rate[t.pair(app, neighbour)]
-}
-
-// Util returns the CPU utilization (guest vCPU plus attributable Dom0
-// work) app drives while co-located with neighbour — the basis of the
-// simulator's energy accounting.
-func (t *InterferenceTable) Util(app, neighbour string) float64 {
-	return t.util[t.pair(app, neighbour)]
-}
-
-// IOPS returns app's throughput while co-located with neighbour.
-func (t *InterferenceTable) IOPS(app, neighbour string) float64 {
-	return t.iops[t.pair(app, neighbour)]
-}

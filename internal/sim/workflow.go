@@ -109,15 +109,6 @@ func validateDAG(tasks []taskRef) (*depState, error) {
 // ready reports whether the task can enter the scheduling queue now.
 func (ds *depState) ready(id int64) bool { return ds == nil || ds.unmet[id] == 0 }
 
-// heldCount reports how many arrived tasks are parked on unmet
-// dependencies (for observers and tracers; nil-safe like ready).
-func (ds *depState) heldCount() int {
-	if ds == nil {
-		return 0
-	}
-	return len(ds.held)
-}
-
 // hold parks an arrived task until its dependencies complete.
 func (ds *depState) hold(t taskRef) { ds.held[t.ID] = heldTask{task: t, arrived: true} }
 

@@ -37,9 +37,6 @@ func Interaction(i, j int) Term {
 	return Term{I: i, J: j}
 }
 
-// IsLinear reports whether t is a first-degree term.
-func (t Term) IsLinear() bool { return t.J < 0 }
-
 // Eval computes the term's value on raw variable vector x.
 func (t Term) Eval(x []float64) float64 {
 	if t.J < 0 {
@@ -84,16 +81,6 @@ func QuadraticTerms(p int) []Term {
 		}
 	}
 	return terms
-}
-
-// ExpandRow evaluates every term on x, producing one design-matrix row
-// (without the intercept column).
-func ExpandRow(x []float64, terms []Term) []float64 {
-	row := make([]float64, len(terms))
-	for k, t := range terms {
-		row[k] = t.Eval(x)
-	}
-	return row
 }
 
 // sortTerms orders terms deterministically: linear first, then squares,

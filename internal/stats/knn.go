@@ -67,5 +67,3 @@ func (r *KNNRegressor) Predict(q []float64) float64 {
 	}
 	return ysum / wsum
 }
-
-func sqrt(x float64) float64 { return math.Sqrt(x) }

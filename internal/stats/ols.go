@@ -54,19 +54,14 @@ func (f *Fit) AIC() float64 {
 	return n*math.Log(varHat) + 2*float64(f.K())
 }
 
-// OLS fits y ≈ intercept + Σ coef·term(x) by least squares over the raw
-// observation matrix x (observations in rows). If the design matrix is
-// rank-deficient it falls back to a lightly ridge-regularized solve, which
-// keeps stepwise search moving instead of aborting on collinear candidate
-// models.
-func OLS(x *mat.Matrix, y []float64, terms []Term) (*Fit, error) {
-	return WLS(x, y, nil, terms)
-}
-
-// WLS is OLS with per-observation weights: it minimizes Σ wᵢ·(yᵢ−ŷᵢ)².
-// A nil weights slice means equal weights. TRACON's model fitting uses
-// wᵢ = 1/yᵢ² so that the optimized quantity matches the paper's relative
-// error metric |ŷ−y|/y. The reported SSE is the weighted one (it is the
+// WLS fits y ≈ intercept + Σ coef·term(x) by weighted least squares over
+// the raw observation matrix x (observations in rows): it minimizes
+// Σ wᵢ·(yᵢ−ŷᵢ)², and a nil weights slice means equal weights (ordinary
+// least squares). If the design matrix is rank-deficient it falls back to
+// a lightly ridge-regularized solve, which keeps stepwise search moving
+// instead of aborting on collinear candidate models. TRACON's model
+// fitting uses wᵢ = 1/yᵢ² so that the optimized quantity matches the
+// paper's relative error metric |ŷ−y|/y. The reported SSE is the weighted one (it is the
 // likelihood-relevant quantity for AIC-guided selection).
 func WLS(x *mat.Matrix, y, weights []float64, terms []Term) (*Fit, error) {
 	n := x.Rows()
@@ -123,10 +118,6 @@ func WLS(x *mat.Matrix, y, weights []float64, terms []Term) (*Fit, error) {
 	return fit, nil
 }
 
-func computeSSE(x *mat.Matrix, y []float64, f *Fit) float64 {
-	return computeWSSE(x, y, nil, f)
-}
-
 func computeWSSE(x *mat.Matrix, y, weights []float64, f *Fit) float64 {
 	sse := 0.0
 	for i := 0; i < x.Rows(); i++ {
@@ -138,18 +129,4 @@ func computeWSSE(x *mat.Matrix, y, weights []float64, f *Fit) float64 {
 		}
 	}
 	return sse
-}
-
-// RSquared returns the coefficient of determination of f on (x, y).
-func RSquared(x *mat.Matrix, y []float64, f *Fit) float64 {
-	meanY := mat.Mean(y)
-	tss := 0.0
-	for _, v := range y {
-		d := v - meanY
-		tss += d * d
-	}
-	if tss == 0 {
-		return 0
-	}
-	return 1 - computeSSE(x, y, f)/tss
 }

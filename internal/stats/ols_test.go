@@ -48,11 +48,10 @@ func TestQuadraticTermCount(t *testing.T) {
 
 func TestExpandRow(t *testing.T) {
 	terms := []Term{Linear(0), Square(0), Interaction(0, 1)}
-	got := ExpandRow([]float64{3, 4}, terms)
 	want := []float64{3, 9, 12}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("ExpandRow = %v want %v", got, want)
+	for i, term := range terms {
+		if got := term.Eval([]float64{3, 4}); got != want[i] {
+			t.Fatalf("%v.Eval = %v want %v", term, got, want[i])
 		}
 	}
 }
@@ -67,7 +66,7 @@ func TestOLSRecoversLinearTruth(t *testing.T) {
 		x.SetRow(i, []float64{a, b})
 		y[i] = 4 + 2*a - 3*b
 	}
-	fit, err := OLS(x, y, LinearTerms(2))
+	fit, err := WLS(x, y, nil, LinearTerms(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +88,7 @@ func TestOLSRecoversQuadraticTruth(t *testing.T) {
 		x.SetRow(i, []float64{a, b})
 		y[i] = 1 + a - b + 0.5*a*a + 2*a*b
 	}
-	fit, err := OLS(x, y, QuadraticTerms(2))
+	fit, err := WLS(x, y, nil, QuadraticTerms(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,14 +100,14 @@ func TestOLSRecoversQuadraticTruth(t *testing.T) {
 }
 
 func TestOLSErrors(t *testing.T) {
-	if _, err := OLS(mat.New(1, 1), nil, nil); err != ErrNoData {
+	if _, err := WLS(mat.New(1, 1), nil, nil, nil); err != ErrNoData {
 		t.Fatalf("empty y: err = %v", err)
 	}
 	x := mat.New(2, 3)
-	if _, err := OLS(x, []float64{1, 2}, QuadraticTerms(3)); err != ErrUnderdetermined {
+	if _, err := WLS(x, []float64{1, 2}, nil, QuadraticTerms(3)); err != ErrUnderdetermined {
 		t.Fatalf("underdetermined: err = %v", err)
 	}
-	if _, err := OLS(x, []float64{1}, nil); err != mat.ErrShape {
+	if _, err := WLS(x, []float64{1}, nil, nil); err != mat.ErrShape {
 		t.Fatalf("shape: err = %v", err)
 	}
 }
@@ -116,9 +115,9 @@ func TestOLSErrors(t *testing.T) {
 func TestOLSCollinearFallsBackToRidge(t *testing.T) {
 	// x1 == x0 exactly: design is singular, but OLS should still return a
 	// finite model via the ridge fallback.
-	x := mat.NewFromRows([][]float64{{1, 1}, {2, 2}, {3, 3}, {4, 4}})
+	x := mat.NewFromSlice(4, 2, []float64{1, 1, 2, 2, 3, 3, 4, 4})
 	y := []float64{2, 4, 6, 8}
-	fit, err := OLS(x, y, LinearTerms(2))
+	fit, err := WLS(x, y, nil, LinearTerms(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,14 +150,19 @@ func TestAICFiniteOnPerfectFit(t *testing.T) {
 	}
 }
 
+// A perfect fit leaves no residual: R² = 1 − SSE/TSS is 1.
 func TestRSquared(t *testing.T) {
-	x := mat.NewFromRows([][]float64{{1}, {2}, {3}, {4}})
+	x := mat.NewFromSlice(4, 1, []float64{1, 2, 3, 4})
 	y := []float64{2, 4, 6, 8}
-	fit, err := OLS(x, y, LinearTerms(1))
+	fit, err := WLS(x, y, nil, LinearTerms(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r2 := RSquared(x, y, fit); math.Abs(r2-1) > 1e-10 {
+	tss := 0.0
+	for _, v := range y {
+		tss += (v - 5) * (v - 5)
+	}
+	if r2 := 1 - fit.SSE/tss; math.Abs(r2-1) > 1e-10 {
 		t.Fatalf("perfect fit R² = %v", r2)
 	}
 }
@@ -174,7 +178,7 @@ func TestOLSResidualMeanZeroProperty(t *testing.T) {
 			x.SetRow(i, []float64{rng.NormFloat64(), rng.NormFloat64()})
 			y[i] = rng.NormFloat64() * 5
 		}
-		fit, err := OLS(x, y, LinearTerms(2))
+		fit, err := WLS(x, y, nil, LinearTerms(2))
 		if err != nil {
 			return true
 		}

@@ -4,27 +4,14 @@ import (
 	"tracon/internal/mat"
 )
 
-// PCA is a fitted principal-component analysis: the standardization
-// parameters of the training data plus the leading eigenvectors of its
-// correlation structure. The paper's weighted mean method projects
-// application characteristics onto the first four components before
-// computing neighbour distances.
+// PCA is a fitted principal-component analysis: the mean of the training
+// data plus the leading eigenvectors of its covariance. The paper's
+// weighted mean method projects application characteristics onto the
+// first four components before computing neighbour distances.
 type PCA struct {
 	Mean   []float64   // per-variable mean of the training data
-	Scale  []float64   // per-variable standard deviation (1 where degenerate)
 	Comp   *mat.Matrix // p×k matrix: columns are principal directions
 	Lambda []float64   // eigenvalues (variance explained per component)
-	// TotalVar is the total variance of the (scaled) training data — the
-	// denominator of ExplainedVariance.
-	TotalVar float64
-}
-
-// FitPCA computes the first k principal components of the rows of x,
-// standardizing variables first (zero mean, unit variance) so that request
-// rates and CPU utilizations — wildly different scales — contribute
-// comparably.
-func FitPCA(x *mat.Matrix, k int) (*PCA, error) {
-	return fitPCA(x, k, true)
 }
 
 // FitPCACov computes covariance PCA on the raw (centred, unscaled) data —
@@ -32,10 +19,6 @@ func FitPCA(x *mat.Matrix, k int) (*PCA, error) {
 // method uses: Euclidean distances in the space of the leading components
 // of the raw monitoring data.
 func FitPCACov(x *mat.Matrix, k int) (*PCA, error) {
-	return fitPCA(x, k, false)
-}
-
-func fitPCA(x *mat.Matrix, k int, standardize bool) (*PCA, error) {
 	n, p := x.Dims()
 	if n == 0 {
 		return nil, ErrNoData
@@ -43,28 +26,16 @@ func fitPCA(x *mat.Matrix, k int, standardize bool) (*PCA, error) {
 	if k <= 0 || k > p {
 		k = p
 	}
-	pca := &PCA{
-		Mean:  make([]float64, p),
-		Scale: make([]float64, p),
-	}
+	pca := &PCA{Mean: make([]float64, p)}
 	for j := 0; j < p; j++ {
-		col := x.Col(j)
-		pca.Mean[j] = mat.Mean(col)
-		if standardize {
-			pca.Scale[j] = stddev(col, pca.Mean[j])
-		} else {
-			pca.Scale[j] = 1
-		}
-		if pca.Scale[j] < 1e-12 {
-			pca.Scale[j] = 1 // constant variable: leave centred at zero
-		}
+		pca.Mean[j] = mat.Mean(x.Col(j))
 	}
 	z := mat.New(n, p)
 	for i := 0; i < n; i++ {
 		src := x.RawRow(i)
 		dst := z.RawRow(i)
 		for j := 0; j < p; j++ {
-			dst[j] = (src[j] - pca.Mean[j]) / pca.Scale[j]
+			dst[j] = src[j] - pca.Mean[j]
 		}
 	}
 	eig, err := mat.SymEigen(mat.Covariance(z))
@@ -73,7 +44,6 @@ func fitPCA(x *mat.Matrix, k int, standardize bool) (*PCA, error) {
 	}
 	pca.Comp = eig.Vectors.SelectColumns(indices(k))
 	pca.Lambda = append([]float64(nil), eig.Values[:k]...)
-	pca.TotalVar = mat.Sum(eig.Values)
 	return pca, nil
 }
 
@@ -84,7 +54,7 @@ func (p *PCA) Project(x []float64) []float64 {
 	}
 	z := make([]float64, len(x))
 	for j := range x {
-		z[j] = (x[j] - p.Mean[j]) / p.Scale[j]
+		z[j] = x[j] - p.Mean[j]
 	}
 	k := p.Comp.Cols()
 	out := make([]float64, k)
@@ -98,38 +68,10 @@ func (p *PCA) Project(x []float64) []float64 {
 	return out
 }
 
-// ExplainedVariance returns the fraction of total variance captured by the
-// retained components.
-func (p *PCA) ExplainedVariance() float64 {
-	if p.TotalVar <= 0 {
-		return 0
-	}
-	frac := mat.Sum(p.Lambda) / p.TotalVar
-	if frac > 1 {
-		frac = 1
-	}
-	if frac < 0 {
-		frac = 0
-	}
-	return frac
-}
-
 func indices(k int) []int {
 	out := make([]int, k)
 	for i := range out {
 		out[i] = i
 	}
 	return out
-}
-
-func stddev(v []float64, mean float64) float64 {
-	if len(v) < 2 {
-		return 0
-	}
-	ss := 0.0
-	for _, x := range v {
-		d := x - mean
-		ss += d * d
-	}
-	return sqrt(ss / float64(len(v)-1))
 }

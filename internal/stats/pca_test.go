@@ -19,7 +19,7 @@ func TestPCAFindsDominantDirection(t *testing.T) {
 		tv := rng.NormFloat64() * 10
 		x.SetRow(i, []float64{tv + rng.NormFloat64()*0.01, tv - rng.NormFloat64()*0.01})
 	}
-	p, err := FitPCA(x, 2)
+	p, err := FitPCACov(x, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestPCAProjectTrainingMeanIsOrigin(t *testing.T) {
 	for i := 0; i < n; i++ {
 		x.SetRow(i, []float64{rng.NormFloat64() + 5, rng.NormFloat64() * 3, rng.Float64()})
 	}
-	p, err := FitPCA(x, 2)
+	p, err := FitPCACov(x, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,8 +54,8 @@ func TestPCAProjectTrainingMeanIsOrigin(t *testing.T) {
 
 func TestPCAConstantVariable(t *testing.T) {
 	// A constant column must not produce NaNs.
-	x := mat.NewFromRows([][]float64{{1, 7}, {2, 7}, {3, 7}, {4, 7}})
-	p, err := FitPCA(x, 2)
+	x := mat.NewFromSlice(4, 2, []float64{1, 7, 2, 7, 3, 7, 4, 7})
+	p, err := FitPCACov(x, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestPCAConstantVariable(t *testing.T) {
 }
 
 func TestPCAEmpty(t *testing.T) {
-	if _, err := FitPCA(mat.New(1, 1), 1); err != nil {
+	if _, err := FitPCACov(mat.New(1, 1), 1); err != nil {
 		t.Fatal("single observation should still fit")
 	}
 }
@@ -86,11 +86,17 @@ func TestPCAExplainedVarianceBounds(t *testing.T) {
 			x.SetRow(i, row)
 		}
 		k := 1 + rng.Intn(p)
-		pc, err := FitPCA(x, k)
+		pc, err := FitPCACov(x, k)
 		if err != nil {
 			return false
 		}
-		ev := pc.ExplainedVariance()
+		// The retained eigenvalues explain a share of the total variance,
+		// the trace of the covariance.
+		cov, total := mat.Covariance(x), 0.0
+		for j := 0; j < p; j++ {
+			total += cov.At(j, j)
+		}
+		ev := mat.Sum(pc.Lambda) / total
 		return ev >= -1e-9 && ev <= 1+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
@@ -99,7 +105,7 @@ func TestPCAExplainedVarianceBounds(t *testing.T) {
 }
 
 func TestKNNExactMatchReturnsTrainingResponse(t *testing.T) {
-	pts := mat.NewFromRows([][]float64{{0, 0}, {1, 0}, {0, 1}})
+	pts := mat.NewFromSlice(3, 2, []float64{0, 0, 1, 0, 0, 1})
 	knn := NewKNN(3, pts, []float64{10, 20, 30})
 	if got := knn.Predict([]float64{1, 0}); got != 20 {
 		t.Fatalf("exact-match prediction = %v want 20", got)
@@ -109,7 +115,7 @@ func TestKNNExactMatchReturnsTrainingResponse(t *testing.T) {
 func TestKNNWeightsByReciprocalDistance(t *testing.T) {
 	// Query at distance 1 from y=0 and distance 3 from y=4 with k=2:
 	// weights 1 and 1/3 → prediction (0·1 + 4/3)/(4/3) = 1.
-	pts := mat.NewFromRows([][]float64{{1}, {5}})
+	pts := mat.NewFromSlice(2, 1, []float64{1, 5})
 	knn := NewKNN(2, pts, []float64{0, 4})
 	got := knn.Predict([]float64{2})
 	if math.Abs(got-1) > 1e-12 {
@@ -118,7 +124,7 @@ func TestKNNWeightsByReciprocalDistance(t *testing.T) {
 }
 
 func TestKNNKLargerThanDataset(t *testing.T) {
-	pts := mat.NewFromRows([][]float64{{0}, {2}})
+	pts := mat.NewFromSlice(2, 1, []float64{0, 2})
 	knn := NewKNN(10, pts, []float64{1, 3})
 	got := knn.Predict([]float64{1})
 	if math.Abs(got-2) > 1e-12 {

@@ -55,7 +55,7 @@ func TestStepwiseBeatsOrMatchesFullModelAIC(t *testing.T) {
 		y[i] = 1 + row[0] + rng.NormFloat64()*0.1
 	}
 	cand := QuadraticTerms(3)
-	full, err := OLS(x, y, cand)
+	full, err := WLS(x, y, nil, cand)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestStepwiseStartFull(t *testing.T) {
 
 func TestStepwiseConstantResponse(t *testing.T) {
 	// With a constant response, the intercept-only model should win.
-	x := mat.NewFromRows([][]float64{{1, 2}, {3, 4}, {5, 6}, {7, 8}, {2, 1}, {4, 3}})
+	x := mat.NewFromSlice(6, 2, []float64{1, 2, 3, 4, 5, 6, 7, 8, 2, 1, 4, 3})
 	y := []float64{7, 7, 7, 7, 7, 7}
 	fit, err := Stepwise(x, y, QuadraticTerms(2), DefaultStepwise())
 	if err != nil {
@@ -151,7 +151,7 @@ func TestGaussNewtonMatchesOLSOnLinearModel(t *testing.T) {
 		y[i] = 2 + row[0] - 3*row[1] + 0.7*row[0]*row[1] + rng.NormFloat64()*0.1
 	}
 	terms := QuadraticTerms(2)
-	ols, err := OLS(x, y, terms)
+	ols, err := WLS(x, y, nil, terms)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestGaussNewtonNoProgressOnOptimal(t *testing.T) {
 }
 
 func TestFitGaussNewtonConstantResponse(t *testing.T) {
-	x := mat.NewFromRows([][]float64{{1}, {2}, {3}, {4}})
+	x := mat.NewFromSlice(4, 1, []float64{1, 2, 3, 4})
 	y := []float64{5, 5, 5, 5}
 	fit, err := FitGaussNewton(x, y, LinearTerms(1), GaussNewtonConfig{Damping: true})
 	if err != nil {

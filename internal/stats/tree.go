@@ -48,23 +48,6 @@ type RegressionTree struct {
 	p    int // input dimensionality
 }
 
-// FitTree grows a regression tree on (x, y) by greedy variance-reducing
-// binary splits.
-func FitTree(x *mat.Matrix, y []float64, cfg TreeConfig) (*RegressionTree, error) {
-	n, p := x.Dims()
-	if n == 0 || len(y) != n {
-		return nil, fmt.Errorf("stats: tree needs matching non-empty x and y")
-	}
-	cfg = cfg.withDefaults()
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	t := &RegressionTree{p: p}
-	t.root = growTree(x, y, idx, cfg, 0, nil)
-	return t, nil
-}
-
 // growTree recursively builds nodes. features limits the candidate split
 // features (nil = all), which the forest uses for decorrelation.
 func growTree(x *mat.Matrix, y []float64, idx []int, cfg TreeConfig, depth int, features []int) *treeNode {
@@ -163,20 +146,6 @@ func (t *RegressionTree) Predict(x []float64) float64 {
 	return node.value
 }
 
-// Depth returns the height of the tree (0 for a lone leaf).
-func (t *RegressionTree) Depth() int { return depthOf(t.root) }
-
-func depthOf(n *treeNode) int {
-	if n == nil || n.feature < 0 {
-		return 0
-	}
-	l, r := depthOf(n.left), depthOf(n.right)
-	if l > r {
-		return l + 1
-	}
-	return r + 1
-}
-
 // ForestConfig bounds a bagged regression forest.
 type ForestConfig struct {
 	// Trees is the ensemble size (default 40).
@@ -245,9 +214,6 @@ func (f *Forest) Predict(x []float64) float64 {
 	}
 	return s / float64(len(f.trees))
 }
-
-// Size returns the number of member trees.
-func (f *Forest) Size() int { return len(f.trees) }
 
 func meanAt(y []float64, idx []int) float64 {
 	if len(idx) == 0 {

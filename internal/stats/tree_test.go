@@ -9,6 +9,25 @@ import (
 	"tracon/internal/mat"
 )
 
+// fitTree grows one tree on all of (x, y): a forest member without the
+// bootstrap or feature sampling.
+func fitTree(x *mat.Matrix, y []float64, cfg TreeConfig) *RegressionTree {
+	n, p := x.Dims()
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	return &RegressionTree{p: p, root: growTree(x, y, idx, cfg.withDefaults(), 0, nil)}
+}
+
+// depth returns the height of the tree below n (0 for a lone leaf).
+func depth(n *treeNode) int {
+	if n == nil || n.feature < 0 {
+		return 0
+	}
+	return 1 + max(depth(n.left), depth(n.right))
+}
+
 func TestTreeFitsStepFunction(t *testing.T) {
 	// A step no polynomial matches exactly: y = 10 for x<0.5, 20 otherwise.
 	n := 200
@@ -24,10 +43,7 @@ func TestTreeFitsStepFunction(t *testing.T) {
 			y[i] = 20
 		}
 	}
-	tree, err := FitTree(x, y, TreeConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tree := fitTree(x, y, TreeConfig{})
 	if got := tree.Predict([]float64{0.1}); math.Abs(got-10) > 0.5 {
 		t.Fatalf("left side predicts %v", got)
 	}
@@ -45,24 +61,18 @@ func TestTreeRespectsDepthAndLeafLimits(t *testing.T) {
 		x.SetRow(i, []float64{rng.Float64(), rng.Float64()})
 		y[i] = rng.NormFloat64()
 	}
-	tree, err := FitTree(x, y, TreeConfig{MaxDepth: 3, MinLeaf: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := tree.Depth(); d > 3 {
+	tree := fitTree(x, y, TreeConfig{MaxDepth: 3, MinLeaf: 10})
+	if d := depth(tree.root); d > 3 {
 		t.Fatalf("depth %d exceeds limit", d)
 	}
 }
 
 func TestTreeConstantResponseIsLeaf(t *testing.T) {
-	x := mat.NewFromRows([][]float64{{1}, {2}, {3}, {4}, {5}, {6}, {7}, {8}})
+	x := mat.NewFromSlice(8, 1, []float64{1, 2, 3, 4, 5, 6, 7, 8})
 	y := []float64{7, 7, 7, 7, 7, 7, 7, 7}
-	tree, err := FitTree(x, y, TreeConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tree.Depth() != 0 {
-		t.Fatalf("constant response grew depth %d", tree.Depth())
+	tree := fitTree(x, y, TreeConfig{})
+	if depth(tree.root) != 0 {
+		t.Fatalf("constant response grew depth %d", depth(tree.root))
 	}
 	if tree.Predict([]float64{100}) != 7 {
 		t.Fatal("leaf value wrong")
@@ -70,13 +80,10 @@ func TestTreeConstantResponseIsLeaf(t *testing.T) {
 }
 
 func TestTreeErrors(t *testing.T) {
-	if _, err := FitTree(mat.New(1, 1), nil, TreeConfig{}); err == nil {
+	if _, err := FitForest(mat.New(1, 1), nil, ForestConfig{}); err == nil {
 		t.Fatal("mismatched shapes accepted")
 	}
-	tree, err := FitTree(mat.NewFromRows([][]float64{{1}, {2}}), []float64{1, 2}, TreeConfig{MinLeaf: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tree := fitTree(mat.NewFromSlice(2, 1, []float64{1, 2}), []float64{1, 2}, TreeConfig{MinLeaf: 1})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("wrong predict dimensionality did not panic")
@@ -105,10 +112,7 @@ func TestForestBeatsSingleTreeOnNoisyCliff(t *testing.T) {
 	trainX, trainY := gen(rng, 300)
 	testX, testY := gen(rng, 300)
 
-	tree, err := FitTree(trainX, trainY, TreeConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tree := fitTree(trainX, trainY, TreeConfig{})
 	forest, err := FitForest(trainX, trainY, ForestConfig{Trees: 40, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -168,10 +172,7 @@ func TestTreePredictionInRangeProperty(t *testing.T) {
 			y[i] = rng.NormFloat64() * 100
 			lo, hi = math.Min(lo, y[i]), math.Max(hi, y[i])
 		}
-		tree, err := FitTree(x, y, TreeConfig{})
-		if err != nil {
-			return false
-		}
+		tree := fitTree(x, y, TreeConfig{})
 		forest, err := FitForest(x, y, ForestConfig{Trees: 5, Seed: seed})
 		if err != nil {
 			return false
@@ -198,8 +199,8 @@ func TestForestFeatureSubsampling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Size() != 30 {
-		t.Fatalf("size %d", f.Size())
+	if len(f.trees) != 30 {
+		t.Fatalf("size %d", len(f.trees))
 	}
 	// Still captures the signal reasonably.
 	pred := f.Predict([]float64{1, 0, 1, 0})

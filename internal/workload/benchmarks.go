@@ -130,13 +130,3 @@ func BenchmarksByRank() []Benchmark {
 	sort.Slice(bs, func(i, j int) bool { return bs[i].IORank < bs[j].IORank })
 	return bs
 }
-
-// Names returns the benchmark names in Table 3 order.
-func Names() []string {
-	bs := Benchmarks()
-	out := make([]string, len(bs))
-	for i, b := range bs {
-		out[i] = b.Spec.Name
-	}
-	return out
-}

@@ -35,7 +35,7 @@ func TestCloneReproducesMeasurements(t *testing.T) {
 	if got != want {
 		t.Errorf("clone measurement %+v differs from original %+v", got, want)
 	}
-	if tb.Clone().Seed() != tb.Seed() {
+	if tb.Clone().seed != tb.seed {
 		t.Error("clone changed the seed")
 	}
 }

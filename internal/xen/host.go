@@ -41,10 +41,6 @@ type HostConfig struct {
 	// MaxIters and Damping control the fixed-point solver.
 	MaxIters int
 	Damping  float64
-
-	// MicroSliceMs is the per-stream disk slice of the per-request
-	// micro-simulator (see microsim.go); zero takes the default.
-	MicroSliceMs float64
 }
 
 // DefaultHost returns the calibrated testbed machine: one core's worth of

@@ -67,9 +67,6 @@ func NewTestbed(host *Host, runs int, sigma float64, seed int64) *Testbed {
 // Host returns the underlying host model.
 func (tb *Testbed) Host() *Host { return tb.host }
 
-// Seed returns the testbed's noise-stream seed.
-func (tb *Testbed) Seed() int64 { return tb.seed }
-
 // Clone returns an independent testbed value with the same host, run count,
 // noise level and seed. Because measurement noise is key-addressed, a clone
 // reproduces the original's measurements bit-for-bit; per-worker clones let
