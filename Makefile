@@ -43,11 +43,13 @@ paper:
 	diff $$tmp/want $$tmp/got && \
 	grep -E 'environment ready|all done in' $$tmp/stderr
 
-# Tracing gate: the tracontrace CLI must build and the trace exports must
-# be byte-identical across worker counts (and leave results untouched).
+# Tracing gate: the tracontrace CLI must build, the trace exports must be
+# byte-identical across worker counts (and leave results untouched), and
+# the observed exports (trace, metrics, audit) must match their seed-1
+# digests.
 trace:
 	$(GO) build -o /dev/null ./cmd/tracontrace
-	$(GO) test ./internal/experiments -run TestTraceExportDeterministicAcrossWorkers -short -count=1
+	$(GO) test ./internal/experiments -run 'TestTraceExportDeterministicAcrossWorkers|TestObservedExportsGolden' -short -count=1
 	$(GO) test ./internal/obs -run 'TestTrace|TestTracer|TestPerfetto' -count=1
 
 # Observability smoke test: boot tracond with JSON logs, drive a scraped
