@@ -104,10 +104,11 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "environment ready in %v\n\n", time.Since(start).Round(time.Millisecond))
 
-	// Observability: one metrics collector for the whole sweep, one auditor
-	// per simulation run (the monotonicity checks track per-run clocks).
-	// Labels are derived from run inputs, so exports are identical at every
-	// -parallel width.
+	// Observability: one metrics collector and one trace collector for the
+	// whole sweep, one auditor per simulation run (the monotonicity checks
+	// track per-run clocks), all behind one observer per run. Labels are
+	// derived from run inputs, so exports are identical at every -parallel
+	// width.
 	var collector *obs.Collector
 	var auditMu sync.Mutex
 	var auditors []*obs.InvariantAuditor
@@ -126,15 +127,16 @@ func main() {
 	var traces *obs.TraceCollector
 	if *traceRuns {
 		traces = obs.NewTraceCollector(*traceCap)
-		env.Trace = func(kind, scheduler string, machines int, tasks []sched.Task) sim.Tracer {
-			return traces.Tracer(obs.RunLabel(kind, scheduler, machines, tasks), scheduler, machines)
-		}
 	}
-	if *metrics || *audit {
+	if *metrics || *audit || *traceRuns {
 		env.Observe = func(kind, scheduler string, machines int, tasks []sched.Task) sim.Observer {
+			label := obs.RunLabel(kind, scheduler, machines, tasks)
 			var multi obs.Multi
 			if collector != nil {
-				multi = append(multi, collector.Observer(obs.RunLabel(kind, scheduler, machines, tasks)))
+				multi = append(multi, collector.Observer(label))
+			}
+			if traces != nil {
+				multi = append(multi, traces.Tracer(label, scheduler, machines))
 			}
 			if *audit {
 				a := &obs.InvariantAuditor{Every: *auditN}

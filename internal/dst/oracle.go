@@ -40,29 +40,26 @@ type oracleEvent struct {
 	machine, slot int // otPlace only
 }
 
-// oracleTracer captures the simulator's lifecycle stream: the driver
+// oracleRecorder captures the simulator's lifecycle stream: the driver
 // events (enqueue, complete) the serve replay re-issues, and the place
 // events that record the simulator's start order.
-type oracleTracer struct {
+type oracleRecorder struct {
 	events []oracleEvent
 }
 
-func (o *oracleTracer) TraceArrival(float64, sched.Task, bool) {}
-func (o *oracleTracer) TraceEnqueue(_ float64, t sched.Task, _ bool) {
-	o.events = append(o.events, oracleEvent{kind: otEnqueue, task: t.ID, app: t.App})
+func (o *oracleRecorder) Observe(_ sim.View, ev sim.Event) error {
+	switch ev.Kind {
+	case sim.OnEnqueue:
+		o.events = append(o.events, oracleEvent{kind: otEnqueue, task: ev.Task.ID, app: ev.Task.App})
+	case sim.OnPlace:
+		p := ev.Place
+		o.events = append(o.events, oracleEvent{kind: otPlace, task: p.Task.ID, app: p.Task.App, machine: p.Machine, slot: p.Slot})
+	case sim.OnComplete:
+		t := ev.Complete.Record.Task
+		o.events = append(o.events, oracleEvent{kind: otComplete, task: t.ID, app: t.App})
+	}
+	return nil
 }
-func (o *oracleTracer) TraceFlush(float64)                  {}
-func (o *oracleTracer) TraceDecision(float64, sim.Decision) {}
-func (o *oracleTracer) TracePop(float64, sim.PopInfo)       {}
-func (o *oracleTracer) TracePlace(_ float64, p sim.PlaceInfo) {
-	o.events = append(o.events, oracleEvent{kind: otPlace, task: p.Task.ID, app: p.Task.App, machine: p.Machine, slot: p.Slot})
-}
-func (o *oracleTracer) TraceSegment(float64, sim.Segment) {}
-func (o *oracleTracer) TraceComplete(_ float64, c sim.Completion) {
-	o.events = append(o.events, oracleEvent{kind: otComplete, task: c.Record.Task.ID, app: c.Record.Task.App})
-}
-func (o *oracleTracer) TraceFault(float64, sim.FaultInfo) {}
-func (o *oracleTracer) TraceDone(float64, *sim.Results)   {}
 
 // RunOracle draws a seeded arrival schedule, runs it to completion in the
 // simulator, then replays the simulator's own event stream against a
@@ -81,21 +78,19 @@ func RunOracle(lib *model.Library, tbl *sim.InterferenceTable, policy string, ma
 		arrivals[i] = sched.Task{ID: int64(i + 1), App: app, Arrival: float64(i)}
 	}
 
-	var scheduler sched.Scheduler
-	switch policy {
-	case "fifo":
-		scheduler = sched.FIFO{}
-	case "mios":
-		scheduler = &sched.MIOS{Scorer: sched.NewScorer(lib, 0)}
-	default:
+	if policy != "fifo" && policy != "mios" {
 		return fmt.Errorf("oracle: policy %q has no overlapping semantics (online policies only)", policy)
 	}
-	tracer := &oracleTracer{}
+	scheduler, err := sched.New(policy, 0, sched.NewScorer(lib, 0))
+	if err != nil {
+		return err
+	}
+	recorder := &oracleRecorder{}
 	engine, err := sim.NewEngine(sim.Config{
 		Machines:  machines,
 		Scheduler: scheduler,
 		Table:     tbl,
-		Tracer:    tracer,
+		Observer:  recorder,
 	})
 	if err != nil {
 		return err
@@ -167,7 +162,7 @@ func RunOracle(lib *model.Library, tbl *sim.InterferenceTable, policy string, ma
 		return p.CheckInvariants()
 	}
 
-	for i, ev := range tracer.events {
+	for i, ev := range recorder.events {
 		switch ev.kind {
 		case otPlace:
 			simStarts = append(simStarts, start{ev.task, ev.machine, ev.slot})

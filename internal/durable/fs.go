@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"io/fs"
@@ -213,7 +214,7 @@ func (m *MemFS) Open(name string) (io.ReadCloser, error) {
 	f.mu.Lock()
 	snap := append([]byte(nil), f.data...)
 	f.mu.Unlock()
-	return &memReader{data: snap}, nil
+	return io.NopCloser(bytes.NewReader(snap)), nil
 }
 
 func (m *MemFS) Create(name string, excl bool) (File, error) {
@@ -300,17 +301,15 @@ func (h *memHandle) Truncate(size int64) error {
 	}
 	h.f.mu.Lock()
 	defer h.f.mu.Unlock()
-	if size < 0 || size > int64(len(h.f.data)) {
-		if size < 0 {
-			return fmt.Errorf("memfs: truncate to negative size %d", size)
-		}
-		h.f.data = append(h.f.data, make([]byte, size-int64(len(h.f.data)))...)
+	if size < 0 {
+		return fmt.Errorf("memfs: truncate to negative size %d", size)
+	}
+	if grow := size - int64(len(h.f.data)); grow > 0 {
+		h.f.data = append(h.f.data, make([]byte, grow)...)
 	} else {
 		h.f.data = h.f.data[:size]
 	}
-	if h.f.synced > int(size) {
-		h.f.synced = int(size)
-	}
+	h.f.synced = min(h.f.synced, int(size))
 	return nil
 }
 
@@ -340,19 +339,3 @@ func (h *memHandle) Close() error {
 	h.closed = true
 	return nil
 }
-
-type memReader struct {
-	data []byte
-	off  int
-}
-
-func (r *memReader) Read(p []byte) (int, error) {
-	if r.off >= len(r.data) {
-		return 0, io.EOF
-	}
-	n := copy(p, r.data[r.off:])
-	r.off += n
-	return n, nil
-}
-
-func (r *memReader) Close() error { return nil }

@@ -190,3 +190,39 @@ func TestManagerOnMemFSFsyncNeverLosesSuffix(t *testing.T) {
 		t.Fatalf("recovered LastSeq = %d, want 3 (the synced prefix)", got)
 	}
 }
+
+// TestSyncDueOnlyUnderInterval: only the interval policy owes a deferred
+// sync, due one interval after the last sync, and Sync settles it; a
+// second Sync has nothing to do.
+func TestSyncDueOnlyUnderInterval(t *testing.T) {
+	for _, policy := range []FsyncPolicy{FsyncAlways, FsyncInterval, FsyncNever} {
+		mem := NewMemFS()
+		m, err := Open("data", Options{Fsync: policy, Now: fixedClock(), FS: mem})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Append(Event{Kind: EvAdmit, Task: "t", Machine: -1, Slot: -1}); err != nil {
+			t.Fatal(err)
+		}
+		d, due := m.SyncDue()
+		if want := policy == FsyncInterval; due != want || (due && (d <= 0 || d > DefaultFsyncInterval)) {
+			t.Errorf("%v: SyncDue = (%v, %v), want due=%v within one interval", policy, d, due, want)
+		}
+		if err := m.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if _, due := m.SyncDue(); due {
+			t.Errorf("%v: a sync is still due after Sync", policy)
+		}
+		if policy != FsyncAlways {
+			mem.Crash()
+			m2, err := Open("data", Options{Fsync: policy, Now: fixedClock(), FS: mem})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := m2.Recovery().LastSeq(); got != 1 {
+				t.Errorf("%v: recovered LastSeq %d after Sync, want 1", policy, got)
+			}
+		}
+	}
+}

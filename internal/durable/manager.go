@@ -325,14 +325,26 @@ func (m *Manager) Append(evs ...Event) (uint64, error) {
 	return m.lastSeq, nil
 }
 
-// Sync forces the live segment to stable storage regardless of policy.
+// Sync forces unsynced appends to stable storage regardless of policy.
 func (m *Manager) Sync() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.w == nil {
+	if m.w == nil || !m.w.dirty {
 		return nil
 	}
 	return m.w.sync()
+}
+
+// SyncDue reports whether the interval policy owes a sync of appended
+// bytes, and how soon; the daemon arms a timer for it so an idle tail is
+// synced too. The always and never policies owe none.
+func (m *Manager) SyncDue() (time.Duration, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if w := m.w; w != nil && w.dirty && w.policy == FsyncInterval {
+		return w.interval - w.now().Sub(w.lastSync), true
+	}
+	return 0, false
 }
 
 // SnapshotSignal fires when the live segment outgrows WALMaxBytes; the

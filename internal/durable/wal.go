@@ -51,8 +51,8 @@ type FsyncPolicy int
 const (
 	// FsyncAlways syncs every append before it returns.
 	FsyncAlways FsyncPolicy = iota
-	// FsyncInterval syncs at most once per configured interval, checked
-	// on each append.
+	// FsyncInterval syncs at most once per configured interval, on the
+	// append that finds it elapsed or on the daemon's timer (SyncDue).
 	FsyncInterval
 	// FsyncNever leaves syncing to the OS (and explicit Sync calls).
 	FsyncNever
@@ -108,6 +108,7 @@ type walWriter struct {
 	now      func() time.Time
 	lastSync time.Time
 	size     int64 // bytes written, including the magic header
+	dirty    bool  // bytes written since the last successful sync
 
 	// onFsync reports each fsync's duration (metrics); may be nil.
 	onFsync func(d time.Duration)
@@ -170,6 +171,7 @@ func (w *walWriter) append(evs []Event) (bytes int64, err error) {
 	}
 	n, err := w.f.Write(buf)
 	w.size += int64(n)
+	w.dirty = true
 	if err != nil {
 		return int64(n), err
 	}
@@ -192,6 +194,7 @@ func (w *walWriter) sync() error {
 		w.onFsync(w.now().Sub(t0))
 	}
 	w.lastSync = w.now()
+	w.dirty = w.dirty && err != nil
 	return err
 }
 

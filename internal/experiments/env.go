@@ -45,17 +45,12 @@ type Env struct {
 	scorers map[scorerKey]*sched.Scorer
 
 	// Observe, when non-nil, supplies an observer for every simulation the
-	// experiments launch (metrics collection, invariant auditing). It is
-	// called once per engine run, possibly from concurrent workers, and must
-	// key any shared state by its arguments — never by call order — so that
+	// experiments launch (metrics collection, invariant auditing, event
+	// tracing). It is called once per engine run, possibly from concurrent
+	// workers, and must key any shared state by its arguments — never by
+	// call order — so that each run records into its own collectors and
 	// observed artifacts stay identical across worker counts.
 	Observe ObserverFactory
-
-	// Trace, when non-nil, supplies a tracer for every simulation the
-	// experiments launch. Same contract as Observe: one call per engine
-	// run, keyed by arguments so each run records into its own tracer and
-	// exports stay identical across worker counts.
-	Trace TracerFactory
 
 	// Faults, when non-nil, supplies a fault-injection plan for every
 	// simulation the experiments launch. Same contract as Observe: keyed by
@@ -69,10 +64,6 @@ type Env struct {
 // together with the scheduler name, cluster size and task stream it
 // identifies the run deterministically (see obs.RunLabel).
 type ObserverFactory func(kind, scheduler string, machines int, tasks []sched.Task) sim.Observer
-
-// TracerFactory builds the tracer for one simulation run; arguments as in
-// ObserverFactory.
-type TracerFactory func(kind, scheduler string, machines int, tasks []sched.Task) sim.Tracer
 
 // FaultFactory builds the fault-injection plan for one simulation run;
 // arguments as in ObserverFactory. Typically it filters one loaded plan to
@@ -186,8 +177,8 @@ func poissonTasks(mix workload.IOIntensity, lambda, horizon float64, seed int64)
 }
 
 // simulate runs one engine over tasks until the horizon (math.Inf(1)
-// runs a static batch to completion), with the Env's observer, tracer and
-// fault hooks attached. kind names the call site for those hooks. Call
+// runs a static batch to completion), with the Env's observer and fault
+// hooks attached. kind names the call site for those hooks. Call
 // sites that launch the same scheduler on the same task stream more than
 // once — fig4 reruns MIBS per model family — must pass distinct kinds, or
 // the runs collide on one observability label (see obs.RunLabel).
@@ -202,9 +193,6 @@ func (e *Env) simulate(kind string, s sched.Scheduler, machines int, tasks []sch
 	}
 	if e.Observe != nil {
 		cfg.Observer = e.Observe(kind, s.Name(), machines, tasks)
-	}
-	if e.Trace != nil {
-		cfg.Tracer = e.Trace(kind, s.Name(), machines, tasks)
 	}
 	if e.Faults != nil {
 		cfg.Faults = e.Faults(kind, s.Name(), machines, tasks)

@@ -45,17 +45,15 @@ func chaosSuite(t *testing.T, e *Env, workers int) (output, metricsJSON, ndjson 
 	e.Faults = func(kind, scheduler string, machines int, tasks []sched.Task) *fault.Plan {
 		return plan.ForMachines(machines)
 	}
-	e.Trace = func(kind, scheduler string, machines int, tasks []sched.Task) sim.Tracer {
-		return traceColl.Tracer(obs.RunLabel(kind, scheduler, machines, tasks), scheduler, machines)
-	}
 	e.Observe = func(kind, scheduler string, machines int, tasks []sched.Task) sim.Observer {
+		label := obs.RunLabel(kind, scheduler, machines, tasks)
 		a := &obs.InvariantAuditor{Every: 16, Strict: true}
 		mu.Lock()
 		auditors = append(auditors, a)
 		mu.Unlock()
-		return obs.Multi{collector.Observer(obs.RunLabel(kind, scheduler, machines, tasks)), a}
+		return obs.Multi{collector.Observer(label), traceColl.Tracer(label, scheduler, machines), a}
 	}
-	defer func() { e.Faults, e.Trace, e.Observe = nil, nil, nil }()
+	defer func() { e.Faults, e.Observe = nil, nil }()
 
 	out := renderOutcomes(t, Runner{Workers: workers}.Run(e, observeSuite()))
 	var j, n bytes.Buffer

@@ -76,18 +76,15 @@ func observedExports(t *testing.T, e *Env, plan *fault.Plan) (map[string]string,
 			return plan.ForMachines(machines)
 		}
 	}
-	e.Trace = func(kind, scheduler string, machines int, tasks []sched.Task) sim.Tracer {
-		return traces.Tracer(obs.RunLabel(kind, scheduler, machines, tasks), scheduler, machines)
-	}
 	e.Observe = func(kind, scheduler string, machines int, tasks []sched.Task) sim.Observer {
 		label := obs.RunLabel(kind, scheduler, machines, tasks)
 		a := &obs.InvariantAuditor{Every: 16}
 		mu.Lock()
 		auditors[label] = a
 		mu.Unlock()
-		return obs.Multi{collector.Observer(label), a}
+		return obs.Multi{collector.Observer(label), traces.Tracer(label, scheduler, machines), a}
 	}
-	defer func() { e.Faults, e.Trace, e.Observe = nil, nil, nil }()
+	defer func() { e.Faults, e.Observe = nil, nil }()
 	renderOutcomes(t, Runner{Workers: 2}.Run(e, observedSlice()))
 
 	var ndjson, mjson, mcsv bytes.Buffer

@@ -15,10 +15,10 @@ import (
 func tracedSuite(t *testing.T, e *Env, workers int) (output, ndjson string, collisions int) {
 	t.Helper()
 	collector := obs.NewTraceCollector(obs.DefaultTraceCap)
-	e.Trace = func(kind, scheduler string, machines int, tasks []sched.Task) sim.Tracer {
+	e.Observe = func(kind, scheduler string, machines int, tasks []sched.Task) sim.Observer {
 		return collector.Tracer(obs.RunLabel(kind, scheduler, machines, tasks), scheduler, machines)
 	}
-	defer func() { e.Trace = nil }()
+	defer func() { e.Observe = nil }()
 	out := renderOutcomes(t, Runner{Workers: workers}.Run(e, observeSuite()))
 	var buf bytes.Buffer
 	if err := collector.WriteNDJSON(&buf); err != nil {

@@ -24,11 +24,11 @@ import (
 //   - FIFO fairness: every AnyCategory pop returns the slot that had been
 //     free the longest, per the pool's own pre-pop OldestFree snapshot.
 //
-// The full-state scan runs only from OnEvent (where the engine guarantees
-// a consistent snapshot — OnComplete and OnPop fire mid-transition) and can
-// be sampled via Every to keep large runs cheap. In Strict mode the
-// first violation aborts the run with an error; otherwise violations are
-// tallied and kept for Summary.
+// The full-state scan runs only on OnStep and OnDone events (where the
+// engine guarantees a consistent snapshot — OnComplete and OnPop fire
+// mid-transition) and can be sampled via Every to keep large runs cheap.
+// In Strict mode the first violation aborts the run with an error;
+// otherwise violations are tallied and kept for Summary.
 type InvariantAuditor struct {
 	mu sync.Mutex
 
@@ -76,10 +76,30 @@ func (a *InvariantAuditor) report(now float64, kind, format string, args ...any)
 	return nil
 }
 
-// OnEvent runs the monotonicity checks and (sampled) the full-state scan.
-func (a *InvariantAuditor) OnEvent(v sim.View, kind sim.EventKind, now float64) error {
+// Observe implements sim.Observer: it checks each processed event, each
+// completion and each pop, and scans the final state once more at the
+// run's end so runs that end between sampling points still get an
+// end-state audit.
+func (a *InvariantAuditor) Observe(v sim.View, ev sim.Event) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	switch ev.Kind {
+	case sim.OnStep:
+		return a.step(v, ev.Now)
+	case sim.OnComplete:
+		return a.complete(v, ev.Complete)
+	case sim.OnPop:
+		return a.pop(v, ev.Pop)
+	case sim.OnDone:
+		a.fullScans++
+		return a.scan(v, ev.Now)
+	}
+	return nil
+}
+
+// step runs the monotonicity checks and (sampled) the full-state scan.
+// Callers hold a.mu, as for every check below.
+func (a *InvariantAuditor) step(v sim.View, now float64) error {
 	a.events++
 	if a.started {
 		if now < a.lastTime {
@@ -111,7 +131,7 @@ func (a *InvariantAuditor) OnEvent(v sim.View, kind sim.EventKind, now float64) 
 }
 
 // scan validates the pool-vs-machine slot state and work conservation for
-// every slot in the cluster. Callers hold a.mu.
+// every slot in the cluster.
 func (a *InvariantAuditor) scan(v sim.View, now float64) error {
 	machines := v.Machines()
 	slotsPer := 0
@@ -222,12 +242,10 @@ func contains(ss []string, want string) bool {
 	return false
 }
 
-// OnComplete checks that the finished task's remaining work settled to
+// complete checks that the finished task's remaining work settled to
 // zero: the pre-clamp residual must vanish within a float tolerance that
 // scales with the task's runtime (each settle step accumulates rounding).
-func (a *InvariantAuditor) OnComplete(v sim.View, c sim.Completion) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
+func (a *InvariantAuditor) complete(v sim.View, c sim.Completion) error {
 	a.completes++
 	res := c.Residual
 	if res < 0 {
@@ -241,11 +259,9 @@ func (a *InvariantAuditor) OnComplete(v sim.View, c sim.Completion) error {
 	return nil
 }
 
-// OnPop checks FIFO fairness of AnyCategory pops against the pool's
+// pop checks FIFO fairness of AnyCategory pops against the pool's
 // pre-pop longest-free snapshot.
-func (a *InvariantAuditor) OnPop(v sim.View, p sim.PopInfo) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
+func (a *InvariantAuditor) pop(v sim.View, p sim.PopInfo) error {
 	if p.Category != sched.AnyCategory {
 		return nil
 	}
@@ -260,18 +276,6 @@ func (a *InvariantAuditor) OnPop(v sim.View, p sim.PopInfo) error {
 			p.Machine, p.Slot, p.OldestMachine, p.OldestSlot)
 	}
 	return nil
-}
-
-// OnSchedule is a no-op; scheduling has no cross-call invariant to check.
-func (a *InvariantAuditor) OnSchedule(sim.View, sim.ScheduleInfo) error { return nil }
-
-// OnDone runs one final full scan so runs that end between sampling points
-// still get an end-state audit.
-func (a *InvariantAuditor) OnDone(v sim.View, res *sim.Results) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.fullScans++
-	return a.scan(v, v.Now())
 }
 
 // Total returns the number of violations found (including unrecorded ones).

@@ -202,10 +202,10 @@ func TestAuditorCatchesViolations(t *testing.T) {
 
 	t.Run("time-backwards", func(t *testing.T) {
 		a := &InvariantAuditor{Every: 1, Strict: true}
-		if err := a.OnEvent(captured, sim.EvArrival, 100); err != nil {
+		if err := a.Observe(captured, step(100)); err != nil {
 			t.Fatalf("first event: %v", err)
 		}
-		if err := a.OnEvent(captured, sim.EvArrival, 50); err == nil {
+		if err := a.Observe(captured, step(50)); err == nil {
 			t.Fatal("clock regression not caught")
 		}
 	})
@@ -214,10 +214,10 @@ func TestAuditorCatchesViolations(t *testing.T) {
 		c := sim.Completion{Residual: 0.5}
 		c.Record.Task.ID = 7
 		c.Record.Task.App = "email"
-		if err := a.OnComplete(captured, c); err == nil {
+		if err := a.Observe(captured, completion(c)); err == nil {
 			t.Fatal("leftover work at completion not caught")
 		}
-		if err := a.OnComplete(captured, sim.Completion{Residual: 1e-9}); err != nil {
+		if err := a.Observe(captured, completion(sim.Completion{Residual: 1e-9})); err != nil {
 			t.Fatalf("tolerable residual rejected: %v", err)
 		}
 	})
@@ -225,27 +225,27 @@ func TestAuditorCatchesViolations(t *testing.T) {
 		a := &InvariantAuditor{Every: 1, Strict: true}
 		p := sim.PopInfo{Category: sched.AnyCategory, Machine: 1, Slot: 0,
 			OldestMachine: 0, OldestSlot: 1, OldestOK: true}
-		if err := a.OnPop(captured, p); err == nil {
+		if err := a.Observe(captured, pop(p)); err == nil {
 			t.Fatal("FIFO-unfair pop not caught")
 		}
 		fair := sim.PopInfo{Category: sched.AnyCategory, Machine: 0, Slot: 1,
 			OldestMachine: 0, OldestSlot: 1, OldestOK: true}
-		if err := a.OnPop(captured, fair); err != nil {
+		if err := a.Observe(captured, pop(fair)); err != nil {
 			t.Fatalf("fair pop rejected: %v", err)
 		}
-		if err := a.OnPop(captured, sim.PopInfo{Category: "email", Machine: 9}); err != nil {
+		if err := a.Observe(captured, pop(sim.PopInfo{Category: "email", Machine: 9})); err != nil {
 			t.Fatalf("category pop must be exempt from FIFO check: %v", err)
 		}
 	})
 	t.Run("non-strict-tallies", func(t *testing.T) {
 		a := &InvariantAuditor{Every: 1 << 30} // skip full scans; O(1) checks only
-		if err := a.OnEvent(captured, sim.EvArrival, 100); err != nil {
+		if err := a.Observe(captured, step(100)); err != nil {
 			t.Fatal(err)
 		}
-		if err := a.OnEvent(captured, sim.EvArrival, 50); err != nil {
+		if err := a.Observe(captured, step(50)); err != nil {
 			t.Fatalf("non-strict auditor must not abort: %v", err)
 		}
-		if err := a.OnComplete(captured, sim.Completion{Residual: 2}); err != nil {
+		if err := a.Observe(captured, completion(sim.Completion{Residual: 2})); err != nil {
 			t.Fatalf("non-strict auditor must not abort: %v", err)
 		}
 		if a.Total() != 2 {
@@ -261,11 +261,14 @@ func TestAuditorCatchesViolations(t *testing.T) {
 // of auditor inputs.
 type viewGrabber struct{ v *sim.View }
 
-func (g viewGrabber) OnEvent(v sim.View, _ sim.EventKind, _ float64) error { *g.v = v; return nil }
-func (g viewGrabber) OnComplete(sim.View, sim.Completion) error            { return nil }
-func (g viewGrabber) OnPop(sim.View, sim.PopInfo) error                    { return nil }
-func (g viewGrabber) OnSchedule(sim.View, sim.ScheduleInfo) error          { return nil }
-func (g viewGrabber) OnDone(sim.View, *sim.Results) error                  { return nil }
+func (g viewGrabber) Observe(v sim.View, _ sim.Event) error { *g.v = v; return nil }
+
+// step, completion and pop fabricate auditor inputs.
+func step(now float64) sim.Event { return sim.Event{Kind: sim.OnStep, Step: sim.EvArrival, Now: now} }
+func completion(c sim.Completion) sim.Event {
+	return sim.Event{Kind: sim.OnComplete, Complete: c}
+}
+func pop(p sim.PopInfo) sim.Event { return sim.Event{Kind: sim.OnPop, Pop: p} }
 
 func TestRunLabelDeterministic(t *testing.T) {
 	tasks := genTasks(11, 30, 10)

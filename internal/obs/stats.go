@@ -105,10 +105,35 @@ func NewSimStats(label string) *SimStats {
 	}
 }
 
-// OnEvent integrates the previous state up to now and snapshots the new one.
-func (s *SimStats) OnEvent(v sim.View, kind sim.EventKind, now float64) error {
+// Observe implements sim.Observer. A processed event integrates the
+// previous state up to now and snapshots the new one; completions
+// accumulate realized-vs-predicted interference error per app; pops,
+// decisions and the run's end feed their counters.
+func (s *SimStats) Observe(v sim.View, ev sim.Event) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	switch ev.Kind {
+	case sim.OnStep:
+		s.step(v, ev.Step, ev.Now)
+	case sim.OnComplete:
+		s.complete(ev.Complete)
+	case sim.OnPop:
+		s.popsTotal++
+		if ev.Pop.Category == sched.AnyCategory {
+			s.popsAny++
+		}
+	case sim.OnDecision:
+		s.schedCalls++
+		s.schedPlaced += int64(ev.Decision.Placed)
+		s.schedWall += ev.Decision.Wall
+	case sim.OnDone:
+		s.final = ev.Results
+	}
+	return nil
+}
+
+// step integrates the previous state up to now and snapshots the new one.
+func (s *SimStats) step(v sim.View, kind sim.EventKind, now float64) {
 	if s.machines == 0 {
 		s.machines = v.Machines()
 		s.totalSlots = v.TotalSlots()
@@ -160,13 +185,10 @@ func (s *SimStats) OnEvent(v sim.View, kind sim.EventKind, now float64) error {
 	if ps.CategoryHeapLen > s.maxCategoryHeap {
 		s.maxCategoryHeap = ps.CategoryHeapLen
 	}
-	return nil
 }
 
-// OnComplete accumulates realized-vs-predicted interference error per app.
-func (s *SimStats) OnComplete(v sim.View, c sim.Completion) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// complete accumulates realized-vs-predicted interference error per app.
+func (s *SimStats) complete(c sim.Completion) {
 	app := c.Record.Task.App
 	acc := s.perApp[app]
 	if acc == nil {
@@ -185,36 +207,6 @@ func (s *SimStats) OnComplete(v sim.View, c sim.Completion) error {
 		}
 		acc.sumAbsRelErr += rel
 	}
-	return nil
-}
-
-// OnPop counts free-pool resolutions.
-func (s *SimStats) OnPop(v sim.View, p sim.PopInfo) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.popsTotal++
-	if p.Category == sched.AnyCategory {
-		s.popsAny++
-	}
-	return nil
-}
-
-// OnSchedule accumulates scheduler invocation stats and wall latency.
-func (s *SimStats) OnSchedule(v sim.View, info sim.ScheduleInfo) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.schedCalls++
-	s.schedPlaced += int64(info.Placed)
-	s.schedWall += info.Wall
-	return nil
-}
-
-// OnDone captures the run's final Results.
-func (s *SimStats) OnDone(v sim.View, res *sim.Results) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.final = res
-	return nil
 }
 
 // AppError is the exported per-application prediction-error summary.
@@ -538,54 +530,14 @@ func (c *Collector) Export(dir, tag string, includeWall bool) (jsonPath, csvPath
 	return jsonPath, csvPath, cf.Close()
 }
 
-// Multi fans callbacks out to several observers in order; the first error
+// Multi fans events out to several observers in order; the first error
 // aborts the run.
 type Multi []sim.Observer
 
-// OnEvent forwards to each observer.
-func (m Multi) OnEvent(v sim.View, kind sim.EventKind, now float64) error {
+// Observe forwards ev to each observer.
+func (m Multi) Observe(v sim.View, ev sim.Event) error {
 	for _, o := range m {
-		if err := o.OnEvent(v, kind, now); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// OnComplete forwards to each observer.
-func (m Multi) OnComplete(v sim.View, c sim.Completion) error {
-	for _, o := range m {
-		if err := o.OnComplete(v, c); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// OnPop forwards to each observer.
-func (m Multi) OnPop(v sim.View, p sim.PopInfo) error {
-	for _, o := range m {
-		if err := o.OnPop(v, p); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// OnSchedule forwards to each observer.
-func (m Multi) OnSchedule(v sim.View, s sim.ScheduleInfo) error {
-	for _, o := range m {
-		if err := o.OnSchedule(v, s); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// OnDone forwards to each observer.
-func (m Multi) OnDone(v sim.View, res *sim.Results) error {
-	for _, o := range m {
-		if err := o.OnDone(v, res); err != nil {
+		if err := o.Observe(v, ev); err != nil {
 			return err
 		}
 	}

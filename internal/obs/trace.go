@@ -10,18 +10,18 @@ import (
 	"sort"
 	"sync"
 
-	"tracon/internal/sched"
 	"tracon/internal/sim"
 )
 
-// This file implements sim.Tracer: a deterministic, bounded recorder of
-// per-task lifecycle spans and scheduler decisions. Events land in a ring
-// buffer of fixed capacity with an explicit drop counter, so tracing a
-// 10,000-machine run costs O(capacity) memory and the export says exactly
-// how much history it kept. Two export formats are supported: a compact
-// NDJSON stream (the canonical, machine-readable form consumed by
-// cmd/tracontrace) and Chrome/Perfetto trace_event JSON (one track per
-// machine, one for the scheduler) for chrome://tracing or ui.perfetto.dev.
+// This file implements Tracer, a sim.Observer that records per-task
+// lifecycle spans and scheduler decisions, deterministically and within a
+// bound. Events land in a ring buffer of fixed capacity with an explicit
+// drop counter, so tracing a 10,000-machine run costs O(capacity) memory
+// and the export says exactly how much history it kept. Two export
+// formats are supported: a compact NDJSON stream (the canonical,
+// machine-readable form consumed by cmd/tracontrace) and Chrome/Perfetto
+// trace_event JSON (one track per machine, one for the scheduler) for
+// chrome://tracing or ui.perfetto.dev.
 //
 // Every event payload is a pure function of the simulated run and events
 // are recorded in engine order, so for a fixed seed the exports are
@@ -201,7 +201,7 @@ type DoneInfo struct {
 }
 
 // Tracer is a bounded, deterministic recorder for one simulation run. It
-// implements sim.Tracer. The zero value is not usable; use NewTracer.
+// implements sim.Observer. The zero value is not usable; use NewTracer.
 type Tracer struct {
 	mu        sync.Mutex
 	label     string
@@ -264,80 +264,63 @@ func (t *Tracer) Events() []TraceEvent {
 	return out
 }
 
-// TraceArrival implements sim.Tracer.
-func (t *Tracer) TraceArrival(now float64, task sched.Task, held bool) {
-	t.record(TraceEvent{T: now, Kind: "arrival", Arrival: &ArrivalInfo{
-		Task: task.ID, App: task.App, Held: held, Deps: task.DependsOn,
-	}})
-}
-
-// TraceEnqueue implements sim.Tracer.
-func (t *Tracer) TraceEnqueue(now float64, task sched.Task, released bool) {
-	t.record(TraceEvent{T: now, Kind: "enqueue", Enqueue: &EnqueueInfo{
-		Task: task.ID, App: task.App, Released: released,
-	}})
-}
-
-// TraceFlush implements sim.Tracer.
-func (t *Tracer) TraceFlush(now float64) {
-	t.record(TraceEvent{T: now, Kind: "flush"})
-}
-
-// TraceDecision implements sim.Tracer.
-func (t *Tracer) TraceDecision(now float64, d sim.Decision) {
-	info := &DecisionInfo{Batch: d.Batch, Placed: d.Placed, Backlog: d.Backlog, FreeSlots: d.FreeSlots}
-	for _, c := range d.Candidates {
-		info.Candidates = append(info.Candidates, CategoryCount{Category: c.Category, N: c.N})
+// Observe implements sim.Observer: it records every event but OnStep.
+// Decisions read the backlog and the candidate set from the View, which
+// shows them as the policy was offered them.
+func (t *Tracer) Observe(v sim.View, ev sim.Event) error {
+	rec := TraceEvent{T: ev.Now}
+	switch ev.Kind {
+	case sim.OnArrival:
+		rec.Kind, rec.Arrival = "arrival", &ArrivalInfo{Task: ev.Task.ID, App: ev.Task.App, Held: ev.Held, Deps: ev.Task.DependsOn}
+	case sim.OnEnqueue:
+		rec.Kind, rec.Enqueue = "enqueue", &EnqueueInfo{Task: ev.Task.ID, App: ev.Task.App, Released: ev.Released}
+	case sim.OnFlush:
+		rec.Kind = "flush"
+	case sim.OnDecision:
+		d := &DecisionInfo{Batch: ev.Decision.Batch, Placed: ev.Decision.Placed, Backlog: v.Backlog(), FreeSlots: v.FreeSlots()}
+		for c, n := range v.PoolCounts() {
+			d.Candidates = append(d.Candidates, CategoryCount{Category: c, N: n})
+		}
+		sort.Slice(d.Candidates, func(i, j int) bool { return d.Candidates[i].Category < d.Candidates[j].Category })
+		rec.Kind, rec.Decision = "decision", d
+	case sim.OnPop:
+		p := ev.Pop
+		rec.Kind, rec.Pop = "pop", &PopInfo{Category: p.Category, Machine: p.Machine, Slot: p.Slot, FreeGen: p.FreeGen}
+	case sim.OnPlace:
+		p := ev.Place
+		rec.Kind, rec.Place = "place", &PlaceInfo{
+			Task: p.Task.ID, App: p.Task.App, Machine: p.Machine, Slot: p.Slot,
+			Neighbour: p.Neighbour, Work: p.Work, Predicted: p.Predicted,
+		}
+	case sim.OnSegment:
+		s := ev.Segment
+		rec.Kind, rec.Segment = "segment", &SegmentInfo{
+			Machine: s.Machine, Slot: s.Slot, Task: s.TaskID, App: s.App,
+			Rate: s.Rate, Neighbour: s.Neighbour, WorkLeft: s.WorkLeft,
+		}
+	case sim.OnComplete:
+		c, r := ev.Complete, ev.Complete.Record
+		rec.Kind, rec.Complete = "complete", &CompleteInfo{
+			Task: r.Task.ID, App: r.Task.App, Machine: r.Machine, Slot: r.Slot,
+			Start: r.Start, Wait: r.Wait(), Predicted: c.Predicted, Residual: c.Residual,
+		}
+	case sim.OnFault:
+		f := ev.Fault
+		rec.Kind, rec.Fault = f.Kind, &FaultInfo{
+			Machine: f.Machine, Slot: f.Slot, Task: f.TaskID, App: f.App,
+			Attempt: f.Attempt, Delay: f.Delay,
+		}
+	case sim.OnDone:
+		r := ev.Results
+		rec.Kind, rec.Done = "done", &DoneInfo{
+			Scheduler: r.Scheduler, Completed: r.CompletedCount,
+			Submitted: r.Submitted, Horizon: r.Horizon,
+		}
+	default:
+		return nil
 	}
-	t.record(TraceEvent{T: now, Kind: "decision", Decision: info})
-}
-
-// TracePop implements sim.Tracer.
-func (t *Tracer) TracePop(now float64, p sim.PopInfo) {
-	t.record(TraceEvent{T: now, Kind: "pop", Pop: &PopInfo{
-		Category: p.Category, Machine: p.Machine, Slot: p.Slot, FreeGen: p.FreeGen,
-	}})
-}
-
-// TracePlace implements sim.Tracer.
-func (t *Tracer) TracePlace(now float64, p sim.PlaceInfo) {
-	t.record(TraceEvent{T: now, Kind: "place", Place: &PlaceInfo{
-		Task: p.Task.ID, App: p.Task.App, Machine: p.Machine, Slot: p.Slot,
-		Neighbour: p.Neighbour, Work: p.Work, Predicted: p.Predicted,
-	}})
-}
-
-// TraceSegment implements sim.Tracer.
-func (t *Tracer) TraceSegment(now float64, s sim.Segment) {
-	t.record(TraceEvent{T: now, Kind: "segment", Segment: &SegmentInfo{
-		Machine: s.Machine, Slot: s.Slot, Task: s.TaskID, App: s.App,
-		Rate: s.Rate, Neighbour: s.Neighbour, WorkLeft: s.WorkLeft,
-	}})
-}
-
-// TraceComplete implements sim.Tracer.
-func (t *Tracer) TraceComplete(now float64, c sim.Completion) {
-	r := c.Record
-	t.record(TraceEvent{T: now, Kind: "complete", Complete: &CompleteInfo{
-		Task: r.Task.ID, App: r.Task.App, Machine: r.Machine, Slot: r.Slot,
-		Start: r.Start, Wait: r.Wait(), Predicted: c.Predicted, Residual: c.Residual,
-	}})
-}
-
-// TraceFault implements sim.Tracer.
-func (t *Tracer) TraceFault(now float64, f sim.FaultInfo) {
-	t.record(TraceEvent{T: now, Kind: f.Kind, Fault: &FaultInfo{
-		Machine: f.Machine, Slot: f.Slot, Task: f.TaskID, App: f.App,
-		Attempt: f.Attempt, Delay: f.Delay,
-	}})
-}
-
-// TraceDone implements sim.Tracer.
-func (t *Tracer) TraceDone(now float64, res *sim.Results) {
-	t.record(TraceEvent{T: now, Kind: "done", Done: &DoneInfo{
-		Scheduler: res.Scheduler, Completed: res.CompletedCount,
-		Submitted: res.Submitted, Horizon: res.Horizon,
-	}})
+	t.record(rec)
+	return nil
 }
 
 // traceHeader is the NDJSON run-header line.

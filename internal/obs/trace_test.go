@@ -12,8 +12,6 @@ import (
 	"tracon/internal/sim"
 )
 
-// runTraced executes one MIBS run with the given tracer attached.
-
 // Total returns the number of events emitted (dropped ones included).
 func (t *Tracer) Total() int64 {
 	t.mu.Lock()
@@ -21,10 +19,16 @@ func (t *Tracer) Total() int64 {
 	return t.total
 }
 
-func runTraced(t *testing.T, tr sim.Tracer, seed int64, n int) *sim.Results {
+// flush feeds the tracer one OnFlush event at time now.
+func flush(tr *Tracer, now float64) {
+	tr.Observe(sim.View{}, sim.Event{Kind: sim.OnFlush, Now: now})
+}
+
+// runTraced executes one MIBS run with the given tracer attached.
+func runTraced(t *testing.T, tr sim.Observer, seed int64, n int) *sim.Results {
 	t.Helper()
 	s := &sched.MIBS{Scorer: sched.NewScorer(oracle(t), sched.MinRuntime), QueueLen: 6}
-	eng, err := sim.NewEngine(sim.Config{Machines: 4, Scheduler: s, Table: table(t), Tracer: tr})
+	eng, err := sim.NewEngine(sim.Config{Machines: 4, Scheduler: s, Table: table(t), Observer: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +42,7 @@ func runTraced(t *testing.T, tr sim.Tracer, seed int64, n int) *sim.Results {
 func TestTracerRingDrop(t *testing.T) {
 	tr := NewTracer("ring", "fifo", 1, 8)
 	for i := 0; i < 20; i++ {
-		tr.TraceFlush(float64(i))
+		flush(tr, float64(i))
 	}
 	if tr.Total() != 20 {
 		t.Fatalf("total %d, want 20", tr.Total())
@@ -59,8 +63,8 @@ func TestTracerRingDrop(t *testing.T) {
 
 func TestTracerNoDropUnderCap(t *testing.T) {
 	tr := NewTracer("small", "fifo", 1, 8)
-	tr.TraceFlush(1)
-	tr.TraceFlush(2)
+	flush(tr, 1)
+	flush(tr, 2)
 	if tr.Dropped() != 0 || tr.Total() != 2 || len(tr.Events()) != 2 {
 		t.Fatalf("dropped=%d total=%d events=%d", tr.Dropped(), tr.Total(), len(tr.Events()))
 	}
@@ -263,7 +267,7 @@ func TestCriticalPathDAG(t *testing.T) {
 	tasks[2].DependsOn = []int64{1}
 
 	tr := NewTracer("dag", "FIFO", 1, 0)
-	eng, err := sim.NewEngine(sim.Config{Machines: 1, Scheduler: sched.FIFO{}, Table: table(t), Tracer: tr})
+	eng, err := sim.NewEngine(sim.Config{Machines: 1, Scheduler: sched.FIFO{}, Table: table(t), Observer: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,8 +317,8 @@ func TestTraceCollectorCollisions(t *testing.T) {
 	if a.label == b.label {
 		t.Fatal("duplicate labels not disambiguated")
 	}
-	a.TraceFlush(1)
-	b.TraceFlush(2)
+	flush(a, 1)
+	flush(b, 2)
 	var buf bytes.Buffer
 	if err := c.WriteNDJSON(&buf); err != nil {
 		t.Fatal(err)

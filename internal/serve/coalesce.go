@@ -54,14 +54,10 @@ type coalesceResult struct {
 }
 
 // NewCoalescer builds the micro-batcher over a placer. window must be
-// positive; maxBatch <= 0 takes DefaultBatchMax; a nil clock takes the
-// wall clock.
+// positive; maxBatch <= 0 takes DefaultBatchMax.
 func NewCoalescer(placer *Placer, clock obs.Clock, window time.Duration, maxBatch int, reg *obs.Registry) *Coalescer {
 	if maxBatch <= 0 {
 		maxBatch = DefaultBatchMax
-	}
-	if clock == nil {
-		clock = obs.Wall
 	}
 	return &Coalescer{
 		placer:       placer,

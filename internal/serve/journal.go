@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"tracon/internal/durable"
+	"tracon/internal/obs"
 )
 
 // Journal integration: every placer state change is a durable.Event that
@@ -27,9 +28,11 @@ import (
 type journal struct {
 	mgr    *durable.Manager
 	logger *slog.Logger
+	clock  obs.Clock
 
-	mu  sync.Mutex
-	err error
+	mu        sync.Mutex
+	err       error
+	syncArmed bool // a syncTail timer is pending
 }
 
 // append journals a group of events as one commit point (one fsync under
@@ -44,12 +47,34 @@ func (j *journal) append(evs ...durable.Event) {
 		return
 	}
 	if _, err := j.mgr.Append(evs...); err != nil {
-		j.err = err
-		if j.logger != nil {
-			j.logger.LogAttrs(context.Background(), slog.LevelError,
-				"journal append failed; durability lost until restart",
-				slog.String("error", err.Error()))
-		}
+		j.fail("journal append failed; durability lost until restart", err)
+	} else if d, due := j.mgr.SyncDue(); due && !j.syncArmed {
+		j.syncArmed = true
+		j.clock.AfterFunc(d, j.syncTail)
+	}
+}
+
+// syncTail is the interval policy's timer: it syncs what the appends since
+// the last sync left behind, so a burst is durable within one interval even
+// when the daemon then goes idle. If an append synced meanwhile it re-arms
+// instead, so the policy still syncs at most once per interval.
+func (j *journal) syncTail() {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.syncArmed = false
+	if d, due := j.mgr.SyncDue(); due && d > 0 {
+		j.syncArmed = true
+		j.clock.AfterFunc(d, j.syncTail)
+	} else if err := j.mgr.Sync(); err != nil && j.err == nil {
+		j.fail("journal sync failed; durability lost until restart", err)
+	}
+}
+
+// fail poisons the journal, loudly. Callers hold j.mu.
+func (j *journal) fail(msg string, err error) {
+	j.err = err
+	if j.logger != nil {
+		j.logger.LogAttrs(context.Background(), slog.LevelError, msg, slog.String("error", err.Error()))
 	}
 }
 
@@ -222,7 +247,7 @@ func (p *Placer) RequeueOrphans() int {
 	refs := make([]durable.TaskRef, len(orphans))
 	for i, rec := range orphans {
 		refs[i] = taskRef(rec)
-		p.tracer.evictRequeue(rec)
+		p.tracer.release("evict_requeue", rec)
 	}
 	// A requeue of placed records cannot fail to apply.
 	_ = p.commitEventLocked(durable.Event{
@@ -250,7 +275,7 @@ func (s *Server) recover(mgr *durable.Manager) error {
 	}
 	// Attach the journal only after replay: Apply commits to whatever
 	// journal is attached, and history must not be journaled twice.
-	j := &journal{mgr: mgr, logger: s.logger}
+	j := &journal{mgr: mgr, logger: s.logger, clock: s.clock}
 	s.placer.journal = j
 	s.journal = j
 	orphans := s.placer.RequeueOrphans()

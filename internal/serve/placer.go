@@ -495,7 +495,7 @@ func (p *Placer) Complete(id string) (*Placement, error) {
 		return nil, err
 	}
 	out := rec.clone()
-	p.tracer.complete(out)
+	p.tracer.release("complete", out)
 	// A drain failure is reported beside the record: the completion landed.
 	return out, p.drainLocked()
 }
@@ -614,7 +614,7 @@ func (p *Placer) Kill(id int) (requeued int, err error) {
 	for _, s := range p.machines[id].slots {
 		if rec := p.placements[s.taskID]; rec != nil {
 			refs = append(refs, taskRef(rec))
-			p.tracer.evictRequeue(rec)
+			p.tracer.release("evict_requeue", rec)
 		}
 	}
 	err = p.commitEventLocked(durable.Event{
@@ -720,12 +720,12 @@ func (p *Placer) drainLocked() error {
 		load := sched.Load{TotalSlots: available, Queued: len(p.queue)}
 		s0 := p.clock.Now()
 		placements, err := view.Scheduler.Schedule(batch, p.countbuf, load)
-		p.tracer.score(len(batch), len(placements), p.clock.Since(s0))
+		p.tracer.pass("score", len(batch), len(placements), p.clock.Since(s0))
 		if err != nil {
 			return fmt.Errorf("serve: scheduling: %w", err)
 		}
 		err = p.commitPassLocked(view, placements)
-		p.tracer.batchPass(len(batch), len(placements), p.clock.Since(t0))
+		p.tracer.pass("batch_pass", len(batch), len(placements), p.clock.Since(t0))
 		if err != nil || len(placements) < len(batch) {
 			return err
 		}

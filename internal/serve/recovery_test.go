@@ -6,10 +6,13 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"tracon/internal/durable"
 	"tracon/internal/model"
+	"tracon/internal/obs"
 )
 
 // newDurableServer boots a journaled server over dir with fsync=always.
@@ -474,5 +477,90 @@ func TestRecoveryWrongClusterShape(t *testing.T) {
 		t.Fatal("booted a 5-machine server over a 2-machine journal")
 	} else if !strings.Contains(err.Error(), "cluster shape") {
 		t.Fatalf("unexpected shape error: %v", err)
+	}
+}
+
+// TestIntervalFsyncSyncsIdleTail: under the interval policy an
+// acknowledged submission is on disk one interval later even when no
+// further append comes to sync it — the journal arms a timer on the
+// daemon's clock — so it survives a power loss after that interval.
+func TestIntervalFsyncSyncsIdleTail(t *testing.T) {
+	fs := durable.NewMemFS()
+	clock := obs.NewVirtualClock(time.Unix(1700000000, 0))
+	lib := testLibrary(t, model.NLM)
+	boot := func() *Server {
+		mgr, err := durable.Open("data", durable.Options{FS: fs, Fsync: durable.FsyncInterval, Now: clock.Now})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := New(lib, Config{Machines: 2, MaxQueue: -1, TraceCap: -1, Journal: mgr, Clock: clock})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	rec, err := boot().Placer().SubmitKeyed(lib.Apps()[0], "", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	clock.Advance(durable.DefaultFsyncInterval)
+	fs.Crash()
+	if _, ok := boot().Placer().Get(rec.ID); !ok {
+		t.Fatalf("task %s acknowledged %v before the crash is lost", rec.ID, durable.DefaultFsyncInterval)
+	}
+}
+
+// TestIntervalFsyncTailUnderLoad: on the wall clock, submitters on several
+// goroutines race the tail timer (the race pass checks the journal's
+// locking), and once no sync is due every acknowledged task survives a
+// power loss.
+func TestIntervalFsyncTailUnderLoad(t *testing.T) {
+	fs := durable.NewMemFS()
+	lib := testLibrary(t, model.NLM)
+	boot := func() (*Server, *durable.Manager) {
+		mgr, err := durable.Open("data", durable.Options{FS: fs, Fsync: durable.FsyncInterval, FsyncInterval: time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := New(lib, Config{Machines: 4, MaxQueue: -1, TraceCap: -1, Journal: mgr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s, mgr
+	}
+	s, mgr := boot()
+	ids := make([][]string, 4)
+	var wg sync.WaitGroup
+	for g := range ids {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				rec, err := s.Placer().SubmitKeyed(lib.Apps()[i%len(lib.Apps())], "", "")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				ids[g] = append(ids[g], rec.ID)
+			}
+		}()
+	}
+	wg.Wait()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if _, due := mgr.SyncDue(); !due {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the journal still owes a sync 5s after the last append")
+		}
+	}
+	fs.Crash()
+	s2, _ := boot()
+	for _, g := range ids {
+		for _, id := range g {
+			if _, ok := s2.Placer().Get(id); !ok {
+				t.Fatalf("acknowledged task %s lost after the tail was synced", id)
+			}
+		}
 	}
 }

@@ -762,11 +762,7 @@ func retryAfter(available, total int) int {
 	if available <= 0 {
 		return retryAfterCap
 	}
-	after := (total + available - 1) / available
-	if after > retryAfterCap {
-		after = retryAfterCap
-	}
-	return after
+	return min((total+available-1)/available, retryAfterCap)
 }
 
 // placementError maps scoring-path failures onto HTTP statuses using the

@@ -21,12 +21,8 @@ type serveTracer struct {
 	start time.Time
 }
 
-// newServeTracer builds the ring. capacity <= 0 takes obs.DefaultTraceCap;
-// a nil clock takes the wall clock.
+// newServeTracer builds the ring. capacity <= 0 takes obs.DefaultTraceCap.
 func newServeTracer(policy string, machines, capacity int, clock obs.Clock) *serveTracer {
-	if clock == nil {
-		clock = obs.Wall
-	}
 	return &serveTracer{
 		tr:    obs.NewTracer("tracond", policy, machines, capacity),
 		clock: clock,
@@ -63,17 +59,11 @@ func (t *serveTracer) coalesceWait(reqID, app string, dur time.Duration) {
 	})
 }
 
-// batchPass records one full draining iteration: batch offered, tasks
-// placed, wall time of the pass.
-func (t *serveTracer) batchPass(batch, placed int, dur time.Duration) {
-	t.emit("batch_pass", obs.ServeInfo{
-		Machine: -1, Slot: -1, Batch: batch, Placed: placed, DurS: dur.Seconds(),
-	})
-}
-
-// score records one scheduler invocation (the model-scoring hot path).
-func (t *serveTracer) score(batch, placed int, dur time.Duration) {
-	t.emit("score", obs.ServeInfo{
+// pass records one scheduling pass as kind "score" (the scheduler
+// invocation, the model-scoring hot path) or "batch_pass" (the full
+// draining iteration): batch offered, tasks placed, wall time.
+func (t *serveTracer) pass(kind string, batch, placed int, dur time.Duration) {
+	t.emit(kind, obs.ServeInfo{
 		Machine: -1, Slot: -1, Batch: batch, Placed: placed, DurS: dur.Seconds(),
 	})
 }
@@ -87,18 +77,11 @@ func (t *serveTracer) place(rec *Placement, ev *durable.Event) {
 	})
 }
 
-// complete records a task freeing its slot.
-func (t *serveTracer) complete(rec *Placement) {
-	t.emit("complete", obs.ServeInfo{
-		Req: rec.ReqID, Task: rec.ID, App: rec.App,
-		Machine: rec.Machine, Slot: rec.Slot,
-	})
-}
-
-// evictRequeue records a placed task about to lose its VM — to a kill, or
-// to the crash of the daemon that placed it — and return to the backlog.
-func (t *serveTracer) evictRequeue(rec *Placement) {
-	t.emit("evict_requeue", obs.ServeInfo{
+// release records a task leaving its slot as kind "complete" (it
+// finished) or "evict_requeue" (it is about to lose its VM — to a kill, or
+// to the crash of the daemon that placed it — and return to the backlog).
+func (t *serveTracer) release(kind string, rec *Placement) {
+	t.emit(kind, obs.ServeInfo{
 		Req: rec.ReqID, Task: rec.ID, App: rec.App,
 		Machine: rec.Machine, Slot: rec.Slot,
 	})

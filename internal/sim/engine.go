@@ -29,14 +29,10 @@ type Config struct {
 	// Power is the per-machine power model for energy accounting; the zero
 	// value takes DefaultPower.
 	Power PowerModel
-	// Observer, when non-nil, receives synchronous lifecycle callbacks
-	// (see observe.go). nil costs nothing, and observers must not perturb
-	// the simulation's outputs.
+	// Observer, when non-nil, receives every lifecycle event of the run
+	// (see observe.go). nil costs one branch per emission point, and
+	// observers must not perturb the simulation's outputs.
 	Observer Observer
-	// Tracer, when non-nil, receives per-event lifecycle trace callbacks
-	// (see trace.go). Same contract as Observer: nil costs one branch per
-	// emission point, and tracers must not perturb the run.
-	Tracer Tracer
 	// Faults, when non-nil, injects the plan's deterministic failures into
 	// the run (see fault.go): machine crash/recover windows, per-slot
 	// slowdowns, probabilistic attempt failures, per-attempt timeouts, and
@@ -267,6 +263,8 @@ type Engine struct {
 	down      []bool        // machine index → currently crashed
 	downCount int           // number of crashed machines
 	attempts  map[int64]int // task ID → placement attempts made so far
+	// obsErr is the observer's first error; see observe.
+	obsErr error
 }
 
 // NewEngine validates the config and prepares an idle cluster.
@@ -336,13 +334,9 @@ func (e *Engine) Run(arrivals []sched.Task, horizon float64) (*Results, error) {
 		}
 	}
 
-	for {
+	for e.obsErr == nil {
 		ev, ref, ok := e.nextEvent()
-		if !ok {
-			break
-		}
-		if ev.time > horizon {
-			e.now = horizon
+		if !ok || ev.time > horizon {
 			break
 		}
 		if ev.time < e.now-1e-9 {
@@ -354,8 +348,8 @@ func (e *Engine) Run(arrivals []sched.Task, horizon float64) (*Results, error) {
 		case evArrival:
 			t := &e.arrivals[ref]
 			held := !e.deps.ready(t.ID)
-			if e.cfg.Tracer != nil {
-				e.cfg.Tracer.TraceArrival(e.now, *t, held)
+			if e.cfg.Observer != nil {
+				e.observe(Event{Kind: OnArrival, Task: *t, Held: held})
 			}
 			if held {
 				e.deps.hold(*t)
@@ -379,8 +373,8 @@ func (e *Engine) Run(arrivals []sched.Task, horizon float64) (*Results, error) {
 			// Just a wake-up; scheduling below. The armed flush is spent;
 			// ensureFlush re-arms for the remaining head if needed.
 			e.nextFlushAt = math.Inf(1)
-			if e.cfg.Tracer != nil {
-				e.cfg.Tracer.TraceFlush(e.now)
+			if e.cfg.Observer != nil {
+				e.observe(Event{Kind: OnFlush})
 			}
 		case evMachineDown:
 			e.machineDown(int(ev.machine))
@@ -409,26 +403,35 @@ func (e *Engine) Run(arrivals []sched.Task, horizon float64) (*Results, error) {
 		}
 		e.ensureFlush()
 		if e.cfg.Observer != nil {
-			if oerr := e.cfg.Observer.OnEvent(View{e}, okind, e.now); oerr != nil {
-				return nil, fmt.Errorf("sim: observer: %w", oerr)
-			}
+			e.observe(Event{Kind: OnStep, Step: okind})
 		}
 	}
-	if math.IsInf(horizon, 1) {
-		e.results.Horizon = e.now
-	} else {
-		e.results.Horizon = horizon
+	if !math.IsInf(horizon, 1) {
+		e.now = horizon
 	}
-	e.flushEnergy(e.results.Horizon)
-	if e.cfg.Tracer != nil {
-		e.cfg.Tracer.TraceDone(e.results.Horizon, &e.results)
-	}
+	e.results.Horizon = e.now
+	e.flushEnergy(e.now)
 	if e.cfg.Observer != nil {
-		if oerr := e.cfg.Observer.OnDone(View{e}, &e.results); oerr != nil {
-			return nil, fmt.Errorf("sim: observer: %w", oerr)
+		e.observe(Event{Kind: OnDone, Results: &e.results})
+		if e.obsErr != nil {
+			return nil, e.obsErr
 		}
 	}
 	return &e.results, nil
+}
+
+// observe reports ev, stamped with the current time, to the observer;
+// callers test Config.Observer first. The observer's first error sticks:
+// nothing further is reported, the event loop stops before the next
+// event, and Run returns the error.
+func (e *Engine) observe(ev Event) {
+	if e.obsErr != nil {
+		return
+	}
+	ev.Now = e.now
+	if err := e.cfg.Observer.Observe(View{e}, ev); err != nil {
+		e.obsErr = fmt.Errorf("sim: observer: %w", err)
+	}
 }
 
 // nextEvent takes the earliest pending event: the cursor's arrival when it
@@ -512,8 +515,8 @@ func observedKind(k eventKind) EventKind {
 // partial batch cannot starve waiting for a batch scheduler's queue to
 // fill) are armed by ensureFlush after the scheduling pass.
 func (e *Engine) enqueue(ref int, released bool) {
-	if e.cfg.Tracer != nil {
-		e.cfg.Tracer.TraceEnqueue(e.now, *e.task(ref), released)
+	if e.cfg.Observer != nil {
+		e.observe(Event{Kind: OnEnqueue, Task: *e.task(ref), Released: released})
 	}
 	e.queue = append(e.queue, ref)
 	// Compact the backlog when the dead prefix dominates.
@@ -593,11 +596,11 @@ func (e *Engine) reprice(m int) {
 			// A slowdown window dilates the rate; factor 0 is a full stall.
 			rt.rate *= e.cfg.Faults.RateFactor(m, s, e.now)
 		}
-		if e.cfg.Tracer != nil {
-			e.cfg.Tracer.TraceSegment(e.now, Segment{
+		if e.cfg.Observer != nil {
+			e.observe(Event{Kind: OnSegment, Segment: Segment{
 				Machine: m, Slot: s, TaskID: rt.task.ID, App: rt.task.App,
 				Rate: rt.rate, Neighbour: e.table.apps[nb], WorkLeft: rt.workLeft,
-			})
+			}})
 		}
 		// Generations are engine-global: a per-task counter would collide
 		// with stale events left behind by a previous occupant of the slot.
@@ -624,16 +627,8 @@ func (e *Engine) complete(m, slot int) error {
 	}
 	ms.slots[slot] = nil
 	rec := TaskRecord{Task: rt.task, Start: rt.start, Finish: e.now, Machine: m, Slot: slot}
-	if e.cfg.Observer != nil || e.cfg.Tracer != nil {
-		c := Completion{Record: rec, Predicted: rt.predicted, Residual: rt.rawLeft}
-		if e.cfg.Tracer != nil {
-			e.cfg.Tracer.TraceComplete(e.now, c)
-		}
-		if e.cfg.Observer != nil {
-			if oerr := e.cfg.Observer.OnComplete(View{e}, c); oerr != nil {
-				return fmt.Errorf("sim: observer: %w", oerr)
-			}
-		}
+	if e.cfg.Observer != nil {
+		e.observe(Event{Kind: OnComplete, Complete: Completion{Record: rec, Predicted: rt.predicted, Residual: rt.rawLeft}})
 	}
 	// Release any workflow tasks this completion unblocks.
 	for _, released := range e.deps.complete(rt.task.ID) {
@@ -719,11 +714,11 @@ func (e *Engine) place(t sched.Task, m, slot int) error {
 		}
 		rt.predicted = rt.workLeft / base
 	}
-	if e.cfg.Tracer != nil {
-		e.cfg.Tracer.TracePlace(e.now, PlaceInfo{
+	if e.cfg.Observer != nil {
+		e.observe(Event{Kind: OnPlace, Place: PlaceInfo{
 			Task: t, Machine: m, Slot: slot, Neighbour: e.table.apps[nb],
 			Work: rt.workLeft, Predicted: rt.predicted,
-		})
+		}})
 	}
 	e.settleEnergy(m) // re-sample power under the new membership
 	return nil
@@ -750,63 +745,19 @@ func (e *Engine) trySchedule() error {
 		// Crashed machines are not capacity (downCount is zero without faults).
 		load := sched.Load{TotalSlots: (e.cfg.Machines - e.downCount) * vmsPerMachine, Queued: n}
 		e.counts = e.pool.Counts(e.counts)
-		var candidates []CategoryCount
-		if e.cfg.Tracer != nil {
-			// Snapshot the candidate set the pass is offered.
-			cats := make([]string, 0, len(e.counts))
-			for c := range e.counts {
-				cats = append(cats, c)
-			}
-			sort.Strings(cats)
-			candidates = make([]CategoryCount, len(cats))
-			for i, c := range cats {
-				candidates[i] = CategoryCount{Category: c, N: e.counts[c]}
-			}
-		}
-		var t0 time.Time
-		if e.cfg.Observer != nil {
-			t0 = time.Now()
-		}
-		placements, err := e.cfg.Scheduler.Schedule(batch, e.counts, load)
+		placements, err := e.decide(batch, load)
 		if err != nil {
 			return err
-		}
-		if e.cfg.Observer != nil {
-			info := ScheduleInfo{Batch: len(batch), Placed: len(placements), Wall: time.Since(t0)}
-			if oerr := e.cfg.Observer.OnSchedule(View{e}, info); oerr != nil {
-				return fmt.Errorf("sim: observer: %w", oerr)
-			}
-		}
-		if e.cfg.Tracer != nil {
-			e.cfg.Tracer.TraceDecision(e.now, Decision{
-				Batch: len(batch), Placed: len(placements), Backlog: n,
-				FreeSlots: e.pool.FreeSlots(), Candidates: candidates,
-			})
 		}
 		if len(placements) == 0 {
 			return nil
 		}
 		clear(e.placed)
 		for _, p := range placements {
-			var pop PopInfo
-			if e.cfg.Observer != nil && p.Category == sched.AnyCategory {
-				// Snapshot the FIFO-over-VMs contract's answer before the pop
-				// consumes it, so the auditor can hold Pop to it.
-				pop.OldestMachine, pop.OldestSlot, pop.OldestOK = e.pool.OldestFree()
-			}
-			m, slot, freeGen, err := e.pool.PopTraced(p.Category)
+			m, slot, err := e.pop(p.Category)
 			if err != nil {
 				return fmt.Errorf("sim: scheduler %s emitted unexecutable placement %+v: %w",
 					e.cfg.Scheduler.Name(), p, err)
-			}
-			pop.Category, pop.Machine, pop.Slot, pop.FreeGen = p.Category, m, slot, freeGen
-			if e.cfg.Observer != nil {
-				if oerr := e.cfg.Observer.OnPop(View{e}, pop); oerr != nil {
-					return fmt.Errorf("sim: observer: %w", oerr)
-				}
-			}
-			if e.cfg.Tracer != nil {
-				e.cfg.Tracer.TracePop(e.now, pop)
 			}
 			if err := e.place(p.Task, m, slot); err != nil {
 				return err
@@ -829,6 +780,39 @@ func (e *Engine) trySchedule() error {
 		}
 	}
 	return nil
+}
+
+// decide runs the policy on the batch; with an observer attached it times
+// the call and reports it.
+func (e *Engine) decide(batch []sched.Task, load sched.Load) ([]sched.Placement, error) {
+	if e.cfg.Observer == nil {
+		return e.cfg.Scheduler.Schedule(batch, e.counts, load)
+	}
+	t0 := time.Now()
+	placements, err := e.cfg.Scheduler.Schedule(batch, e.counts, load)
+	if err == nil {
+		e.observe(Event{Kind: OnDecision, Decision: Decision{Batch: len(batch), Placed: len(placements), Wall: time.Since(t0)}})
+	}
+	return placements, err
+}
+
+// pop resolves a placement category to a free slot. With an observer
+// attached it first snapshots the pool's longest-free slot — what the
+// FIFO-over-VMs contract demands an AnyCategory pop return, so the auditor
+// can hold the pop to it — and then reports the pop.
+func (e *Engine) pop(category string) (machine, slot int, err error) {
+	if e.cfg.Observer == nil {
+		return e.pool.Pop(category)
+	}
+	p := PopInfo{Category: category}
+	if category == sched.AnyCategory {
+		p.OldestMachine, p.OldestSlot, p.OldestOK = e.pool.OldestFree()
+	}
+	p.Machine, p.Slot, p.FreeGen, err = e.pool.PopTraced(category)
+	if err == nil {
+		e.observe(Event{Kind: OnPop, Pop: p})
+	}
+	return p.Machine, p.Slot, err
 }
 
 func (e *Engine) backlog() int { return len(e.queue) - e.qhead }

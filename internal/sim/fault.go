@@ -6,12 +6,12 @@ import "tracon/internal/sched"
 // Config.Faults is set (see internal/fault for the plan format). Crashed
 // machines evict their running tasks; evicted, probabilistically failed and
 // timed-out attempts re-enter the backlog after the plan's backoff, bounded
-// by its attempt budget. Every transition is traced through TraceFault and
-// counted in Results, and all of it is driven by heap events whose order is
+// by its attempt budget. Every transition is reported to the observer as an
+// OnFault event and counted in Results, and all of it is driven by heap events whose order is
 // a pure function of the inputs — fault-injected runs stay byte-identical
 // across worker counts and reproducible from the seed.
 
-// Fault kinds reported through Tracer.TraceFault.
+// Fault kinds reported in FaultInfo.Kind.
 const (
 	// FaultFail is a probabilistic attempt failure at the moment the
 	// attempt would have completed.
@@ -38,20 +38,16 @@ func (e *Engine) machineDown(m int) {
 	e.down[m] = true
 	e.downCount++
 	e.results.MachineDowns++
-	if e.cfg.Tracer != nil {
-		e.cfg.Tracer.TraceFault(e.now, FaultInfo{Kind: FaultMachineDown, Machine: m, Slot: -1})
-	}
+	e.reportFault(FaultInfo{Kind: FaultMachineDown, Machine: m, Slot: -1})
 	ms := &e.machines[m]
 	for s := range ms.slots {
 		if rt := ms.slots[s]; rt != nil {
 			ms.slots[s] = nil
 			e.results.Evictions++
-			if e.cfg.Tracer != nil {
-				e.cfg.Tracer.TraceFault(e.now, FaultInfo{
-					Kind: FaultEvict, Machine: m, Slot: s,
-					TaskID: rt.task.ID, App: rt.task.App, Attempt: e.attempts[rt.task.ID],
-				})
-			}
+			e.reportFault(FaultInfo{
+				Kind: FaultEvict, Machine: m, Slot: s,
+				TaskID: rt.task.ID, App: rt.task.App, Attempt: e.attempts[rt.task.ID],
+			})
 			e.retryOrLose(rt.task)
 		}
 		e.pool.SetBusy(m, s)
@@ -66,9 +62,7 @@ func (e *Engine) machineUp(m int) {
 	e.down[m] = false
 	e.downCount--
 	e.results.MachineUps++
-	if e.cfg.Tracer != nil {
-		e.cfg.Tracer.TraceFault(e.now, FaultInfo{Kind: FaultMachineUp, Machine: m, Slot: -1})
-	}
+	e.reportFault(FaultInfo{Kind: FaultMachineUp, Machine: m, Slot: -1})
 	for s := 0; s < vmsPerMachine; s++ {
 		e.pool.SetFree(m, s, sched.EmptyCategory)
 	}
@@ -90,12 +84,10 @@ func (e *Engine) evictAttempt(m, slot int, kind string) {
 	case FaultTimeout:
 		e.results.Timeouts++
 	}
-	if e.cfg.Tracer != nil {
-		e.cfg.Tracer.TraceFault(e.now, FaultInfo{
-			Kind: kind, Machine: m, Slot: slot,
-			TaskID: rt.task.ID, App: rt.task.App, Attempt: e.attempts[rt.task.ID],
-		})
-	}
+	e.reportFault(FaultInfo{
+		Kind: kind, Machine: m, Slot: slot,
+		TaskID: rt.task.ID, App: rt.task.App, Attempt: e.attempts[rt.task.ID],
+	})
 	// The freed slot's category is the survivor's app; an idle machine is
 	// empty-category on both slots (mirrors complete()).
 	other := ms.slots[1-slot]
@@ -119,21 +111,21 @@ func (e *Engine) retryOrLose(t sched.Task) {
 	made := e.attempts[t.ID]
 	if !e.cfg.Faults.RetryAllowed(made + 1) {
 		e.results.Lost++
-		if e.cfg.Tracer != nil {
-			e.cfg.Tracer.TraceFault(e.now, FaultInfo{
-				Kind: FaultLost, Machine: -1, Slot: -1,
-				TaskID: t.ID, App: t.App, Attempt: made,
-			})
-		}
+		e.reportFault(FaultInfo{Kind: FaultLost, Machine: -1, Slot: -1, TaskID: t.ID, App: t.App, Attempt: made})
 		return
 	}
 	delay := e.cfg.Faults.RetryDelay(made)
 	e.results.Retries++
-	if e.cfg.Tracer != nil {
-		e.cfg.Tracer.TraceFault(e.now, FaultInfo{
-			Kind: FaultRetry, Machine: -1, Slot: -1,
-			TaskID: t.ID, App: t.App, Attempt: made, Delay: delay,
-		})
-	}
+	e.reportFault(FaultInfo{
+		Kind: FaultRetry, Machine: -1, Slot: -1,
+		TaskID: t.ID, App: t.App, Attempt: made, Delay: delay,
+	})
 	e.push(event{time: e.now + delay, kind: evRetry, gen: int64(e.addExtra(t))})
+}
+
+// reportFault reports one fault transition to the observer, if any.
+func (e *Engine) reportFault(f FaultInfo) {
+	if e.cfg.Observer != nil {
+		e.observe(Event{Kind: OnFault, Fault: f})
+	}
 }

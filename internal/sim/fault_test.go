@@ -10,30 +10,25 @@ import (
 	"tracon/internal/sched"
 )
 
-// recTracer records fault transitions (and a printable event log) for
-// assertions; every other callback is a no-op.
-type recTracer struct {
+// recObserver records fault transitions (and a printable event log) for
+// assertions; it ignores every other event.
+type recObserver struct {
 	faults []FaultInfo
 	log    []string
 }
 
-func (r *recTracer) TraceArrival(now float64, t sched.Task, held bool) {}
-func (r *recTracer) TraceEnqueue(now float64, t sched.Task, rel bool)  {}
-func (r *recTracer) TraceFlush(now float64)                            {}
-func (r *recTracer) TraceDecision(now float64, d Decision)             {}
-func (r *recTracer) TracePop(now float64, p PopInfo)                   {}
-func (r *recTracer) TracePlace(now float64, p PlaceInfo) {
-	r.log = append(r.log, fmt.Sprintf("place t=%.6f task=%d m=%d s=%d", now, p.Task.ID, p.Machine, p.Slot))
+func (r *recObserver) Observe(_ View, ev Event) error {
+	switch ev.Kind {
+	case OnPlace:
+		r.log = append(r.log, fmt.Sprintf("place t=%.6f task=%d m=%d s=%d", ev.Now, ev.Place.Task.ID, ev.Place.Machine, ev.Place.Slot))
+	case OnComplete:
+		r.log = append(r.log, fmt.Sprintf("complete t=%.6f task=%d", ev.Now, ev.Complete.Record.Task.ID))
+	case OnFault:
+		r.faults = append(r.faults, ev.Fault)
+		r.log = append(r.log, fmt.Sprintf("fault t=%.6f %+v", ev.Now, ev.Fault))
+	}
+	return nil
 }
-func (r *recTracer) TraceSegment(now float64, s Segment) {}
-func (r *recTracer) TraceComplete(now float64, c Completion) {
-	r.log = append(r.log, fmt.Sprintf("complete t=%.6f task=%d", now, c.Record.Task.ID))
-}
-func (r *recTracer) TraceFault(now float64, f FaultInfo) {
-	r.faults = append(r.faults, f)
-	r.log = append(r.log, fmt.Sprintf("fault t=%.6f %+v", now, f))
-}
-func (r *recTracer) TraceDone(now float64, res *Results) {}
 
 // TestChaosCrashRecoveryCompletesAllTasks is the acceptance scenario: crash
 // 1 of N machines mid-run; every task must still complete via re-placement
@@ -46,8 +41,8 @@ func TestChaosCrashRecoveryCompletesAllTasks(t *testing.T) {
 		Crashes: []fault.Crash{{Machine: 1, DownAt: 0.2 * s, UpAt: 0.5 * s}},
 		Retry:   fault.RetryPolicy{MaxAttempts: 5, Backoff: 0.01 * s, BackoffFactor: 1},
 	}
-	tr := &recTracer{}
-	eng, err := NewEngine(Config{Machines: 4, Scheduler: sched.FIFO{}, Table: tb, Faults: plan, Tracer: tr})
+	tr := &recObserver{}
+	eng, err := NewEngine(Config{Machines: 4, Scheduler: sched.FIFO{}, Table: tb, Faults: plan, Observer: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,8 +93,8 @@ func TestChaosDeterministicRepeatRuns(t *testing.T) {
 		Retry:     fault.RetryPolicy{MaxAttempts: 4, Backoff: 0.05 * s},
 	}
 	run := func() (*Results, []string) {
-		tr := &recTracer{}
-		eng, err := NewEngine(Config{Machines: 3, Scheduler: sched.FIFO{}, Table: tb, Faults: plan, Tracer: tr})
+		tr := &recObserver{}
+		eng, err := NewEngine(Config{Machines: 3, Scheduler: sched.FIFO{}, Table: tb, Faults: plan, Observer: tr})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,8 +196,8 @@ func TestBackoffCappingObserved(t *testing.T) {
 		FailProb: 1, // every attempt fails
 		Retry:    fault.RetryPolicy{MaxAttempts: 4, Backoff: 3, BackoffFactor: 2, MaxBackoff: 4},
 	}
-	tr := &recTracer{}
-	eng, err := NewEngine(Config{Machines: 1, Scheduler: sched.FIFO{}, Table: tb, Faults: plan, Tracer: tr})
+	tr := &recObserver{}
+	eng, err := NewEngine(Config{Machines: 1, Scheduler: sched.FIFO{}, Table: tb, Faults: plan, Observer: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,8 +255,8 @@ func TestEmptyPlanZeroPerturbation(t *testing.T) {
 	tb := table(t)
 	tasks := taskList("video", "freqmine", "blastn", "video", "freqmine", "blastn", "video", "freqmine")
 	run := func(plan *fault.Plan) (*Results, []string) {
-		tr := &recTracer{}
-		eng, err := NewEngine(Config{Machines: 3, Scheduler: sched.FIFO{}, Table: tb, Faults: plan, Tracer: tr})
+		tr := &recObserver{}
+		eng, err := NewEngine(Config{Machines: 3, Scheduler: sched.FIFO{}, Table: tb, Faults: plan, Observer: tr})
 		if err != nil {
 			t.Fatal(err)
 		}

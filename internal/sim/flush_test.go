@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"tracon/internal/sched"
@@ -54,16 +56,12 @@ func runFlushMode(t *testing.T, naive bool, s sched.Scheduler, machines int, tas
 // mark.
 type heapWatcher struct{ max *int }
 
-func (w heapWatcher) OnEvent(v View, kind EventKind, now float64) error {
-	if n := v.EventHeapLen(); n > *w.max {
+func (w heapWatcher) Observe(v View, ev Event) error {
+	if n := v.EventHeapLen(); ev.Kind == OnStep && n > *w.max {
 		*w.max = n
 	}
 	return nil
 }
-func (w heapWatcher) OnComplete(View, Completion) error   { return nil }
-func (w heapWatcher) OnPop(View, PopInfo) error           { return nil }
-func (w heapWatcher) OnSchedule(View, ScheduleInfo) error { return nil }
-func (w heapWatcher) OnDone(View, *Results) error         { return nil }
 
 // TestFlushSuppressionMatchesNaive proves the evFlush optimization changes
 // nothing observable: for seeds 1 and 42, across FIFO and batch policies,
@@ -143,6 +141,52 @@ func TestObserverDoesNotPerturbRun(t *testing.T) {
 	}
 	if max == 0 {
 		t.Fatal("observer never fired")
+	}
+}
+
+// observeFunc adapts a function to Observer.
+type observeFunc func(View, Event) error
+
+func (f observeFunc) Observe(v View, ev Event) error { return f(v, ev) }
+
+// TestObserverErrorAbortsRun: the observer's first error ends the run. Run
+// returns it wrapped as "sim: observer: …" with no Results, the observer
+// hears nothing after it, and the engine processes no later event (its
+// clock stays at the failing event's time).
+func TestObserverErrorAbortsRun(t *testing.T) {
+	pred := oracle(t)
+	tasks := genTasks(9, 120, 20)
+	boom := errors.New("boom")
+	for _, failOn := range []Hook{OnArrival, OnEnqueue, OnDecision, OnPop, OnPlace, OnSegment, OnComplete, OnStep, OnDone} {
+		failed, after, failedAt := false, 0, 0.0
+		o := observeFunc(func(v View, ev Event) error {
+			switch {
+			case failed:
+				after++
+			case ev.Kind == failOn && ev.Now > 100:
+				failed, failedAt = true, ev.Now
+				return boom
+			}
+			return nil
+		})
+		s := &sched.MIBS{Scorer: sched.NewScorer(pred, sched.MinRuntime), QueueLen: 4}
+		eng, err := NewEngine(Config{Machines: 4, Scheduler: s, Table: table(t), Observer: o})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := eng.Run(tasks, math.Inf(1))
+		if !failed {
+			t.Fatalf("hook %d never fired after t=100", failOn)
+		}
+		if res != nil || !errors.Is(err, boom) || !strings.HasPrefix(err.Error(), "sim: observer: ") {
+			t.Errorf("hook %d: Run returned (%v, %v), want (nil, sim: observer: boom)", failOn, res, err)
+		}
+		if after != 0 {
+			t.Errorf("hook %d: observer heard %d events after its error", failOn, after)
+		}
+		if eng.now != failedAt {
+			t.Errorf("hook %d: engine clock at %v after an error at %v: a later event was processed", failOn, eng.now, failedAt)
+		}
 	}
 }
 

@@ -7,15 +7,99 @@ import (
 )
 
 // This file is the engine's observability surface: an Observer receives
-// synchronous callbacks at every interesting point of a run, with a View
-// handle for read-only inspection of the engine's internals. A nil
-// Config.Observer costs nothing — every hook site is guarded by a nil
-// check — and a non-nil observer must not perturb the simulation: all View
-// accessors are pure reads, and the engine feeds observers data it computes
-// anyway. The PR-1 determinism golden tests run with observers attached to
-// enforce this.
+// one synchronous callback per lifecycle transition of every task
+// (arrival → queue → placement → interference-dilated execution segments →
+// completion), per scheduler decision and per processed engine event, with
+// a View handle for read-only inspection of the engine's internals. A nil
+// Config.Observer costs one branch per emission point, and a non-nil
+// observer must not perturb the simulation: all View accessors are pure
+// reads, and every payload is data the engine computes anyway (or, for
+// the fairness snapshot and the decision wall time, computes only for an
+// observer). The no-perturbation and golden tests run with observers
+// attached to enforce this.
+//
+// All payloads except Decision.Wall are pure functions of the simulated
+// run, so a deterministic Observer (see internal/obs) produces
+// byte-identical exports for the same seed at every worker count.
 
-// EventKind labels a processed simulation event for observers.
+// Observer receives simulation events. Observe runs synchronously on the
+// engine's goroutine in event order; implementations must treat the View
+// and the Event as read-only and must not call back into the engine. A
+// non-nil error aborts the run: the engine reports nothing further, the
+// event being processed is the last one, and Engine.Run returns the error —
+// that is how the invariant auditor turns a violation into a loud failure.
+type Observer interface {
+	Observe(v View, ev Event) error
+}
+
+// Hook names what an Event reports and selects its payload field.
+type Hook uint8
+
+// The hooks, in the order a task meets them. OnFault fires only in
+// fault-injected runs (Config.Faults non-nil).
+const (
+	// OnArrival: an arrival was processed (Task, Held). Held marks a task
+	// with unmet workflow dependencies, parked instead of queued; an
+	// OnEnqueue with Released follows once the last dependency completes.
+	OnArrival Hook = iota
+	// OnEnqueue: a task entered the scheduling backlog (Task, Released).
+	// Released marks tasks a workflow-dependency completion just unblocked.
+	OnEnqueue
+	// OnFlush: a flush wake-up forces a scheduling pass on a partial batch.
+	OnFlush
+	// OnDecision: the scheduling policy ran (Decision). None of its
+	// placements has been popped yet, so the View shows the backlog and
+	// the free pool the policy was offered.
+	OnDecision
+	// OnPop: a free-pool resolution (Pop). The popped slot is already busy
+	// in the pool; the task is not yet placed on the machine.
+	OnPop
+	// OnPlace: a task started on a concrete VM (Place).
+	OnPlace
+	// OnSegment: a running task's progress rate was repriced because
+	// machine membership changed (Segment): the start of one execution
+	// segment, which ends at the slot's next OnSegment or OnComplete.
+	OnSegment
+	// OnComplete: a task finished (Complete), before pool bookkeeping for
+	// the freed slot.
+	OnComplete
+	// OnFault: a fault-injection transition (Fault; see fault.go): machine
+	// crash/recover, attempt failure/timeout/eviction, a scheduled retry or
+	// an abandoned task.
+	OnFault
+	// OnStep: an engine event has been processed and the scheduling pass
+	// after it has finished (Step); engine state is consistent here, while
+	// OnComplete and OnPop fire mid-transition.
+	OnStep
+	// OnDone: the run ended, after final energy settlement (Results). Now
+	// is the run's horizon.
+	OnDone
+)
+
+// Event is one observed engine event. Kind selects the one payload field
+// that is set; the others are zero.
+type Event struct {
+	Kind Hook
+	// Now is the simulation time of the event.
+	Now float64
+
+	// Step is the processed engine event (OnStep).
+	Step EventKind
+	// Task is the arriving or enqueued task (OnArrival, OnEnqueue).
+	Task sched.Task
+	// Held and Released qualify Task (OnArrival and OnEnqueue).
+	Held, Released bool
+
+	Decision Decision   // OnDecision
+	Pop      PopInfo    // OnPop
+	Place    PlaceInfo  // OnPlace
+	Segment  Segment    // OnSegment
+	Complete Completion // OnComplete
+	Fault    FaultInfo  // OnFault
+	Results  *Results   // OnDone
+}
+
+// EventKind labels a processed engine event (the Step of an OnStep).
 type EventKind int
 
 // The event kinds of the engine's event loop. The fault kinds (EvFail and
@@ -62,6 +146,17 @@ func (k EventKind) String() string {
 	return "unknown"
 }
 
+// Decision describes one invocation of the scheduling policy.
+type Decision struct {
+	// Batch is the number of tasks offered to the policy.
+	Batch int
+	// Placed is the number of placements the policy emitted.
+	Placed int
+	// Wall is the policy's decision latency in wall-clock time. It is
+	// inherently nondeterministic; deterministic exports must exclude it.
+	Wall time.Duration
+}
+
 // PopInfo describes one free-pool resolution performed by the engine.
 type PopInfo struct {
 	// Category is the placement category that was resolved.
@@ -79,7 +174,43 @@ type PopInfo struct {
 	OldestOK                  bool
 }
 
-// Completion describes one finished task for observers.
+// PlaceInfo describes one placement.
+type PlaceInfo struct {
+	// Task is the placed task.
+	Task sched.Task
+	// Machine and Slot name the VM the task starts on.
+	Machine, Slot int
+	// Neighbour is the application on the machine's other slot at
+	// placement time (empty when the machine was idle).
+	Neighbour string
+	// Work is the task's solo execution time in seconds — the work the
+	// task must progress through at its interference-dilated rate.
+	Work float64
+	// Predicted is the runtime forecast frozen at placement: Work over the
+	// progress rate under Neighbour. Comparing it with the realized
+	// runtime isolates mid-flight neighbour churn.
+	Predicted float64
+}
+
+// Segment describes the start of one execution segment: a maximal interval
+// over which a running task progresses at a constant interference-dilated
+// rate. A new segment starts whenever machine membership changes.
+type Segment struct {
+	// Machine and Slot locate the running task.
+	Machine, Slot int
+	// TaskID and App identify it.
+	TaskID int64
+	App    string
+	// Rate is the progress rate for this segment (1 = solo speed; lower
+	// means the neighbour dilutes it).
+	Rate float64
+	// Neighbour is the co-resident application ("" when running alone).
+	Neighbour string
+	// WorkLeft is the remaining solo-seconds of work at segment start.
+	WorkLeft float64
+}
+
+// Completion describes one finished task.
 type Completion struct {
 	// Record is the task's outcome.
 	Record TaskRecord
@@ -94,37 +225,22 @@ type Completion struct {
 	Residual float64
 }
 
-// ScheduleInfo describes one invocation of the scheduling policy.
-type ScheduleInfo struct {
-	// Batch is the number of tasks offered to the policy.
-	Batch int
-	// Placed is the number of placements the policy emitted.
-	Placed int
-	// Wall is the policy's decision latency in wall-clock time. It is
-	// measured only when an observer is attached and is inherently
-	// nondeterministic; deterministic metric exports must exclude it.
-	Wall time.Duration
-}
-
-// Observer receives simulation lifecycle callbacks. All methods run
-// synchronously on the engine's goroutine in event order; implementations
-// must treat the View as read-only. A non-nil error aborts the run and is
-// returned from Engine.Run — that is how the invariant auditor turns a
-// violation into a loud failure.
-type Observer interface {
-	// OnEvent fires after each event has been processed and the subsequent
-	// scheduling pass has finished; engine state is consistent here.
-	OnEvent(v View, kind EventKind, now float64) error
-	// OnComplete fires for every completed task, before pool bookkeeping
-	// for the freed slot.
-	OnComplete(v View, c Completion) error
-	// OnPop fires after each free-pool resolution (the popped slot is
-	// already busy in the pool; the task is not yet placed on the machine).
-	OnPop(v View, p PopInfo) error
-	// OnSchedule fires after each scheduling-policy invocation.
-	OnSchedule(v View, s ScheduleInfo) error
-	// OnDone fires once when the run ends, after final energy settlement.
-	OnDone(v View, res *Results) error
+// FaultInfo describes one fault-injection transition.
+type FaultInfo struct {
+	// Kind is one of the Fault* constants in fault.go: fail, timeout,
+	// evict, retry, lost, machine_down, machine_up.
+	Kind string
+	// Machine and Slot locate the transition (-1 when not applicable:
+	// machine transitions carry Slot -1, retry/lost carry both -1).
+	Machine, Slot int
+	// TaskID and App identify the affected task (zero/empty for machine
+	// transitions).
+	TaskID int64
+	App    string
+	// Attempt is the task's placement attempts made so far.
+	Attempt int
+	// Delay is the retry backoff in seconds (retry only).
+	Delay float64
 }
 
 // View is a read-only window into a running engine for observers.
