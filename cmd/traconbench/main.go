@@ -106,7 +106,8 @@ func main() {
 
 	// Observability: one metrics collector and one trace collector for the
 	// whole sweep, one auditor per simulation run (the monotonicity checks
-	// track per-run clocks), all behind one observer per run. Labels are
+	// track per-run clocks), all behind one observer per run; a lone one
+	// goes unwrapped, since an obs.Multi copies every event again. Labels are
 	// derived from run inputs, so exports are identical at every -parallel
 	// width.
 	var collector *obs.Collector
@@ -144,6 +145,9 @@ func main() {
 				auditors = append(auditors, a)
 				auditMu.Unlock()
 				multi = append(multi, a)
+			}
+			if len(multi) == 1 {
+				return multi[0]
 			}
 			return multi
 		}

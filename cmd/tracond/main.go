@@ -17,7 +17,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"runtime/pprof"
 	"strings"
 	"syscall"
 	"time"
@@ -25,62 +24,49 @@ import (
 	"tracon/internal/durable"
 	"tracon/internal/model"
 	"tracon/internal/obs"
-	"tracon/internal/sched"
 	"tracon/internal/serve"
 	"tracon/internal/workload"
 	"tracon/internal/xen"
 )
 
 func main() {
-	var (
-		addr        = flag.String("addr", "127.0.0.1:0", "listen address (port 0 picks a free port)")
-		portFile    = flag.String("portfile", "", "write the actual listen address to this file once serving")
-		machines    = flag.Int("machines", 8, "machine inventory size (two VMs each)")
-		kindName    = flag.String("model", "NLM", "model family: WMM, LM, NLM, NLMNoDom0, Forest")
-		policy      = flag.String("policy", "mios", "scheduling policy: fifo, mios, mibs, mix")
-		queueLen    = flag.Int("queue-len", 4, "batch size for the batch policies (mibs, mix)")
-		objName     = flag.String("objective", "runtime", "optimization objective: runtime or iops")
-		seed        = flag.Int64("seed", 1, "testbed seed for training")
-		modelsIn    = flag.String("models", "", "load a trained library from this JSON file instead of training")
-		modelsOut   = flag.String("save-models", "", "save the trained library to this JSON file (LM/NLM families)")
-		maxInflight = flag.Int("max-inflight", 0, "max concurrent submissions (0 = default)")
-		maxQueue    = flag.Int("max-queue", 0, "max queued tasks before 429 (0 = default, negative = unbounded)")
-		batchWindow = flag.Duration("batch-window", 0, "coalesce singleton submissions for up to this long into one scheduling pass (0 = off)")
-		batchMax    = flag.Int("batch-max", 0, "max tasks per scheduling pass and per /v1/tasks:batch request (0 = default)")
-		cpuProf     = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf     = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		logFormat   = flag.String("log-format", "text", "structured log encoding: text or json")
-		logLevel    = flag.String("log-level", "info", "log level: debug, info, warn, error (debug logs every request)")
-		traceCap    = flag.Int("trace-cap", 0, "serving-span ring capacity for GET /v1/trace (0 = default, negative = off)")
-		sloWindow   = flag.Duration("slo-window", 0, "rolling SLO evaluation window (0 = default 1m)")
-		sloP99      = flag.Float64("slo-p99", 0, "latency objective: rolling p99 seconds (0 = default 0.25, negative = off)")
-		sloErrRate  = flag.Float64("slo-error-rate", 0, "error budget: rolling error fraction (0 = default 0.01, negative = off)")
-		statsEvery  = flag.Duration("stats-interval", 0, "runtime self-stats sampling period (0 = default 5s, negative = off)")
-		dataDir     = flag.String("data-dir", "", "crash-safe persistence directory (WAL + snapshots); empty = in-memory only")
-		fsync       = flag.String("fsync", "always", "WAL durability policy: always, interval, never")
-		fsyncEvery  = flag.Duration("fsync-interval", 0, "max time between WAL fsyncs under -fsync=interval (0 = default 50ms)")
-		snapEvery   = flag.Duration("snapshot-interval", time.Minute, "compacted snapshot period (also triggered by -wal-max-bytes; <=0 = size-only)")
-		walMaxBytes = flag.Int64("wal-max-bytes", 0, "WAL segment size that triggers an early snapshot (0 = default 64MiB, negative = off)")
-	)
+	var cfg daemonConfig
+	flag.StringVar(&cfg.addr, "addr", "127.0.0.1:0", "listen address (port 0 picks a free port)")
+	flag.StringVar(&cfg.portFile, "portfile", "", "write the actual listen address to this file once serving")
+	flag.IntVar(&cfg.machines, "machines", 8, "machine inventory size (two VMs each)")
+	flag.StringVar(&cfg.kindName, "model", "NLM", "model family: WMM, LM, NLM, NLMNoDom0, Forest")
+	flag.StringVar(&cfg.policy, "policy", "mios", "scheduling policy: fifo, mios, mibs, mix")
+	flag.IntVar(&cfg.queueLen, "queue-len", 4, "batch size for the batch policies (mibs, mix)")
+	flag.Int64Var(&cfg.seed, "seed", 1, "testbed seed for training")
+	flag.StringVar(&cfg.modelsIn, "models", "", "load a trained library from this JSON file instead of training")
+	flag.StringVar(&cfg.modelsOut, "save-models", "", "save the trained library to this JSON file (LM/NLM families)")
+	flag.IntVar(&cfg.maxInflight, "max-inflight", 0, "max concurrent submissions (0 = default)")
+	flag.IntVar(&cfg.maxQueue, "max-queue", 0, "max queued tasks before 429 (0 = default, negative = unbounded)")
+	flag.DurationVar(&cfg.batchWindow, "batch-window", 0, "coalesce singleton submissions for up to this long into one scheduling pass (0 = off)")
+	flag.IntVar(&cfg.batchMax, "batch-max", 0, "max tasks per scheduling pass and per /v1/tasks:batch request (0 = default)")
+	flag.StringVar(&cfg.cpuProf, "cpuprofile", "", "write a CPU profile to this file")
+	flag.StringVar(&cfg.memProf, "memprofile", "", "write a heap profile to this file on exit")
+	flag.StringVar(&cfg.logFormat, "log-format", "text", "structured log encoding: text or json")
+	flag.StringVar(&cfg.logLevel, "log-level", "info", "log level: debug, info, warn, error (debug logs every request)")
+	flag.IntVar(&cfg.traceCap, "trace-cap", 0, "serving-span ring capacity for GET /v1/trace (0 = default, negative = off)")
+	flag.DurationVar(&cfg.sloWindow, "slo-window", 0, "rolling SLO evaluation window (0 = default 1m)")
+	flag.Float64Var(&cfg.sloP99, "slo-p99", 0, "latency objective: rolling p99 seconds (0 = default 0.25, negative = off)")
+	flag.Float64Var(&cfg.sloErrRate, "slo-error-rate", 0, "error budget: rolling error fraction (0 = default 0.01, negative = off)")
+	flag.DurationVar(&cfg.statsEvery, "stats-interval", 0, "runtime self-stats sampling period (0 = default 5s, negative = off)")
+	flag.StringVar(&cfg.dataDir, "data-dir", "", "crash-safe persistence directory (WAL + snapshots); empty = in-memory only")
+	flag.StringVar(&cfg.fsync, "fsync", "always", "WAL durability policy: always, interval, never")
+	flag.DurationVar(&cfg.fsyncEvery, "fsync-interval", 0, "max time between WAL fsyncs under -fsync=interval (0 = default 50ms)")
+	flag.DurationVar(&cfg.snapEvery, "snapshot-interval", time.Minute, "compacted snapshot period (also triggered by -wal-max-bytes; <=0 = size-only)")
+	flag.Int64Var(&cfg.walMaxBytes, "wal-max-bytes", 0, "WAL segment size that triggers an early snapshot (0 = default 64MiB, negative = off)")
 	flag.Parse()
 
-	logger, err := newLogger(*logFormat, *logLevel)
+	logger, err := newLogger(cfg.logFormat, cfg.logLevel)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tracond: %v\n", err)
 		os.Exit(1)
 	}
-	if err := run(daemonConfig{
-		addr: *addr, portFile: *portFile, machines: *machines,
-		kindName: *kindName, policy: *policy, queueLen: *queueLen,
-		objName: *objName, seed: *seed, modelsIn: *modelsIn,
-		modelsOut: *modelsOut, maxInflight: *maxInflight, maxQueue: *maxQueue,
-		batchWindow: *batchWindow, batchMax: *batchMax,
-		cpuProf: *cpuProf, memProf: *memProf,
-		logger: logger, traceCap: *traceCap, sloWindow: *sloWindow,
-		sloP99: *sloP99, sloErrRate: *sloErrRate, statsEvery: *statsEvery,
-		dataDir: *dataDir, fsync: *fsync, fsyncEvery: *fsyncEvery,
-		snapEvery: *snapEvery, walMaxBytes: *walMaxBytes,
-	}); err != nil {
+	cfg.logger = logger
+	if err := run(cfg); err != nil {
 		logger.Error("fatal", "err", err.Error())
 		os.Exit(1)
 	}
@@ -104,18 +90,20 @@ func newLogger(format, level string) (*slog.Logger, error) {
 	}
 }
 
+// daemonConfig holds the parsed flags, one field per flag, plus the
+// logger built from -log-format and -log-level.
 type daemonConfig struct {
 	addr, portFile        string
 	machines              int
 	kindName, policy      string
 	queueLen              int
-	objName               string
 	seed                  int64
 	modelsIn, modelsOut   string
 	maxInflight, maxQueue int
 	batchWindow           time.Duration
 	batchMax              int
 	cpuProf, memProf      string
+	logFormat, logLevel   string
 	logger                *slog.Logger
 	traceCap              int
 	sloWindow             time.Duration
@@ -126,24 +114,18 @@ type daemonConfig struct {
 	walMaxBytes           int64
 }
 
-func run(cfg daemonConfig) error {
-	if cfg.cpuProf != "" {
-		f, err := os.Create(cfg.cpuProf)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return err
-		}
-		defer pprof.StopCPUProfile()
-	}
-
-	kind, err := parseKind(cfg.kindName)
+func run(cfg daemonConfig) (err error) {
+	stopProf, err := obs.StartProfiles(cfg.cpuProf, cfg.memProf)
 	if err != nil {
 		return err
 	}
-	obj, err := parseObjective(cfg.objName)
+	defer func() {
+		if perr := stopProf(); err == nil {
+			err = perr
+		}
+	}()
+
+	kind, err := parseKind(cfg.kindName)
 	if err != nil {
 		return err
 	}
@@ -230,7 +212,6 @@ func run(cfg daemonConfig) error {
 		Machines:       cfg.machines,
 		Policy:         cfg.policy,
 		QueueLen:       cfg.queueLen,
-		Objective:      obj,
 		MaxInflight:    cfg.maxInflight,
 		MaxQueue:       cfg.maxQueue,
 		CoalesceWindow: cfg.batchWindow,
@@ -323,17 +304,6 @@ func run(cfg daemonConfig) error {
 	}
 	cfg.logger.Info("drained cleanly",
 		"swaps", srv.ModelSet().Swaps(), "drift_fires", srv.Swapper().DriftFires())
-
-	if cfg.memProf != "" {
-		f, err := os.Create(cfg.memProf)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
@@ -432,15 +402,4 @@ func parseKind(s string) (model.Kind, error) {
 		}
 	}
 	return 0, fmt.Errorf("unknown model family %q (want WMM, LM, NLM, NLMNoDom0 or Forest)", s)
-}
-
-func parseObjective(s string) (sched.Objective, error) {
-	switch strings.ToLower(s) {
-	case "", "runtime":
-		return sched.MinRuntime, nil
-	case "iops":
-		return sched.MaxIOPS, nil
-	default:
-		return 0, fmt.Errorf("unknown objective %q (want runtime or iops)", s)
-	}
 }

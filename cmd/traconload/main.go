@@ -48,40 +48,33 @@ import (
 
 func main() {
 	var (
-		target       = flag.String("addr", "127.0.0.1:8080", "tracond address (host:port)")
-		tasks        = flag.Int("tasks", 200, "total tasks to submit")
-		concurrency  = flag.Int("concurrency", 8, "closed-loop workers (ignored with -rate)")
-		batch        = flag.Int("batch", 0, "submit tasks in groups of this size via /v1/tasks:batch (closed loop only; 0 = singleton)")
-		rate         = flag.Float64("rate", 0, "open-loop Poisson arrival rate in tasks/minute (0 = closed loop)")
-		seed         = flag.Int64("seed", 1, "randomness seed (app choice, noise, arrivals)")
-		apps         = flag.String("apps", "", "comma-separated application mix (default: every app the daemon serves)")
-		noise        = flag.Float64("noise", 0.05, "multiplicative noise sigma on observed runtimes")
-		drift        = flag.Float64("drift", 0, "inflate observed runtimes by this factor after half the run (0 = off)")
-		pollEvery    = flag.Duration("poll", 2*time.Millisecond, "queued-placement poll interval")
-		timeout      = flag.Duration("timeout", 2*time.Minute, "overall run timeout")
-		jsonOut      = flag.Bool("json", false, "emit the summary as JSON")
-		chaos        = flag.Bool("chaos", false, "kill and revive random machines during the run; tasks must survive via the daemon's re-queue")
-		chaosEvery   = flag.Duration("chaos-interval", 200*time.Millisecond, "interval between -chaos kill/revive actions")
-		scrape       = flag.Bool("scrape", false, "sample the daemon's Prometheus endpoint during the run and report the server-side submit latency next to the client's")
-		scrapeEvery  = flag.Duration("scrape-interval", 250*time.Millisecond, "-scrape sampling period")
-		reconnect    = flag.Bool("reconnect", false, "ride out a daemon restart: retry refused/5xx requests with backoff, resubmitting under stable idempotency keys")
-		reconnectFor = flag.Duration("reconnect-window", 15*time.Second, "max time one request keeps retrying under -reconnect")
+		cfg     loadConfig
+		target  string
+		jsonOut bool
 	)
+	flag.StringVar(&target, "addr", "127.0.0.1:8080", "tracond address (host:port)")
+	flag.IntVar(&cfg.tasks, "tasks", 200, "total tasks to submit")
+	flag.IntVar(&cfg.concurrency, "concurrency", 8, "closed-loop workers (ignored with -rate)")
+	flag.IntVar(&cfg.batch, "batch", 0, "submit tasks in groups of this size via /v1/tasks:batch (closed loop only; 0 = singleton)")
+	flag.Float64Var(&cfg.rate, "rate", 0, "open-loop Poisson arrival rate in tasks/minute (0 = closed loop)")
+	flag.Int64Var(&cfg.seed, "seed", 1, "randomness seed (app choice, noise, arrivals)")
+	flag.Float64Var(&cfg.drift, "drift", 0, "inflate observed runtimes by this factor after half the run (0 = off)")
+	flag.DurationVar(&cfg.timeout, "timeout", 2*time.Minute, "overall run timeout")
+	flag.BoolVar(&jsonOut, "json", false, "emit the summary as JSON")
+	flag.BoolVar(&cfg.chaos, "chaos", false, "kill and revive random machines during the run; tasks must survive via the daemon's re-queue")
+	flag.DurationVar(&cfg.chaosEvery, "chaos-interval", 200*time.Millisecond, "interval between -chaos kill/revive actions")
+	flag.BoolVar(&cfg.scrape, "scrape", false, "sample the daemon's Prometheus endpoint during the run and report the server-side submit latency next to the client's")
+	flag.DurationVar(&cfg.scrapeEvery, "scrape-interval", 250*time.Millisecond, "-scrape sampling period")
+	flag.BoolVar(&cfg.reconnect, "reconnect", false, "ride out a daemon restart: retry refused/5xx requests with backoff, resubmitting under stable idempotency keys")
+	flag.DurationVar(&cfg.reconnectFor, "reconnect-window", 15*time.Second, "max time one request keeps retrying under -reconnect")
 	flag.Parse()
+	cfg.base = "http://" + target
 
-	sum, err := run(loadConfig{
-		base: "http://" + *target, tasks: *tasks, concurrency: *concurrency,
-		batch: *batch,
-		rate:  *rate, seed: *seed, apps: *apps, noise: *noise, drift: *drift,
-		pollEvery: *pollEvery, timeout: *timeout,
-		chaos: *chaos, chaosEvery: *chaosEvery,
-		scrape: *scrape, scrapeEvery: *scrapeEvery,
-		reconnect: *reconnect, reconnectFor: *reconnectFor,
-	})
+	sum, err := run(cfg)
 	if err != nil {
 		log.Fatalf("traconload: %v", err)
 	}
-	if *jsonOut {
+	if jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		_ = enc.Encode(sum)
@@ -93,6 +86,14 @@ func main() {
 	}
 }
 
+const (
+	// noise is the multiplicative sigma on observed runtimes.
+	noise = 0.05
+	// pollEvery is the longest wait between polls of a queued placement.
+	pollEvery = 2 * time.Millisecond
+)
+
+// loadConfig holds the parsed flags: base is -addr as a URL.
 type loadConfig struct {
 	base         string
 	tasks        int
@@ -100,10 +101,7 @@ type loadConfig struct {
 	batch        int
 	rate         float64
 	seed         int64
-	apps         string
-	noise        float64
 	drift        float64
-	pollEvery    time.Duration
 	timeout      time.Duration
 	chaos        bool
 	chaosEvery   time.Duration
@@ -535,12 +533,8 @@ func (l *loader) chaosLoop(stop <-chan struct{}, done chan<- struct{}) {
 	}
 }
 
-// resolveApps takes the -apps mix, or asks the daemon what it serves.
+// resolveApps asks the daemon what it serves; tasks draw from all of it.
 func (l *loader) resolveApps() error {
-	if l.cfg.apps != "" {
-		l.apps = strings.Split(l.cfg.apps, ",")
-		return nil
-	}
 	resp, err := l.client.Get(l.cfg.base + "/v1/models")
 	if err != nil {
 		return fmt.Errorf("querying daemon census: %w", err)
@@ -752,7 +746,7 @@ func (l *loader) finishTask(rng *rand.Rand, rec *serve.Placement, t0 time.Time) 
 
 	// Synthesize the observed outcome: the daemon's own forecast times
 	// noise, inflated by the drift factor for the back half of the run.
-	factor := 1 + rng.NormFloat64()*l.cfg.noise
+	factor := 1 + rng.NormFloat64()*noise
 	if factor < 0.1 {
 		factor = 0.1
 	}
@@ -809,15 +803,12 @@ func (l *loader) submit(app, key string) (*serve.Placement, int, error) {
 }
 
 // awaitPlacement polls a queued task until it lands on a slot (or fails).
-// The first polls come fast and back off to the configured interval: in a
+// The first polls come fast and back off to pollEvery: in a
 // burst the placement usually lands within a few hundred microseconds of
 // a slot freeing, and waiting a full interval for it would put the poll
 // period on the critical path of every slot turnover.
 func (l *loader) awaitPlacement(id string) *serve.Placement {
-	sleep := l.cfg.pollEvery / 16
-	if sleep <= 0 {
-		sleep = l.cfg.pollEvery
-	}
+	sleep := pollEvery / 16
 	for time.Now().Before(l.deadline) {
 		rec, err := l.getPlacement(id)
 		if err != nil {
@@ -837,8 +828,8 @@ func (l *loader) awaitPlacement(id string) *serve.Placement {
 			}
 		}
 		time.Sleep(sleep)
-		if sleep *= 2; sleep > l.cfg.pollEvery {
-			sleep = l.cfg.pollEvery
+		if sleep *= 2; sleep > pollEvery {
+			sleep = pollEvery
 		}
 	}
 	return nil

@@ -59,4 +59,5 @@ func main() {
 	fmt.Printf("\nFIFO   total runtime: %7.0f s, total IOPS: %7.1f\n", fifo.TotalRuntime, fifo.TotalIOPS)
 	fmt.Printf("MIBS   total runtime: %7.0f s, total IOPS: %7.1f\n", mibs.TotalRuntime, mibs.TotalIOPS)
 	fmt.Printf("Speedup over FIFO: %.3f\n", tracon.Speedup(fifo, mibs))
+	fmt.Printf("IOBoost over FIFO: %.3f\n", tracon.IOBoost(fifo, mibs))
 }

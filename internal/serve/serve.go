@@ -44,7 +44,6 @@ import (
 	"tracon/internal/model"
 	"tracon/internal/monitor"
 	"tracon/internal/obs"
-	"tracon/internal/sched"
 )
 
 // Config assembles a Server.
@@ -55,17 +54,13 @@ type Config struct {
 	// "mix". QueueLen is the batch size for the batch policies.
 	Policy   string
 	QueueLen int
-	// Objective selects the optimization target (default MinRuntime).
-	Objective sched.Objective
 	// MaxInflight bounds concurrent submissions (DefaultMaxInflight if 0).
 	MaxInflight int
 	// MaxQueue bounds the backlog; beyond it submissions get 429. Zero
 	// defaults to 4 tasks per VM; negative disables the bound.
 	MaxQueue int
-	// CacheCap is the prediction cache's per-shard entry bound
-	// (DefaultCacheCap if 0). DisableCache scores without memoization —
-	// the reference path the cache is validated against.
-	CacheCap     int
+	// DisableCache scores without memoization — the reference path the
+	// prediction cache is validated against.
 	DisableCache bool
 	// CoalesceWindow, when positive, micro-batches singleton submissions:
 	// a POST /v1/tasks waits up to this long for companions, then one
@@ -150,9 +145,9 @@ func New(lib *model.Library, cfg Config) (*Server, error) {
 	}
 	var cache *PredCache
 	if !cfg.DisableCache {
-		cache = NewPredCache(cfg.CacheCap)
+		cache = NewPredCache(0)
 	}
-	ms, err := NewModelSet(lib, cfg.Policy, cfg.QueueLen, cfg.Objective, cache)
+	ms, err := NewModelSet(lib, cfg.Policy, cfg.QueueLen, cache)
 	if err != nil {
 		return nil, err
 	}

@@ -17,10 +17,9 @@ import (
 // objects stay valid, so no request is ever dropped or served a torn
 // half-old half-new model.
 type ModelSet struct {
-	policy    string
-	queueLen  int
-	objective sched.Objective
-	cache     *PredCache // nil disables prediction caching
+	policy   string
+	queueLen int
+	cache    *PredCache // nil disables prediction caching
 
 	mu        sync.RWMutex
 	gen       uint64
@@ -47,9 +46,9 @@ type ModelView struct {
 
 // NewModelSet builds the initial generation over lib. policy is one of
 // "fifo", "mios" (the default, when empty), "mibs", "mix"; queueLen
-// applies to the batch policies and defaults to 4. cache may be nil to
-// score without memoization.
-func NewModelSet(lib *model.Library, policy string, queueLen int, objective sched.Objective, cache *PredCache) (*ModelSet, error) {
+// applies to the batch policies and defaults to 4. The scheduler
+// minimizes total runtime. cache may be nil to score without memoization.
+func NewModelSet(lib *model.Library, policy string, queueLen int, cache *PredCache) (*ModelSet, error) {
 	if policy == "" {
 		policy = "mios"
 	}
@@ -57,10 +56,9 @@ func NewModelSet(lib *model.Library, policy string, queueLen int, objective sche
 		queueLen = 4
 	}
 	ms := &ModelSet{
-		policy:    policy,
-		queueLen:  queueLen,
-		objective: objective,
-		cache:     cache,
+		policy:   policy,
+		queueLen: queueLen,
+		cache:    cache,
 	}
 	if err := ms.install(lib, 1); err != nil {
 		return nil, err
@@ -81,7 +79,7 @@ func (ms *ModelSet) install(lib *model.Library, gen uint64) error {
 		}
 		pred = cp
 	}
-	scorer := sched.NewScorer(pred, ms.objective)
+	scorer := sched.NewScorer(pred, sched.MinRuntime)
 	scheduler, err := sched.New(ms.policy, ms.queueLen, scorer)
 	if err != nil {
 		return err

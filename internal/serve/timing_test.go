@@ -37,7 +37,7 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 // baseline plus fresh drift launches cycle two.
 func TestRetrainSingleFlightUnderConcurrentCompletions(t *testing.T) {
 	lib := testLibrary(t, model.NLM)
-	ms, err := NewModelSet(lib, "mios", 4, 0, nil)
+	ms, err := NewModelSet(lib, "mios", 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -283,8 +283,12 @@ func (s *System) ModelError(app string, obj Objective) (mean, stddev float64, er
 	if err != nil {
 		return 0, 0, err
 	}
+	o, err := objectiveOf(obj)
+	if err != nil {
+		return 0, 0, err
+	}
 	resp := model.Runtime
-	if obj == MaxIOPS {
+	if o == sched.MaxIOPS {
 		resp = model.IOPS
 	}
 	errs, err := model.CrossValidate(ts, kind, resp, 5)
@@ -344,22 +348,12 @@ type Report struct {
 // list explicitly; when nil, 2×machines tasks are drawn from the medium
 // mix with the system seed.
 func (s *System) RunStatic(p Policy, machines int, apps []string) (Report, error) {
-	return s.RunStaticMix(p, machines, apps, Medium)
-}
-
-// RunStaticMix is RunStatic with an explicit workload mix for the drawn
-// tasks.
-func (s *System) RunStaticMix(p Policy, machines int, apps []string, mix Mix) (Report, error) {
 	if machines <= 0 {
 		return Report{}, fmt.Errorf("tracon: machines must be positive")
 	}
 	if apps == nil {
-		m, err := mixOf(mix)
-		if err != nil {
-			return Report{}, err
-		}
 		mixer := workload.NewMixer(s.cfg.Seed)
-		for _, spec := range mixer.Batch(m, 2*machines) {
+		for _, spec := range mixer.Batch(workload.MediumIO, 2*machines) {
 			apps = append(apps, workload.BaseName(spec.Name))
 		}
 	}

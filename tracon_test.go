@@ -98,6 +98,9 @@ func TestModelError(t *testing.T) {
 	if mean <= 0 || mean > 0.5 || stddev < 0 {
 		t.Fatalf("NLM blastn error %v ± %v out of expected range", mean, stddev)
 	}
+	if _, _, err := s.ModelError("blastn", "latency"); err == nil {
+		t.Fatal("ModelError accepted an unknown objective")
+	}
 }
 
 func TestRunStaticSpeedup(t *testing.T) {
