@@ -17,12 +17,13 @@ import (
 //   - work conservation: no running task's remaining work is negative, and
 //     every completed task's pre-clamp residual settles to zero within
 //     float tolerance;
-//   - pool⟺machine consistency: a slot is free in the pool exactly when no
-//     task occupies it on the machine, its category matches a co-resident
-//     application (or Empty on an idle machine), and the pool's per-category
-//     counts sum to its free-slot total;
+//   - pool⟺machine consistency: a slot runs a task exactly when the pool
+//     has it occupied by that application, a down machine runs nothing,
+//     and the pool's free index passes its own re-derivation
+//     (sched.FreePool.Check);
 //   - FIFO fairness: every AnyCategory pop returns the slot that had been
-//     free the longest, per the pool's own pre-pop OldestFree snapshot.
+//     free the longest: no slot left free carries an older freed-order
+//     stamp.
 //
 // The full-state scan runs only on OnStep and OnDone events (where the
 // engine guarantees a consistent snapshot — OnComplete and OnPop fire
@@ -130,55 +131,24 @@ func (a *InvariantAuditor) step(v sim.View, now float64) error {
 	return a.scan(v, now)
 }
 
-// scan validates the pool-vs-machine slot state and work conservation for
-// every slot in the cluster.
+// scan holds the engine's machines to the pool: a slot runs a task exactly
+// when the pool has it occupied by that task's application, a down machine
+// runs nothing, and no running task has negative work left. The pool's
+// own index is re-derived by its Check.
 func (a *InvariantAuditor) scan(v sim.View, now float64) error {
-	machines := v.Machines()
-	slotsPer := 0
-	if machines > 0 {
-		slotsPer = v.TotalSlots() / machines
-	}
-	freeSeen := 0
-	countsSeen := sched.Counts{}
-	for m := 0; m < machines; m++ {
-		if v.MachineDown(m) {
-			// A crashed machine must be fully evacuated: nothing running,
-			// nothing offered to the pool.
-			for s := 0; s < slotsPer; s++ {
-				if app, _, running := v.Slot(m, s); running {
-					if err := a.report(now, "fault-consistency",
-						"machine %d is down but slot %d runs %q", m, s, app); err != nil {
-						return err
-					}
-				}
-				if cat, free := v.PoolCategory(m, s); free {
-					if err := a.report(now, "fault-consistency",
-						"machine %d is down but the pool lists slot %d free (category %q)", m, s, cat); err != nil {
-						return err
-					}
-				}
-			}
-			continue
-		}
-		// Apps running on this machine, for category validation.
-		var neighbours []string
-		for s := 0; s < slotsPer; s++ {
-			if app, _, running := v.Slot(m, s); running {
-				neighbours = append(neighbours, app)
-			}
-		}
-		for s := 0; s < slotsPer; s++ {
+	for m := 0; m < v.Machines(); m++ {
+		for s := 0; s < sched.SlotsPerMachine; s++ {
 			app, workLeft, running := v.Slot(m, s)
-			cat, free := v.PoolCategory(m, s)
-			if running && free {
+			if occupant, occupied := v.PoolOccupant(m, s); occupied != running || occupant != app {
 				if err := a.report(now, "pool-consistency",
-					"slot %d/%d runs %q but the pool lists it free (category %q)", m, s, app, cat); err != nil {
+					"slot %d/%d runs %q (running=%v) but the pool has it occupied by %q (occupied=%v)",
+					m, s, app, running, occupant, occupied); err != nil {
 					return err
 				}
 			}
-			if !running && !free {
-				if err := a.report(now, "pool-consistency",
-					"slot %d/%d is idle but the pool does not list it free", m, s); err != nil {
+			if running && v.MachineDown(m) {
+				if err := a.report(now, "fault-consistency",
+					"machine %d is down but slot %d runs %q", m, s, app); err != nil {
 					return err
 				}
 			}
@@ -188,58 +158,12 @@ func (a *InvariantAuditor) scan(v sim.View, now float64) error {
 					return err
 				}
 			}
-			if free {
-				freeSeen++
-				countsSeen[cat]++
-				if cat == sched.EmptyCategory {
-					if len(neighbours) != 0 {
-						if err := a.report(now, "pool-category",
-							"slot %d/%d is Empty-category but machine runs %v", m, s, neighbours); err != nil {
-							return err
-						}
-					}
-				} else if !contains(neighbours, cat) {
-					if err := a.report(now, "pool-category",
-						"slot %d/%d category %q matches no co-resident app %v", m, s, cat, neighbours); err != nil {
-						return err
-					}
-				}
-			}
 		}
 	}
-	if got := v.FreeSlots(); got != freeSeen {
-		if err := a.report(now, "pool-consistency",
-			"pool reports %d free slots but %d are free per slot state", got, freeSeen); err != nil {
-			return err
-		}
-	}
-	counts := v.PoolCounts()
-	for cat, n := range countsSeen {
-		if counts[cat] != n {
-			if err := a.report(now, "pool-consistency",
-				"pool counts %d free slots in category %q, slot state says %d", counts[cat], cat, n); err != nil {
-				return err
-			}
-		}
-	}
-	for cat, n := range counts {
-		if n != 0 && countsSeen[cat] == 0 {
-			if err := a.report(now, "pool-consistency",
-				"pool counts %d free slots in category %q that slot state lacks", n, cat); err != nil {
-				return err
-			}
-		}
+	if err := v.PoolCheck(); err != nil {
+		return a.report(now, "pool-consistency", "%v", err)
 	}
 	return nil
-}
-
-func contains(ss []string, want string) bool {
-	for _, s := range ss {
-		if s == want {
-			return true
-		}
-	}
-	return false
 }
 
 // complete checks that the finished task's remaining work settled to
@@ -259,21 +183,21 @@ func (a *InvariantAuditor) complete(v sim.View, c sim.Completion) error {
 	return nil
 }
 
-// pop checks FIFO fairness of AnyCategory pops against the pool's
-// pre-pop longest-free snapshot.
+// pop checks FIFO fairness of AnyCategory pops: the popped slot must have
+// been the longest-free, so no slot still free may carry an older stamp.
 func (a *InvariantAuditor) pop(v sim.View, p sim.PopInfo) error {
 	if p.Category != sched.AnyCategory {
 		return nil
 	}
 	a.popChecks++
-	if !p.OldestOK {
-		return a.report(v.Now(), "pop-fairness",
-			"AnyCategory pop returned %d/%d but the pool had no free slot on record", p.Machine, p.Slot)
-	}
-	if p.Machine != p.OldestMachine || p.Slot != p.OldestSlot {
-		return a.report(v.Now(), "pop-fairness",
-			"AnyCategory pop returned %d/%d; the longest-free slot was %d/%d",
-			p.Machine, p.Slot, p.OldestMachine, p.OldestSlot)
+	for m := 0; m < v.Machines(); m++ {
+		for s := 0; s < sched.SlotsPerMachine; s++ {
+			if gen, free := v.PoolFreeGen(m, s); free && gen < p.FreeGen {
+				return a.report(v.Now(), "pop-fairness",
+					"AnyCategory pop returned %d/%d (freed at %d); %d/%d has been free since %d",
+					p.Machine, p.Slot, p.FreeGen, m, s, gen)
+			}
+		}
 	}
 	return nil
 }

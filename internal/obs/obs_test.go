@@ -223,13 +223,14 @@ func TestAuditorCatchesViolations(t *testing.T) {
 	})
 	t.Run("unfair-pop", func(t *testing.T) {
 		a := &InvariantAuditor{Every: 1, Strict: true}
-		p := sim.PopInfo{Category: sched.AnyCategory, Machine: 1, Slot: 0,
-			OldestMachine: 0, OldestSlot: 1, OldestOK: true}
-		if err := a.Observe(captured, pop(p)); err == nil {
+		// The finished run left every VM free: a pop stamped later than
+		// any of them passed over an older free VM; one stamped before all
+		// of them was the longest-free.
+		stale := sim.PopInfo{Category: sched.AnyCategory, Machine: 1, Slot: 0, FreeGen: 1 << 40}
+		if err := a.Observe(captured, pop(stale)); err == nil {
 			t.Fatal("FIFO-unfair pop not caught")
 		}
-		fair := sim.PopInfo{Category: sched.AnyCategory, Machine: 0, Slot: 1,
-			OldestMachine: 0, OldestSlot: 1, OldestOK: true}
+		fair := sim.PopInfo{Category: sched.AnyCategory, Machine: 0, Slot: 1, FreeGen: 0}
 		if err := a.Observe(captured, pop(fair)); err != nil {
 			t.Fatalf("fair pop rejected: %v", err)
 		}

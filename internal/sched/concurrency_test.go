@@ -94,19 +94,21 @@ func TestFreePoolPerGoroutineOwnership(t *testing.T) {
 // is enforced: every guarded method of a FreePool entered by a second party
 // panics instead of corrupting its heaps or its caller's map. The guard is
 // tripped deterministically by holding the pool "entered" while calling the
-// method. FreeSlots and Category are reads of a field or two and carry no
-// guard; the race detector covers them.
+// method. FreeSlots, FreeGen, Occupant and the service reads are reads of
+// a field or two and carry no guard; the race detector covers them.
 func TestFreePoolSingleOwnerGuard(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		call func(p *FreePool)
 	}{
 		{"SetFree", func(p *FreePool) { p.SetFree(1, 0, "io") }},
-		{"SetBusy", func(p *FreePool) { p.SetBusy(0, 0) }},
 		{"Pop", func(p *FreePool) { p.Pop(AnyCategory) }},
 		{"PopTraced", func(p *FreePool) { p.PopTraced(EmptyCategory) }},
 		{"Counts", func(p *FreePool) { p.Counts(Counts{}) }},
-		{"OldestFree", func(p *FreePool) { p.OldestFree() }},
+		{"Occupy", func(p *FreePool) { p.Occupy(0, 1, "io") }},
+		{"Vacate", func(p *FreePool) { p.Vacate(0, 0) }},
+		{"SetInService", func(p *FreePool) { p.SetInService(1, true) }},
+		{"Check", func(p *FreePool) { p.Check() }},
 		{"Stats", func(p *FreePool) { p.Stats() }},
 	} {
 		t.Run(c.name, func(t *testing.T) {

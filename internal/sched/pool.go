@@ -2,13 +2,20 @@ package sched
 
 import (
 	"fmt"
+	"maps"
 	"sync/atomic"
 )
 
-// FreePool tracks every free VM slot in the cluster, bucketed by the
-// application occupying the machine's other slot. It resolves Placements
-// (which name only a category) to concrete (machine, slot) pairs,
-// preferring the lowest-indexed slot for determinism.
+// FreePool is the cluster's placement inventory: which application runs on
+// each VM, which machines are in service, and the index of free VMs that
+// placement decisions resolve against. It is the one implementation of the
+// inventory rule both the simulator and the serving daemon place by: a free
+// VM's category is the application running on its sibling VM (EmptyCategory
+// when the machine is idle), and a machine out of service offers nothing.
+// Occupy, Vacate and SetInService keep that rule; Check re-derives it by a
+// full scan. Pop resolves a Placement's category to a concrete (machine,
+// slot), preferring the lowest-indexed slot for determinism. SetFree is the
+// raw index write those methods are made of.
 //
 // Slots are kept in lazy min-heaps: recategorizations simply push a fresh
 // entry and stale entries are discarded at pop time against the
@@ -20,30 +27,32 @@ import (
 // engine, or by one serving Placer under its mutex, and must not be shared
 // across goroutines (the parallel experiment runner gives every concurrent
 // simulation its own engine and therefore its own pool). The methods that
-// write pool state or a caller's map (SetFree, SetBusy, Pop, PopTraced and
-// Counts) and the whole-pool walks (OldestFree, Stats) carry an atomic
-// reentry guard that panics on concurrent access, so a violation of the
-// ownership contract fails loudly instead of corrupting heaps silently.
-// FreeSlots and Category read a field or two and cannot corrupt anything,
-// so they skip the guard; they are the engine's per-event reads, and the
-// race detector still flags their concurrent use.
+// write pool state or a caller's map and the whole-pool walks (Stats,
+// Check) carry an atomic reentry guard that panics on concurrent access, so
+// a violation of the ownership contract fails loudly instead of corrupting
+// heaps silently. The reads of a field or two (FreeSlots, FreeGen,
+// Occupant, InService, InServiceMachines) cannot corrupt anything, so they
+// skip the guard; the race detector still flags their concurrent use.
 type FreePool struct {
 	heaps  map[string]*slotHeap
 	global slotHeap
 	// state is the authoritative per-slot record, indexed by slotIndex and
-	// grown on demand; a slot never mentioned is busy.
+	// grown on demand; a slot never mentioned is busy, unoccupied and out
+	// of service.
 	state  []slotState
 	counts Counts
 	// free is Σ counts, kept beside it so FreeSlots is O(1).
-	free    int
-	freeSeq int64
-	inUse   int32
+	free int
+	// inService counts the machines in service.
+	inService int
+	freeSeq   int64
+	inUse     int32
 	// idle is the slot count NewIdleFreePool was built for, and untouched
-	// the first of those slots that is still exactly as booted: free under
-	// EmptyCategory with freeGen idx+1, counted in counts, but not yet
-	// written into state or the heaps. materialize does that, in index
-	// order, when something first reaches a slot; building a pool is
-	// therefore O(1) however large the cluster.
+	// the first of those slots that is still exactly as booted: in service,
+	// unoccupied, free under EmptyCategory with freeGen idx+1, counted in
+	// counts, but not yet written into state or the heaps. materialize does
+	// that, in index order, when something first writes a slot; building a
+	// pool is therefore O(1) however large the cluster.
 	idle, untouched int
 }
 
@@ -67,20 +76,41 @@ type slotState struct {
 	// changed. Global entries carry the stamp they were pushed with; an
 	// entry whose stamp no longer matches is stale and rejected at pop.
 	freeGen int64
+	// app is the application running on the VM (EmptyCategory when none),
+	// and inService whether its machine is in service; both VMs of a
+	// machine carry the same inService.
+	app       string
+	inService bool
 }
 
-// slotsPerMachine is the two-VM machine model the whole repository shares
-// (Counts.take encodes it too); it makes slot indexes dense.
-const slotsPerMachine = 2
+// SlotsPerMachine is the two-VM machine model the whole repository shares
+// ("each physical machine supports two virtual machines"; Counts.take
+// encodes it too); it makes slot indexes dense.
+const SlotsPerMachine = 2
 
 func slotIndex(machine, slot int) int {
-	if machine < 0 || slot < 0 || slot >= slotsPerMachine {
+	if machine < 0 || slot < 0 || slot >= SlotsPerMachine {
 		panic(fmt.Sprintf("sched: no such VM %d/%d", machine, slot))
 	}
-	return machine*slotsPerMachine + slot
+	return machine*SlotsPerMachine + slot
 }
 
-func slotOf(idx int) (machine, slot int) { return idx / slotsPerMachine, idx % slotsPerMachine }
+func slotOf(idx int) (machine, slot int) { return idx / SlotsPerMachine, idx % SlotsPerMachine }
+
+// sibling returns the slot index of the other VM on idx's machine.
+func sibling(idx int) int { return idx ^ 1 }
+
+// peek returns the state of VM idx without writing anything: a booted-idle
+// slot reads as booted, a slot never mentioned as the zero state.
+func (p *FreePool) peek(idx int) slotState {
+	if idx >= p.untouched && idx < p.idle {
+		return slotState{free: true, freeGen: int64(idx + 1), inService: true}
+	}
+	if idx < len(p.state) {
+		return p.state[idx]
+	}
+	return slotState{}
+}
 
 // at returns the state of VM idx, growing the table to hold it.
 func (p *FreePool) at(idx int) *slotState {
@@ -100,7 +130,7 @@ func (p *FreePool) materialize(idx int) {
 	empty := p.heaps[EmptyCategory]
 	for ; p.untouched <= idx; p.untouched++ {
 		i := p.untouched
-		p.state = append(p.state, slotState{free: true, freeGen: int64(i + 1)})
+		p.state = append(p.state, slotState{free: true, freeGen: int64(i + 1), inService: true})
 		p.global.push(slotEntry{idx: i, seq: int64(i + 1)})
 		empty.push(slotEntry{idx: i})
 	}
@@ -178,37 +208,43 @@ func (h slotHeap) heapify() {
 	}
 }
 
-// NewFreePool returns an empty pool.
+// NewFreePool returns an empty pool: no machine is in service until
+// SetInService brings it in.
 func NewFreePool() *FreePool {
 	return &FreePool{heaps: map[string]*slotHeap{}, counts: Counts{}}
 }
 
-// NewIdleFreePool returns the pool of an idle cluster: every VM of the
-// given number of machines free under EmptyCategory, freed in index order.
-// It behaves exactly as NewFreePool followed by one SetFree per slot in
-// index order, but costs nothing up front (see FreePool.idle): a serving
-// daemon builds its whole inventory on every boot, and its restart time is
-// a measured quantity.
+// NewIdleFreePool returns the pool of an idle cluster: every machine in
+// service and every VM free under EmptyCategory, freed in index order. It
+// behaves exactly as NewFreePool followed by SetInService(m, true) for each
+// machine in index order, but costs nothing up front (see FreePool.idle): a
+// serving daemon builds its whole inventory on every boot, and its restart
+// time is a measured quantity.
 func NewIdleFreePool(machines int) *FreePool {
-	n := machines * slotsPerMachine
+	n := machines * SlotsPerMachine
 	return &FreePool{
-		heaps:   map[string]*slotHeap{EmptyCategory: {}},
-		counts:  Counts{EmptyCategory: n},
-		free:    n,
-		freeSeq: int64(n),
-		idle:    n,
+		heaps:     map[string]*slotHeap{EmptyCategory: {}},
+		counts:    Counts{EmptyCategory: n},
+		free:      n,
+		inService: machines,
+		freeSeq:   int64(n),
+		idle:      n,
 	}
 }
 
 // SetFree marks a slot free under the given neighbour category, adding or
-// recategorizing as needed.
+// recategorizing as needed. It is the raw index write: it neither reads
+// nor keeps the inventory rule (Occupy, Vacate and SetInService do).
 func (p *FreePool) SetFree(machine, slot int, category string) {
 	p.enter()
 	defer p.leave()
 	if category == AnyCategory {
 		panic("sched: AnyCategory is not a real category")
 	}
-	idx := slotIndex(machine, slot)
+	p.setFree(slotIndex(machine, slot), category)
+}
+
+func (p *FreePool) setFree(idx int, category string) {
 	cur := p.at(idx)
 	if cur.free {
 		if cur.category == category {
@@ -229,7 +265,7 @@ func (p *FreePool) SetFree(machine, slot int, category string) {
 	// longest, so an idle cluster spreads tasks instead of repeatedly
 	// packing the lowest-numbered machine.
 	p.freeSeq++
-	*cur = slotState{free: true, category: category, freeGen: p.freeSeq}
+	cur.free, cur.category, cur.freeGen = true, category, p.freeSeq
 	p.counts[category]++
 	p.free++
 	p.pushCategory(idx, category)
@@ -249,20 +285,102 @@ func (p *FreePool) pushCategory(idx int, category string) {
 	p.maybeCompactCategory(category, h)
 }
 
-// SetBusy marks a slot occupied.
-func (p *FreePool) SetBusy(machine, slot int) {
-	p.enter()
-	defer p.leave()
-	p.setBusy(slotIndex(machine, slot))
-}
-
+// setBusy takes a slot out of the free index; Pop, Occupy and
+// SetInService are the ways it is reached.
 func (p *FreePool) setBusy(idx int) {
 	if st := p.at(idx); st.free {
 		p.counts[st.category]--
 		p.free--
-		*st = slotState{}
+		st.free, st.category, st.freeGen = false, EmptyCategory, 0
 	}
 }
+
+// Occupy records app running on VM (machine, slot). On a machine in
+// service the VM leaves the free index (a no-op after the Pop that chose
+// it; replay occupies VMs it never popped) and a free sibling is
+// recategorized under app. app must name an application.
+func (p *FreePool) Occupy(machine, slot int, app string) {
+	p.enter()
+	defer p.leave()
+	if app == EmptyCategory || app == AnyCategory {
+		panic(fmt.Sprintf("sched: %q cannot occupy a VM", app))
+	}
+	idx := slotIndex(machine, slot)
+	st := p.at(idx)
+	st.app = app
+	if !st.inService {
+		return
+	}
+	p.setBusy(idx)
+	if p.peek(sibling(idx)).free {
+		p.setFree(sibling(idx), app)
+	}
+}
+
+// Vacate records that VM (machine, slot) runs nothing. On a machine in
+// service the VM re-enters the index as the newest free VM under its
+// sibling's application; if the machine is now idle, both VMs are
+// EmptyCategory. Vacating an unoccupied VM does nothing.
+func (p *FreePool) Vacate(machine, slot int) {
+	p.enter()
+	defer p.leave()
+	idx := slotIndex(machine, slot)
+	if p.peek(idx).app == EmptyCategory {
+		return
+	}
+	st := p.at(idx)
+	st.app = EmptyCategory
+	if !st.inService {
+		return
+	}
+	neighbour := p.peek(sibling(idx)).app
+	p.setFree(idx, neighbour)
+	if neighbour == EmptyCategory {
+		p.setFree(sibling(idx), EmptyCategory)
+	}
+}
+
+// SetInService moves a machine into or out of service. Taking it out moves
+// both VMs out of the free index, their occupants staying recorded;
+// bringing it back returns its unoccupied VMs as the newest free VMs, in
+// slot order.
+func (p *FreePool) SetInService(machine int, in bool) {
+	p.enter()
+	defer p.leave()
+	first := slotIndex(machine, 0)
+	if p.peek(first).inService == in {
+		return
+	}
+	if in {
+		p.inService++
+	} else {
+		p.inService--
+	}
+	for idx := first; idx < first+SlotsPerMachine; idx++ {
+		st := p.at(idx)
+		st.inService = in
+		if !in {
+			p.setBusy(idx)
+		} else if st.app == EmptyCategory {
+			p.setFree(idx, p.peek(sibling(idx)).app)
+		}
+	}
+}
+
+// Occupant returns the application running on VM (machine, slot), with
+// ok=false when the VM runs nothing.
+func (p *FreePool) Occupant(machine, slot int) (app string, ok bool) {
+	app = p.peek(slotIndex(machine, slot)).app
+	return app, app != EmptyCategory
+}
+
+// InService reports whether the machine is in service.
+func (p *FreePool) InService(machine int) bool {
+	return p.peek(slotIndex(machine, 0)).inService
+}
+
+// InServiceMachines returns the number of machines in service.
+func (p *FreePool) InServiceMachines() int { return p.inService }
 
 // Counts clears dst, fills it with the per-category free counts (zero
 // entries omitted) and returns it; a nil dst gets a fresh map. A caller
@@ -346,39 +464,55 @@ func (p *FreePool) PopTraced(category string) (machine, slot int, freeGen int64,
 	return 0, 0, 0, fmt.Errorf("sched: no free VM with neighbour %q", category)
 }
 
-// Category returns the current category of a free slot (ok=false if the
-// slot is not free).
-func (p *FreePool) Category(machine, slot int) (string, bool) {
-	idx := slotIndex(machine, slot)
-	if idx >= p.untouched && idx < p.idle {
-		return EmptyCategory, true // as booted; a read does not write it out
-	}
-	if idx >= len(p.state) || !p.state[idx].free {
-		return "", false
-	}
-	return p.state[idx].category, true
+// FreeGen returns the freed-order stamp of a free slot — the order
+// Pop(AnyCategory) takes free slots in, oldest first (ok=false if the slot
+// is not free).
+func (p *FreePool) FreeGen(machine, slot int) (gen int64, ok bool) {
+	st := p.peek(slotIndex(machine, slot))
+	return st.freeGen, st.free
 }
 
-// OldestFree returns the free slot that has been free the longest — the
-// slot Pop(AnyCategory) is contractually bound to take next. It is a pure
-// read (O(slots)) used by the invariant auditor to validate FIFO fairness.
-func (p *FreePool) OldestFree() (machine, slot int, ok bool) {
+// Check re-derives the inventory rule by a full scan — which VMs are free,
+// under which category, the per-category and total free counts and the
+// machines in service — from occupancy and service alone, and returns an
+// error naming the first place the incremental index disagrees. It is a
+// pure read: a booted-idle slot is read as booted, not written out.
+func (p *FreePool) Check() error {
 	p.enter()
 	defer p.leave()
-	best := int64(0)
-	for idx, st := range p.state {
-		if st.free && (!ok || st.freeGen < best) {
-			best = st.freeGen
-			machine, slot = slotOf(idx)
-			ok = true
+	n := max(len(p.state), p.idle)
+	n += n % SlotsPerMachine
+	unseen := maps.Clone(p.counts) // what the index counts, less what the scan finds
+	free, inService := 0, 0
+	for idx := 0; idx < n; idx++ {
+		st, sib := p.peek(idx), p.peek(sibling(idx))
+		m, s := slotOf(idx)
+		if st.inService != sib.inService {
+			return fmt.Errorf("sched: the VMs of machine %d disagree on whether it is in service", m)
+		}
+		if s == 0 && st.inService {
+			inService++
+		}
+		want := st.inService && st.app == EmptyCategory
+		if st.free != want || want && st.category != sib.app {
+			return fmt.Errorf("sched: VM %d/%d is free=%v under %q, but occupancy makes it free=%v under %q",
+				m, s, st.free, st.category, want, sib.app)
+		}
+		if st.free {
+			unseen[st.category]--
+			free++
 		}
 	}
-	// A booted-idle slot outranks everything freed after boot.
-	if p.untouched < p.idle && (!ok || best > int64(p.idle)) {
-		machine, slot = slotOf(p.untouched)
-		ok = true
+	if free != p.free || inService != p.inService {
+		return fmt.Errorf("sched: the index counts %d free VMs and %d machines in service; a scan finds %d and %d",
+			p.free, p.inService, free, inService)
 	}
-	return machine, slot, ok
+	for c, k := range unseen {
+		if k != 0 {
+			return fmt.Errorf("sched: the index counts %d free VMs under %q, %d more than a scan finds", p.counts[c], c, k)
+		}
+	}
+	return nil
 }
 
 // PoolStats reports the pool's internal sizes, for observability and the

@@ -2,7 +2,15 @@ package sched
 
 import (
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
 	"testing"
 )
 
@@ -15,7 +23,7 @@ func TestFreePoolRefreeDoesNotJumpFIFOQueue(t *testing.T) {
 	p := NewFreePool()
 	p.SetFree(0, 0, EmptyCategory) // freed first
 	p.SetFree(0, 0, "x")           // recategorized (keeps its FIFO position)
-	p.SetBusy(0, 0)
+	markBusy(p, 0, 0)
 	p.SetFree(1, 0, EmptyCategory) // now the longest-free slot
 	p.SetFree(0, 0, EmptyCategory) // refreed: must queue behind (1,0)
 
@@ -53,7 +61,7 @@ func TestFreePoolHeapsStayBounded(t *testing.T) {
 		m, s := i%4, (i/4)%2
 		p.SetFree(m, s, EmptyCategory)
 		p.SetFree(m, s, "x") // recategorization → category-heap garbage
-		p.SetBusy(m, s)      // → global-heap garbage
+		markBusy(p, m, s)    // → global-heap garbage
 	}
 	st := p.Stats()
 	// After compaction a heap holds at most its live entries; between
@@ -68,6 +76,22 @@ func TestFreePoolHeapsStayBounded(t *testing.T) {
 	if st.FreeSlots != 0 {
 		t.Fatalf("FreeSlots = %d, want 0", st.FreeSlots)
 	}
+}
+
+// markBusy takes a VM out of the free index directly, as the raw-index
+// tests below need (the program reaches it only through Pop, Occupy and
+// SetInService).
+func markBusy(p *FreePool, machine, slot int) {
+	p.enter()
+	defer p.leave()
+	p.setBusy(slotIndex(machine, slot))
+}
+
+// category returns a VM's free category as Pop resolves it (ok=false if
+// the VM is not free).
+func category(p *FreePool, machine, slot int) (string, bool) {
+	st := p.peek(slotIndex(machine, slot))
+	return st.category, st.free
 }
 
 // refPool is the naive reference implementation of the FreePool contract:
@@ -133,19 +157,38 @@ func (r *refPool) Pop(category string) (int, int, error) {
 	return bestKey[0], bestKey[1], nil
 }
 
-// oldestFree mirrors FreePool.OldestFree on the reference: the slot freed
-// the longest ago, index tie-break.
-func (r *refPool) oldestFree() (int, int, bool) {
-	bestKey := [2]int{-1, -1}
-	found := false
-	var bestFreed int64
-	for key, st := range r.free {
-		if !found || st.freedAt < bestFreed ||
-			(st.freedAt == bestFreed && (key[0] < bestKey[0] || (key[0] == bestKey[0] && key[1] < bestKey[1]))) {
-			bestKey, bestFreed, found = key, st.freedAt, true
+// sameFreedOrder requires the pool to hold exactly the reference's free
+// slots, and in the reference's freed order: sorted by the pool's FreeGen
+// stamps, they are the reference's sorted by freedAt.
+func sameFreedOrder(p *FreePool, r *refPool, machines int) error {
+	type vm struct {
+		key [2]int
+		gen int64
+	}
+	var got, want []vm
+	for m := 0; m < machines; m++ {
+		for s := 0; s < SlotsPerMachine; s++ {
+			key := [2]int{m, s}
+			if gen, ok := p.FreeGen(m, s); ok {
+				got = append(got, vm{key, gen})
+			}
+			if st, ok := r.free[key]; ok {
+				want = append(want, vm{key, st.freedAt})
+			}
 		}
 	}
-	return bestKey[0], bestKey[1], found
+	for _, l := range [][]vm{got, want} {
+		sort.Slice(l, func(i, j int) bool { return l[i].gen < l[j].gen })
+	}
+	if len(got) != len(want) {
+		return fmt.Errorf("%d free slots, reference %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i].key != want[i].key {
+			return fmt.Errorf("freed order %v, reference %v", got, want)
+		}
+	}
+	return nil
 }
 
 // TestFreePoolMatchesReferenceRandomized drives FreePool and the naive
@@ -179,7 +222,7 @@ func TestFreePoolMatchesReferenceRandomized(t *testing.T) {
 				p.SetFree(m, s, cat)
 				ref.SetFree(m, s, cat)
 			case 2:
-				p.SetBusy(m, s)
+				markBusy(p, m, s)
 				ref.SetBusy(m, s)
 			case 3:
 				cat := AnyCategory
@@ -228,7 +271,7 @@ func TestFreePoolMatchesReferenceRandomized(t *testing.T) {
 // recoveries (both slots freed Empty-category). A crash-evicted slot that
 // recovers must re-enter the FIFO at a fresh generation — it becomes the
 // NEWEST free slot, never inheriting its pre-crash position — which the
-// OldestFree cross-check after every operation verifies.
+// freed-order cross-check after every operation verifies.
 func TestFreePoolCrashRecoverMatchesReference(t *testing.T) {
 	categories := []string{EmptyCategory, "io", "cpu", "mid"}
 	for _, seed := range []int64{3, 11, 99, 4242} {
@@ -244,7 +287,7 @@ func TestFreePoolCrashRecoverMatchesReference(t *testing.T) {
 				p.SetFree(m, s, cat)
 				ref.SetFree(m, s, cat)
 			case 2:
-				p.SetBusy(m, s)
+				markBusy(p, m, s)
 				ref.SetBusy(m, s)
 			case 3:
 				cat := AnyCategory
@@ -263,7 +306,7 @@ func TestFreePoolCrashRecoverMatchesReference(t *testing.T) {
 				// Crash: the engine force-busies every slot of the machine
 				// (SetBusy is a no-op on slots already handed out).
 				for cs := 0; cs < slots; cs++ {
-					p.SetBusy(m, cs)
+					markBusy(p, m, cs)
 					ref.SetBusy(m, cs)
 				}
 			case 5:
@@ -274,11 +317,8 @@ func TestFreePoolCrashRecoverMatchesReference(t *testing.T) {
 					ref.SetFree(m, cs, EmptyCategory)
 				}
 			}
-			gm, gs, gok := p.OldestFree()
-			wm, ws, wok := ref.oldestFree()
-			if gok != wok || (gok && (gm != wm || gs != ws)) {
-				t.Fatalf("seed %d op %d OldestFree = %d,%d,%v; reference %d,%d,%v",
-					seed, op, gm, gs, gok, wm, ws, wok)
+			if err := sameFreedOrder(p, ref, machines); err != nil {
+				t.Fatalf("seed %d op %d: %v", seed, op, err)
 			}
 			if p.FreeSlots() != len(ref.free) {
 				t.Fatalf("seed %d op %d FreeSlots %d vs reference %d", seed, op, p.FreeSlots(), len(ref.free))
@@ -292,7 +332,7 @@ func TestFreePoolCrashRecoverMatchesReference(t *testing.T) {
 
 // TestIdleFreePoolEqualsIncrementalBuild holds NewIdleFreePool to its
 // contract: the same observable state, and the same pops in the same
-// order, as an empty pool given one SetFree per slot in index order, under
+// order, as an empty pool given SetInService per machine in index order, under
 // identical random traffic (which starts while most of the idle pool is
 // still unmaterialized, and reaches two machines past the booted ones).
 func TestIdleFreePoolEqualsIncrementalBuild(t *testing.T) {
@@ -302,8 +342,7 @@ func TestIdleFreePoolEqualsIncrementalBuild(t *testing.T) {
 		machines := 1 + rng.Intn(40)
 		bulk, step := NewIdleFreePool(machines), NewFreePool()
 		for m := 0; m < machines; m++ {
-			step.SetFree(m, 0, EmptyCategory)
-			step.SetFree(m, 1, EmptyCategory)
+			step.SetInService(m, true)
 		}
 		same := func(at string) {
 			t.Helper()
@@ -316,10 +355,17 @@ func TestIdleFreePoolEqualsIncrementalBuild(t *testing.T) {
 			if b, s := fmt.Sprint(bulk.Counts(nil)), fmt.Sprint(step.Counts(nil)); b != s {
 				t.Fatalf("seed %d %s: counts %s vs incremental %s", seed, at, b, s)
 			}
-			bm, bs, bok := bulk.OldestFree()
-			sm, ss, sok := step.OldestFree()
-			if bm != sm || bs != ss || bok != sok {
-				t.Fatalf("seed %d %s: oldest free %d/%d vs incremental %d/%d", seed, at, bm, bs, sm, ss)
+			if b, s := bulk.InServiceMachines(), step.InServiceMachines(); b != s {
+				t.Fatalf("seed %d %s: %d machines in service vs incremental %d", seed, at, b, s)
+			}
+			for m := 0; m < machines+2; m++ {
+				for s := 0; s < SlotsPerMachine; s++ {
+					bg, bok := bulk.FreeGen(m, s)
+					sg, sok := step.FreeGen(m, s)
+					if bg != sg || bok != sok {
+						t.Fatalf("seed %d %s: VM %d/%d stamp %d,%v vs incremental %d,%v", seed, at, m, s, bg, bok, sg, sok)
+					}
+				}
 			}
 		}
 		same("boot")
@@ -331,11 +377,11 @@ func TestIdleFreePoolEqualsIncrementalBuild(t *testing.T) {
 				bulk.SetFree(m, s, cat)
 				step.SetFree(m, s, cat)
 			case r < 5:
-				bulk.SetBusy(m, s)
-				step.SetBusy(m, s)
+				markBusy(bulk, m, s)
+				markBusy(step, m, s)
 			case r < 6:
-				bc, bok := bulk.Category(m, s)
-				sc, sok := step.Category(m, s)
+				bc, bok := category(bulk, m, s)
+				sc, sok := category(step, m, s)
 				if bc != sc || bok != sok {
 					t.Fatalf("seed %d op %d Category(%d,%d) = %q,%v vs incremental %q,%v", seed, op, m, s, bc, bok, sc, sok)
 				}
@@ -377,4 +423,252 @@ func TestIdleFreePoolOrdersBootedSlots(t *testing.T) {
 	pops(p, EmptyCategory, [2]int{0, 0}, [2]int{0, 1})
 	p.SetFree(0, 1, EmptyCategory)
 	pops(p, EmptyCategory, [2]int{0, 1}, [2]int{1, 0}, [2]int{1, 1})
+}
+
+// refInventory is the naive reference for the inventory rule: each VM's
+// occupant, each machine's service, and a freed-order stamp per free VM
+// (0 when not free). Whether a VM is free, and under which category, is
+// derived by the rule itself; every query is a slice scan.
+type refInventory struct {
+	app   [][SlotsPerMachine]string
+	in    []bool
+	stamp [][SlotsPerMachine]int64
+	clock int64
+}
+
+// newRefInventory returns machines idle and in service (as
+// NewIdleFreePool), or all out of service (as NewFreePool).
+func newRefInventory(machines int, idle bool) *refInventory {
+	r := &refInventory{
+		app:   make([][SlotsPerMachine]string, machines),
+		in:    make([]bool, machines),
+		stamp: make([][SlotsPerMachine]int64, machines),
+	}
+	for m := 0; idle && m < machines; m++ {
+		r.in[m] = true
+	}
+	r.restamp()
+	return r
+}
+
+func (r *refInventory) free(m, s int) bool { return r.in[m] && r.app[m][s] == "" }
+
+// restamp stamps VMs that became free, in index order, and clears the
+// stamps of VMs that stopped being free.
+func (r *refInventory) restamp() {
+	for m := range r.app {
+		for s := range r.app[m] {
+			switch {
+			case !r.free(m, s):
+				r.stamp[m][s] = 0
+			case r.stamp[m][s] == 0:
+				r.clock++
+				r.stamp[m][s] = r.clock
+			}
+		}
+	}
+}
+
+// pop resolves a category: the oldest stamp for AnyCategory, else the
+// lowest-indexed free VM whose sibling runs category.
+func (r *refInventory) pop(category string) (mi, si int, ok bool) {
+	for m := range r.app {
+		for s := range r.app[m] {
+			switch {
+			case !r.free(m, s):
+			case category == AnyCategory:
+				if !ok || r.stamp[m][s] < r.stamp[mi][si] {
+					mi, si, ok = m, s, true
+				}
+			case r.app[m][1-s] == category:
+				return m, s, true
+			}
+		}
+	}
+	return mi, si, ok
+}
+
+// TestFreePoolInventoryMatchesReference drives random Occupy, Vacate,
+// SetInService and Pop-then-Occupy streams through the pool and the naive
+// reference, from both constructors, and requires after every operation
+// the same pops, occupants, service, categories, stamps and counts, and a
+// clean Check.
+func TestFreePoolInventoryMatchesReference(t *testing.T) {
+	apps := []string{"io", "cpu", "mid"}
+	categories := []string{AnyCategory, EmptyCategory, "io", "cpu", "mid"}
+	const machines = 6
+	for _, idle := range []bool{true, false} {
+		for _, seed := range []int64{1, 7, 42, 1337} {
+			rng := rand.New(rand.NewSource(seed))
+			p, ref := NewFreePool(), newRefInventory(machines, idle)
+			if idle {
+				p = NewIdleFreePool(machines)
+			}
+			for op := 0; op < 3000; op++ {
+				m, s, app := rng.Intn(machines), rng.Intn(SlotsPerMachine), apps[rng.Intn(len(apps))]
+				what := ""
+				switch r := rng.Intn(10); {
+				case r < 3:
+					cat := categories[rng.Intn(len(categories))]
+					what = fmt.Sprintf("Pop(%q)", cat)
+					gm, gs, err := p.Pop(cat)
+					wm, ws, ok := ref.pop(cat)
+					if (err == nil) != ok || ok && (gm != wm || gs != ws) {
+						t.Fatalf("idle=%v seed %d op %d %s = %d/%d (%v); reference %d/%d (%v)", idle, seed, op, what, gm, gs, err, wm, ws, ok)
+					}
+					if ok {
+						p.Occupy(gm, gs, app)
+						ref.app[gm][gs] = app
+					}
+				case r < 5:
+					if ref.app[m][s] != "" {
+						continue
+					}
+					what = fmt.Sprintf("Occupy(%d, %d, %q)", m, s, app)
+					p.Occupy(m, s, app)
+					ref.app[m][s] = app
+				case r < 8:
+					what = fmt.Sprintf("Vacate(%d, %d)", m, s)
+					p.Vacate(m, s)
+					ref.app[m][s] = ""
+				default:
+					in := rng.Intn(3) > 0
+					what = fmt.Sprintf("SetInService(%d, %v)", m, in)
+					p.SetInService(m, in)
+					ref.in[m] = in
+				}
+				ref.restamp()
+				if err := p.Check(); err != nil {
+					t.Fatalf("idle=%v seed %d op %d %s: %v", idle, seed, op, what, err)
+				}
+				want, in := Counts{}, 0
+				for rm := 0; rm < machines; rm++ {
+					if ref.in[rm] {
+						in++
+					}
+					if p.InService(rm) != ref.in[rm] {
+						t.Fatalf("idle=%v seed %d op %d %s: machine %d in service %v, reference %v", idle, seed, op, what, rm, p.InService(rm), ref.in[rm])
+					}
+					for rs := 0; rs < SlotsPerMachine; rs++ {
+						gotApp, gotOK := p.Occupant(rm, rs)
+						gotCat, gotFree := category(p, rm, rs)
+						gotGen, _ := p.FreeGen(rm, rs)
+						wantCat := ref.app[rm][1-rs]
+						if !ref.free(rm, rs) {
+							wantCat = ""
+						} else {
+							want[wantCat]++
+						}
+						if gotApp != ref.app[rm][rs] || gotOK != (ref.app[rm][rs] != "") ||
+							gotFree != ref.free(rm, rs) || gotCat != wantCat || gotGen != ref.stamp[rm][rs] {
+							t.Fatalf("idle=%v seed %d op %d %s: VM %d/%d runs %q (%v), free %v under %q, stamp %d; reference runs %q, free %v under %q, stamp %d",
+								idle, seed, op, what, rm, rs, gotApp, gotOK, gotFree, gotCat, gotGen,
+								ref.app[rm][rs], ref.free(rm, rs), wantCat, ref.stamp[rm][rs])
+						}
+					}
+				}
+				if got := p.Counts(nil); fmt.Sprint(got) != fmt.Sprint(want) || p.FreeSlots() != want.Total() || p.InServiceMachines() != in {
+					t.Fatalf("idle=%v seed %d op %d %s: counts %v, %d free, %d in service; reference %v, %d, %d",
+						idle, seed, op, what, got, p.FreeSlots(), p.InServiceMachines(), want, want.Total(), in)
+				}
+			}
+		}
+	}
+}
+
+// TestFreePoolCheckCatchesCorruption corrupts the incremental index one way
+// at a time, each kept self-consistent apart from the one fault, and
+// requires Check to report every one.
+func TestFreePoolCheckCatchesCorruption(t *testing.T) {
+	// Check is a pure read: it writes out no booted-idle slot.
+	idle := NewIdleFreePool(1000)
+	before := idle.Stats()
+	if err := idle.Check(); err != nil || idle.Stats() != before {
+		t.Fatalf("Check on an idle pool: %v, stats %+v → %+v", err, before, idle.Stats())
+	}
+	build := func() *FreePool {
+		p := NewIdleFreePool(3)
+		p.Occupy(0, 0, "io") // VM 0/1 is now free under "io"
+		p.SetInService(2, false)
+		if err := p.Check(); err != nil {
+			t.Fatalf("healthy pool: %v", err)
+		}
+		return p
+	}
+	for _, c := range []struct {
+		name    string
+		corrupt func(p *FreePool)
+	}{
+		{"wrong-count", func(p *FreePool) { p.counts["io"]++ }},
+		{"wrong-category", func(p *FreePool) {
+			p.state[1].category = "cpu"
+			p.counts["io"]--
+			p.counts["cpu"]++
+		}},
+		{"occupied-left-free", func(p *FreePool) {
+			p.state[0].free, p.state[0].category = true, "io"
+			p.counts["io"]++
+			p.free++
+		}},
+		{"out-of-service-left-free", func(p *FreePool) {
+			p.state[4].free = true
+			p.counts[EmptyCategory]++
+			p.free++
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			p := build()
+			c.corrupt(p)
+			if err := p.Check(); err == nil {
+				t.Fatal("Check passed a corrupted index")
+			}
+		})
+	}
+}
+
+// TestFreeIndexWritesStayInSched holds the inventory rule to one
+// implementation: no non-test Go file of the module outside this package
+// may call SetFree, the raw index write, or SetBusy, its busy half should
+// it come back. The simulator and the
+// daemon keep the rule through Occupy, Vacate and SetInService. A nested
+// module (bench/) is not scanned.
+func TestFreeIndexWritesStayInSched(t *testing.T) {
+	root := filepath.Join("..", "..")
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == root {
+				return nil
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil ||
+				strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" || path == "." {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") ||
+			filepath.Dir(path) == filepath.Join(root, "internal", "sched") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if sel, ok := call.Fun.(*ast.SelectorExpr); ok && (sel.Sel.Name == "SetFree" || sel.Sel.Name == "SetBusy") {
+					t.Errorf("%s: %s writes the free index directly — use FreePool.Occupy, Vacate or SetInService",
+						fset.Position(call.Pos()), sel.Sel.Name)
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 }

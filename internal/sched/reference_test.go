@@ -178,11 +178,13 @@ func (s *refScorer) CompanionScore(candidate, head string, meanPair refMeanPair)
 	return pair - meanPair[candidate], nil
 }
 
-func (s *refScorer) bestCategory(app string, counts Counts, emptyScore float64) (string, float64, bool, error) {
+// bestCategory scans cats, the categories refSortedCategories listed at
+// the start of the Schedule call, in order.
+func (s *refScorer) bestCategory(app string, counts Counts, cats []string, emptyScore float64) (string, float64, bool, error) {
 	best := ""
 	bestScore := 0.0
 	found := false
-	for _, cat := range refSortedCategories(counts) {
+	for _, cat := range cats {
 		if counts[cat] <= 0 {
 			continue
 		}
@@ -203,9 +205,20 @@ func (s *refScorer) bestCategory(app string, counts Counts, emptyScore float64) 
 	return best, bestScore, found, nil
 }
 
-func refSortedCategories(counts Counts) []string {
-	out := make([]string, 0, len(counts))
+// refSortedCategories lists, sorted, every category a Schedule call can
+// meet: those in counts and each batch app, which taking an idle machine
+// adds. It is computed once per call; bestCategory skips the ones with no
+// free VM.
+func refSortedCategories(counts Counts, batch []Task) []string {
+	seen := map[string]bool{}
 	for c := range counts {
+		seen[c] = true
+	}
+	for _, t := range batch {
+		seen[t.App] = true
+	}
+	out := make([]string, 0, len(seen))
+	for c := range seen {
 		out = append(out, c)
 	}
 	sort.Strings(out) // EmptyCategory ("") sorts first
@@ -243,9 +256,10 @@ func (m *refMIOS) Schedule(batch []Task, counts Counts, load Load) ([]Placement,
 	if err != nil {
 		return nil, err
 	}
+	cats := refSortedCategories(counts, batch)
 	var out []Placement
 	for _, t := range batch {
-		p, ok, err := refPlaceOne(m.Scorer, t, counts, meanPair, load)
+		p, ok, err := refPlaceOne(m.Scorer, t, counts, cats, meanPair, load)
 		if err != nil {
 			return nil, err
 		}
@@ -257,12 +271,12 @@ func (m *refMIOS) Schedule(batch []Task, counts Counts, load Load) ([]Placement,
 	return out, nil
 }
 
-func refPlaceOne(s *refScorer, t Task, counts Counts, meanPair refMeanPair, load Load) (Placement, bool, error) {
+func refPlaceOne(s *refScorer, t Task, counts Counts, cats []string, meanPair refMeanPair, load Load) (Placement, bool, error) {
 	emptyScore, err := s.EmptyScore(t.App, meanPair, load.Fraction(counts))
 	if err != nil {
 		return Placement{}, false, err
 	}
-	cat, _, ok, err := s.bestCategory(t.App, counts, emptyScore)
+	cat, _, ok, err := s.bestCategory(t.App, counts, cats, emptyScore)
 	if err != nil || !ok {
 		return Placement{}, false, err
 	}
@@ -283,6 +297,7 @@ func (m *refMIBS) Schedule(batch []Task, counts Counts, load Load) ([]Placement,
 	if err != nil {
 		return nil, err
 	}
+	cats := refSortedCategories(counts, batch)
 	var out []Placement
 	first := true
 	for len(queue) > 0 {
@@ -296,7 +311,7 @@ func (m *refMIBS) Schedule(batch []Task, counts Counts, load Load) ([]Placement,
 				if err != nil {
 					return nil, err
 				}
-				_, sc, ok, err := m.Scorer.bestCategory(t.App, counts, emptyScore)
+				_, sc, ok, err := m.Scorer.bestCategory(t.App, counts, cats, emptyScore)
 				if err != nil {
 					return nil, err
 				}
@@ -313,7 +328,7 @@ func (m *refMIBS) Schedule(batch []Task, counts Counts, load Load) ([]Placement,
 			break
 		}
 		head := queue[headIdx]
-		p1, ok, err := refPlaceOne(m.Scorer, head, counts, meanPair, load)
+		p1, ok, err := refPlaceOne(m.Scorer, head, counts, cats, meanPair, load)
 		if err != nil {
 			return nil, err
 		}
@@ -360,7 +375,7 @@ func (m *refMIBS) Schedule(batch []Task, counts Counts, load Load) ([]Placement,
 			}
 			ok2 = true
 		} else {
-			p2, ok2, err = refPlaceOne(m.Scorer, queue[bestIdx], counts, meanPair, load)
+			p2, ok2, err = refPlaceOne(m.Scorer, queue[bestIdx], counts, cats, meanPair, load)
 			if err != nil {
 				return nil, err
 			}

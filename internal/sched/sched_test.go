@@ -388,12 +388,12 @@ func TestFreePoolRecategorize(t *testing.T) {
 func TestFreePoolSetBusyIdempotent(t *testing.T) {
 	p := NewFreePool()
 	p.SetFree(0, 0, EmptyCategory)
-	p.SetBusy(0, 0)
-	p.SetBusy(0, 0)
+	markBusy(p, 0, 0)
+	markBusy(p, 0, 0)
 	if p.FreeSlots() != 0 {
 		t.Fatalf("FreeSlots = %d", p.FreeSlots())
 	}
-	if _, ok := p.Category(0, 0); ok {
+	if _, ok := category(p, 0, 0); ok {
 		t.Fatal("busy slot still categorized")
 	}
 }
@@ -436,7 +436,7 @@ func TestPlacementsAreExecutable(t *testing.T) {
 			// sibling slot, as the engine would.
 			if place.Category == EmptyCategory {
 				sibling := 1 - sl
-				if _, ok := p.Category(m, sibling); ok {
+				if _, ok := category(p, m, sibling); ok {
 					p.SetFree(m, sibling, place.Task.App)
 				}
 			}

@@ -149,10 +149,11 @@ func (p *Placer) applyPlace(ev *durable.Event) error {
 		// a no-op, so placing here would strand the task on a dead machine.
 		return nil
 	}
-	if held := p.machines[ev.Machine].slots[ev.Slot].taskID; held != "" && held != ev.Task {
+	if held := p.machines[ev.Machine].tasks[ev.Slot]; held != "" && held != ev.Task {
 		return fmt.Errorf("serve: place seq %d targets slot %d/%d already holding %q", ev.Seq, ev.Machine, ev.Slot, held)
 	}
-	p.occupyLocked(ev.Machine, ev.Slot, ev.Task, rec.App)
+	p.machines[ev.Machine].tasks[ev.Slot] = ev.Task
+	p.pool.Occupy(ev.Machine, ev.Slot, rec.App)
 	rec.Status = StatusPlaced
 	rec.Machine = ev.Machine
 	rec.Slot = ev.Slot
@@ -203,12 +204,13 @@ func (p *Placer) applyKill(ev *durable.Event) error {
 	// Anything still occupying the machine was placed there by later
 	// replayed events than the event's eviction list knew about; a down
 	// machine must end empty either way.
-	for si, s := range m.slots {
-		if rec, ok := p.placements[s.taskID]; ok {
+	for si, task := range m.tasks {
+		if rec, ok := p.placements[task]; ok {
 			p.evictLocked(rec)
 			front = append(front, rec)
-		} else if s.taskID != "" {
-			p.vacateLocked(ev.Machine, si)
+		} else if task != "" {
+			m.tasks[si] = ""
+			p.pool.Vacate(ev.Machine, si)
 		}
 	}
 	p.queue = append(front, p.queue...)
@@ -266,8 +268,9 @@ func (p *Placer) evictLocked(rec *Placement) {
 // cleared).
 func (p *Placer) releaseLocked(rec *Placement) {
 	if rec.Machine >= 0 && rec.Machine < len(p.machines) &&
-		p.machines[rec.Machine].slots[rec.Slot].taskID == rec.ID {
-		p.vacateLocked(rec.Machine, rec.Slot)
+		p.machines[rec.Machine].tasks[rec.Slot] == rec.ID {
+		p.machines[rec.Machine].tasks[rec.Slot] = ""
+		p.pool.Vacate(rec.Machine, rec.Slot)
 	}
 }
 

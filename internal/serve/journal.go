@@ -133,8 +133,9 @@ func (p *Placer) exportStateLocked() *durable.PlacerState {
 	st.Machines = make([]durable.MachineState, len(p.machines))
 	for i := range p.machines {
 		ms := durable.MachineState{State: p.machines[i].state, Slots: make([]durable.SlotState, SlotsPerMachine)}
-		for j, s := range p.machines[i].slots {
-			ms.Slots[j] = durable.SlotState{Task: s.taskID, App: s.app}
+		for j, task := range p.machines[i].tasks {
+			app, _ := p.pool.Occupant(i, j)
+			ms.Slots[j] = durable.SlotState{Task: task, App: app}
 		}
 		st.Machines[i] = ms
 	}
@@ -196,8 +197,12 @@ func (p *Placer) RestoreState(st *durable.PlacerState) error {
 	p.resetInventoryLocked()
 	for i, ms := range st.Machines {
 		for j := 0; j < len(ms.Slots) && j < SlotsPerMachine; j++ {
-			if ms.Slots[j].Task != "" {
-				p.occupyLocked(i, j, ms.Slots[j].Task, ms.Slots[j].App)
+			if vm := ms.Slots[j]; vm.Task != "" {
+				if vm.App == "" {
+					return fmt.Errorf("serve: snapshot puts task %q on VM %d/%d with no application", vm.Task, i, j)
+				}
+				p.machines[i].tasks[j] = vm.Task
+				p.pool.Occupy(i, j, vm.App)
 			}
 		}
 		p.setStateLocked(i, ms.State)

@@ -3,7 +3,6 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"reflect"
 	"strconv"
 	"sync"
 
@@ -88,12 +87,6 @@ func (p *Placement) clone() *Placement {
 	return &c
 }
 
-// slot is one VM of a two-VM machine.
-type slot struct {
-	taskID string // "" when free
-	app    string
-}
-
 // Machine lifecycle states. Up machines accept placements; drained
 // (cordoned) machines finish their in-flight tasks but take no new ones;
 // down (killed) machines have lost their in-flight tasks, which the placer
@@ -104,14 +97,16 @@ const (
 	MachineDown    = "down"
 )
 
-// machine is one physical host: two VMs, per the testbed model.
+// machine is one physical host: two VMs, per the testbed model. tasks
+// holds the placement ID on each VM ("" when free); the application it
+// runs is the pool's Occupant.
 type machine struct {
-	slots [2]slot
+	tasks [SlotsPerMachine]string
 	state string
 }
 
-// SlotsPerMachine mirrors the two-VM machine model of the simulator.
-const SlotsPerMachine = 2
+// SlotsPerMachine is the simulator's two-VM machine model.
+const SlotsPerMachine = sched.SlotsPerMachine
 
 // Placer owns the serving-side cluster state: the machine inventory, the
 // FIFO backlog, and the placement records. The free-slot index is the
@@ -150,11 +145,11 @@ type Placer struct {
 
 	mu       sync.Mutex
 	machines []machine
-	// pool indexes the free VMs of up machines and upMachines counts those
-	// machines; occupyLocked, vacateLocked and setStateLocked are the only
-	// writers of machines[i].slots / .state and keep all three in step.
+	// pool is the placement inventory the simulator uses too: the app on
+	// each VM, which machines are up, and the index of free VMs. Every
+	// write to machines[i].tasks or .state makes the matching pool call
+	// (Occupy, Vacate, SetInService) beside it.
 	pool       *sched.FreePool
-	upMachines int
 	queue      []*Placement // the backlog: queued records, FIFO
 	placements map[string]*Placement
 	nextID     int64
@@ -208,63 +203,16 @@ func NewPlacer(models *ModelSet, admission *Admission, machines, completedCap in
 // boots. Boot and snapshot import are the only callers.
 func (p *Placer) resetInventoryLocked() {
 	p.pool = sched.NewIdleFreePool(len(p.machines))
-	p.upMachines = len(p.machines)
 	for i := range p.machines {
 		p.machines[i] = machine{state: MachineUp}
 	}
 }
 
-// occupyLocked puts a task on VM (mi, si). A free VM's pool category is its
-// neighbour's application (EmptyCategory, "", on an idle machine), so the
-// sibling VM, if free, is recategorized under app.
-func (p *Placer) occupyLocked(mi, si int, taskID, app string) {
-	m := &p.machines[mi]
-	m.slots[si] = slot{taskID: taskID, app: app}
-	if m.state != MachineUp {
-		return
-	}
-	p.pool.SetBusy(mi, si)
-	if m.slots[1-si].taskID == "" {
-		p.pool.SetFree(mi, 1-si, app)
-	}
-}
-
-// vacateLocked frees VM (mi, si); on an up machine it re-enters the pool
-// as the newest free VM, and a free sibling becomes empty-category.
-func (p *Placer) vacateLocked(mi, si int) {
-	m := &p.machines[mi]
-	m.slots[si] = slot{}
-	if m.state != MachineUp {
-		return
-	}
-	other := m.slots[1-si]
-	p.pool.SetFree(mi, si, other.app)
-	if other.taskID == "" {
-		p.pool.SetFree(mi, 1-si, sched.EmptyCategory)
-	}
-}
-
-// setStateLocked moves machine mi to state. Leaving service takes its VMs
-// out of the pool; returning puts the free ones back, stamped now.
+// setStateLocked moves machine mi to state; the pool takes it out of
+// service or puts its free VMs back, stamped now.
 func (p *Placer) setStateLocked(mi int, state string) {
-	m := &p.machines[mi]
-	wasUp := m.state == MachineUp
-	m.state = state
-	if wasUp == (state == MachineUp) {
-		return
-	}
-	if wasUp {
-		p.upMachines--
-	} else {
-		p.upMachines++
-	}
-	for si := range m.slots {
-		if wasUp {
-			p.pool.SetBusy(mi, si)
-		} else if m.slots[si].taskID == "" {
-			p.pool.SetFree(mi, si, m.slots[1-si].app)
-		}
-	}
+	p.machines[mi].state = state
+	p.pool.SetInService(mi, state == MachineUp)
 }
 
 // SubmitKeyed validates, admits, records and tries to place one task. The
@@ -486,7 +434,7 @@ func (p *Placer) Complete(id string) (*Placement, error) {
 	if rec.Status != StatusPlaced {
 		return nil, fmt.Errorf("%w: %q is %s", ErrNotPlaced, id, rec.Status)
 	}
-	if p.machines[rec.Machine].slots[rec.Slot].taskID != id {
+	if p.machines[rec.Machine].tasks[rec.Slot] != id {
 		return nil, fmt.Errorf("serve: slot bookkeeping corrupt for %q", id)
 	}
 	if err := p.commitEventLocked(durable.Event{
@@ -532,7 +480,7 @@ func queueIDs(queue []*Placement) []string {
 // the ratio, so a cluster that lost machines sheds load instead of queueing
 // work it cannot place.
 func (p *Placer) capacityLocked() (available, total int) {
-	return SlotsPerMachine * p.upMachines, SlotsPerMachine * len(p.machines)
+	return SlotsPerMachine * p.pool.InServiceMachines(), SlotsPerMachine * len(p.machines)
 }
 
 // Snapshot is one consistent view of the placer's load state, taken under
@@ -611,8 +559,8 @@ func (p *Placer) Kill(id int) (requeued int, err error) {
 		return 0, fmt.Errorf("%w: machine %d is already down", ErrBadTransition, id)
 	}
 	var refs []durable.TaskRef
-	for _, s := range p.machines[id].slots {
-		if rec := p.placements[s.taskID]; rec != nil {
+	for _, task := range p.machines[id].tasks {
+		if rec := p.placements[task]; rec != nil {
 			refs = append(refs, taskRef(rec))
 			p.tracer.release("evict_requeue", rec)
 		}
@@ -647,11 +595,11 @@ func (p *Placer) Machines() []MachineView {
 	out := make([]MachineView, len(p.machines))
 	for i := range p.machines {
 		mv := MachineView{ID: i, State: p.machines[i].state, Slots: make([]SlotView, SlotsPerMachine)}
-		for j, s := range p.machines[i].slots {
-			if s.taskID == "" {
-				mv.Slots[j] = SlotView{State: "free"}
+		for j, task := range p.machines[i].tasks {
+			if app, ok := p.pool.Occupant(i, j); ok {
+				mv.Slots[j] = SlotView{State: "busy", Task: task, App: app}
 			} else {
-				mv.Slots[j] = SlotView{State: "busy", Task: s.taskID, App: s.app}
+				mv.Slots[j] = SlotView{State: "free"}
 			}
 		}
 		out[i] = mv
@@ -743,7 +691,7 @@ func (p *Placer) decidePlaceLocked(ev *durable.Event, rec *Placement, category s
 	if err != nil {
 		return fmt.Errorf("serve: scheduler chose category %q but no matching slot is free: %w", category, err)
 	}
-	other := p.machines[mi].slots[1-si].app
+	other, _ := p.pool.Occupant(mi, 1-si)
 	ev.Machine, ev.Slot, ev.Neighbour, ev.Gen = mi, si, other, view.Gen
 	// Forecast this co-location for the completion-time drift check. The
 	// prediction is telemetry: a failure here (cannot happen for a known
@@ -766,52 +714,49 @@ func (p *Placer) decidePlaceLocked(ev *durable.Event, rec *Placement, category s
 }
 
 // CheckInvariants validates the placer's bookkeeping: slots and placement
-// records must agree exactly, the queue must hold exactly the queued records, and
-// the incremental index (pool, upMachines) must equal a census recomputed
-// here by a full scan, slot by slot. Tests call it after concurrent
-// hammering; any violation is a serving-layer bug.
+// records must agree exactly, the queue must hold exactly the queued
+// records, the pool must hold the inventory's occupants and machine states,
+// and the pool's free index must pass its own full-scan re-derivation
+// (sched.FreePool.Check). Tests call it after concurrent hammering; any
+// violation is a serving-layer bug.
 func (p *Placer) CheckInvariants() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	busy, up, census := 0, 0, sched.Counts{}
+	if err := p.pool.Check(); err != nil {
+		return fmt.Errorf("serve: %w", err)
+	}
+	busy := 0
 	for i := range p.machines {
 		m := &p.machines[i]
 		switch m.state {
-		case MachineUp:
-			up++
-		case MachineDrained, MachineDown:
+		case MachineUp, MachineDrained, MachineDown:
 		default:
 			return fmt.Errorf("serve: machine %d in unknown state %q", i, m.state)
 		}
-		for j, s := range m.slots {
-			offered := m.state == MachineUp && s.taskID == ""
-			if cat, pooled := p.pool.Category(i, j); pooled != offered || (pooled && cat != m.slots[1-j].app) {
-				return fmt.Errorf("serve: pool has slot %d/%d free=%v under %q, the inventory says free=%v under %q",
-					i, j, pooled, cat, offered, m.slots[1-j].app)
+		if p.pool.InService(i) != (m.state == MachineUp) {
+			return fmt.Errorf("serve: machine %d is %s but the pool has it in service=%v", i, m.state, p.pool.InService(i))
+		}
+		for j, task := range m.tasks {
+			app, occupied := p.pool.Occupant(i, j)
+			if occupied != (task != "") {
+				return fmt.Errorf("serve: slot %d/%d holds %q but the pool has it occupied by %q", i, j, task, app)
 			}
-			if offered {
-				census[m.slots[1-j].app]++
-			}
-			if s.taskID == "" {
+			if task == "" {
 				continue
 			}
 			// A dead machine must have been fully evacuated by Kill.
-			if p.machines[i].state == MachineDown {
-				return fmt.Errorf("serve: down machine %d still holds task %q in slot %d", i, s.taskID, j)
+			if m.state == MachineDown {
+				return fmt.Errorf("serve: down machine %d still holds task %q in slot %d", i, task, j)
 			}
 			busy++
-			rec, ok := p.placements[s.taskID]
+			rec, ok := p.placements[task]
 			if !ok {
-				return fmt.Errorf("serve: slot %d/%d holds unknown task %q", i, j, s.taskID)
+				return fmt.Errorf("serve: slot %d/%d holds unknown task %q", i, j, task)
 			}
-			if rec.Status != StatusPlaced || rec.Machine != i || rec.Slot != j || rec.App != s.app {
+			if rec.Status != StatusPlaced || rec.Machine != i || rec.Slot != j || rec.App != app {
 				return fmt.Errorf("serve: slot %d/%d disagrees with record %+v", i, j, rec)
 			}
 		}
-	}
-	if counts := p.pool.Counts(nil); up != p.upMachines || p.pool.FreeSlots() != census.Total() || !reflect.DeepEqual(counts, census) {
-		return fmt.Errorf("serve: index says %d up machines, %d free slots, census %v; a scan finds %d, %d, %v",
-			p.upMachines, p.pool.FreeSlots(), counts, up, census.Total(), census)
 	}
 	placed, queued := 0, 0
 	for _, rec := range p.placements {
@@ -821,7 +766,7 @@ func (p *Placer) CheckInvariants() error {
 		if rec.Status == StatusPlaced {
 			placed++
 			if rec.Machine < 0 || rec.Machine >= len(p.machines) ||
-				p.machines[rec.Machine].slots[rec.Slot].taskID != rec.ID {
+				p.machines[rec.Machine].tasks[rec.Slot] != rec.ID {
 				return fmt.Errorf("serve: placed record %q not on its slot", rec.ID)
 			}
 		}

@@ -384,7 +384,7 @@ func TestPlacerMatchesNaiveScan(t *testing.T) {
 			}
 			counts, free, up := ref.census()
 			p.mu.Lock()
-			got, gotFree, gotUp := p.pool.Counts(nil), p.pool.FreeSlots(), p.upMachines
+			got, gotFree, gotUp := p.pool.Counts(nil), p.pool.FreeSlots(), p.pool.InServiceMachines()
 			p.mu.Unlock()
 			if gotFree != free || gotUp != up || fmt.Sprint(got) != fmt.Sprint(counts) {
 				t.Fatalf("seed %d %s: index has census %v, %d free, %d up; a scan finds %v, %d, %d",

@@ -564,3 +564,31 @@ func TestIntervalFsyncTailUnderLoad(t *testing.T) {
 		}
 	}
 }
+
+// TestRestoreStateRejectsBadSnapshot: a snapshot for another cluster
+// shape, or one that puts a task on a VM without naming its application,
+// is refused with an error instead of corrupting the inventory.
+func TestRestoreStateRejectsBadSnapshot(t *testing.T) {
+	s, err := New(testLibrary(t, model.NLM), Config{Machines: 2, MaxQueue: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := s.Placer()
+	if _, err := p.SubmitKeyed(p.models.View().Lib.Apps()[0], "", ""); err != nil {
+		t.Fatal(err)
+	}
+	st := p.ExportState()
+	st.Machines = st.Machines[:1]
+	if err := p.RestoreState(st); err == nil || !strings.Contains(err.Error(), "cluster shape") {
+		t.Fatalf("a one-machine snapshot restored into two machines: %v", err)
+	}
+	st = p.ExportState()
+	for i := range st.Machines {
+		for j := range st.Machines[i].Slots {
+			st.Machines[i].Slots[j].App = ""
+		}
+	}
+	if err := p.RestoreState(st); err == nil || !strings.Contains(err.Error(), "no application") {
+		t.Fatalf("a task with no application restored: %v", err)
+	}
+}

@@ -41,10 +41,6 @@ type Config struct {
 	Faults *fault.Plan
 }
 
-// vmsPerMachine is fixed at the paper's configuration ("each physical
-// machine supports two virtual machines").
-const vmsPerMachine = 2
-
 type eventKind uint8
 
 const (
@@ -134,7 +130,7 @@ type runningTask struct {
 }
 
 type machineState struct {
-	slots        [vmsPerMachine]*runningTask
+	slots        [sched.SlotsPerMachine]*runningTask
 	powerW       float64
 	lastEnergyAt float64
 }
@@ -225,9 +221,11 @@ func (r *Results) MeanWait() float64 {
 type Engine struct {
 	cfg      Config
 	machines []machineState
-	pool     *sched.FreePool
-	events   eventHeap
-	deps     *depState
+	// pool is the placement inventory: who runs where, which machines are
+	// up, and the free VMs the scheduler's categories resolve to.
+	pool   *sched.FreePool
+	events eventHeap
+	deps   *depState
 	// arrivals is the run's input in (Arrival, input index) order;
 	// arrivals[next:] have not arrived yet.
 	arrivals []sched.Task
@@ -259,10 +257,9 @@ type Engine struct {
 	// behaviour; the flush-equivalence test uses it to prove the suppressed
 	// schedule is byte-identical to the naive one.
 	naiveFlush bool
-	// Fault-injection state (allocated only when Config.Faults is set).
-	down      []bool        // machine index → currently crashed
-	downCount int           // number of crashed machines
-	attempts  map[int64]int // task ID → placement attempts made so far
+	// attempts maps task ID → placement attempts made so far (allocated
+	// only when Config.Faults is set).
+	attempts map[int64]int
 	// obsErr is the observer's first error; see observe.
 	obsErr error
 }
@@ -294,10 +291,9 @@ func NewEngine(cfg Config) (*Engine, error) {
 		e.machines[m].powerW = cfg.Power.OffW
 	}
 	if cfg.Faults != nil {
-		if err := cfg.Faults.Validate(cfg.Machines, vmsPerMachine); err != nil {
+		if err := cfg.Faults.Validate(cfg.Machines, sched.SlotsPerMachine); err != nil {
 			return nil, err
 		}
-		e.down = make([]bool, cfg.Machines)
 		e.attempts = map[int64]int{}
 	}
 	return e, nil
@@ -383,7 +379,7 @@ func (e *Engine) Run(arrivals []sched.Task, horizon float64) (*Results, error) {
 		case evSlowChange:
 			// A slowdown window boundary: settle at the old rate, reprice at
 			// the new one. A crashed machine has nothing running to reprice.
-			if m := int(ev.machine); !e.down[m] {
+			if m := int(ev.machine); e.pool.InService(m) {
 				e.settle(m)
 				e.reprice(m)
 			}
@@ -648,18 +644,7 @@ func (e *Engine) complete(m, slot int) error {
 		e.results.TotalIOPS += ops / rec.Runtime()
 	}
 
-	// Pool bookkeeping: the freed slot's category is the survivor's app;
-	// if the survivor slot is itself free, the whole machine is idle and
-	// both slots are empty-category.
-	other := ms.slots[1-slot]
-	if other != nil {
-		e.pool.SetFree(m, slot, other.task.App)
-	} else {
-		e.pool.SetFree(m, slot, sched.EmptyCategory)
-		if _, free := e.pool.Category(m, 1-slot); free {
-			e.pool.SetFree(m, 1-slot, sched.EmptyCategory)
-		}
-	}
+	e.pool.Vacate(m, slot)
 	e.reprice(m)
 	e.settleEnergy(m) // re-sample power under the new membership
 	return nil
@@ -674,10 +659,7 @@ func (e *Engine) place(t sched.Task, m, slot int) error {
 	e.settle(m)
 	a := e.table.ords[t.App]
 	ms.slots[slot] = &runningTask{task: t, app: a, workLeft: e.table.soloRT[a], lastUpdate: e.now, start: e.now}
-	// The sibling slot, if free, is now neighboured by this app.
-	if _, free := e.pool.Category(m, 1-slot); free {
-		e.pool.SetFree(m, 1-slot, t.App)
-	}
+	e.pool.Occupy(m, slot, t.App)
 	// The placement-time neighbour, captured before reprice (which only
 	// recomputes rates) for the placement trace.
 	nb := 0
@@ -742,8 +724,8 @@ func (e *Engine) trySchedule() error {
 			e.batch = append(e.batch, *e.task(ref))
 		}
 		batch := e.batch
-		// Crashed machines are not capacity (downCount is zero without faults).
-		load := sched.Load{TotalSlots: (e.cfg.Machines - e.downCount) * vmsPerMachine, Queued: n}
+		// Crashed machines are not capacity.
+		load := sched.Load{TotalSlots: e.pool.InServiceMachines() * sched.SlotsPerMachine, Queued: n}
 		e.counts = e.pool.Counts(e.counts)
 		placements, err := e.decide(batch, load)
 		if err != nil {
@@ -796,18 +778,13 @@ func (e *Engine) decide(batch []sched.Task, load sched.Load) ([]sched.Placement,
 	return placements, err
 }
 
-// pop resolves a placement category to a free slot. With an observer
-// attached it first snapshots the pool's longest-free slot — what the
-// FIFO-over-VMs contract demands an AnyCategory pop return, so the auditor
-// can hold the pop to it — and then reports the pop.
+// pop resolves a placement category to a free slot and, with an observer
+// attached, reports the pop.
 func (e *Engine) pop(category string) (machine, slot int, err error) {
 	if e.cfg.Observer == nil {
 		return e.pool.Pop(category)
 	}
 	p := PopInfo{Category: category}
-	if category == sched.AnyCategory {
-		p.OldestMachine, p.OldestSlot, p.OldestOK = e.pool.OldestFree()
-	}
 	p.Machine, p.Slot, p.FreeGen, err = e.pool.PopTraced(category)
 	if err == nil {
 		e.observe(Event{Kind: OnPop, Pop: p})

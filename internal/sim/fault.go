@@ -30,19 +30,19 @@ const (
 	FaultMachineUp   = "machine_up"
 )
 
-// machineDown crashes machine m: running attempts are evicted and queued
-// for retry, both pool slots leave the free pool, and the machine draws
-// off-power until it recovers.
+// machineDown crashes machine m: it leaves service (both VMs leave the
+// free pool), its running attempts are evicted and queued for retry, and
+// it draws off-power until it recovers.
 func (e *Engine) machineDown(m int) {
 	e.settle(m)
-	e.down[m] = true
-	e.downCount++
+	e.pool.SetInService(m, false)
 	e.results.MachineDowns++
 	e.reportFault(FaultInfo{Kind: FaultMachineDown, Machine: m, Slot: -1})
 	ms := &e.machines[m]
 	for s := range ms.slots {
 		if rt := ms.slots[s]; rt != nil {
 			ms.slots[s] = nil
+			e.pool.Vacate(m, s)
 			e.results.Evictions++
 			e.reportFault(FaultInfo{
 				Kind: FaultEvict, Machine: m, Slot: s,
@@ -50,7 +50,6 @@ func (e *Engine) machineDown(m int) {
 			})
 			e.retryOrLose(rt.task)
 		}
-		e.pool.SetBusy(m, s)
 	}
 	e.settleEnergy(m) // the machine is now empty: off-power
 }
@@ -59,20 +58,16 @@ func (e *Engine) machineDown(m int) {
 // idle machine, stamped now so FIFO-over-VMs fairness treats them as the
 // newest free slots.
 func (e *Engine) machineUp(m int) {
-	e.down[m] = false
-	e.downCount--
 	e.results.MachineUps++
 	e.reportFault(FaultInfo{Kind: FaultMachineUp, Machine: m, Slot: -1})
-	for s := 0; s < vmsPerMachine; s++ {
-		e.pool.SetFree(m, s, sched.EmptyCategory)
-	}
+	e.pool.SetInService(m, true)
 	e.settleEnergy(m)
 }
 
 // evictAttempt ends the attempt running in (m, slot) without completing it
 // (kind is FaultFail or FaultTimeout; crash evictions go through
-// machineDown), frees the slot with the same pool bookkeeping as a
-// completion, and queues the task for retry.
+// machineDown), frees the slot as a completion does, and queues the task
+// for retry.
 func (e *Engine) evictAttempt(m, slot int, kind string) {
 	e.settle(m)
 	ms := &e.machines[m]
@@ -88,17 +83,7 @@ func (e *Engine) evictAttempt(m, slot int, kind string) {
 		Kind: kind, Machine: m, Slot: slot,
 		TaskID: rt.task.ID, App: rt.task.App, Attempt: e.attempts[rt.task.ID],
 	})
-	// The freed slot's category is the survivor's app; an idle machine is
-	// empty-category on both slots (mirrors complete()).
-	other := ms.slots[1-slot]
-	if other != nil {
-		e.pool.SetFree(m, slot, other.task.App)
-	} else {
-		e.pool.SetFree(m, slot, sched.EmptyCategory)
-		if _, free := e.pool.Category(m, 1-slot); free {
-			e.pool.SetFree(m, 1-slot, sched.EmptyCategory)
-		}
-	}
+	e.pool.Vacate(m, slot)
 	e.reprice(m)
 	e.settleEnergy(m)
 	e.retryOrLose(rt.task)

@@ -99,7 +99,7 @@ func TestFlushSuppressionMatchesNaive(t *testing.T) {
 			// 300 tasks → the naive scheme would hold up to 300 flush events;
 			// the suppressed scheme keeps at most one armed alongside
 			// arrivals and completions.
-			if maxHeap > len(tasks)+2*6*vmsPerMachine+2 {
+			if maxHeap > len(tasks)+2*6*sched.SlotsPerMachine+2 {
 				t.Errorf("seed %d %s: event heap high-water %d suggests flush bloat", seed, c.name, maxHeap)
 			}
 		}

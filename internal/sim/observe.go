@@ -166,12 +166,6 @@ type PopInfo struct {
 	// FreeGen is the popped slot's freed-order stamp (the busy→free
 	// generation that positions it in the pool's FIFO-over-VMs queue).
 	FreeGen int64
-	// OldestMachine/OldestSlot is the pool's longest-free slot computed
-	// immediately before the pop; valid only when OldestOK and only for
-	// AnyCategory pops (it is what FIFO-over-VMs fairness demands the pop
-	// return).
-	OldestMachine, OldestSlot int
-	OldestOK                  bool
 }
 
 // PlaceInfo describes one placement.
@@ -253,7 +247,7 @@ func (v View) Now() float64 { return v.e.now }
 func (v View) Machines() int { return len(v.e.machines) }
 
 // TotalSlots returns the cluster's VM count.
-func (v View) TotalSlots() int { return len(v.e.machines) * vmsPerMachine }
+func (v View) TotalSlots() int { return len(v.e.machines) * sched.SlotsPerMachine }
 
 // Backlog returns the current queue length.
 func (v View) Backlog() int { return v.e.backlog() }
@@ -272,7 +266,7 @@ func (v View) FreeSlots() int { return v.e.pool.FreeSlots() }
 // Slot reports the task running in (machine, slot): its application,
 // remaining work in solo-seconds, and whether the slot is occupied.
 func (v View) Slot(machine, slot int) (app string, workLeft float64, running bool) {
-	if machine < 0 || machine >= len(v.e.machines) || slot < 0 || slot >= vmsPerMachine {
+	if machine < 0 || machine >= len(v.e.machines) || slot < 0 || slot >= sched.SlotsPerMachine {
 		return "", 0, false
 	}
 	rt := v.e.machines[machine].slots[slot]
@@ -282,11 +276,21 @@ func (v View) Slot(machine, slot int) (app string, workLeft float64, running boo
 	return rt.task.App, rt.workLeft, true
 }
 
-// PoolCategory returns the free pool's category for (machine, slot), with
-// ok=false when the pool does not consider the slot free.
-func (v View) PoolCategory(machine, slot int) (string, bool) {
-	return v.e.pool.Category(machine, slot)
+// PoolOccupant returns the application the pool has running on (machine,
+// slot), with ok=false when the pool has the slot unoccupied.
+func (v View) PoolOccupant(machine, slot int) (string, bool) {
+	return v.e.pool.Occupant(machine, slot)
 }
+
+// PoolFreeGen returns the freed-order stamp of a free slot (ok=false when
+// the pool does not consider the slot free).
+func (v View) PoolFreeGen(machine, slot int) (int64, bool) {
+	return v.e.pool.FreeGen(machine, slot)
+}
+
+// PoolCheck re-derives the pool's free index from its occupancy by a full
+// scan and reports the first disagreement (sched.FreePool.Check).
+func (v View) PoolCheck() error { return v.e.pool.Check() }
 
 // PoolCounts returns a copy of the pool's per-category free counts.
 func (v View) PoolCounts() sched.Counts { return v.e.pool.Counts(nil) }
@@ -297,8 +301,8 @@ func (v View) PoolStats() sched.PoolStats { return v.e.pool.Stats() }
 // MachineDown reports whether the machine is currently crashed under the
 // run's fault plan (always false in fault-free runs).
 func (v View) MachineDown(machine int) bool {
-	return v.e.down != nil && machine >= 0 && machine < len(v.e.down) && v.e.down[machine]
+	return machine >= 0 && machine < len(v.e.machines) && !v.e.pool.InService(machine)
 }
 
 // DownMachines returns the number of currently crashed machines.
-func (v View) DownMachines() int { return v.e.downCount }
+func (v View) DownMachines() int { return len(v.e.machines) - v.e.pool.InServiceMachines() }

@@ -10,12 +10,6 @@ type StepwiseConfig struct {
 	// MaxSteps bounds the number of add/remove moves; each move refits up
 	// to |candidates| models, so this also bounds total work.
 	MaxSteps int
-	// MinImprovement is the AIC decrease required to accept a move.
-	// Matches R's step() default behaviour of "any improvement" when 0.
-	MinImprovement float64
-	// StartFull starts from the full candidate set and prunes (backward
-	// first) instead of growing from the intercept-only model.
-	StartFull bool
 	// Weights, when non-nil, makes every candidate fit a weighted least
 	// squares fit (see WLS).
 	Weights []float64
@@ -27,12 +21,12 @@ func DefaultStepwise() StepwiseConfig {
 	return StepwiseConfig{MaxSteps: 200}
 }
 
-// Stepwise selects a subset of candidate terms by bidirectional search:
-// at each step it evaluates every single-term addition and every
-// single-term removal, takes the move with the best AIC, and stops when no
-// move improves AIC by at least MinImprovement. The returned Fit is the
-// best model found; it is never nil on success (the intercept-only model
-// is always a valid candidate).
+// Stepwise selects a subset of candidate terms by bidirectional search
+// from the intercept-only model: at each step it evaluates every
+// single-term addition and every single-term removal, takes the move with
+// the best AIC, and stops when no move improves AIC at all (R's step()
+// default). The returned Fit is the best model found; it is never nil on
+// success (the intercept-only model is always a valid candidate).
 func Stepwise(x *mat.Matrix, y []float64, candidates []Term, cfg StepwiseConfig) (*Fit, error) {
 	if cfg.MaxSteps <= 0 {
 		cfg.MaxSteps = 200
@@ -41,24 +35,9 @@ func Stepwise(x *mat.Matrix, y []float64, candidates []Term, cfg StepwiseConfig)
 	sortTerms(cand)
 
 	inModel := make([]bool, len(cand))
-	if cfg.StartFull {
-		for i := range inModel {
-			inModel[i] = true
-		}
-	}
-
 	current, err := fitSubset(x, y, cfg.Weights, cand, inModel)
 	if err != nil {
-		if cfg.StartFull {
-			// The full model may be underdetermined; restart empty.
-			for i := range inModel {
-				inModel[i] = false
-			}
-			current, err = fitSubset(x, y, cfg.Weights, cand, inModel)
-		}
-		if err != nil {
-			return nil, err
-		}
+		return nil, err
 	}
 	bestAIC := current.AIC()
 
@@ -74,7 +53,7 @@ func Stepwise(x *mat.Matrix, y []float64, candidates []Term, cfg StepwiseConfig)
 			if err != nil {
 				continue // e.g. underdetermined after adding; skip move
 			}
-			if aic := f.AIC(); aic < bestMoveAIC-cfg.MinImprovement {
+			if aic := f.AIC(); aic < bestMoveAIC {
 				bestMove, bestMoveAIC, bestFit = i, aic, f
 			}
 		}

@@ -68,34 +68,6 @@ func TestStepwiseBeatsOrMatchesFullModelAIC(t *testing.T) {
 	}
 }
 
-func TestStepwiseStartFull(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	n := 100
-	x := mat.New(n, 2)
-	y := make([]float64, n)
-	for i := 0; i < n; i++ {
-		row := []float64{rng.NormFloat64(), rng.NormFloat64()}
-		x.SetRow(i, row)
-		y[i] = 5 * row[1]
-	}
-	cfg := DefaultStepwise()
-	cfg.StartFull = true
-	fit, err := Stepwise(x, y, QuadraticTerms(2), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Must include x1 and predict well.
-	found := false
-	for _, tm := range fit.Terms {
-		if tm.String() == "x1" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("x1 dropped: %v", fit.Terms)
-	}
-}
-
 func TestStepwiseConstantResponse(t *testing.T) {
 	// With a constant response, the intercept-only model should win.
 	x := mat.NewFromSlice(6, 2, []float64{1, 2, 3, 4, 5, 6, 7, 8, 2, 1, 4, 3})
