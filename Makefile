@@ -50,7 +50,7 @@ paper:
 trace:
 	$(GO) build -o /dev/null ./cmd/tracontrace
 	$(GO) test ./internal/experiments -run 'TestTraceExportDeterministicAcrossWorkers|TestObservedExportsGolden' -short -count=1
-	$(GO) test ./internal/obs -run 'TestTrace|TestTracer|TestPerfetto' -count=1
+	$(GO) test ./internal/obs ./internal/simobs -run 'TestTrace|TestTracer|TestPerfetto|TestRuns' -count=1
 
 # Observability smoke test: boot tracond with JSON logs, drive a scraped
 # traconload burst, then assert Prometheus exposition shape, serve-trace

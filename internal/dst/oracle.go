@@ -47,7 +47,7 @@ type oracleRecorder struct {
 	events []oracleEvent
 }
 
-func (o *oracleRecorder) Observe(_ sim.View, ev sim.Event) error {
+func (o *oracleRecorder) Observe(_ sim.View, ev *sim.Event) error {
 	switch ev.Kind {
 	case sim.OnEnqueue:
 		o.events = append(o.events, oracleEvent{kind: otEnqueue, task: ev.Task.ID, app: ev.Task.App})

@@ -62,7 +62,7 @@ type Env struct {
 // ObserverFactory builds the observer for one simulation run. kind names
 // the call site ("static", "dynamic", "spotcheck", "storage-<device>");
 // together with the scheduler name, cluster size and task stream it
-// identifies the run deterministically (see obs.RunLabel).
+// identifies the run deterministically (see simobs.RunLabel).
 type ObserverFactory func(kind, scheduler string, machines int, tasks []sched.Task) sim.Observer
 
 // FaultFactory builds the fault-injection plan for one simulation run;
@@ -181,7 +181,7 @@ func poissonTasks(mix workload.IOIntensity, lambda, horizon float64, seed int64)
 // hooks attached. kind names the call site for those hooks. Call
 // sites that launch the same scheduler on the same task stream more than
 // once — fig4 reruns MIBS per model family — must pass distinct kinds, or
-// the runs collide on one observability label (see obs.RunLabel).
+// the runs collide on one observability label (see simobs.RunLabel).
 // Per-task records are kept only for static batches of up to 200 000
 // tasks.
 func (e *Env) simulate(kind string, s sched.Scheduler, machines int, tasks []sched.Task, horizon float64) (*sim.Results, error) {

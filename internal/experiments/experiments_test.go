@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -25,6 +26,33 @@ func testEnv(t testing.TB) *Env {
 		env = e
 	})
 	return env
+}
+
+var (
+	env42Once sync.Once
+	env42     *Env
+)
+
+// seededEnv returns the shared seed-1 Env or, for seed 42, one shared
+// seed-42 Env built at GOMAXPROCS width (TestNewEnvParallelMatchesSequential
+// shows the Env does not depend on the width).
+func seededEnv(t testing.TB, seed int64) *Env {
+	t.Helper()
+	switch seed {
+	case 1:
+		return testEnv(t)
+	case 42:
+		env42Once.Do(func() {
+			e, err := NewEnvParallel(42, runtime.GOMAXPROCS(0))
+			if err != nil {
+				panic(err)
+			}
+			env42 = e
+		})
+		return env42
+	}
+	t.Fatalf("no shared Env for seed %d", seed)
+	return nil
 }
 
 // Cell finds the result for a machine count and mix.

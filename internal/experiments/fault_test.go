@@ -3,13 +3,12 @@ package experiments
 import (
 	"bytes"
 	"strings"
-	"sync"
 	"testing"
 
 	"tracon/internal/fault"
 	"tracon/internal/obs"
 	"tracon/internal/sched"
-	"tracon/internal/sim"
+	"tracon/internal/simobs"
 )
 
 // chaosPlan is the fixed fault plan behind the golden determinism tests:
@@ -33,65 +32,41 @@ func chaosPlan() *fault.Plan {
 }
 
 // chaosSuite runs the experiment cross-section under the chaos plan with
-// metrics, traces and a strict invariant auditor attached, and returns
-// every deterministic artifact.
+// metrics, traces and an invariant auditor attached, and returns every
+// deterministic artifact.
 func chaosSuite(t *testing.T, e *Env, workers int) (output, metricsJSON, ndjson string, violations int64) {
 	t.Helper()
 	plan := chaosPlan()
-	collector := obs.NewCollector()
-	traceColl := obs.NewTraceCollector(obs.DefaultTraceCap)
-	var mu sync.Mutex
-	var auditors []*obs.InvariantAuditor
+	runs := simobs.New(simobs.Options{Metrics: true, Trace: true, Audit: true, AuditEvery: 16})
 	e.Faults = func(kind, scheduler string, machines int, tasks []sched.Task) *fault.Plan {
 		return plan.ForMachines(machines)
 	}
-	e.Observe = func(kind, scheduler string, machines int, tasks []sched.Task) sim.Observer {
-		label := obs.RunLabel(kind, scheduler, machines, tasks)
-		a := &obs.InvariantAuditor{Every: 16, Strict: true}
-		mu.Lock()
-		auditors = append(auditors, a)
-		mu.Unlock()
-		return obs.Multi{collector.Observer(label), traceColl.Tracer(label, scheduler, machines), a}
-	}
+	e.Observe = runs.Observer
 	defer func() { e.Faults, e.Observe = nil, nil }()
 
 	out := renderOutcomes(t, Runner{Workers: workers}.Run(e, observeSuite()))
 	var j, n bytes.Buffer
-	if err := collector.WriteJSON(&j, false); err != nil {
+	if err := runs.WriteMetricsJSON(&j); err != nil {
 		t.Fatal(err)
 	}
-	if err := traceColl.WriteNDJSON(&n); err != nil {
+	if err := runs.WriteNDJSON(&n); err != nil {
 		t.Fatal(err)
 	}
-	var total int64
-	for _, a := range auditors {
-		total += a.Total()
-	}
-	return out, j.String(), n.String(), total
+	return out, j.String(), n.String(), runs.Violations()
 }
 
 // TestChaosExperimentsDeterministicAcrossWorkers is the acceptance
 // guarantee at the experiment level: a fault-injected sweep — crashes,
 // a degraded slot, probabilistic failures, retries — renders byte-identical
 // output, metrics JSON and trace NDJSON at every worker count, passes the
-// strict invariant audit throughout, and reproduces from the seed.
+// invariant audit throughout, and reproduces from the seed.
 func TestChaosExperimentsDeterministicAcrossWorkers(t *testing.T) {
 	seeds := []int64{1}
 	if !testing.Short() {
 		seeds = append(seeds, 42)
 	}
 	for _, seed := range seeds {
-		var e *Env
-		if seed == 1 {
-			e = testEnv(t)
-		} else {
-			var err error
-			e, err = NewEnvParallel(seed, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-
+		e := seededEnv(t, seed)
 		var firstOut, firstJSON, firstNDJSON string
 		for _, workers := range []int{1, 2, 8} {
 			out, metricsJSON, ndjson, violations := chaosSuite(t, e, workers)

@@ -4,12 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
 
-	"tracon/internal/obs"
-	"tracon/internal/sched"
-	"tracon/internal/sim"
+	"tracon/internal/simobs"
 )
 
 // observeSuite is a small cross-section of the evaluation touching the
@@ -35,8 +32,8 @@ func renderOutcomes(t *testing.T, ocs []Outcome) string {
 }
 
 // TestObserversDoNotPerturbExperiments is the tentpole's safety guarantee
-// at the experiment level: attaching the metrics collector plus a strict
-// invariant auditor to every simulation run leaves the rendered experiment
+// at the experiment level: attaching metrics plus an invariant auditor to
+// every simulation run leaves the rendered experiment
 // output byte-identical to the unobserved baseline, the audit finds zero
 // violations, and the deterministic metrics export is byte-identical
 // across Runner worker counts.
@@ -47,31 +44,18 @@ func TestObserversDoNotPerturbExperiments(t *testing.T) {
 	baseline := renderOutcomes(t, Runner{Workers: 2}.Run(e, suite))
 
 	observed := func(workers int) (output, metricsJSON, metricsCSV string, violations int64, runs int) {
-		collector := obs.NewCollector()
-		var mu sync.Mutex
-		var auditors []*obs.InvariantAuditor
-		e.Observe = func(kind, scheduler string, machines int, tasks []sched.Task) sim.Observer {
-			a := &obs.InvariantAuditor{Every: 16, Strict: true}
-			mu.Lock()
-			auditors = append(auditors, a)
-			mu.Unlock()
-			label := obs.RunLabel(kind, scheduler, machines, tasks)
-			return obs.Multi{collector.Observer(label), a}
-		}
+		set := simobs.New(simobs.Options{Metrics: true, Audit: true, AuditEvery: 16})
+		e.Observe = set.Observer
 		defer func() { e.Observe = nil }()
 		out := renderOutcomes(t, Runner{Workers: workers}.Run(e, suite))
 		var j, c bytes.Buffer
-		if err := collector.WriteJSON(&j, false); err != nil {
+		if err := set.WriteMetricsJSON(&j); err != nil {
 			t.Fatal(err)
 		}
-		if err := collector.WriteCSV(&c); err != nil {
+		if err := set.WriteMetricsCSV(&c); err != nil {
 			t.Fatal(err)
 		}
-		var total int64
-		for _, a := range auditors {
-			total += a.Total()
-		}
-		return out, j.String(), c.String(), total, collector.Len()
+		return out, j.String(), c.String(), set.Violations(), set.Len()
 	}
 
 	out1, json1, csv1, viol1, runs1 := observed(1)

@@ -6,25 +6,22 @@ import (
 	"testing"
 
 	"tracon/internal/obs"
-	"tracon/internal/sched"
-	"tracon/internal/sim"
+	"tracon/internal/simobs"
 )
 
-// tracedSuite runs the experiment cross-section with a trace collector
-// attached and returns the rendered output plus the NDJSON export.
+// tracedSuite runs the experiment cross-section with tracing attached and
+// returns the rendered output plus the NDJSON export.
 func tracedSuite(t *testing.T, e *Env, workers int) (output, ndjson string, collisions int) {
 	t.Helper()
-	collector := obs.NewTraceCollector(obs.DefaultTraceCap)
-	e.Observe = func(kind, scheduler string, machines int, tasks []sched.Task) sim.Observer {
-		return collector.Tracer(obs.RunLabel(kind, scheduler, machines, tasks), scheduler, machines)
-	}
+	runs := simobs.New(simobs.Options{Trace: true})
+	e.Observe = runs.Observer
 	defer func() { e.Observe = nil }()
 	out := renderOutcomes(t, Runner{Workers: workers}.Run(e, observeSuite()))
 	var buf bytes.Buffer
-	if err := collector.WriteNDJSON(&buf); err != nil {
+	if err := runs.WriteNDJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	return out, buf.String(), collector.Collisions()
+	return out, buf.String(), runs.Collisions()
 }
 
 // TestTraceExportDeterministicAcrossWorkers is the tentpole's golden
@@ -38,16 +35,7 @@ func TestTraceExportDeterministicAcrossWorkers(t *testing.T) {
 		seeds = append(seeds, 42)
 	}
 	for _, seed := range seeds {
-		var e *Env
-		if seed == 1 {
-			e = testEnv(t)
-		} else {
-			var err error
-			e, err = NewEnvParallel(seed, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
+		e := seededEnv(t, seed)
 		baseline := renderOutcomes(t, Runner{Workers: 2}.Run(e, observeSuite()))
 
 		var first string

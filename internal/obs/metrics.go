@@ -14,7 +14,6 @@ package obs
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 )
@@ -286,13 +285,4 @@ func (r *Registry) Snapshot() []MetricPoint {
 		return out[i].Name < out[j].Name
 	})
 	return out
-}
-
-// round9 trims float noise for stable human-facing exports where exactness
-// is not load-bearing (never applied to determinism-checked fields).
-func round9(v float64) float64 {
-	if v == 0 || math.IsInf(v, 0) || math.IsNaN(v) {
-		return v
-	}
-	return math.Round(v*1e9) / 1e9
 }

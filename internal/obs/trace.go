@@ -5,29 +5,19 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
-	"sort"
 	"sync"
-
-	"tracon/internal/sim"
 )
 
-// This file implements Tracer, a sim.Observer that records per-task
-// lifecycle spans and scheduler decisions, deterministically and within a
-// bound. Events land in a ring buffer of fixed capacity with an explicit
-// drop counter, so tracing a 10,000-machine run costs O(capacity) memory
-// and the export says exactly how much history it kept. Two export
-// formats are supported: a compact NDJSON stream (the canonical,
-// machine-readable form consumed by cmd/tracontrace) and Chrome/Perfetto
-// trace_event JSON (one track per machine, one for the scheduler) for
-// chrome://tracing or ui.perfetto.dev.
-//
-// Every event payload is a pure function of the simulated run and events
-// are recorded in engine order, so for a fixed seed the exports are
-// byte-identical no matter how many workers executed the experiment suite
-// — provided run labels are input-derived (see RunLabel) so each engine
-// run feeds its own Tracer.
+// This file implements Tracer, a bounded, deterministic recorder of trace
+// events: the simulator's per-task lifecycle spans and scheduler decisions
+// (recorded by internal/simobs) and the serving daemon's request spans.
+// Events land in a ring buffer of fixed capacity with an explicit drop
+// counter, so tracing a 10,000-machine run costs O(capacity) memory and
+// the export says exactly how much history it kept. Two export formats
+// are supported: a compact NDJSON stream (the canonical, machine-readable
+// form consumed by cmd/tracontrace) and Chrome/Perfetto trace_event JSON
+// (one track per machine, one for the scheduler) for chrome://tracing or
+// ui.perfetto.dev.
 
 // TraceSchema versions the NDJSON stream. Schema 2 added the fault event
 // kinds (fail, timeout, evict, retry, lost, machine_down, machine_up);
@@ -200,8 +190,8 @@ type DoneInfo struct {
 	Horizon   float64 `json:"horizon_s"`
 }
 
-// Tracer is a bounded, deterministic recorder for one simulation run. It
-// implements sim.Observer. The zero value is not usable; use NewTracer.
+// Tracer is a bounded, deterministic recorder for one run. The zero value
+// is not usable; use NewTracer.
 type Tracer struct {
 	mu        sync.Mutex
 	label     string
@@ -213,8 +203,9 @@ type Tracer struct {
 }
 
 // NewTracer builds a recorder with the given ring capacity (events);
-// capacity <= 0 takes DefaultTraceCap. The label should be input-derived
-// (see RunLabel); scheduler and machines annotate the export header.
+// capacity <= 0 takes DefaultTraceCap. A simulation run's label should
+// be input-derived (see simobs.RunLabel); scheduler and machines annotate
+// the export header.
 func NewTracer(label, scheduler string, machines, capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultTraceCap
@@ -222,8 +213,9 @@ func NewTracer(label, scheduler string, machines, capacity int) *Tracer {
 	return &Tracer{label: label, scheduler: scheduler, machines: machines, cap: capacity}
 }
 
-// record appends one event, overwriting the oldest once the ring is full.
-func (t *Tracer) record(ev TraceEvent) {
+// Append records one event (a simulator event or a serving-path span),
+// overwriting the oldest once the ring is full. The ring stamps its Seq.
+func (t *Tracer) Append(ev TraceEvent) {
 	t.mu.Lock()
 	ev.Seq = t.total
 	if len(t.buf) < t.cap {
@@ -234,10 +226,6 @@ func (t *Tracer) record(ev TraceEvent) {
 	t.total++
 	t.mu.Unlock()
 }
-
-// Append records one externally built event (the serving daemon's span
-// emitters); Seq is stamped by the ring exactly as for sim events.
-func (t *Tracer) Append(ev TraceEvent) { t.record(ev) }
 
 // Dropped returns how many events the ring overwrote.
 func (t *Tracer) Dropped() int64 {
@@ -262,65 +250,6 @@ func (t *Tracer) Events() []TraceEvent {
 		out = append(out, t.buf...)
 	}
 	return out
-}
-
-// Observe implements sim.Observer: it records every event but OnStep.
-// Decisions read the backlog and the candidate set from the View, which
-// shows them as the policy was offered them.
-func (t *Tracer) Observe(v sim.View, ev sim.Event) error {
-	rec := TraceEvent{T: ev.Now}
-	switch ev.Kind {
-	case sim.OnArrival:
-		rec.Kind, rec.Arrival = "arrival", &ArrivalInfo{Task: ev.Task.ID, App: ev.Task.App, Held: ev.Held, Deps: ev.Task.DependsOn}
-	case sim.OnEnqueue:
-		rec.Kind, rec.Enqueue = "enqueue", &EnqueueInfo{Task: ev.Task.ID, App: ev.Task.App, Released: ev.Released}
-	case sim.OnFlush:
-		rec.Kind = "flush"
-	case sim.OnDecision:
-		d := &DecisionInfo{Batch: ev.Decision.Batch, Placed: ev.Decision.Placed, Backlog: v.Backlog(), FreeSlots: v.FreeSlots()}
-		for c, n := range v.PoolCounts() {
-			d.Candidates = append(d.Candidates, CategoryCount{Category: c, N: n})
-		}
-		sort.Slice(d.Candidates, func(i, j int) bool { return d.Candidates[i].Category < d.Candidates[j].Category })
-		rec.Kind, rec.Decision = "decision", d
-	case sim.OnPop:
-		p := ev.Pop
-		rec.Kind, rec.Pop = "pop", &PopInfo{Category: p.Category, Machine: p.Machine, Slot: p.Slot, FreeGen: p.FreeGen}
-	case sim.OnPlace:
-		p := ev.Place
-		rec.Kind, rec.Place = "place", &PlaceInfo{
-			Task: p.Task.ID, App: p.Task.App, Machine: p.Machine, Slot: p.Slot,
-			Neighbour: p.Neighbour, Work: p.Work, Predicted: p.Predicted,
-		}
-	case sim.OnSegment:
-		s := ev.Segment
-		rec.Kind, rec.Segment = "segment", &SegmentInfo{
-			Machine: s.Machine, Slot: s.Slot, Task: s.TaskID, App: s.App,
-			Rate: s.Rate, Neighbour: s.Neighbour, WorkLeft: s.WorkLeft,
-		}
-	case sim.OnComplete:
-		c, r := ev.Complete, ev.Complete.Record
-		rec.Kind, rec.Complete = "complete", &CompleteInfo{
-			Task: r.Task.ID, App: r.Task.App, Machine: r.Machine, Slot: r.Slot,
-			Start: r.Start, Wait: r.Wait(), Predicted: c.Predicted, Residual: c.Residual,
-		}
-	case sim.OnFault:
-		f := ev.Fault
-		rec.Kind, rec.Fault = f.Kind, &FaultInfo{
-			Machine: f.Machine, Slot: f.Slot, Task: f.TaskID, App: f.App,
-			Attempt: f.Attempt, Delay: f.Delay,
-		}
-	case sim.OnDone:
-		r := ev.Results
-		rec.Kind, rec.Done = "done", &DoneInfo{
-			Scheduler: r.Scheduler, Completed: r.CompletedCount,
-			Submitted: r.Submitted, Horizon: r.Horizon,
-		}
-	default:
-		return nil
-	}
-	t.record(rec)
-	return nil
 }
 
 // traceHeader is the NDJSON run-header line.
@@ -418,89 +347,4 @@ func ReadTraces(r io.Reader) ([]*RunTrace, error) {
 		return nil, err
 	}
 	return runs, nil
-}
-
-// TraceCollector owns one Tracer per run label, for experiment suites that
-// execute many runs from parallel workers. Labels must be input-derived
-// (see RunLabel) and unique per run; a duplicate label gets its own tracer
-// under a disambiguated name and bumps Collisions, because interleaving
-// two engines' events in one ring would make the export depend on worker
-// scheduling.
-type TraceCollector struct {
-	mu         sync.Mutex
-	cap        int
-	runs       map[string]*Tracer
-	collisions int
-}
-
-// NewTraceCollector returns an empty collector whose tracers use the given
-// ring capacity (<= 0 takes DefaultTraceCap).
-func NewTraceCollector(capacity int) *TraceCollector {
-	return &TraceCollector{cap: capacity, runs: map[string]*Tracer{}}
-}
-
-// Tracer builds the recorder for one run.
-func (c *TraceCollector) Tracer(label, scheduler string, machines int) *Tracer {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, dup := c.runs[label]; dup {
-		c.collisions++
-		label = fmt.Sprintf("%s!dup%d", label, c.collisions)
-	}
-	t := NewTracer(label, scheduler, machines, c.cap)
-	c.runs[label] = t
-	return t
-}
-
-// Len returns the number of runs traced.
-func (c *TraceCollector) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.runs)
-}
-
-// Collisions returns how many duplicate labels were seen; a non-zero value
-// means labels were not input-unique and the export is not deterministic.
-func (c *TraceCollector) Collisions() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.collisions
-}
-
-// WriteNDJSON writes every run, sorted by label.
-func (c *TraceCollector) WriteNDJSON(w io.Writer) error {
-	c.mu.Lock()
-	labels := make([]string, 0, len(c.runs))
-	for l := range c.runs {
-		labels = append(labels, l)
-	}
-	sort.Strings(labels)
-	tracers := make([]*Tracer, len(labels))
-	for i, l := range labels {
-		tracers[i] = c.runs[l]
-	}
-	c.mu.Unlock()
-	for _, t := range tracers {
-		if err := t.WriteNDJSON(w); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Export writes trace_<tag>.ndjson under dir, creating dir if needed.
-func (c *TraceCollector) Export(dir, tag string) (string, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", err
-	}
-	path := filepath.Join(dir, fmt.Sprintf("trace_%s.ndjson", tag))
-	f, err := os.Create(path)
-	if err != nil {
-		return "", err
-	}
-	if err := c.WriteNDJSON(f); err != nil {
-		f.Close()
-		return "", err
-	}
-	return path, f.Close()
 }

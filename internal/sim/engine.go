@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"time"
 
 	"tracon/internal/fault"
 	"tracon/internal/sched"
@@ -260,7 +259,9 @@ type Engine struct {
 	// attempts maps task ID → placement attempts made so far (allocated
 	// only when Config.Faults is set).
 	attempts map[int64]int
-	// obsErr is the observer's first error; see observe.
+	// ev is the one Event every emission fills and reports; obsErr is the
+	// observer's first error. See observe.
+	ev     Event
 	obsErr error
 }
 
@@ -345,7 +346,8 @@ func (e *Engine) Run(arrivals []sched.Task, horizon float64) (*Results, error) {
 			t := &e.arrivals[ref]
 			held := !e.deps.ready(t.ID)
 			if e.cfg.Observer != nil {
-				e.observe(Event{Kind: OnArrival, Task: *t, Held: held})
+				e.ev.Task, e.ev.Held = *t, held
+				e.observe(OnArrival)
 			}
 			if held {
 				e.deps.hold(*t)
@@ -370,7 +372,7 @@ func (e *Engine) Run(arrivals []sched.Task, horizon float64) (*Results, error) {
 			// ensureFlush re-arms for the remaining head if needed.
 			e.nextFlushAt = math.Inf(1)
 			if e.cfg.Observer != nil {
-				e.observe(Event{Kind: OnFlush})
+				e.observe(OnFlush)
 			}
 		case evMachineDown:
 			e.machineDown(int(ev.machine))
@@ -399,7 +401,8 @@ func (e *Engine) Run(arrivals []sched.Task, horizon float64) (*Results, error) {
 		}
 		e.ensureFlush()
 		if e.cfg.Observer != nil {
-			e.observe(Event{Kind: OnStep, Step: okind})
+			e.ev.Step = okind
+			e.observe(OnStep)
 		}
 	}
 	if !math.IsInf(horizon, 1) {
@@ -408,7 +411,8 @@ func (e *Engine) Run(arrivals []sched.Task, horizon float64) (*Results, error) {
 	e.results.Horizon = e.now
 	e.flushEnergy(e.now)
 	if e.cfg.Observer != nil {
-		e.observe(Event{Kind: OnDone, Results: &e.results})
+		e.ev.Results = &e.results
+		e.observe(OnDone)
 		if e.obsErr != nil {
 			return nil, e.obsErr
 		}
@@ -416,16 +420,17 @@ func (e *Engine) Run(arrivals []sched.Task, horizon float64) (*Results, error) {
 	return &e.results, nil
 }
 
-// observe reports ev, stamped with the current time, to the observer;
-// callers test Config.Observer first. The observer's first error sticks:
-// nothing further is reported, the event loop stops before the next
-// event, and Run returns the error.
-func (e *Engine) observe(ev Event) {
+// observe reports the engine's event, stamped with kind and the current
+// time, to the observer; callers test Config.Observer first and fill the
+// payload field kind selects. The observer's first error sticks: nothing
+// further is reported, the event loop stops before the next event, and
+// Run returns the error.
+func (e *Engine) observe(kind Hook) {
 	if e.obsErr != nil {
 		return
 	}
-	ev.Now = e.now
-	if err := e.cfg.Observer.Observe(View{e}, ev); err != nil {
+	e.ev.Kind, e.ev.Now = kind, e.now
+	if err := e.cfg.Observer.Observe(View{e}, &e.ev); err != nil {
 		e.obsErr = fmt.Errorf("sim: observer: %w", err)
 	}
 }
@@ -512,7 +517,8 @@ func observedKind(k eventKind) EventKind {
 // fill) are armed by ensureFlush after the scheduling pass.
 func (e *Engine) enqueue(ref int, released bool) {
 	if e.cfg.Observer != nil {
-		e.observe(Event{Kind: OnEnqueue, Task: *e.task(ref), Released: released})
+		e.ev.Task, e.ev.Released = *e.task(ref), released
+		e.observe(OnEnqueue)
 	}
 	e.queue = append(e.queue, ref)
 	// Compact the backlog when the dead prefix dominates.
@@ -593,10 +599,11 @@ func (e *Engine) reprice(m int) {
 			rt.rate *= e.cfg.Faults.RateFactor(m, s, e.now)
 		}
 		if e.cfg.Observer != nil {
-			e.observe(Event{Kind: OnSegment, Segment: Segment{
+			e.ev.Segment = Segment{
 				Machine: m, Slot: s, TaskID: rt.task.ID, App: rt.task.App,
 				Rate: rt.rate, Neighbour: e.table.apps[nb], WorkLeft: rt.workLeft,
-			}})
+			}
+			e.observe(OnSegment)
 		}
 		// Generations are engine-global: a per-task counter would collide
 		// with stale events left behind by a previous occupant of the slot.
@@ -624,7 +631,8 @@ func (e *Engine) complete(m, slot int) error {
 	ms.slots[slot] = nil
 	rec := TaskRecord{Task: rt.task, Start: rt.start, Finish: e.now, Machine: m, Slot: slot}
 	if e.cfg.Observer != nil {
-		e.observe(Event{Kind: OnComplete, Complete: Completion{Record: rec, Predicted: rt.predicted, Residual: rt.rawLeft}})
+		e.ev.Complete = Completion{Record: rec, Predicted: rt.predicted, Residual: rt.rawLeft}
+		e.observe(OnComplete)
 	}
 	// Release any workflow tasks this completion unblocks.
 	for _, released := range e.deps.complete(rt.task.ID) {
@@ -697,10 +705,11 @@ func (e *Engine) place(t sched.Task, m, slot int) error {
 		rt.predicted = rt.workLeft / base
 	}
 	if e.cfg.Observer != nil {
-		e.observe(Event{Kind: OnPlace, Place: PlaceInfo{
+		e.ev.Place = PlaceInfo{
 			Task: t, Machine: m, Slot: slot, Neighbour: e.table.apps[nb],
 			Work: rt.workLeft, Predicted: rt.predicted,
-		}})
+		}
+		e.observe(OnPlace)
 	}
 	e.settleEnergy(m) // re-sample power under the new membership
 	return nil
@@ -727,9 +736,13 @@ func (e *Engine) trySchedule() error {
 		// Crashed machines are not capacity.
 		load := sched.Load{TotalSlots: e.pool.InServiceMachines() * sched.SlotsPerMachine, Queued: n}
 		e.counts = e.pool.Counts(e.counts)
-		placements, err := e.decide(batch, load)
+		placements, err := e.cfg.Scheduler.Schedule(batch, e.counts, load)
 		if err != nil {
 			return err
+		}
+		if e.cfg.Observer != nil {
+			e.ev.Decision = Decision{Batch: len(batch), Placed: len(placements)}
+			e.observe(OnDecision)
 		}
 		if len(placements) == 0 {
 			return nil
@@ -764,30 +777,17 @@ func (e *Engine) trySchedule() error {
 	return nil
 }
 
-// decide runs the policy on the batch; with an observer attached it times
-// the call and reports it.
-func (e *Engine) decide(batch []sched.Task, load sched.Load) ([]sched.Placement, error) {
-	if e.cfg.Observer == nil {
-		return e.cfg.Scheduler.Schedule(batch, e.counts, load)
-	}
-	t0 := time.Now()
-	placements, err := e.cfg.Scheduler.Schedule(batch, e.counts, load)
-	if err == nil {
-		e.observe(Event{Kind: OnDecision, Decision: Decision{Batch: len(batch), Placed: len(placements), Wall: time.Since(t0)}})
-	}
-	return placements, err
-}
-
 // pop resolves a placement category to a free slot and, with an observer
 // attached, reports the pop.
 func (e *Engine) pop(category string) (machine, slot int, err error) {
 	if e.cfg.Observer == nil {
 		return e.pool.Pop(category)
 	}
-	p := PopInfo{Category: category}
+	p := &e.ev.Pop
+	p.Category = category
 	p.Machine, p.Slot, p.FreeGen, err = e.pool.PopTraced(category)
 	if err == nil {
-		e.observe(Event{Kind: OnPop, Pop: p})
+		e.observe(OnPop)
 	}
 	return p.Machine, p.Slot, err
 }

@@ -111,6 +111,7 @@ func (e *Engine) retryOrLose(t sched.Task) {
 // reportFault reports one fault transition to the observer, if any.
 func (e *Engine) reportFault(f FaultInfo) {
 	if e.cfg.Observer != nil {
-		e.observe(Event{Kind: OnFault, Fault: f})
+		e.ev.Fault = f
+		e.observe(OnFault)
 	}
 }

@@ -17,7 +17,7 @@ type recObserver struct {
 	log    []string
 }
 
-func (r *recObserver) Observe(_ View, ev Event) error {
+func (r *recObserver) Observe(_ View, ev *Event) error {
 	switch ev.Kind {
 	case OnPlace:
 		r.log = append(r.log, fmt.Sprintf("place t=%.6f task=%d m=%d s=%d", ev.Now, ev.Place.Task.ID, ev.Place.Machine, ev.Place.Slot))

@@ -56,7 +56,7 @@ func runFlushMode(t *testing.T, naive bool, s sched.Scheduler, machines int, tas
 // mark.
 type heapWatcher struct{ max *int }
 
-func (w heapWatcher) Observe(v View, ev Event) error {
+func (w heapWatcher) Observe(v View, ev *Event) error {
 	if n := v.EventHeapLen(); ev.Kind == OnStep && n > *w.max {
 		*w.max = n
 	}
@@ -145,9 +145,9 @@ func TestObserverDoesNotPerturbRun(t *testing.T) {
 }
 
 // observeFunc adapts a function to Observer.
-type observeFunc func(View, Event) error
+type observeFunc func(View, *Event) error
 
-func (f observeFunc) Observe(v View, ev Event) error { return f(v, ev) }
+func (f observeFunc) Observe(v View, ev *Event) error { return f(v, ev) }
 
 // TestObserverErrorAbortsRun: the observer's first error ends the run. Run
 // returns it wrapped as "sim: observer: …" with no Results, the observer
@@ -159,7 +159,7 @@ func TestObserverErrorAbortsRun(t *testing.T) {
 	boom := errors.New("boom")
 	for _, failOn := range []Hook{OnArrival, OnEnqueue, OnDecision, OnPop, OnPlace, OnSegment, OnComplete, OnStep, OnDone} {
 		failed, after, failedAt := false, 0, 0.0
-		o := observeFunc(func(v View, ev Event) error {
+		o := observeFunc(func(v View, ev *Event) error {
 			switch {
 			case failed:
 				after++

@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"time"
-
-	"tracon/internal/sched"
-)
+import "tracon/internal/sched"
 
 // This file is the engine's observability surface: an Observer receives
 // one synchronous callback per lifecycle transition of every task
@@ -13,23 +9,25 @@ import (
 // a View handle for read-only inspection of the engine's internals. A nil
 // Config.Observer costs one branch per emission point, and a non-nil
 // observer must not perturb the simulation: all View accessors are pure
-// reads, and every payload is data the engine computes anyway (or, for
-// the fairness snapshot and the decision wall time, computes only for an
-// observer). The no-perturbation and golden tests run with observers
-// attached to enforce this.
+// reads, and every payload is data the engine computes anyway. The
+// no-perturbation and golden tests run with observers attached to enforce
+// this.
 //
-// All payloads except Decision.Wall are pure functions of the simulated
-// run, so a deterministic Observer (see internal/obs) produces
-// byte-identical exports for the same seed at every worker count.
+// Every payload is a pure function of the simulated run, so a
+// deterministic Observer (see internal/simobs) produces byte-identical
+// exports for the same seed at every worker count.
 
 // Observer receives simulation events. Observe runs synchronously on the
 // engine's goroutine in event order; implementations must treat the View
-// and the Event as read-only and must not call back into the engine. A
-// non-nil error aborts the run: the engine reports nothing further, the
-// event being processed is the last one, and Engine.Run returns the error —
-// that is how the invariant auditor turns a violation into a loud failure.
+// and the Event as read-only and must not call back into the engine. ev
+// points at the one Event the engine refills for every emission, so it is
+// valid only during the call: an observer must not keep the pointer (copy
+// what it needs). A non-nil error aborts the run: the engine reports
+// nothing further, the event being processed is the last one, and
+// Engine.Run returns the error — that is how the invariant auditor turns a
+// violation into a loud failure.
 type Observer interface {
-	Observe(v View, ev Event) error
+	Observe(v View, ev *Event) error
 }
 
 // Hook names what an Event reports and selects its payload field.
@@ -77,7 +75,9 @@ const (
 )
 
 // Event is one observed engine event. Kind selects the one payload field
-// that is set; the others are zero.
+// that holds this event's data. The engine reuses one Event for every
+// emission and sets only that field, so the others may hold an earlier
+// event's data and must not be read.
 type Event struct {
 	Kind Hook
 	// Now is the simulation time of the event.
@@ -152,9 +152,6 @@ type Decision struct {
 	Batch int
 	// Placed is the number of placements the policy emitted.
 	Placed int
-	// Wall is the policy's decision latency in wall-clock time. It is
-	// inherently nondeterministic; deterministic exports must exclude it.
-	Wall time.Duration
 }
 
 // PopInfo describes one free-pool resolution performed by the engine.
