@@ -17,15 +17,18 @@ import (
 // observedGolden pins the seed-1 observed exports of observedSlice: the
 // trace NDJSON, the metrics JSON and CSV and the invariant auditors'
 // summaries in label order, once fault-free and once
-// under goldenFaultPlan.
+// under goldenFaultPlan. The four metrics digests were re-captured when the
+// free pool's two heap high-water marks (max_pool_global_heap,
+// max_pool_category_heap) left the JSON and CSV; every other field and
+// column was unchanged.
 var observedGolden = map[string]string{
 	"clean/trace":         "5741e874a823d0a3a5796ea4a14101b959950ca6c938e0ef8fb568f0d839fd5e",
-	"clean/metrics.json":  "474e9c354995787160334ab646adb61459d62e1b24907b9808e11e3a29e337f3",
-	"clean/metrics.csv":   "889e900aded8294e40a6f7fc7286f4e39fc548d4182980c6527486cae2c751ca",
+	"clean/metrics.json":  "44df396e1a17ef3016377f8c515fcfc2a8f0cfdcc742a4f2778a2e947ffb6ba2",
+	"clean/metrics.csv":   "0a57cfd036c35d273c31ada57c011adfb23d1de26045abd950a625c7e5591d26",
 	"clean/audit":         "ab4da6fb65007b4a9b1b79052b56a56591e87afe9ec0968e96a4e97832ca59c3",
 	"faults/trace":        "3627d431dc27c6145ca60d859c73ce815a63d62776c0b241efcc2d1acf6b14c7",
-	"faults/metrics.json": "d1e248dab11e845e8b1f3cf6f95ee3ced5c9cf1c3123910112d01a5c81fa6df1",
-	"faults/metrics.csv":  "8fe0c1f8ac0407e81fbcab1274a2d534b323b6a91dedfa4301180b6e00cc25cd",
+	"faults/metrics.json": "aa3a754a94eb2948140ee057463d9cc6db5935aa0998388ae59a64f734155f13",
+	"faults/metrics.csv":  "8267507bf8953d44fd6699b818b2c5537baea0d675d6f5b990b5f9694de8e3d3",
 	"faults/audit":        "6c11b154280b35c271e36ad958f4bd76a099cd2b27bced2bb2385bcc29012693",
 }
 

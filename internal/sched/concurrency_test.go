@@ -109,7 +109,6 @@ func TestFreePoolSingleOwnerGuard(t *testing.T) {
 		{"Vacate", func(p *FreePool) { p.Vacate(0, 0) }},
 		{"SetInService", func(p *FreePool) { p.SetInService(1, true) }},
 		{"Check", func(p *FreePool) { p.Check() }},
-		{"Stats", func(p *FreePool) { p.Stats() }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			p := NewFreePool()

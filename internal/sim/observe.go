@@ -292,9 +292,6 @@ func (v View) PoolCheck() error { return v.e.pool.Check() }
 // PoolCounts returns a copy of the pool's per-category free counts.
 func (v View) PoolCounts() sched.Counts { return v.e.pool.Counts(nil) }
 
-// PoolStats returns the pool's internal sizes.
-func (v View) PoolStats() sched.PoolStats { return v.e.pool.Stats() }
-
 // MachineDown reports whether the machine is currently crashed under the
 // run's fault plan (always false in fault-free runs).
 func (v View) MachineDown(machine int) bool {

@@ -161,8 +161,7 @@ var csvHeader = []string{
 	"horizon_s", "energy_j", "mean_runtime_s", "mean_wait_s",
 	"slot_utilization", "mean_queue_len", "max_queue_len",
 	"queue_p50", "queue_p95", "queue_p99",
-	"max_event_heap", "max_pool_global_heap", "max_pool_category_heap",
-	"pops_total", "pops_any", "sched_calls", "sched_placed",
+	"max_event_heap", "pops_total", "pops_any", "sched_calls", "sched_placed",
 	"mean_abs_rel_err",
 }
 
@@ -192,9 +191,7 @@ func (s *Runs) WriteMetricsCSV(w io.Writer) error {
 			f(r.Horizon), f(r.EnergyJ), f(r.MeanRuntime), f(r.MeanWait),
 			f(r.SlotUtilization), f(r.MeanQueueLen), strconv.Itoa(r.MaxQueueLen),
 			f(r.QueueP50), f(r.QueueP95), f(r.QueueP99),
-			strconv.Itoa(r.MaxEventHeap), strconv.Itoa(r.MaxGlobalHeap),
-			strconv.Itoa(r.MaxCategoryHeap),
-			d(r.PopsTotal), d(r.PopsAny), d(r.SchedCalls), d(r.SchedPlaced),
+			strconv.Itoa(r.MaxEventHeap), d(r.PopsTotal), d(r.PopsAny), d(r.SchedCalls), d(r.SchedPlaced),
 			f(overall),
 		}
 		if err := cw.Write(row); err != nil {

@@ -50,9 +50,7 @@ type SimStats struct {
 	events   map[string]int64
 	maxQueue int
 
-	maxEventHeap    int
-	maxGlobalHeap   int
-	maxCategoryHeap int
+	maxEventHeap int
 
 	popsTotal int64
 	popsAny   int64
@@ -170,13 +168,6 @@ func (s *SimStats) step(v sim.View, kind sim.EventKind, now float64) {
 	if n := v.EventHeapLen(); n > s.maxEventHeap {
 		s.maxEventHeap = n
 	}
-	ps := v.PoolStats()
-	if ps.GlobalHeapLen > s.maxGlobalHeap {
-		s.maxGlobalHeap = ps.GlobalHeapLen
-	}
-	if ps.CategoryHeapLen > s.maxCategoryHeap {
-		s.maxCategoryHeap = ps.CategoryHeapLen
-	}
 }
 
 // complete accumulates realized-vs-predicted interference error per app.
@@ -261,9 +252,7 @@ type RunStats struct {
 	QueueHist     obs.HistogramSnapshot `json:"queue_hist"`
 	QueueTimeline []TimelinePoint       `json:"queue_timeline"`
 
-	MaxEventHeap    int `json:"max_event_heap"`
-	MaxGlobalHeap   int `json:"max_pool_global_heap"`
-	MaxCategoryHeap int `json:"max_pool_category_heap"`
+	MaxEventHeap int `json:"max_event_heap"`
 
 	PopsTotal int64 `json:"pops_total"`
 	PopsAny   int64 `json:"pops_any"`
@@ -283,20 +272,18 @@ func (s *SimStats) Snapshot() RunStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := RunStats{
-		Label:           s.Label,
-		Machines:        s.machines,
-		Slots:           s.totalSlots,
-		MaxQueueLen:     s.maxQueue,
-		Events:          map[string]int64{},
-		QueueHist:       s.queueHist.Snapshot(),
-		QueueTimeline:   append([]TimelinePoint(nil), s.timeline...),
-		MaxEventHeap:    s.maxEventHeap,
-		MaxGlobalHeap:   s.maxGlobalHeap,
-		MaxCategoryHeap: s.maxCategoryHeap,
-		PopsTotal:       s.popsTotal,
-		PopsAny:         s.popsAny,
-		SchedCalls:      s.schedCalls,
-		SchedPlaced:     s.schedPlaced,
+		Label:         s.Label,
+		Machines:      s.machines,
+		Slots:         s.totalSlots,
+		MaxQueueLen:   s.maxQueue,
+		Events:        map[string]int64{},
+		QueueHist:     s.queueHist.Snapshot(),
+		QueueTimeline: append([]TimelinePoint(nil), s.timeline...),
+		MaxEventHeap:  s.maxEventHeap,
+		PopsTotal:     s.popsTotal,
+		PopsAny:       s.popsAny,
+		SchedCalls:    s.schedCalls,
+		SchedPlaced:   s.schedPlaced,
 	}
 	for k, n := range s.events {
 		out.Events[k] = n
