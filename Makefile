@@ -115,7 +115,7 @@ cover:
 bench-test:
 	$(GO) test -C bench . -count=1
 	$(GO) test ./internal/serve -run '^$$' -bench BenchmarkPlacerSubmitComplete -benchtime 1x
-	$(GO) test ./internal/sched -run '^$$' -bench BenchmarkSchedule -benchtime 1x
+	$(GO) test ./internal/sched -run '^$$' -bench 'BenchmarkSchedule|BenchmarkFreePoolCycle' -benchtime 1x
 	$(GO) test ./internal/sim -run '^$$' -bench BenchmarkEngineRun -benchtime 1x
 	$(GO) test ./internal/model -run '^$$' -bench 'BenchmarkProfileAll|BenchmarkTrainLibrary' -benchtime 1x
 
