@@ -201,11 +201,6 @@ func run(cfg daemonConfig) (err error) {
 			return fmt.Errorf("opening data dir %s: %w", cfg.dataDir, err)
 		}
 		defer mgr.Close()
-		rec := mgr.Recovery()
-		cfg.logger.Info("journal opened",
-			"dir", cfg.dataDir, "fsync", policy.String(),
-			"replay_events", len(rec.Events), "snapshot", rec.Snapshot != nil,
-			"torn_tail", rec.TornTail, "segments", rec.Segments)
 	}
 
 	srv, err := serve.New(lib, serve.Config{

@@ -12,8 +12,11 @@ import (
 //   - the only error types are ErrCorrupt and ErrBadSeq (never a panic, an
 //     allocation blow-up or an unwrapped decode error);
 //   - GoodSize never exceeds the input and always lands on a frame
-//     boundary: re-reading the good prefix yields the same events, clean;
-//   - a segment that reads clean round-trips through re-encoding.
+//     boundary: re-reading the good prefix yields the same events, clean.
+//
+// Each input, behind the snapshot magic, also goes to the snapshot
+// reader, which shares the frame decoder: its only error is ErrCorrupt,
+// and a snapshot that decodes round-trips through re-encoding.
 func FuzzWALReader(f *testing.F) {
 	evs := []Event{
 		{Seq: 1, Kind: EvAdmit, Task: "t-1", App: "sort", Machine: -1, Slot: -1},
@@ -23,7 +26,7 @@ func FuzzWALReader(f *testing.F) {
 	valid := append([]byte{}, walMagic[:]...)
 	for _, ev := range evs {
 		var err error
-		if valid, err = encodeFrame(valid, ev); err != nil {
+		if valid, err = encodeFrame(valid, ev, maxFrame); err != nil {
 			f.Fatal(err)
 		}
 	}
@@ -34,9 +37,20 @@ func FuzzWALReader(f *testing.F) {
 	flipped := append([]byte{}, valid...)
 	flipped[len(walMagic)+frameHeader+4] ^= 0x10 // mid-log corruption
 	f.Add(flipped)
+	snap, err := encodeFrame(nil, &PlacerState{
+		Seq: 3, NextID: 2, Queue: []string{"t-1"},
+		Machines:   []MachineState{{State: "up", Slots: []SlotState{{Task: "t-2", App: "grep"}, {}}}},
+		Placements: []PlacementState{{ID: "t-1", App: "sort", Status: "queued", Machine: -1, Slot: -1}},
+	}, maxSnapshot)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(snap) // a snapshot frame, once behind the snapshot magic
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		seg, err := ReadWAL(bytes.NewReader(data), 0)
+		checkSnapshotDecode(t, append(append([]byte{}, snapMagic[:]...), data...))
+
+		seg, err := readWAL(data, 0)
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrBadSeq) {
 				t.Fatalf("untyped error: %v", err)
@@ -50,7 +64,7 @@ func FuzzWALReader(f *testing.F) {
 			t.Fatalf("%d events but GoodSize %d", len(seg.Events), seg.GoodSize)
 		}
 		if seg.GoodSize >= int64(len(walMagic)) {
-			again, err := ReadWAL(bytes.NewReader(data[:seg.GoodSize]), 0)
+			again, err := readWAL(data[:seg.GoodSize], 0)
 			if err != nil {
 				t.Fatalf("good prefix re-read failed: %v", err)
 			}
@@ -67,4 +81,29 @@ func FuzzWALReader(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkSnapshotDecode feeds data to the snapshot reader: any error must
+// be ErrCorrupt, and a clean decode must round-trip — its re-encoding
+// decodes, and encodes again to the same bytes.
+func checkSnapshotDecode(t *testing.T, data []byte) {
+	t.Helper()
+	state, err := readSnapshot(data)
+	if err != nil {
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("snapshot: untyped error: %v", err)
+		}
+		return
+	}
+	enc, err := encodeFrame(append([]byte{}, snapMagic[:]...), state, maxSnapshot)
+	if err != nil {
+		t.Fatalf("snapshot: re-encoding a decoded state: %v", err)
+	}
+	again, err := readSnapshot(enc)
+	if err != nil {
+		t.Fatalf("snapshot: re-encoded state does not decode: %v", err)
+	}
+	if enc2, _ := encodeFrame(append([]byte{}, snapMagic[:]...), again, maxSnapshot); !bytes.Equal(enc2, enc) {
+		t.Fatalf("snapshot: round trip diverged:\n%s\n%s", enc, enc2)
+	}
 }

@@ -1,52 +1,40 @@
 package durable
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 )
 
 // Offline journal inspection, shared by tracontrace's -wal-dump and
 // -wal-verify modes. Both accept either a single file (one segment or
-// one snapshot, by magic) or a whole data directory.
+// one snapshot, by magic) or a whole data directory, which they read
+// through recovery's own scan in its strict mode: a directory that
+// passes would boot, and every file it retains reads clean.
 
 // Dump renders every record in path (file or data dir) to w,
 // human-readably, and returns the number of events printed.
 func Dump(w io.Writer, path string) (int, error) {
-	files, err := inspectTargets(path)
-	if err != nil {
-		return 0, err
-	}
 	total := 0
-	for _, file := range files {
-		kind, err := sniff(file)
-		if err != nil {
-			return total, err
-		}
-		switch kind {
-		case "snapshot":
-			state, err := ReadSnapshotFile(file)
-			if err != nil {
-				return total, fmt.Errorf("%s: %w", filepath.Base(file), err)
-			}
+	_, err := inspect(path, func(name string, snap *PlacerState, seg *walSegment) {
+		if snap != nil {
 			fmt.Fprintf(w, "%s: snapshot seq=%d machines=%d queue=%d placements=%d done=%d rejected=%d\n",
-				filepath.Base(file), state.Seq, len(state.Machines), len(state.Queue), len(state.Placements), len(state.Done), state.Rejected)
-		case "wal":
-			seg, err := ReadWALFile(file, 0)
-			if err != nil {
-				return total, fmt.Errorf("%s: %w", filepath.Base(file), err)
-			}
-			fmt.Fprintf(w, "%s: %d events, %d good bytes%s\n",
-				filepath.Base(file), len(seg.Events), seg.GoodSize, tornNote(seg.Torn))
-			for _, ev := range seg.Events {
-				fmt.Fprintln(w, ev.String())
-				total++
-			}
+				name, snap.Seq, len(snap.Machines), len(snap.Queue), len(snap.Placements), len(snap.Done), snap.Rejected)
+			return
 		}
-	}
-	return total, nil
+		note := ""
+		if seg.Torn {
+			note = " (torn tail)"
+		}
+		fmt.Fprintf(w, "%s: %d events, %d good bytes%s\n", name, len(seg.Events), seg.GoodSize, note)
+		for _, ev := range seg.Events {
+			fmt.Fprintln(w, ev.String())
+			total++
+		}
+	})
+	return total, err
 }
 
 // VerifyResult summarizes a -wal-verify pass.
@@ -59,139 +47,61 @@ type VerifyResult struct {
 }
 
 // Verify checks every record in path (file or data dir): snapshot CRCs,
-// frame CRCs, and — for a directory — the cross-segment sequence chain.
-// It returns the first integrity error found.
+// frame CRCs, and — for a directory — everything recovery checks plus
+// the files it passes over: every snapshot decodes under its own name's
+// seq, and every segment reads clean and chains onto its predecessor. It
+// returns the first integrity error found.
 func Verify(path string) (VerifyResult, error) {
 	var res VerifyResult
-	files, err := inspectTargets(path)
-	if err != nil {
-		return res, err
-	}
-	isDir := len(files) > 1 || (len(files) == 1 && files[0] != path)
-	var lastSeq uint64
-	for i, file := range files {
-		kind, err := sniff(file)
-		if err != nil {
-			return res, err
-		}
-		switch kind {
-		case "snapshot":
-			state, err := ReadSnapshotFile(file)
-			if err != nil {
-				return res, fmt.Errorf("%s: %w", filepath.Base(file), err)
-			}
+	sc, err := inspect(path, func(_ string, snap *PlacerState, seg *walSegment) {
+		if snap != nil {
 			res.Snapshots++
-			if state.Seq > res.LastSeq {
-				res.LastSeq = state.Seq
-			}
-		case "wal":
-			firstSeq := uint64(0)
-			if isDir {
-				base := filepath.Base(file)
-				if fs, err := fileStartSeq(base); err == nil {
-					firstSeq = fs
-				}
-			}
-			seg, err := ReadWALFile(file, firstSeq)
-			if err != nil {
-				return res, fmt.Errorf("%s: %w", filepath.Base(file), err)
-			}
-			if seg.Torn && isDir && !lastWAL(files, i) {
-				return res, fmt.Errorf("%w: %s has a torn tail but is not the last segment", ErrCorrupt, filepath.Base(file))
-			}
-			if isDir && len(seg.Events) > 0 && lastSeq > 0 && seg.Events[0].Seq != lastSeq+1 {
-				return res, fmt.Errorf("%w: %s starts at seq %d after seq %d", ErrBadSeq, filepath.Base(file), seg.Events[0].Seq, lastSeq)
-			}
-			res.Segments++
-			res.Events += len(seg.Events)
-			res.TornTail = res.TornTail || seg.Torn
-			if n := len(seg.Events); n > 0 {
-				lastSeq = seg.Events[n-1].Seq
-				if lastSeq > res.LastSeq {
-					res.LastSeq = lastSeq
-				}
-			}
+			return
 		}
-	}
-	return res, nil
+		res.Segments++
+		res.Events += len(seg.Events)
+	})
+	res.LastSeq, res.TornTail = sc.lastSeq, sc.info.TornTail
+	return res, err
 }
 
-func tornNote(torn bool) string {
-	if torn {
-		return " (torn tail)"
-	}
-	return ""
-}
-
-// inspectTargets expands path: a directory yields its snapshots (by seq)
-// followed by its WAL segments (by seq); a file yields itself.
-func inspectTargets(path string) ([]string, error) {
+// inspect reads path — a data directory through a strict scan, or one
+// segment or snapshot file on its own — and hands every file to visit.
+func inspect(path string, visit visitFunc) (dirScan, error) {
 	info, err := os.Stat(path)
 	if err != nil {
-		return nil, err
+		return dirScan{}, err
 	}
-	if !info.IsDir() {
-		return []string{path}, nil
-	}
-	snaps, err := listSeqFiles(OSFS{}, path, snapPrefix, snapSuffix)
-	if err != nil {
-		return nil, err
-	}
-	segs, err := listSeqFiles(OSFS{}, path, walPrefix, walSuffix)
-	if err != nil {
-		return nil, err
-	}
-	var out []string
-	for _, sf := range snaps {
-		out = append(out, filepath.Join(path, sf.name))
-	}
-	for _, sf := range segs {
-		out = append(out, filepath.Join(path, sf.name))
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("durable: no journal files in %s", path)
-	}
-	return out, nil
-}
-
-// sniff classifies a file by its magic header. Empty and sub-header
-// files classify as WAL (a segment torn before its header).
-func sniff(path string) (string, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return "", err
-	}
-	defer f.Close()
-	var magic [8]byte
-	n, err := io.ReadFull(f, magic[:])
-	if err != nil && n == 0 {
-		return "wal", nil
-	}
-	if n < len(magic) {
-		return "wal", nil
-	}
-	if magic == snapMagic {
-		return "snapshot", nil
-	}
-	return "wal", nil
-}
-
-// fileStartSeq extracts the sequence from a wal-<seq>.wal name.
-func fileStartSeq(base string) (uint64, error) {
-	mid := strings.TrimSuffix(strings.TrimPrefix(base, walPrefix), walSuffix)
-	var seq uint64
-	_, err := fmt.Sscanf(mid, "%d", &seq)
-	return seq, err
-}
-
-// lastWAL reports whether files[i] is the last WAL file in the expanded
-// list (snapshots sort before segments, so this is just the last index).
-func lastWAL(files []string, i int) bool {
-	last := -1
-	for j, f := range files {
-		if strings.HasSuffix(f, walSuffix) {
-			last = j
+	if info.IsDir() {
+		sc, err := scanDir(OSFS{}, path, visit)
+		if err == nil && sc.info.Snapshot == nil && sc.live.name == "" {
+			err = fmt.Errorf("durable: no journal files in %s", path)
 		}
+		return sc, err
 	}
-	return i == last
+	var sc dirScan
+	name := filepath.Base(path)
+	data, err := readFile(OSFS{}, path)
+	if err != nil {
+		return sc, err
+	}
+	if bytes.HasPrefix(data, snapMagic[:]) {
+		state, err := readSnapshot(data)
+		if err != nil {
+			return sc, fmt.Errorf("%s: %w", name, err)
+		}
+		sc.lastSeq = state.Seq
+		visit(name, state, nil)
+		return sc, nil
+	}
+	seg, err := readWAL(data, 0)
+	if err != nil {
+		return sc, fmt.Errorf("%s: %w", name, err)
+	}
+	if n := len(seg.Events); n > 0 {
+		sc.lastSeq = seg.Events[n-1].Seq
+	}
+	sc.info.TornTail = seg.Torn
+	visit(name, nil, &seg)
+	return sc, nil
 }

@@ -167,90 +167,140 @@ func seqName(prefix string, seq uint64, suffix string) string {
 	return fmt.Sprintf("%s%0*d%s", prefix, seqDigits, seq, suffix)
 }
 
-// recover loads the snapshot + WAL suffix and opens the live segment.
-func (m *Manager) recover() error {
-	snaps, err := listSeqFiles(m.opts.FS, m.dir, snapPrefix, snapSuffix)
+// dirScan is what one read of a data directory found.
+type dirScan struct {
+	info    RecoveryInfo
+	lastSeq uint64  // newest sequence the recovered state covers
+	live    seqFile // the last segment (name empty when there is none)
+	good    int64   // the last segment's GoodSize
+}
+
+// visitFunc receives each file a strict scan reads: a snapshot's state,
+// or a segment.
+type visitFunc func(name string, snap *PlacerState, seg *walSegment)
+
+// scanDir reads dir the way recovery does, and only reads: the newest
+// snapshot that decodes, then every segment the replay needs, checking
+// the sequence chain. With visit set the scan is strict (Verify and
+// Dump): it reads every retained file and hands it to visit, and it also
+// fails on the files recovery passes over — a snapshot that does not
+// decode, a covered segment that does not read clean or does not chain
+// onto its predecessor.
+func scanDir(fsys FS, dir string, visit visitFunc) (dirScan, error) {
+	var sc dirScan
+	snaps, err := listSeqFiles(fsys, dir, snapPrefix, snapSuffix)
 	if err != nil {
-		return err
+		return sc, err
 	}
-	// Newest CRC-valid snapshot wins; torn ones (a crash mid-rotation
-	// can leave a bad newest file) fall back to the previous.
+	// Newest valid snapshot wins; torn ones (a crash mid-rotation can
+	// leave a bad newest file) fall back to the previous.
 	for i := len(snaps) - 1; i >= 0; i-- {
-		state, err := readSnapshotFS(m.opts.FS, filepath.Join(m.dir, snaps[i].name))
+		data, err := readFile(fsys, filepath.Join(dir, snaps[i].name))
+		var state *PlacerState
+		if err == nil {
+			state, err = readSnapshot(data)
+		}
 		if err != nil {
-			if errors.Is(err, ErrCorrupt) || errors.Is(err, fs.ErrNotExist) {
-				m.recovery.SkippedSnapshots++
+			if visit == nil && (errors.Is(err, ErrCorrupt) || errors.Is(err, fs.ErrNotExist)) {
+				sc.info.SkippedSnapshots++
 				continue
 			}
-			return err
+			return sc, fmt.Errorf("%s: %w", snaps[i].name, err)
 		}
 		if state.Seq != snaps[i].seq {
-			return fmt.Errorf("%w: snapshot %s claims seq %d", ErrCorrupt, snaps[i].name, state.Seq)
+			return sc, fmt.Errorf("%w: snapshot %s claims seq %d", ErrCorrupt, snaps[i].name, state.Seq)
 		}
-		m.recovery.Snapshot = state
-		m.snapSeq = state.Seq
-		break
+		if sc.info.Snapshot == nil {
+			sc.info.Snapshot = state
+			sc.lastSeq = state.Seq
+		}
+		if visit == nil {
+			break
+		}
+		visit(snaps[i].name, state, nil)
 	}
 
-	segs, err := listSeqFiles(m.opts.FS, m.dir, walPrefix, walSuffix)
+	segs, err := listSeqFiles(fsys, dir, walPrefix, walSuffix)
 	if err != nil {
-		return err
+		return sc, err
 	}
-	var (
-		lastSeq  = m.snapSeq
-		lastPath string
-		lastGood int64
-	)
+	snapSeq := sc.lastSeq
+	var chain uint64 // the last event read so far, for the strict chain check
 	for i, sf := range segs {
 		// A segment is fully covered by the snapshot when the next
 		// segment starts at or before the first sequence replay needs.
-		if i+1 < len(segs) && segs[i+1].seq <= m.snapSeq+1 {
+		covered := i+1 < len(segs) && segs[i+1].seq <= snapSeq+1
+		if covered && visit == nil {
 			continue
 		}
-		path := filepath.Join(m.dir, sf.name)
-		seg, err := readWALFS(m.opts.FS, path, sf.seq)
+		data, err := readFile(fsys, filepath.Join(dir, sf.name))
+		var seg walSegment
+		if err == nil {
+			seg, err = readWAL(data, sf.seq)
+		}
 		if err != nil {
-			return fmt.Errorf("reading %s: %w", sf.name, err)
+			return sc, fmt.Errorf("reading %s: %w", sf.name, err)
 		}
 		if seg.Torn && i != len(segs)-1 {
-			return fmt.Errorf("%w: %s has a torn tail but is not the last segment", ErrCorrupt, sf.name)
+			return sc, fmt.Errorf("%w: %s has a torn tail but is not the last segment", ErrCorrupt, sf.name)
 		}
-		if len(seg.Events) > 0 && lastSeq > 0 && seg.Events[0].Seq > lastSeq+1 {
-			return fmt.Errorf("%w: %s starts at seq %d after seq %d", ErrBadSeq, sf.name, seg.Events[0].Seq, lastSeq)
+		if n := len(seg.Events); n > 0 {
+			first := seg.Events[0].Seq
+			if !covered && sc.lastSeq > 0 && first > sc.lastSeq+1 {
+				return sc, fmt.Errorf("%w: %s starts at seq %d after seq %d", ErrBadSeq, sf.name, first, sc.lastSeq)
+			}
+			if visit != nil && chain > 0 && first != chain+1 {
+				return sc, fmt.Errorf("%w: %s starts at seq %d after seq %d", ErrBadSeq, sf.name, first, chain)
+			}
+			chain = seg.Events[n-1].Seq
 		}
-		m.recovery.Segments++
-		m.recovery.TornTail = m.recovery.TornTail || seg.Torn
+		if visit != nil {
+			visit(sf.name, nil, &seg)
+		}
+		if covered {
+			continue
+		}
+		sc.info.Segments++
+		sc.info.TornTail = sc.info.TornTail || seg.Torn
 		for _, ev := range seg.Events {
-			if ev.Seq > lastSeq {
-				lastSeq = ev.Seq
-			}
-			if ev.Seq > m.snapSeq {
-				m.recovery.Events = append(m.recovery.Events, ev)
+			sc.lastSeq = max(sc.lastSeq, ev.Seq)
+			if ev.Seq > snapSeq {
+				sc.info.Events = append(sc.info.Events, ev)
 			}
 		}
-		if i == len(segs)-1 {
-			lastPath, lastGood = path, seg.GoodSize
-		}
+		sc.live, sc.good = sf, seg.GoodSize
 	}
-	m.lastSeq = lastSeq
+	return sc, nil
+}
 
-	// Open the live segment: reuse the last one (truncating a torn
-	// tail) when it is usable, otherwise start fresh.
-	if lastPath != "" && lastGood >= int64(len(walMagic)) {
-		m.segStart = segs[len(segs)-1].seq
-		m.w, err = openWALForAppend(m.opts.FS, lastPath, lastGood, m.opts.Fsync, m.opts.FsyncInterval, m.opts.Now)
-		if err == nil {
-			m.w.onFsync = m.observeFsync
-		}
+// recover loads the snapshot + WAL suffix and opens the live segment.
+func (m *Manager) recover() error {
+	sc, err := scanDir(m.opts.FS, m.dir, nil)
+	if err != nil {
 		return err
 	}
-	if lastPath != "" {
-		// The last segment never got its header to disk; replace it.
-		if err := m.opts.FS.Remove(lastPath); err != nil {
+	m.recovery, m.lastSeq = sc.info, sc.lastSeq
+	if sc.info.Snapshot != nil {
+		m.snapSeq = sc.info.Snapshot.Seq
+	}
+	if sc.live.name == "" {
+		return m.rotateLocked()
+	}
+	// Reuse the last segment (truncating a torn tail) when it is usable;
+	// one that never got its header to disk is replaced.
+	path := filepath.Join(m.dir, sc.live.name)
+	if sc.good < int64(len(walMagic)) {
+		if err := m.opts.FS.Remove(path); err != nil {
 			return err
 		}
+		return m.rotateLocked()
 	}
-	return m.rotateLocked()
+	m.segStart = sc.live.seq
+	m.w, err = openWALForAppend(m.opts.FS, path, sc.good, m.opts.Fsync, m.opts.FsyncInterval, m.opts.Now)
+	if err == nil {
+		m.w.onFsync = m.observeFsync
+	}
+	return err
 }
 
 // rotateLocked opens a fresh segment starting at lastSeq+1. Callers hold

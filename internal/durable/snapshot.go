@@ -1,11 +1,8 @@
 package durable
 
 import (
-	"encoding/binary"
-	"encoding/json"
+	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"path/filepath"
 )
 
@@ -23,18 +20,10 @@ func WriteSnapshotFile(path string, state *PlacerState) error {
 
 // writeSnapshotFS atomically writes state to path through an injected FS.
 func writeSnapshotFS(fsys FS, path string, state *PlacerState) error {
-	payload, err := json.Marshal(state)
+	buf, err := encodeFrame(snapMagic[:], state, maxSnapshot)
 	if err != nil {
-		return fmt.Errorf("durable: encoding snapshot: %w", err)
+		return err
 	}
-	var buf []byte
-	buf = append(buf, snapMagic[:]...)
-	var hdr [frameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castTable))
-	buf = append(buf, hdr[:]...)
-	buf = append(buf, payload...)
-
 	tmp := path + ".tmp"
 	f, err := fsys.Create(tmp, false)
 	if err != nil {
@@ -61,31 +50,17 @@ func writeSnapshotFS(fsys FS, path string, state *PlacerState) error {
 	return fsys.SyncDir(filepath.Dir(path))
 }
 
-// ReadSnapshot decodes one snapshot stream.
-func ReadSnapshot(r io.Reader) (*PlacerState, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	if len(data) < len(snapMagic)+frameHeader {
-		return nil, fmt.Errorf("%w: snapshot too short (%d bytes)", ErrCorrupt, len(data))
-	}
-	if [8]byte(data[:8]) != snapMagic {
+// readSnapshot decodes one snapshot file's bytes.
+func readSnapshot(data []byte) (*PlacerState, error) {
+	if len(data) < len(snapMagic) || [8]byte(data[:8]) != snapMagic {
 		return nil, fmt.Errorf("%w: bad snapshot magic", ErrCorrupt)
 	}
-	rest := data[len(snapMagic):]
-	length := binary.LittleEndian.Uint32(rest[0:4])
-	crc := binary.LittleEndian.Uint32(rest[4:8])
-	if int64(length) > maxSnapshot || int64(len(rest)) < frameHeader+int64(length) {
-		return nil, fmt.Errorf("%w: snapshot frame truncated", ErrCorrupt)
-	}
-	payload := rest[frameHeader : frameHeader+int64(length)]
-	if crc32.Checksum(payload, castTable) != crc {
-		return nil, fmt.Errorf("%w: snapshot CRC mismatch", ErrCorrupt)
-	}
 	var state PlacerState
-	if err := json.Unmarshal(payload, &state); err != nil {
-		return nil, fmt.Errorf("%w: undecodable snapshot: %v", ErrCorrupt, err)
+	if _, err := decodeFrame(data, int64(len(snapMagic)), maxSnapshot, &state); err != nil {
+		if errors.Is(err, errTorn) {
+			return nil, fmt.Errorf("%w: snapshot frame truncated", ErrCorrupt)
+		}
+		return nil, err
 	}
 	return &state, nil
 }
@@ -93,18 +68,3 @@ func ReadSnapshot(r io.Reader) (*PlacerState, error) {
 // maxSnapshot bounds a snapshot payload (a full placement map at the
 // default finished-ring cap is well under this).
 const maxSnapshot = 1 << 30
-
-// ReadSnapshotFile reads one snapshot file from the OS filesystem.
-func ReadSnapshotFile(path string) (*PlacerState, error) {
-	return readSnapshotFS(OSFS{}, path)
-}
-
-// readSnapshotFS reads one snapshot file through an injected FS.
-func readSnapshotFS(fsys FS, path string) (*PlacerState, error) {
-	f, err := fsys.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadSnapshot(f)
-}

@@ -84,20 +84,62 @@ func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
 	return 0, fmt.Errorf("durable: unknown fsync policy %q (want always, interval or never)", s)
 }
 
-// encodeFrame appends one framed event to buf and returns the result.
-func encodeFrame(buf []byte, ev Event) ([]byte, error) {
-	payload, err := json.Marshal(ev)
+// encodeFrame marshals v and appends it to buf as one frame: length,
+// CRC32C of the payload, payload. WAL events and the snapshot share it.
+func encodeFrame(buf []byte, v any, limit int) ([]byte, error) {
+	payload, err := json.Marshal(v)
 	if err != nil {
-		return buf, fmt.Errorf("durable: encoding event seq %d: %w", ev.Seq, err)
+		return buf, fmt.Errorf("durable: encoding %T: %w", v, err)
 	}
-	if len(payload) > maxFrame {
-		return buf, fmt.Errorf("durable: event seq %d encodes to %d bytes (frame cap %d)", ev.Seq, len(payload), maxFrame)
+	if len(payload) > limit {
+		return buf, fmt.Errorf("durable: %T encodes to %d bytes (frame cap %d)", v, len(payload), limit)
 	}
-	var hdr [frameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castTable))
-	buf = append(buf, hdr[:]...)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, castTable))
 	return append(buf, payload...), nil
+}
+
+// errTorn marks a frame a crash cut short: the data ends inside it, or it
+// is the final frame and fails its CRC (a torn overwrite of the tail).
+var errTorn = errors.New("durable: torn frame")
+
+// decodeFrame decodes the frame at data[off:] into v and returns the
+// offset just past it. A frame with valid data after it that fails its
+// CRC, claims more than limit bytes or does not decode is ErrCorrupt.
+func decodeFrame(data []byte, off int64, limit uint32, v any) (int64, error) {
+	rest := data[off:]
+	if len(rest) < frameHeader {
+		return off, errTorn
+	}
+	length := binary.LittleEndian.Uint32(rest[0:4])
+	if length > limit {
+		return off, fmt.Errorf("%w: frame at offset %d claims %d bytes", ErrCorrupt, off, length)
+	}
+	end := off + frameHeader + int64(length)
+	if end > int64(len(data)) {
+		return off, errTorn
+	}
+	payload := data[off+frameHeader : end]
+	if crc32.Checksum(payload, castTable) != binary.LittleEndian.Uint32(rest[4:8]) {
+		if end == int64(len(data)) {
+			return off, errTorn
+		}
+		return off, fmt.Errorf("%w: CRC mismatch at offset %d", ErrCorrupt, off)
+	}
+	if err := json.Unmarshal(payload, v); err != nil {
+		return off, fmt.Errorf("%w: undecodable frame at offset %d: %v", ErrCorrupt, off, err)
+	}
+	return end, nil
+}
+
+// readFile reads one whole journal file through fsys.
+func readFile(fsys FS, path string) ([]byte, error) {
+	f, err := fsys.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return io.ReadAll(f)
 }
 
 // walWriter appends framed events to one segment file.
@@ -165,7 +207,7 @@ func openWALForAppend(fsys FS, path string, goodSize int64, policy FsyncPolicy, 
 func (w *walWriter) append(evs []Event) (bytes int64, err error) {
 	var buf []byte
 	for _, ev := range evs {
-		if buf, err = encodeFrame(buf, ev); err != nil {
+		if buf, err = encodeFrame(buf, ev, maxFrame); err != nil {
 			return 0, err
 		}
 	}
@@ -206,8 +248,8 @@ func (w *walWriter) close() error {
 	return w.f.Close()
 }
 
-// WALSegment is the result of reading one segment file.
-type WALSegment struct {
+// walSegment is one segment file as read.
+type walSegment struct {
 	// Events are the decoded frames, in order.
 	Events []Event
 	// GoodSize is the byte offset just past the last valid frame; a torn
@@ -218,87 +260,41 @@ type WALSegment struct {
 	Torn bool
 }
 
-// ReadWAL decodes one segment from r. firstSeq is the sequence number the
-// segment must start with (0 skips the check, inferring the chain from
-// the first frame). The returned segment's Torn flag marks a partial
-// final frame — the caller decides whether that is acceptable (last
-// segment) or mid-log corruption (any earlier segment).
-func ReadWAL(r io.Reader, firstSeq uint64) (WALSegment, error) {
-	var seg WALSegment
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return seg, err
-	}
-	if len(data) == 0 {
-		// Zero bytes: a segment created but not yet through its header
-		// write. Valid and empty; the tail (the header) is re-written.
-		seg.Torn = true
-		return seg, nil
-	}
+// readWAL decodes one segment file's bytes. firstSeq is the sequence
+// number the segment must start with (0 skips the check, inferring the
+// chain from the first frame). The returned segment's Torn flag marks a
+// partial final frame — the caller decides whether that is acceptable
+// (last segment) or mid-log corruption (any earlier segment).
+func readWAL(data []byte, firstSeq uint64) (walSegment, error) {
+	var seg walSegment
 	if len(data) < len(walMagic) {
-		seg.Torn = true // torn header
+		// Zero bytes or part of the header: a segment created but not yet
+		// through its header write. Valid and empty; the header is
+		// re-written.
+		seg.Torn = true
 		return seg, nil
 	}
 	if [8]byte(data[:8]) != walMagic {
 		return seg, fmt.Errorf("%w: bad magic header", ErrCorrupt)
 	}
-	off := int64(len(walMagic))
-	seg.GoodSize = off
+	seg.GoodSize = int64(len(walMagic))
 	expect := firstSeq
-	for {
-		rest := data[off:]
-		if len(rest) == 0 {
-			return seg, nil
-		}
-		if len(rest) < frameHeader {
+	for seg.GoodSize < int64(len(data)) {
+		var ev Event
+		end, err := decodeFrame(data, seg.GoodSize, maxFrame, &ev)
+		if errors.Is(err, errTorn) {
 			seg.Torn = true
 			return seg, nil
 		}
-		length := binary.LittleEndian.Uint32(rest[0:4])
-		crc := binary.LittleEndian.Uint32(rest[4:8])
-		if length > maxFrame {
-			return seg, fmt.Errorf("%w: frame at offset %d claims %d bytes", ErrCorrupt, off, length)
-		}
-		if int64(len(rest)) < frameHeader+int64(length) {
-			seg.Torn = true // payload cut short by the crash
-			return seg, nil
-		}
-		payload := rest[frameHeader : frameHeader+int64(length)]
-		frameEnd := off + frameHeader + int64(length)
-		if crc32.Checksum(payload, castTable) != crc {
-			if frameEnd == int64(len(data)) {
-				// The final frame's payload is complete but fails its CRC:
-				// a torn overwrite of the tail. Truncate it.
-				seg.Torn = true
-				return seg, nil
-			}
-			return seg, fmt.Errorf("%w: CRC mismatch at offset %d", ErrCorrupt, off)
-		}
-		var ev Event
-		if err := json.Unmarshal(payload, &ev); err != nil {
-			return seg, fmt.Errorf("%w: undecodable frame at offset %d: %v", ErrCorrupt, off, err)
+		if err != nil {
+			return seg, err
 		}
 		if expect != 0 && ev.Seq != expect {
-			return seg, fmt.Errorf("%w: got seq %d at offset %d, want %d", ErrBadSeq, ev.Seq, off, expect)
+			return seg, fmt.Errorf("%w: got seq %d at offset %d, want %d", ErrBadSeq, ev.Seq, seg.GoodSize, expect)
 		}
 		expect = ev.Seq + 1
 		seg.Events = append(seg.Events, ev)
-		seg.GoodSize = frameEnd
-		off = frameEnd
+		seg.GoodSize = end
 	}
-}
-
-// ReadWALFile reads one segment file from the OS filesystem.
-func ReadWALFile(path string, firstSeq uint64) (WALSegment, error) {
-	return readWALFS(OSFS{}, path, firstSeq)
-}
-
-// readWALFS reads one segment file through an injected FS.
-func readWALFS(fsys FS, path string, firstSeq uint64) (WALSegment, error) {
-	f, err := fsys.Open(path)
-	if err != nil {
-		return WALSegment{}, err
-	}
-	defer f.Close()
-	return ReadWAL(f, firstSeq)
+	return seg, nil
 }

@@ -1,7 +1,6 @@
 package durable
 
 import (
-	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -28,13 +27,23 @@ func testEvents(n int) []Event {
 	return evs
 }
 
+// readFileT reads one file of a test's data dir.
+func readFileT(t *testing.T, path string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
 // rawWAL renders a magic header plus the framed events.
 func rawWAL(t *testing.T, evs ...Event) []byte {
 	t.Helper()
 	buf := append([]byte{}, walMagic[:]...)
 	var err error
 	for _, ev := range evs {
-		if buf, err = encodeFrame(buf, ev); err != nil {
+		if buf, err = encodeFrame(buf, ev, maxFrame); err != nil {
 			t.Fatalf("encodeFrame: %v", err)
 		}
 	}
@@ -55,9 +64,9 @@ func TestWALRoundTrip(t *testing.T) {
 		t.Fatalf("close: %v", err)
 	}
 
-	seg, err := ReadWALFile(path, 1)
+	seg, err := readWAL(readFileT(t, path), 1)
 	if err != nil {
-		t.Fatalf("ReadWALFile: %v", err)
+		t.Fatalf("readWAL: %v", err)
 	}
 	if seg.Torn {
 		t.Fatal("clean segment reported torn")
@@ -77,7 +86,7 @@ func TestWALRoundTrip(t *testing.T) {
 }
 
 func TestWALEmptyFile(t *testing.T) {
-	seg, err := ReadWAL(bytes.NewReader(nil), 0)
+	seg, err := readWAL(nil, 0)
 	if err != nil {
 		t.Fatalf("empty file must read cleanly, got %v", err)
 	}
@@ -87,7 +96,7 @@ func TestWALEmptyFile(t *testing.T) {
 }
 
 func TestWALHeaderOnly(t *testing.T) {
-	seg, err := ReadWAL(bytes.NewReader(walMagic[:]), 0)
+	seg, err := readWAL(walMagic[:], 0)
 	if err != nil {
 		t.Fatalf("header-only file: %v", err)
 	}
@@ -99,7 +108,7 @@ func TestWALHeaderOnly(t *testing.T) {
 func TestWALBadMagic(t *testing.T) {
 	data := rawWAL(t, testEvents(1)...)
 	data[0] ^= 0xff
-	if _, err := ReadWAL(bytes.NewReader(data), 0); !errors.Is(err, ErrCorrupt) {
+	if _, err := readWAL(data, 0); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("bad magic: got %v, want ErrCorrupt", err)
 	}
 }
@@ -112,7 +121,7 @@ func TestWALTornFinalFrame(t *testing.T) {
 	full := rawWAL(t, evs...)
 	twoOnly := rawWAL(t, evs[:2]...)
 	for cut := len(twoOnly) + 1; cut < len(full); cut++ {
-		seg, err := ReadWAL(bytes.NewReader(full[:cut]), 1)
+		seg, err := readWAL(full[:cut], 1)
 		if err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
@@ -140,7 +149,7 @@ func TestWALTornFinalFrame(t *testing.T) {
 	if err := w.close(); err != nil {
 		t.Fatal(err)
 	}
-	seg, err := ReadWALFile(path, 1)
+	seg, err := readWAL(readFileT(t, path), 1)
 	if err != nil {
 		t.Fatalf("reread: %v", err)
 	}
@@ -157,7 +166,7 @@ func TestWALFlippedByteMidLog(t *testing.T) {
 	data := rawWAL(t, evs...)
 	firstPayload := int64(len(walMagic) + frameHeader)
 	data[firstPayload+2] ^= 0x01
-	_, err := ReadWAL(bytes.NewReader(data), 1)
+	_, err := readWAL(data, 1)
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("mid-log flip: got %v, want ErrCorrupt", err)
 	}
@@ -171,7 +180,7 @@ func TestWALFlippedByteFinalFrame(t *testing.T) {
 	data := rawWAL(t, evs...)
 	twoOnly := rawWAL(t, evs[:2]...)
 	data[len(data)-2] ^= 0x01
-	seg, err := ReadWAL(bytes.NewReader(data), 1)
+	seg, err := readWAL(data, 1)
 	if err != nil {
 		t.Fatalf("final-frame flip: %v", err)
 	}
@@ -183,7 +192,7 @@ func TestWALFlippedByteFinalFrame(t *testing.T) {
 func TestWALOversizedFrame(t *testing.T) {
 	data := append([]byte{}, walMagic[:]...)
 	data = append(data, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0) // length ~4 GiB
-	_, err := ReadWAL(bytes.NewReader(data), 0)
+	_, err := readWAL(data, 0)
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("oversized frame: got %v, want ErrCorrupt", err)
 	}
@@ -193,20 +202,20 @@ func TestWALBrokenSeqChain(t *testing.T) {
 	evs := testEvents(3)
 	evs[2].Seq = 5 // gap: 1, 2, 5
 	data := rawWAL(t, evs...)
-	_, err := ReadWAL(bytes.NewReader(data), 1)
+	_, err := readWAL(data, 1)
 	if !errors.Is(err, ErrBadSeq) {
 		t.Fatalf("seq gap: got %v, want ErrBadSeq", err)
 	}
 	// firstSeq 0 infers the chain from the first frame — same gap, same
 	// verdict.
-	if _, err := ReadWAL(bytes.NewReader(data), 0); !errors.Is(err, ErrBadSeq) {
+	if _, err := readWAL(data, 0); !errors.Is(err, ErrBadSeq) {
 		t.Fatalf("seq gap (inferred): got %v, want ErrBadSeq", err)
 	}
 }
 
 func TestWALWrongFirstSeq(t *testing.T) {
 	data := rawWAL(t, testEvents(2)...)
-	if _, err := ReadWAL(bytes.NewReader(data), 7); !errors.Is(err, ErrBadSeq) {
+	if _, err := readWAL(data, 7); !errors.Is(err, ErrBadSeq) {
 		t.Fatalf("wrong firstSeq: got %v, want ErrBadSeq", err)
 	}
 }
@@ -238,9 +247,9 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err := WriteSnapshotFile(path, st); err != nil {
 		t.Fatalf("WriteSnapshotFile: %v", err)
 	}
-	got, err := ReadSnapshotFile(path)
+	got, err := readSnapshot(readFileT(t, path))
 	if err != nil {
-		t.Fatalf("ReadSnapshotFile: %v", err)
+		t.Fatalf("readSnapshot: %v", err)
 	}
 	if got.Seq != st.Seq || got.NextID != st.NextID || len(got.Placements) != 2 || got.Rejected != 3 {
 		t.Fatalf("snapshot mismatch: %+v", got)
@@ -253,7 +262,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadSnapshotFile(path); !errors.Is(err, ErrCorrupt) {
+	if _, err := readSnapshot(readFileT(t, path)); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("corrupt snapshot: got %v, want ErrCorrupt", err)
 	}
 }

@@ -281,8 +281,7 @@ func (s *Server) recover(mgr *durable.Manager) error {
 	// Attach the journal only after replay: Apply commits to whatever
 	// journal is attached, and history must not be journaled twice.
 	j := &journal{mgr: mgr, logger: s.logger, clock: s.clock}
-	s.placer.journal = j
-	s.journal = j
+	s.placer.journal, s.journal = j, j
 	orphans := s.placer.RequeueOrphans()
 	if err := s.placer.CheckInvariants(); err != nil {
 		return fmt.Errorf("serve: post-recovery invariant check: %w", err)
@@ -307,6 +306,7 @@ func (s *Server) recover(mgr *durable.Manager) error {
 	s.tracer.recovery(len(info.Events), orphans, dur)
 	s.logger.LogAttrs(context.Background(), slog.LevelInfo, "recovered journal",
 		slog.Uint64("last_seq", mgr.LastSeq()),
+		slog.String("fsync", mgr.Fsync().String()), slog.Int("segments", info.Segments),
 		slog.Int("replayed_events", len(info.Events)),
 		slog.Int("orphans_requeued", orphans),
 		slog.Bool("snapshot_loaded", info.Snapshot != nil),

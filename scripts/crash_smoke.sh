@@ -165,8 +165,9 @@ if ! wait "$daemon_pid"; then
 fi
 daemon_pid=""
 
-# The journal left behind must verify end to end: snapshot CRCs, WAL frame
-# CRCs, and a contiguous sequence chain.
+# The journal left behind must verify end to end through recovery's own
+# scan: a dir that passes boots, and every retained snapshot and segment
+# reads clean (CRCs, names, a contiguous sequence chain).
 if ! "$workdir/tracontrace" -wal-verify "$workdir/data" >"$workdir/verify.out"; then
     echo "crash-smoke: journal failed verification after the drill" >&2
     cat "$workdir/verify.out" >&2
