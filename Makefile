@@ -18,9 +18,11 @@ test:
 
 # Short mode keeps the race pass under ~2 minutes: the determinism golden
 # test drops to one seed and the heavyweight dynamic sweeps shrink their
-# dimensions (see testing.Short() guards in the _test files).
+# dimensions (see testing.Short() guards in the _test files). Tests run in
+# a shuffled order (the seed is printed), so a test that depends on
+# another's side effects fails here.
 race:
-	$(GO) test -short -race ./... -count=1
+	$(GO) test -short -race -shuffle=on ./... -count=1
 
 # Self-audit: replay a compact slice of the evaluation with the invariant
 # auditor attached to every simulation (pool⟺machine consistency, work

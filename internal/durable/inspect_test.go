@@ -86,6 +86,14 @@ func TestVerifyRefusesWhatOpenRefuses(t *testing.T) {
 			writeFile(t, filepath.Join(dir, seqName(walPrefix, 5, walSuffix)), rawWAL(t, evs[4:6]...))
 			return dir
 		}, true, false},
+		{"segment past a snapshot its predecessor ends below", func(t *testing.T, dir string) string {
+			writeFile(t, filepath.Join(dir, seqName(walPrefix, 1, walSuffix)), rawWAL(t, evs[:3]...))
+			if err := WriteSnapshotFile(filepath.Join(dir, seqName(snapPrefix, 5, snapSuffix)), &PlacerState{Seq: 5}); err != nil {
+				t.Fatal(err)
+			}
+			writeFile(t, filepath.Join(dir, seqName(walPrefix, 6, walSuffix)), rawWAL(t, evs[5:]...))
+			return dir
+		}, false, true},
 		{"headerless last segment", func(t *testing.T, dir string) string {
 			journal(t, dir, 2)
 			writeFile(t, filepath.Join(dir, seqName(walPrefix, 3, walSuffix)), nil)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io/fs"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -173,6 +174,7 @@ type dirScan struct {
 	lastSeq uint64  // newest sequence the recovered state covers
 	live    seqFile // the last segment (name empty when there is none)
 	good    int64   // the last segment's GoodSize
+	next    uint64  // the seq the last segment's next frame would carry
 }
 
 // visitFunc receives each file a strict scan reads: a snapshot's state,
@@ -249,7 +251,11 @@ func scanDir(fsys FS, dir string, visit visitFunc) (dirScan, error) {
 			if !covered && sc.lastSeq > 0 && first > sc.lastSeq+1 {
 				return sc, fmt.Errorf("%w: %s starts at seq %d after seq %d", ErrBadSeq, sf.name, first, sc.lastSeq)
 			}
-			if visit != nil && chain > 0 && first != chain+1 {
+			// A segment may also start just past a snapshot the chain ends
+			// below: recovery's fresh segment after a snapshot that outran
+			// the old segment's synced tail.
+			if visit != nil && chain > 0 && first != chain+1 &&
+				(first <= chain || !slices.ContainsFunc(snaps, func(s seqFile) bool { return s.seq == first-1 })) {
 				return sc, fmt.Errorf("%w: %s starts at seq %d after seq %d", ErrBadSeq, sf.name, first, chain)
 			}
 			chain = seg.Events[n-1].Seq
@@ -268,7 +274,7 @@ func scanDir(fsys FS, dir string, visit visitFunc) (dirScan, error) {
 				sc.info.Events = append(sc.info.Events, ev)
 			}
 		}
-		sc.live, sc.good = sf, seg.GoodSize
+		sc.live, sc.good, sc.next = sf, seg.GoodSize, sf.seq+uint64(len(seg.Events))
 	}
 	return sc, nil
 }
@@ -283,16 +289,17 @@ func (m *Manager) recover() error {
 	if sc.info.Snapshot != nil {
 		m.snapSeq = sc.info.Snapshot.Seq
 	}
-	if sc.live.name == "" {
-		return m.rotateLocked()
-	}
-	// Reuse the last segment (truncating a torn tail) when it is usable;
-	// one that never got its header to disk is replaced.
+	// Reuse the last segment (truncating a torn tail) when it is usable.
+	// One that never got its header to disk is replaced. One that ends
+	// below the snapshot (a crash after WriteSnapshot's rename, before its
+	// tail was synced) stays, covered, and a fresh one starts at snapSeq+1.
 	path := filepath.Join(m.dir, sc.live.name)
-	if sc.good < int64(len(walMagic)) {
+	if sc.live.name != "" && sc.good < int64(len(walMagic)) {
 		if err := m.opts.FS.Remove(path); err != nil {
 			return err
 		}
+	}
+	if sc.good < int64(len(walMagic)) || sc.next <= m.lastSeq {
 		return m.rotateLocked()
 	}
 	m.segStart = sc.live.seq

@@ -29,21 +29,17 @@ func writeSnapshotFS(fsys FS, path string, state *PlacerState) error {
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		fsys.Remove(tmp)
-		return err
+	_, err = f.Write(buf)
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		fsys.Remove(tmp)
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
-		fsys.Remove(tmp)
-		return err
+	if err == nil {
+		err = fsys.Rename(tmp, path)
 	}
-	if err := fsys.Rename(tmp, path); err != nil {
+	if err != nil {
 		fsys.Remove(tmp)
 		return err
 	}

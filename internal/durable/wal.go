@@ -162,11 +162,10 @@ func createWAL(fsys FS, path string, policy FsyncPolicy, interval time.Duration,
 	if err != nil {
 		return nil, err
 	}
-	if _, err := f.Write(walMagic[:]); err != nil {
-		f.Close()
-		return nil, err
+	if _, err = f.Write(walMagic[:]); err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
+	if err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -183,15 +182,13 @@ func openWALForAppend(fsys FS, path string, goodSize int64, policy FsyncPolicy, 
 	if err != nil {
 		return nil, err
 	}
-	if err := f.Truncate(goodSize); err != nil {
-		f.Close()
-		return nil, err
+	if err = f.Truncate(goodSize); err == nil {
+		_, err = f.Seek(goodSize, io.SeekStart)
 	}
-	if _, err := f.Seek(goodSize, io.SeekStart); err != nil {
-		f.Close()
-		return nil, err
+	if err == nil {
+		err = f.Sync() // make the truncation durable
 	}
-	if err := f.Sync(); err != nil { // make the truncation durable
+	if err != nil {
 		f.Close()
 		return nil, err
 	}

@@ -18,10 +18,10 @@ import (
 
 // commitEventsLocked is the placer's single commit point. It applies each
 // event of the group with the function recovery replays it with, compacts
-// the backlog, and appends the group to the journal as one append (one
-// fsync under the always policy). Without a journal — in-memory mode, a
-// follower, or recovery before the journal is attached — the append is a
-// no-op and nothing else differs.
+// the backlog, and stages the group for the hold's one journal append
+// (Placer.unlock; one fsync under the always policy). Without a journal —
+// in-memory mode, a follower, or recovery before the journal is attached —
+// staging is a no-op and nothing else differs.
 //
 // bind, when non-nil, completes event i just before it is applied: a
 // scheduling pass can resolve a placement's VM and neighbour only once the
@@ -65,7 +65,7 @@ func (p *Placer) commitEventsLocked(evs []durable.Event, bind func(i int) error)
 		clear(p.queue[len(kept):])
 		p.queue = kept
 	}
-	p.journal.append(evs...)
+	p.journal.stage(evs)
 	if p.onCommit != nil {
 		p.onCommit(evs)
 	}

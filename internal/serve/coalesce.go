@@ -53,12 +53,9 @@ type coalesceResult struct {
 	err error
 }
 
-// NewCoalescer builds the micro-batcher over a placer. window must be
-// positive; maxBatch <= 0 takes DefaultBatchMax.
+// NewCoalescer builds the micro-batcher over a placer. window and
+// maxBatch must be positive.
 func NewCoalescer(placer *Placer, clock obs.Clock, window time.Duration, maxBatch int, reg *obs.Registry) *Coalescer {
-	if maxBatch <= 0 {
-		maxBatch = DefaultBatchMax
-	}
 	return &Coalescer{
 		placer:       placer,
 		clock:        clock,

@@ -12,13 +12,13 @@ import (
 )
 
 // Journal integration: every placer state change is a durable.Event that
-// commitEventsLocked (apply.go) applies and appends inside one p.mu
-// critical section — WAL order therefore equals mutation order, and a
-// request is acknowledged only after its events are (per the configured
-// fsync policy) on disk. On boot, Server.recover rebuilds the placer from
-// the newest snapshot plus the WAL suffix through that same function,
-// re-queues orphaned in-flight tasks at the queue front, and verifies
-// invariants before the daemon serves its first request.
+// commitEventsLocked (apply.go) applies and stages, and the lock hold ends
+// (Placer.unlock) with one append of everything it staged — WAL order
+// therefore equals mutation order, and a request is acknowledged only
+// after its events are (per the fsync policy) on disk. On boot,
+// Server.recover rebuilds the placer from the newest snapshot plus the WAL
+// suffix through that same function, re-queues orphaned in-flight tasks at
+// the queue front, and verifies invariants before serving.
 
 // journal is the placer's nil-safe handle on a durable.Manager. An
 // append failure (disk full, data dir yanked) poisons it permanently:
@@ -32,7 +32,23 @@ type journal struct {
 
 	mu        sync.Mutex
 	err       error
-	syncArmed bool // a syncTail timer is pending
+	syncArmed bool            // a syncTail timer is pending
+	staged    []durable.Event // the placer hold's groups; p.mu guards it, not mu
+}
+
+// stage queues a commit group for the hold's one append. Nil-safe.
+func (j *journal) stage(evs []durable.Event) {
+	if j != nil {
+		j.staged = append(j.staged, evs...)
+	}
+}
+
+// flush journals the staged groups as one commit point. Nil-safe.
+func (j *journal) flush() {
+	if j != nil {
+		j.append(j.staged...)
+		j.staged = j.staged[:0]
+	}
 }
 
 // append journals a group of events as one commit point (one fsync under
@@ -114,8 +130,8 @@ func admittedBefore(a, b string) bool {
 
 // ExportState captures the placer's full serving state as a neutral
 // snapshot struct, stamped with the journal's last assigned sequence.
-// Taken under one lock hold, and placer events are only appended under
-// that same lock, so the stamp covers exactly the mutations the state
+// Taken under one lock hold, and every hold journals its events before it
+// releases that lock, so the stamp covers exactly the mutations the state
 // reflects.
 func (p *Placer) ExportState() *durable.PlacerState {
 	p.mu.Lock()
@@ -226,7 +242,7 @@ func (p *Placer) RestoreState(st *durable.PlacerState) error {
 // replayed history is not journaled again.
 func (p *Placer) Apply(ev durable.Event) error {
 	p.mu.Lock()
-	defer p.mu.Unlock()
+	defer p.unlock()
 	return p.commitEventLocked(ev)
 }
 
@@ -238,7 +254,7 @@ func (p *Placer) Apply(ev durable.Event) error {
 // snapshot replays it. Returns the number of orphans re-queued.
 func (p *Placer) RequeueOrphans() int {
 	p.mu.Lock()
-	defer p.mu.Unlock()
+	defer p.unlock()
 	var orphans []*Placement
 	for _, rec := range p.placements {
 		if rec.Status == StatusPlaced {
@@ -298,7 +314,7 @@ func (s *Server) recover(mgr *durable.Manager) error {
 	mgr.AttachMetrics(s.reg)
 	s.placer.mu.Lock()
 	err := s.placer.drainLocked()
-	s.placer.mu.Unlock()
+	s.placer.unlock()
 	if err != nil {
 		return fmt.Errorf("serve: post-recovery drain: %w", err)
 	}

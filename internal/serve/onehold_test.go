@@ -4,8 +4,10 @@ import (
 	"errors"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"tracon/internal/durable"
 	"tracon/internal/model"
 )
 
@@ -167,5 +169,134 @@ func TestOnePassOneScore(t *testing.T) {
 	}
 	if counts["score"] == 0 || counts["score"] != counts["batch_pass"] {
 		t.Fatalf("%d score spans for %d batch_pass spans, want equal and non-zero", counts["score"], counts["batch_pass"])
+	}
+}
+
+// syncCountFS is a MemFS that counts the file syncs (fsyncs) asked of it.
+type syncCountFS struct {
+	*durable.MemFS
+	syncs atomic.Int64
+}
+
+func (c *syncCountFS) Create(name string, excl bool) (durable.File, error) {
+	f, err := c.MemFS.Create(name, excl)
+	if err != nil {
+		return nil, err
+	}
+	return syncCounter{f, &c.syncs}, nil
+}
+
+func (c *syncCountFS) OpenWrite(name string) (durable.File, error) {
+	f, err := c.MemFS.OpenWrite(name)
+	if err != nil {
+		return nil, err
+	}
+	return syncCounter{f, &c.syncs}, nil
+}
+
+type syncCounter struct {
+	durable.File
+	n *atomic.Int64
+}
+
+func (f syncCounter) Sync() error {
+	f.n.Add(1)
+	return f.File.Sync()
+}
+
+// TestOneFsyncPerHold: under FsyncAlways every mutating operation journals
+// its hold's commit groups with one append, so it costs one fsync however
+// many groups it commits — a submit's admit and place, a completion and
+// the placement of the backlog head it frees a VM for, a kill and the
+// re-placement of the tasks it evicts. A submit → complete cycle costs two.
+func TestOneFsyncPerHold(t *testing.T) {
+	fs := &syncCountFS{MemFS: durable.NewMemFS()}
+	mgr, err := durable.Open("data", durable.Options{FS: fs, Fsync: durable.FsyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mgr.Close()
+	lib := testLibrary(t, model.NLM)
+	s, err := New(lib, Config{Machines: 2, MaxQueue: -1, TraceCap: -1, Journal: mgr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := s.Placer()
+	app := lib.Apps()[0]
+	oneSync := func(what string, op func() error) {
+		t.Helper()
+		before := fs.syncs.Load()
+		if err := op(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if got := fs.syncs.Load() - before; got != 1 {
+			t.Errorf("%s cost %d fsyncs, want 1", what, got)
+		}
+	}
+	var ids []string
+	submit := func() error {
+		rec, err := p.SubmitKeyed(app, "", "")
+		if err == nil {
+			ids = append(ids, rec.ID)
+		}
+		return err
+	}
+	complete := func(i int) func() error {
+		return func() error { _, err := p.Complete(ids[i]); return err }
+	}
+	status := func(i int, want string) {
+		t.Helper()
+		if rec, _ := p.Get(ids[i]); rec.Status != want {
+			t.Fatalf("task %s is %s, want %s", ids[i], rec.Status, want)
+		}
+	}
+
+	oneSync("a singleton submit", submit)
+	status(0, StatusPlaced)
+	oneSync("a complete with an empty backlog", complete(0))
+	for range 2 * SlotsPerMachine {
+		oneSync("a singleton submit", submit)
+	}
+	oneSync("a singleton submit that queues", submit)
+	status(5, StatusQueued)
+	oneSync("a complete that places the backlog head", complete(1))
+	status(5, StatusPlaced)
+	for _, i := range []int{2, 3, 4, 5} {
+		oneSync("a complete with an empty backlog", complete(i))
+	}
+	oneSync("a batch submit", func() error {
+		outs, err := p.SubmitBatch([]string{app, app})
+		for _, o := range outs {
+			ids = append(ids, o.Placement.ID)
+		}
+		return err
+	})
+	status(6, StatusPlaced)
+	status(7, StatusPlaced)
+	victim, _ := p.Get(ids[6])
+	oneSync("a kill that requeues and drains", func() error {
+		n, err := p.Kill(victim.Machine)
+		if err == nil && n == 0 {
+			err = errors.New("the kill requeued nothing")
+		}
+		return err
+	})
+	status(6, StatusPlaced)
+	oneSync("a revive", func() error { return p.Revive(victim.Machine) })
+	oneSync("a complete with an empty backlog", complete(6))
+	oneSync("a complete with an empty backlog", complete(7))
+
+	const tasks = 100
+	before := fs.syncs.Load()
+	for i := range tasks {
+		if err := submit(); err != nil {
+			t.Fatal(err)
+		}
+		if err := complete(8 + i)(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if perTask := float64(fs.syncs.Load()-before) / tasks; perTask != 2 {
+		t.Fatalf("a submit → complete closed loop costs %.2f fsyncs per task, want 2.00", perTask)
 	}
 }

@@ -164,8 +164,8 @@ type Placer struct {
 
 	// evbuf, batchbuf and countbuf are reusable buffers for commit groups
 	// and for a scheduling pass's batch and free counts; none leaves the
-	// lock. onCommit, when set, observes each committed group under p.mu
-	// (the follower tests feed a second placer from it). See commitEventsLocked.
+	// lock. onCommit, when set, observes each group as it commits, before
+	// the hold's append stamps Seq (the follower tests replay it).
 	evbuf    []durable.Event
 	batchbuf []sched.Task
 	countbuf sched.Counts
@@ -208,6 +208,13 @@ func (p *Placer) resetInventoryLocked() {
 	}
 }
 
+// unlock ends a hold that may have committed: the groups it staged reach
+// the journal as one append (one fsync under always) before p.mu is released.
+func (p *Placer) unlock() {
+	p.journal.flush()
+	p.mu.Unlock()
+}
+
 // setStateLocked moves machine mi to state; the pool takes it out of
 // service or puts its free VMs back, stamped now.
 func (p *Placer) setStateLocked(mi int, state string) {
@@ -232,7 +239,7 @@ func (p *Placer) SubmitKeyed(app, reqID, key string) (*Placement, error) {
 		return nil, err
 	}
 	p.mu.Lock()
-	defer p.mu.Unlock()
+	defer p.unlock()
 	if rec := p.dedupLocked(key); rec != nil {
 		return rec.clone(), nil
 	}
@@ -275,8 +282,8 @@ func (p *Placer) SubmitBatch(apps []string) ([]BatchOutcome, error) {
 // budget are rejected individually without failing the rest of the batch,
 // and a task whose key matches a retained record (or an earlier task of
 // this batch) returns that record without being re-admitted. The freshly
-// admitted remainder commits as one batch_admit event — one commit point,
-// one fsync. The returned error is global (a scheduling failure); per-task
+// admitted remainder commits as one batch_admit event, journaled with the
+// placements in the hold's one append (one fsync). The returned error is global (a scheduling failure); per-task
 // problems live in the slice.
 func (p *Placer) SubmitBatchKeyed(apps, reqIDs, keys []string) ([]BatchOutcome, error) {
 	view := p.models.View()
@@ -285,7 +292,7 @@ func (p *Placer) SubmitBatchKeyed(apps, reqIDs, keys []string) ([]BatchOutcome, 
 	deduped := make([]bool, len(apps))
 
 	p.mu.Lock()
-	defer p.mu.Unlock()
+	defer p.unlock()
 	budget := p.admitBudgetLocked()
 	for i, app := range apps {
 		key := at(keys, i)
@@ -426,7 +433,7 @@ type Observation struct {
 // backlog. It returns the completed record (a copy).
 func (p *Placer) Complete(id string) (*Placement, error) {
 	p.mu.Lock()
-	defer p.mu.Unlock()
+	defer p.unlock()
 	rec, ok := p.placements[id]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownPlacement, id)
@@ -531,7 +538,7 @@ var machineMoves = map[string][2]string{
 func (p *Placer) transition(id int, kind string) error {
 	from, to := machineMoves[kind][0], machineMoves[kind][1]
 	p.mu.Lock()
-	defer p.mu.Unlock()
+	defer p.unlock()
 	if id < 0 || id >= len(p.machines) {
 		return fmt.Errorf("%w: %d", ErrUnknownMachine, id)
 	}
@@ -551,7 +558,7 @@ func (p *Placer) transition(id int, kind string) error {
 // It returns the number of tasks re-queued.
 func (p *Placer) Kill(id int) (requeued int, err error) {
 	p.mu.Lock()
-	defer p.mu.Unlock()
+	defer p.unlock()
 	if id < 0 || id >= len(p.machines) {
 		return 0, fmt.Errorf("%w: %d", ErrUnknownMachine, id)
 	}
@@ -637,8 +644,8 @@ func (p *Placer) planLocked(view ModelView) []sched.Task {
 }
 
 // commitPassLocked binds a scheduling pass's decisions to concrete slots and
-// commits them as one group: one journal append, one fsync, one backlog
-// sweep. The queue prefix is still the records the batch was built from,
+// commits them as one group: one backlog sweep, and one staged group for
+// the hold's journal append. The queue prefix is still the records the batch was built from,
 // because the lock has been held since planLocked built it.
 func (p *Placer) commitPassLocked(view ModelView, placements []sched.Placement) error {
 	evs := p.evbuf[:0]

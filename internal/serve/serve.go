@@ -28,6 +28,7 @@
 package serve
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -139,22 +140,17 @@ func New(lib *model.Library, cfg Config) (*Server, error) {
 	if cfg.Machines <= 0 {
 		return nil, fmt.Errorf("serve: config needs Machines > 0")
 	}
-	clock := cfg.Clock
-	if clock == nil {
-		clock = obs.Wall
-	}
+	clock := cmp.Or(cfg.Clock, obs.Wall)
+	policy := cmp.Or(cfg.Policy, "mios")
 	var cache *PredCache
 	if !cfg.DisableCache {
 		cache = NewPredCache(0)
 	}
-	ms, err := NewModelSet(lib, cfg.Policy, cfg.QueueLen, cache)
+	ms, err := NewModelSet(lib, policy, cfg.QueueLen, cache)
 	if err != nil {
 		return nil, err
 	}
-	maxQueue := cfg.MaxQueue
-	if maxQueue == 0 {
-		maxQueue = 4 * SlotsPerMachine * cfg.Machines
-	}
+	maxQueue := cmp.Or(cfg.MaxQueue, 4*SlotsPerMachine*cfg.Machines)
 	// The placer owns the admission bound: the scaled queue check and the
 	// enqueue happen under one critical section, so concurrent submits can
 	// never race the backlog past the bound.
@@ -168,14 +164,7 @@ func New(lib *model.Library, cfg Config) (*Server, error) {
 	if batchMax <= 0 {
 		batchMax = DefaultBatchMax
 	}
-	logger := cfg.Logger
-	if logger == nil {
-		logger = discardLogger()
-	}
-	policy := cfg.Policy
-	if policy == "" {
-		policy = "mios"
-	}
+	logger := cmp.Or(cfg.Logger, discardLogger())
 	var tracer *serveTracer
 	if cfg.TraceCap >= 0 {
 		tracer = newServeTracer(policy, cfg.Machines, cfg.TraceCap, clock)

@@ -45,13 +45,10 @@ type ModelView struct {
 }
 
 // NewModelSet builds the initial generation over lib. policy is one of
-// "fifo", "mios" (the default, when empty), "mibs", "mix"; queueLen
-// applies to the batch policies and defaults to 4. The scheduler
-// minimizes total runtime. cache may be nil to score without memoization.
+// "fifo", "mios", "mibs", "mix"; queueLen applies to the batch policies
+// and defaults to 4. The scheduler minimizes total runtime. cache may be
+// nil to score without memoization.
 func NewModelSet(lib *model.Library, policy string, queueLen int, cache *PredCache) (*ModelSet, error) {
-	if policy == "" {
-		policy = "mios"
-	}
 	if queueLen <= 0 {
 		queueLen = 4
 	}
@@ -238,7 +235,7 @@ func (sm *SwapManager) ObserveCompletion(app string, bg []float64, predictedRT f
 }
 
 // runRetrain executes one retrain-and-swap cycle.
-func (sm *SwapManager) runRetrain(snapshot map[string][]model.Sample) {
+func (sm *SwapManager) runRetrain(snapshot map[string][]model.Sample) error {
 	lib, err := sm.retrain(snapshot)
 	if err == nil {
 		err = sm.ms.Swap(lib)
@@ -252,6 +249,7 @@ func (sm *SwapManager) runRetrain(snapshot map[string][]model.Sample) {
 	// way: the old reference distribution no longer describes the stream.
 	sm.det.Reset()
 	sm.mu.Unlock()
+	return err
 }
 
 // TriggerSwap forces a retrain-and-swap now, synchronously — the manual
@@ -271,19 +269,7 @@ func (sm *SwapManager) TriggerSwap() error {
 		snapshot[a] = append([]model.Sample(nil), s...)
 	}
 	sm.mu.Unlock()
-
-	lib, err := sm.retrain(snapshot)
-	if err == nil {
-		err = sm.ms.Swap(lib)
-	}
-	sm.mu.Lock()
-	sm.retraining = false
-	sm.det.Reset()
-	sm.mu.Unlock()
-	if err != nil {
-		sm.retrainErrs.Add(1)
-	}
-	return err
+	return sm.runRetrain(snapshot)
 }
 
 // Wait blocks until any in-flight asynchronous retrain has finished —

@@ -75,9 +75,19 @@ func TestRegisterAndPredict(t *testing.T) {
 	}
 }
 
+// TestRegisterCustomApp registers into a System of its own: registering
+// into the shared one would change what every later test sees (the app
+// count TestRegisterAndPredict checks, or a second registration under
+// -count=2).
 func TestRegisterCustomApp(t *testing.T) {
-	s := system(t)
-	err := s.RegisterApp(App{
+	s, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RegisterBenchmarks(); err != nil {
+		t.Fatal(err)
+	}
+	err = s.RegisterApp(App{
 		Name: "custom-etl", CPUSeconds: 100,
 		ReadOps: 50000, WriteOps: 20000, ReqSizeKB: 32, Seq: 0.7, IODepth: 2,
 	})
