@@ -229,19 +229,28 @@ func TestDSTInjectedViolationShrinksAndReproduces(t *testing.T) {
 
 // TestDSTOracle replays seeded arrival/completion schedules through both
 // the discrete-event simulator and the serving placer and requires
-// identical start order and backlog depth at every synchronization point.
+// identical starts (in identical order for the online policies) and
+// backlog depth at every synchronization point, under all four policies.
 func TestDSTOracle(t *testing.T) {
 	lib, tbl := fixtures(t)
-	policies := []string{"fifo", "mios"}
+	policies := []struct {
+		name   string
+		policy string
+		q      int
+	}{
+		{"fifo", "fifo", 0}, {"mios", "mios", 0},
+		{"mibs2", "mibs", 2}, {"mibs8", "mibs", 8},
+		{"mix2", "mix", 2}, {"mix8", "mix", 8},
+	}
 	seeds := []int64{1, 2, 3}
 	if testing.Short() {
 		seeds = seeds[:1]
 	}
-	for _, policy := range policies {
+	for _, pc := range policies {
 		for _, seed := range seeds {
-			policy, seed := policy, seed
-			t.Run(fmt.Sprintf("%s/seed=%d", policy, seed), func(t *testing.T) {
-				if err := RunOracle(lib, tbl, policy, 3, 40, seed); err != nil {
+			pc, seed := pc, seed
+			t.Run(fmt.Sprintf("%s/seed=%d", pc.name, seed), func(t *testing.T) {
+				if err := RunOracle(lib, tbl, pc.policy, pc.q, 3, 40, seed); err != nil {
 					t.Fatal(err)
 				}
 			})

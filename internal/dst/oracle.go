@@ -1,9 +1,11 @@
 package dst
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"tracon/internal/model"
@@ -16,14 +18,19 @@ import (
 // The equivalence oracle replays one arrival/completion schedule through
 // both placement engines the repo grew: the discrete-event simulator
 // (internal/sim, the paper reproduction) and the serving daemon's Placer
-// (internal/serve). Their semantics overlap exactly where both run an
-// online policy (batch size 1) over a fixed two-VM-per-machine cluster
-// with no faults and no admission bound: tasks must start in the same
-// order on the same (machine, slot) — both engines resolve a decision
-// through the same sched.FreePool, fed the same frees in the same order —
-// the backlog must have the same depth at every synchronization point, and
-// every task must finish. The batch policies are out of scope: their queue
-// reordering is scored against engine-specific load inputs.
+// (internal/serve), over a fixed two-VM-per-machine cluster with no faults
+// and no admission bound. Both engines resolve a decision through the same
+// sched.FreePool, fed the same frees in the same order, so every task must
+// start on the same (machine, slot) in both, the backlog must have the
+// same depth at every synchronization point, and every task must finish.
+//
+// All four policies are covered. The online ones (fifo, mios) must also
+// start tasks in the same order. The batch ones (mibs, mix) reorder their
+// batch, so for them the starts are compared as a set at each
+// synchronization point. The daemon never holds a short batch back, so the
+// simulator side runs them with a hold of 1 µs: a partial batch is
+// scheduled before the next arrival or completion, as the daemon does at
+// once.
 
 type oracleEventKind int
 
@@ -63,10 +70,11 @@ func (o *oracleRecorder) Observe(_ sim.View, ev *sim.Event) error {
 
 // RunOracle draws a seeded arrival schedule, runs it to completion in the
 // simulator, then replays the simulator's own event stream against a
-// serve.Placer on a virtual clock and asserts agreement. policy must be
-// an online policy ("fifo" or "mios"); lib both schedules the serve side
-// and scores the simulator side, so the two engines see identical models.
-func RunOracle(lib *model.Library, tbl *sim.InterferenceTable, policy string, machines, tasks int, seed int64) error {
+// serve.Placer on a virtual clock and asserts agreement. policy is one of
+// "fifo", "mios", "mibs" and "mix", and queueLen is the batch length of
+// the last two; lib both schedules the serve side and scores the simulator
+// side, so the two engines see identical models.
+func RunOracle(lib *model.Library, tbl *sim.InterferenceTable, policy string, queueLen, machines, tasks int, seed int64) error {
 	rng := rand.New(rand.NewSource(seed))
 	apps := lib.Apps()
 	arrivals := make([]sched.Task, tasks)
@@ -78,19 +86,22 @@ func RunOracle(lib *model.Library, tbl *sim.InterferenceTable, policy string, ma
 		arrivals[i] = sched.Task{ID: int64(i + 1), App: app, Arrival: float64(i)}
 	}
 
-	if policy != "fifo" && policy != "mios" {
-		return fmt.Errorf("oracle: policy %q has no overlapping semantics (online policies only)", policy)
-	}
-	scheduler, err := sched.New(policy, 0, sched.NewScorer(lib, 0))
+	scheduler, err := sched.New(policy, queueLen, sched.NewScorer(lib, 0))
 	if err != nil {
 		return err
 	}
+	ordered := scheduler.BatchSize() == 1
+	hold := 0.0 // the simulator's default
+	if !ordered {
+		hold = 1e-6
+	}
 	recorder := &oracleRecorder{}
 	engine, err := sim.NewEngine(sim.Config{
-		Machines:  machines,
-		Scheduler: scheduler,
-		Table:     tbl,
-		Observer:  recorder,
+		Machines:     machines,
+		Scheduler:    scheduler,
+		Table:        tbl,
+		Observer:     recorder,
+		FlushTimeout: hold,
 	})
 	if err != nil {
 		return err
@@ -103,6 +114,7 @@ func RunOracle(lib *model.Library, tbl *sim.InterferenceTable, policy string, ma
 	srv, err := serve.New(lib, serve.Config{
 		Machines:     machines,
 		Policy:       policy,
+		QueueLen:     queueLen,
 		MaxQueue:     -1, // the simulator has no admission control
 		DisableCache: true,
 		TraceCap:     -1,
@@ -118,7 +130,8 @@ func RunOracle(lib *model.Library, tbl *sim.InterferenceTable, policy string, ma
 	var order []string // serve IDs in submission order
 	started := map[string]bool{}
 	// start is one task beginning on one VM; the two engines' start
-	// streams must be equal element by element.
+	// streams must be equal element by element (as sets under a batch
+	// policy).
 	type start struct {
 		task          int64
 		machine, slot int
@@ -129,6 +142,7 @@ func RunOracle(lib *model.Library, tbl *sim.InterferenceTable, policy string, ma
 	// observeStarts appends every serve task that newly reached the
 	// placed (or later) state, in submission order — which is start order
 	// for an online policy: the placer drains its FIFO backlog head-first.
+	// A batch policy may start them in another order.
 	observeStarts := func() {
 		for _, id := range order {
 			if started[id] {
@@ -144,16 +158,24 @@ func RunOracle(lib *model.Library, tbl *sim.InterferenceTable, policy string, ma
 			}
 		}
 	}
-	// sync asserts the two engines agree at a driver-event boundary: same
-	// start order on the same VMs, same backlog depth.
+	// sync asserts the two engines agree at a driver-event boundary: the
+	// same starts on the same VMs (in the same order under an online
+	// policy), the same backlog depth.
+	byTask := func(a, b start) int { return cmp.Compare(a.task, b.task) }
 	sync := func(at string) error {
 		if len(simStarts) != len(serveStarts) {
 			return fmt.Errorf("oracle: at %s: sim started %d tasks, serve %d", at, len(simStarts), len(serveStarts))
 		}
-		for i := range simStarts {
-			if simStarts[i] != serveStarts[i] {
+		sims, serves := simStarts, serveStarts
+		if !ordered {
+			sims, serves = slices.Clone(simStarts), slices.Clone(serveStarts)
+			slices.SortFunc(sims, byTask)
+			slices.SortFunc(serves, byTask)
+		}
+		for i := range sims {
+			if sims[i] != serves[i] {
 				return fmt.Errorf("oracle: at %s: starts diverge at position %d: sim %+v, serve %+v",
-					at, i, simStarts[i], serveStarts[i])
+					at, i, sims[i], serves[i])
 			}
 		}
 		if want, got := enqueued-len(simStarts), p.Snapshot().QueueDepth; want != got {
