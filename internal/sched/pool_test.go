@@ -640,12 +640,14 @@ func TestFreePoolCheckCatchesCorruption(t *testing.T) {
 	}
 }
 
-// TestFreeIndexWritesStayInSched holds the inventory rule to one
-// implementation: no non-test Go file of the module outside this package
-// may call SetFree, the raw index write, or SetBusy, its busy half should
-// it come back. The simulator and the
-// daemon keep the rule through Occupy, Vacate and SetInService. A nested
-// module (bench/) is not scanned.
+// TestFreeIndexWritesStayInSched holds the inventory rule and the
+// scheduling pass to one implementation each: no non-test Go file of the
+// module outside this package may call SetFree, the raw index write, or
+// SetBusy, its busy half should it come back — the simulator and the
+// daemon keep the rule through Occupy, Vacate and SetInService — nor
+// Schedule, Pop or PopTraced, which only Passes.Drain calls. A call
+// qualified by an imported package's name (heap.Pop) is not a method call
+// and stays allowed. A nested module (bench/) is not scanned.
 func TestFreeIndexWritesStayInSched(t *testing.T) {
 	root := filepath.Join("..", "..")
 	fset := token.NewFileSet()
@@ -671,12 +673,33 @@ func TestFreeIndexWritesStayInSched(t *testing.T) {
 		if err != nil {
 			return err
 		}
+		imported := map[string]bool{}
+		for _, imp := range f.Imports {
+			name := filepath.Base(strings.Trim(imp.Path.Value, `"`))
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			imported[name] = true
+		}
 		ast.Inspect(f, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok {
-				if sel, ok := call.Fun.(*ast.SelectorExpr); ok && (sel.Sel.Name == "SetFree" || sel.Sel.Name == "SetBusy") {
-					t.Errorf("%s: %s writes the free index directly — use FreePool.Occupy, Vacate or SetInService",
-						fset.Position(call.Pos()), sel.Sel.Name)
-				}
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if x, ok := sel.X.(*ast.Ident); ok && imported[x.Name] {
+				return true
+			}
+			switch sel.Sel.Name {
+			case "SetFree", "SetBusy":
+				t.Errorf("%s: %s writes the free index directly — use FreePool.Occupy, Vacate or SetInService",
+					fset.Position(call.Pos()), sel.Sel.Name)
+			case "Schedule", "Pop", "PopTraced":
+				t.Errorf("%s: %s runs part of a scheduling pass — call sched.Passes.Drain",
+					fset.Position(call.Pos()), sel.Sel.Name)
 			}
 			return true
 		})

@@ -9,37 +9,32 @@ import (
 // The placement core is event-sourced. Every operation that changes a
 // placement record, the backlog, the dedup index or the finished ring —
 // live or replayed — is a durable.Event applied by one of the apply*
-// bodies below, and commitEventsLocked is the only caller of those
-// bodies. A live operation decides under p.mu (dedup lookup, admission
-// budget, ID minting, pool.Pop, the model forecast), builds the events it
-// journals, and hands them to commitEventsLocked; recovery hands it the
-// events it read back. Live state therefore equals replayed state by
-// construction, and the journal's commit point is one line of code.
+// bodies below, through dispatchLocked. A live operation decides under
+// p.mu (dedup lookup, admission budget, ID minting, the model forecast),
+// builds the events it journals, and hands them to commitEventsLocked;
+// recovery hands it the events it read back. Live state therefore equals
+// replayed state by construction, and the journal's commit point is one
+// line of code.
 
-// commitEventsLocked is the placer's single commit point. It applies each
-// event of the group with the function recovery replays it with, compacts
-// the backlog, and stages the group for the hold's one journal append
-// (Placer.unlock; one fsync under the always policy). Without a journal —
-// in-memory mode, a follower, or recovery before the journal is attached —
-// staging is a no-op and nothing else differs.
+// commitEventsLocked is the placer's single commit point. It applies the
+// events of the group from evs[applied] on with the functions recovery
+// replays them with, compacts the backlog, and stages the group for the
+// hold's one journal append (Placer.unlock; one fsync under the always
+// policy). Without a journal — in-memory mode, a follower, or recovery
+// before the journal is attached — staging is a no-op and nothing else
+// differs.
 //
-// bind, when non-nil, completes event i just before it is applied: a
-// scheduling pass can resolve a placement's VM and neighbour only once the
-// placements before it in the same pass occupy theirs. If bind or an apply
-// fails, the events applied so far are still committed, so the journal
+// A scheduling pass applies its place events itself, each as soon as its
+// VM is popped, and commits them with applied = len(evs). If an apply
+// fails, the events applied before it are still committed, so the journal
 // never falls behind the state.
 //
 // evs is built on p.evbuf, the placer's reusable group buffer (the group
 // would otherwise escape to the heap on every commit); it is valid until
 // the next commit under the lock.
-func (p *Placer) commitEventsLocked(evs []durable.Event, bind func(i int) error) (err error) {
-	n, sweep := 0, false
+func (p *Placer) commitEventsLocked(evs []durable.Event, applied int) (err error) {
+	n, sweep := applied, applied > 0 // a pass's applied events are places
 	for ; n < len(evs); n++ {
-		if bind != nil {
-			if err = bind(n); err != nil {
-				break
-			}
-		}
 		if err = p.dispatchLocked(&evs[n]); err != nil {
 			break
 		}
@@ -74,7 +69,7 @@ func (p *Placer) commitEventsLocked(evs []durable.Event, bind func(i int) error)
 
 // commitEventLocked commits a group of one.
 func (p *Placer) commitEventLocked(ev durable.Event) error {
-	return p.commitEventsLocked(append(p.evbuf[:0], ev), nil)
+	return p.commitEventsLocked(append(p.evbuf[:0], ev), 0)
 }
 
 // dispatchLocked routes one event to its apply body. Every body is

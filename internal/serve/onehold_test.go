@@ -9,6 +9,7 @@ import (
 
 	"tracon/internal/durable"
 	"tracon/internal/model"
+	"tracon/internal/sched"
 )
 
 // TestNoBacklogBesideFreeSlot holds the property one lock hold per
@@ -298,5 +299,50 @@ func TestOneFsyncPerHold(t *testing.T) {
 	}
 	if perTask := float64(fs.syncs.Load()-before) / tasks; perTask != 2 {
 		t.Fatalf("a submit → complete closed loop costs %.2f fsyncs per task, want 2.00", perTask)
+	}
+}
+
+// misplacing places the first batch member on any free VM and the second
+// on a category no VM has, so its pass fails after one placement.
+type misplacing struct{}
+
+func (misplacing) Name() string   { return "MISPLACING" }
+func (misplacing) BatchSize() int { return 2 }
+
+func (misplacing) Schedule(batch []sched.Task, _ sched.Counts, _ sched.Load) ([]sched.Placement, error) {
+	return []sched.Placement{{Task: batch[0], Category: sched.AnyCategory}, {Task: batch[1], Category: "no-such-app"}}, nil
+}
+
+// TestFailedPassCommitsWhatItPlaced: a scheduling pass that fails midway
+// still commits the placement it applied before the failure, as its own
+// group, so the journal and a follower never fall behind the placer.
+func TestFailedPassCommitsWhatItPlaced(t *testing.T) {
+	s := newTestServer(t, model.NLM, Config{Machines: 2, MaxQueue: -1, TraceCap: -1})
+	p := s.Placer()
+	var groups []string
+	p.onCommit = func(evs []durable.Event) {
+		var g []string
+		for _, ev := range evs {
+			g = append(g, ev.Kind+":"+ev.Task)
+		}
+		groups = append(groups, strings.Join(g, " "))
+	}
+	p.models.mu.Lock()
+	p.models.scheduler = misplacing{}
+	p.models.mu.Unlock()
+	app := testLibrary(t, model.NLM).Apps()[0]
+	if _, err := p.SubmitBatch([]string{app, app}); err == nil || !strings.Contains(err.Error(), `MISPLACING chose category "no-such-app"`) {
+		t.Fatalf("batch submit: %v, want the misplacement named", err)
+	}
+	if got, want := strings.Join(groups, " | "), "batch_admit: | place:t-1"; got != want {
+		t.Errorf("committed groups %q, want %q", got, want)
+	}
+	for id, want := range map[string]string{"t-1": StatusPlaced, "t-2": StatusQueued} {
+		if rec, _ := p.Get(id); rec.Status != want {
+			t.Errorf("%s is %s, want %s", id, rec.Status, want)
+		}
+	}
+	if err := p.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
+	"time"
 
 	"tracon/internal/durable"
 	"tracon/internal/model"
@@ -120,13 +121,13 @@ const SlotsPerMachine = sched.SlotsPerMachine
 // critical section: it validates and decides under the one mutex, hands
 // the events it journals to commitEventsLocked (apply.go), which applies
 // them with the functions recovery replays them with, and then runs the
-// scheduling passes (drainLocked) before it lets go. No observer sees a
-// task admitted but not yet offered to the scheduler. Model scoring runs
-// under the lock because it is cheap — 1 µs (MIOS) to 22 µs (MIBS, batch
-// of 8) per pass behind the scorer's pair cache — and the optimistic
-// planner that once kept it outside discarded 19-43 % of its score calls
-// under concurrent batch submitters (EXPERIMENTS.md, One lock hold per
-// operation).
+// scheduling passes (drainLocked, through the simulator's
+// sched.Passes.Drain) before it lets go. No observer sees a task admitted
+// but not yet offered to the scheduler. Model scoring runs under the lock
+// because it is cheap — a pass reads the scorer's dense pair table — and
+// the optimistic planner that once kept it outside discarded 19-43 % of
+// its score calls under concurrent batch submitters (EXPERIMENTS.md, One
+// lock hold per operation).
 //
 // Admission is enforced here, atomically with the admit commit: the scaled
 // queue bound is checked and the task admitted under one critical section,
@@ -162,14 +163,16 @@ type Placer struct {
 	done    []string
 	doneCap int
 
-	// evbuf, batchbuf and countbuf are reusable buffers for commit groups
-	// and for a scheduling pass's batch and free counts; none leaves the
+	// evbuf is the reusable buffer for commit groups; it does not leave the
 	// lock. onCommit, when set, observes each group as it commits, before
 	// the hold's append stamps Seq (the follower tests replay it).
 	evbuf    []durable.Event
-	batchbuf []sched.Task
-	countbuf sched.Counts
 	onCommit func(evs []durable.Event)
+	// passes holds the scheduling passes' buffers; view is the model view
+	// a hold's passes score with, and passT0 the start of the current pass.
+	passes sched.Passes
+	view   ModelView
+	passT0 time.Time
 }
 
 // DefaultCompletedCap bounds how many finished placement records are kept
@@ -614,110 +617,83 @@ func (p *Placer) Machines() []MachineView {
 	return out
 }
 
-// planLocked fails queue entries the library in view cannot score, then
-// builds the next pass's input: batch[i] is the record at p.queue[i], and
-// p.countbuf the free counts. The batch is empty when there is nothing to
-// schedule (empty backlog or no free slots), and valid until the next pass.
-func (p *Placer) planLocked(view ModelView) []sched.Task {
-	// Unknowable queue entries first (possible after a hot-swap to a
-	// different census): fail loudly instead of wedging the queue head.
+// drainLocked runs a hold's scheduling passes through the simulator's
+// sched.Passes.Drain, holding nothing back. It takes the model view once
+// (a swap during the hold is ordered after it) and first fails, as one
+// group, the queued tasks that view cannot score (possible after a swap to
+// a different census) instead of wedging the queue head.
+func (p *Placer) drainLocked() error {
+	p.view = p.models.View()
 	evs := p.evbuf[:0]
 	for _, rec := range p.queue {
-		if !view.Known[rec.App] {
+		if !p.view.Known[rec.App] {
 			evs = append(evs, durable.Event{
 				Kind: durable.EvFail, Task: rec.ID, Machine: -1, Slot: -1,
-				Error: fmt.Sprintf("application %q unknown to generation %d library", rec.App, view.Gen),
+				Error: fmt.Sprintf("application %q unknown to generation %d library", rec.App, p.view.Gen),
 			})
 		}
 	}
-	_ = p.commitEventsLocked(evs, nil) // failing a queued record cannot fail to apply
-
-	if p.pool.FreeSlots() == 0 || len(p.queue) == 0 {
-		return nil
+	_ = p.commitEventsLocked(evs, 0) // failing a queued record cannot fail to apply
+	p.passT0 = p.clock.Now()
+	if err := p.passes.Drain(p.view.Scheduler, p.pool, queueView{p}, 0, 0); err != nil {
+		_ = p.commitEventsLocked(p.evbuf, len(p.evbuf)) // what the pass placed before the error
+		return fmt.Errorf("serve: scheduling: %w", err)
 	}
-	batch := p.batchbuf[:0]
-	for i, rec := range p.queue[:min(view.Scheduler.BatchSize(), len(p.queue))] {
-		batch = append(batch, sched.Task{ID: int64(i), App: rec.App})
-	}
-	p.batchbuf, p.countbuf = batch[:0], p.pool.Counts(p.countbuf)
-	return batch
+	return nil
 }
 
-// commitPassLocked binds a scheduling pass's decisions to concrete slots and
-// commits them as one group: one backlog sweep, and one staged group for
-// the hold's journal append. The queue prefix is still the records the batch was built from,
-// because the lock has been held since planLocked built it.
-func (p *Placer) commitPassLocked(view ModelView, placements []sched.Placement) error {
-	evs := p.evbuf[:0]
-	for _, pl := range placements {
-		evs = append(evs, durable.Event{Kind: durable.EvPlace, Task: p.queue[pl.Task.ID].ID})
-	}
-	return p.commitEventsLocked(evs, func(i int) error {
-		return p.decidePlaceLocked(&evs[i], p.queue[placements[i].Task.ID], placements[i].Category, view)
+// queueView is the placer as its scheduling passes see it (sched.Backlog).
+// A pass applies each place event as its VM is popped and commits them as
+// one group when it ends.
+type queueView struct{ *Placer }
+
+func (b queueView) Len() int { return len(b.queue) }
+
+func (b queueView) Task(i int) sched.Task { return sched.Task{App: b.queue[i].App} }
+
+func (b queueView) Decided(batch, placed int) {
+	b.tracer.pass("score", batch, placed, b.clock.Since(b.passT0))
+}
+
+// Place builds the place event of batch member pos on the VM just popped
+// for it — the neighbour, and the active model's forecast for the
+// co-location — and applies it, which occupies the VM.
+func (b queueView) Place(pos int, _ string, mi, si int, _ int64) error {
+	rec := b.queue[pos]
+	other, _ := b.pool.Occupant(mi, 1-si)
+	evs := append(b.evbuf, durable.Event{
+		Kind: durable.EvPlace, Task: rec.ID, Machine: mi, Slot: si, Neighbour: other, Gen: b.view.Gen,
 	})
-}
-
-// drainLocked runs the scheduler over the backlog until a pass places
-// fewer tasks than it was offered (nothing placed, or the cluster filled
-// mid-batch). Every mutating operation calls it inside the lock hold that
-// committed its own event, so plan, score and commit cannot go stale.
-func (p *Placer) drainLocked() error {
-	for {
-		t0 := p.clock.Now()
-		view := p.models.View()
-		batch := p.planLocked(view)
-		if len(batch) == 0 {
-			return nil
-		}
-		// TotalSlots reflects schedulable capacity: lost machines shrink the
-		// utilization the adaptive policies see, exactly as in the simulator.
-		available, _ := p.capacityLocked()
-		load := sched.Load{TotalSlots: available, Queued: len(p.queue)}
-		s0 := p.clock.Now()
-		placements, err := view.Scheduler.Schedule(batch, p.countbuf, load)
-		p.tracer.pass("score", len(batch), len(placements), p.clock.Since(s0))
-		if err != nil {
-			return fmt.Errorf("serve: scheduling: %w", err)
-		}
-		err = p.commitPassLocked(view, placements)
-		p.tracer.pass("batch_pass", len(batch), len(placements), p.clock.Since(t0))
-		if err != nil || len(placements) < len(batch) {
-			return err
-		}
-	}
-}
-
-// decidePlaceLocked completes a place event: it resolves the scheduler's
-// category to a concrete (machine, slot) — AnyCategory takes the VM that
-// has been free the longest (FIFO over VMs, DESIGN.md §4), EmptyCategory
-// and an application category the lowest-indexed match — and records the
-// neighbour and the active model's forecast for the co-location. pool.Pop
-// reserves the VM; applyPlace occupies it.
-func (p *Placer) decidePlaceLocked(ev *durable.Event, rec *Placement, category string, view ModelView) error {
-	mi, si, err := p.pool.Pop(category)
-	if err != nil {
-		return fmt.Errorf("serve: scheduler chose category %q but no matching slot is free: %w", category, err)
-	}
-	other, _ := p.pool.Occupant(mi, 1-si)
-	ev.Machine, ev.Slot, ev.Neighbour, ev.Gen = mi, si, other, view.Gen
+	ev := &evs[len(evs)-1]
 	// Forecast this co-location for the completion-time drift check. The
 	// prediction is telemetry: a failure here (cannot happen for a known
 	// pair) must not undo a valid placement.
-	if rt, err := view.Pred.PredictRuntime(rec.App, other); err == nil {
+	if rt, err := b.view.Pred.PredictRuntime(rec.App, other); err == nil {
 		ev.PredRT = rt
 	}
-	if io, err := view.Pred.PredictIOPS(rec.App, other); err == nil {
+	if io, err := b.view.Pred.PredictIOPS(rec.App, other); err == nil {
 		ev.PredIOPS = io
 	}
 	// BG is the neighbour's characteristic vector, kept for the retraining
 	// sample the completion observation turns into.
 	if other == "" {
 		ev.BG = make([]float64, model.NumFeatures)
-	} else if f, err := view.Lib.Features(other); err == nil {
+	} else if f, err := b.view.Lib.Features(other); err == nil {
 		ev.BG = append([]float64(nil), f...)
 	}
-	p.tracer.place(rec, ev)
+	b.tracer.place(rec, ev)
+	if err := b.dispatchLocked(ev); err != nil {
+		return err
+	}
+	b.evbuf = evs
 	return nil
+}
+
+func (b queueView) Passed(placed []bool) {
+	n := len(b.evbuf)
+	_ = b.commitEventsLocked(b.evbuf, n) // applied as their VMs were popped
+	b.tracer.pass("batch_pass", len(placed), n, b.clock.Since(b.passT0))
+	b.passT0 = b.clock.Now()
 }
 
 // CheckInvariants validates the placer's bookkeeping: slots and placement

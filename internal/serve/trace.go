@@ -59,9 +59,10 @@ func (t *serveTracer) coalesceWait(reqID, app string, dur time.Duration) {
 	})
 }
 
-// pass records one scheduling pass as kind "score" (the scheduler
-// invocation, the model-scoring hot path) or "batch_pass" (the full
-// draining iteration): batch offered, tasks placed, wall time.
+// pass records one scheduling pass as kind "score" (up to the scheduler's
+// decision: the batch and census refill, then the scheduler invocation,
+// the model-scoring hot path) or "batch_pass" (the full draining
+// iteration): batch offered, tasks placed, wall time.
 func (t *serveTracer) pass(kind string, batch, placed int, dur time.Duration) {
 	t.emit(kind, obs.ServeInfo{
 		Machine: -1, Slot: -1, Batch: batch, Placed: placed, DurS: dur.Seconds(),

@@ -236,11 +236,8 @@ type Engine struct {
 	// queue[qhead:].
 	queue []int
 	qhead int
-	// batch, counts and placed are the scheduling pass's buffers, reused
-	// across passes.
-	batch   []sched.Task
-	counts  sched.Counts
-	placed  map[int64]bool
+	// passes holds the scheduling passes' buffers.
+	passes  sched.Passes
 	now     float64
 	seq     int64
 	genSeq  int64
@@ -283,7 +280,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 		cfg:         cfg,
 		machines:    make([]machineState, cfg.Machines),
 		pool:        sched.NewIdleFreePool(cfg.Machines),
-		placed:      map[int64]bool{},
 		table:       cfg.Table,
 		nextFlushAt: math.Inf(1),
 	}
@@ -396,7 +392,7 @@ func (e *Engine) Run(arrivals []sched.Task, horizon float64) (*Results, error) {
 			}
 			e.evictAttempt(m, s, FaultTimeout)
 		}
-		if err := e.trySchedule(); err != nil {
+		if err := e.passes.Drain(e.cfg.Scheduler, e.pool, queueView{e}, e.now, e.cfg.FlushTimeout); err != nil {
 			return nil, err
 		}
 		e.ensureFlush()
@@ -715,81 +711,40 @@ func (e *Engine) place(t sched.Task, m, slot int) error {
 	return nil
 }
 
-// trySchedule runs the scheduling policy against the current queue.
-func (e *Engine) trySchedule() error {
-	q := e.cfg.Scheduler.BatchSize()
-	for e.backlog() > 0 && e.pool.FreeSlots() > 0 {
-		n := e.backlog()
-		ready := n >= q || e.now-e.task(e.queue[e.qhead]).Arrival >= e.cfg.FlushTimeout-1e-9
-		if !ready {
-			return nil
-		}
-		batchLen := q
-		if batchLen > n {
-			batchLen = n
-		}
-		e.batch = e.batch[:0]
-		for _, ref := range e.queue[e.qhead : e.qhead+batchLen] {
-			e.batch = append(e.batch, *e.task(ref))
-		}
-		batch := e.batch
-		// Crashed machines are not capacity.
-		load := sched.Load{TotalSlots: e.pool.InServiceMachines() * sched.SlotsPerMachine, Queued: n}
-		e.counts = e.pool.Counts(e.counts)
-		placements, err := e.cfg.Scheduler.Schedule(batch, e.counts, load)
-		if err != nil {
-			return err
-		}
-		if e.cfg.Observer != nil {
-			e.ev.Decision = Decision{Batch: len(batch), Placed: len(placements)}
-			e.observe(OnDecision)
-		}
-		if len(placements) == 0 {
-			return nil
-		}
-		clear(e.placed)
-		for _, p := range placements {
-			m, slot, err := e.pop(p.Category)
-			if err != nil {
-				return fmt.Errorf("sim: scheduler %s emitted unexecutable placement %+v: %w",
-					e.cfg.Scheduler.Name(), p, err)
-			}
-			if err := e.place(p.Task, m, slot); err != nil {
-				return err
-			}
-			e.placed[p.Task.ID] = true
-		}
-		// Keep the unplaced batch members at the front of the backlog,
-		// preserving order — O(batch), never O(backlog).
-		refs := e.queue[e.qhead : e.qhead+batchLen]
-		w := batchLen
-		for i := batchLen - 1; i >= 0; i-- {
-			if !e.placed[e.task(refs[i]).ID] {
-				w--
-				refs[w] = refs[i]
-			}
-		}
-		e.qhead += w
-		if len(placements) < batchLen {
-			return nil // cluster full; wait for completions
-		}
+// queueView is the engine as its scheduling passes see it (sched.Backlog):
+// the queued tasks from qhead on.
+type queueView struct{ *Engine }
+
+func (b queueView) Len() int { return b.backlog() }
+
+func (b queueView) Task(i int) sched.Task { return *b.task(b.queue[b.qhead+i]) }
+
+func (b queueView) Decided(batch, placed int) {
+	if b.cfg.Observer != nil {
+		b.ev.Decision = Decision{Batch: batch, Placed: placed}
+		b.observe(OnDecision)
 	}
-	return nil
 }
 
-// pop resolves a placement category to a free slot and, with an observer
-// attached, reports the pop.
-func (e *Engine) pop(category string) (machine, slot int, err error) {
-	if e.cfg.Observer == nil {
-		return e.pool.Pop(category)
+func (b queueView) Place(pos int, category string, m, slot int, freeGen int64) error {
+	if b.cfg.Observer != nil {
+		b.ev.Pop = PopInfo{Category: category, Machine: m, Slot: slot, FreeGen: freeGen}
+		b.observe(OnPop)
 	}
-	p := &e.ev.Pop
-	p.Category = category
-	p.Machine, p.Slot, p.FreeGen, err = e.pool.PopTraced(category)
-	if err == nil {
-		e.observe(OnPop)
+	return b.place(b.Task(pos), m, slot)
+}
+
+// Passed keeps the unplaced batch members at the front of the backlog in
+// order: O(batch), never O(backlog).
+func (b queueView) Passed(placed []bool) {
+	refs, w := b.queue[b.qhead:b.qhead+len(placed)], len(placed)
+	for i := len(placed) - 1; i >= 0; i-- {
+		if !placed[i] {
+			w--
+			refs[w] = refs[i]
+		}
 	}
-	return p.Machine, p.Slot, err
+	b.qhead += w
 }
 
 func (e *Engine) backlog() int { return len(e.queue) - e.qhead }
