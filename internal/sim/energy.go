@@ -67,9 +67,8 @@ func (e *Engine) machinePower(m int) float64 {
 }
 
 // settleEnergy integrates machine m's energy up to the current time and
-// re-samples its power. Must be called on every membership change, before
-// the change is applied... it is invoked from settle(), which the engine
-// already calls at exactly those points.
+// re-samples its power: settle calls it before every membership change,
+// and each change calls it again after.
 func (e *Engine) settleEnergy(m int) {
 	ms := &e.machines[m]
 	dt := e.now - ms.lastEnergyAt
@@ -78,18 +77,6 @@ func (e *Engine) settleEnergy(m int) {
 		ms.lastEnergyAt = e.now
 	}
 	ms.powerW = e.machinePower(m)
-}
-
-// flushEnergy integrates every machine to the horizon at the end of a run.
-func (e *Engine) flushEnergy(until float64) {
-	for m := range e.machines {
-		ms := &e.machines[m]
-		dt := until - ms.lastEnergyAt
-		if dt > 0 {
-			e.results.EnergyJ += dt * ms.powerW
-			ms.lastEnergyAt = until
-		}
-	}
 }
 
 // EnergyPerTaskKJ is the energy bill per completed task in kilojoules.

@@ -40,17 +40,19 @@ type Config struct {
 	Faults *fault.Plan
 }
 
+// eventKind is a heap event's kind: the EventKind of the step it makes (a
+// completion whose attempt fails steps as EvFail), held in one byte.
 type eventKind uint8
 
 const (
-	evArrival eventKind = iota
-	evCompletion
-	evFlush
-	evMachineDown
-	evMachineUp
-	evSlowChange
-	evRetry
-	evTimeout
+	evArrival     = eventKind(EvArrival)
+	evCompletion  = eventKind(EvCompletion)
+	evFlush       = eventKind(EvFlush)
+	evMachineDown = eventKind(EvMachineDown)
+	evMachineUp   = eventKind(EvMachineUp)
+	evSlowChange  = eventKind(EvSlowChange)
+	evRetry       = eventKind(EvRetry)
+	evTimeout     = eventKind(EvTimeout)
 )
 
 // event is 32 bytes: the heap moves events on every push and pop, so
@@ -249,10 +251,6 @@ type Engine struct {
 	// boundaries and retries) instead of growing one flush per enqueued
 	// task.
 	nextFlushAt float64
-	// naiveFlush restores the pre-optimization one-flush-per-enqueue
-	// behaviour; the flush-equivalence test uses it to prove the suppressed
-	// schedule is byte-identical to the naive one.
-	naiveFlush bool
 	// attempts maps task ID → placement attempts made so far (allocated
 	// only when Config.Faults is set).
 	attempts map[int64]int
@@ -327,16 +325,23 @@ func (e *Engine) Run(arrivals []sched.Task, horizon float64) (*Results, error) {
 		}
 	}
 
+	end := 0.0 // the time of the last event that was not a flush
 	for e.obsErr == nil {
 		ev, ref, ok := e.nextEvent()
 		if !ok || ev.time > horizon {
 			break
 		}
+		if e.stale(ev) {
+			continue // it changes nothing, so it must not move the clock
+		}
 		if ev.time < e.now-1e-9 {
 			return nil, fmt.Errorf("sim: time went backwards: %v < %v", ev.time, e.now)
 		}
 		e.now = math.Max(e.now, ev.time)
-		okind := observedKind(ev.kind)
+		if ev.kind != evFlush {
+			end = e.now
+		}
+		okind := EventKind(ev.kind)
 		switch ev.kind {
 		case evArrival:
 			t := &e.arrivals[ref]
@@ -352,16 +357,12 @@ func (e *Engine) Run(arrivals []sched.Task, horizon float64) (*Results, error) {
 			e.enqueue(ref, false)
 		case evCompletion:
 			m, s := int(ev.machine), int(ev.slot)
-			rt := e.machines[m].slots[s]
-			if rt == nil || rt.gen != ev.gen {
-				continue // stale completion from before a repricing
-			}
-			if e.cfg.Faults != nil && e.cfg.Faults.TaskFails(rt.task.ID, e.attempts[rt.task.ID]) {
+			if rt := e.machines[m].slots[s]; e.cfg.Faults != nil && e.cfg.Faults.TaskFails(rt.task.ID, e.attempts[rt.task.ID]) {
 				// The attempt fails at the instant it would have completed.
 				e.evictAttempt(m, s, FaultFail)
 				okind = EvFail
-			} else if err := e.complete(m, s); err != nil {
-				return nil, err
+			} else {
+				e.complete(m, s)
 			}
 		case evFlush:
 			// Just a wake-up; scheduling below. The armed flush is spent;
@@ -386,11 +387,7 @@ func (e *Engine) Run(arrivals []sched.Task, horizon float64) (*Results, error) {
 			e.task(int(ev.gen)).Arrival = e.now
 			e.enqueue(int(ev.gen), false)
 		case evTimeout:
-			m, s := int(ev.machine), int(ev.slot)
-			if rt := e.machines[m].slots[s]; rt == nil || rt.placeGen != ev.gen {
-				continue // the attempt completed or was evicted first
-			}
-			e.evictAttempt(m, s, FaultTimeout)
+			e.evictAttempt(int(ev.machine), int(ev.slot), FaultTimeout)
 		}
 		if err := e.passes.Drain(e.cfg.Scheduler, e.pool, queueView{e}, e.now, e.cfg.FlushTimeout); err != nil {
 			return nil, err
@@ -401,11 +398,20 @@ func (e *Engine) Run(arrivals []sched.Task, horizon float64) (*Results, error) {
 			e.observe(OnStep)
 		}
 	}
-	if !math.IsInf(horizon, 1) {
-		e.now = horizon
+	if e.obsErr != nil {
+		return nil, e.obsErr
 	}
+	// A run to completion ends at its last event other than a flush: a
+	// flush only wakes the passes, and a task it places has a later event
+	// of its own.
+	if !math.IsInf(horizon, 1) {
+		end = horizon
+	}
+	e.now = end
 	e.results.Horizon = e.now
-	e.flushEnergy(e.now)
+	for m := range e.machines {
+		e.settleEnergy(m) // bill every machine up to the end
+	}
 	if e.cfg.Observer != nil {
 		e.ev.Results = &e.results
 		e.observe(OnDone)
@@ -414,6 +420,16 @@ func (e *Engine) Run(arrivals []sched.Task, horizon float64) (*Results, error) {
 		}
 	}
 	return &e.results, nil
+}
+
+// stale reports whether ev is a completion or a timeout whose attempt has
+// since been repriced, completed or evicted.
+func (e *Engine) stale(ev event) bool {
+	if ev.kind != evCompletion && ev.kind != evTimeout {
+		return false
+	}
+	rt := e.machines[ev.machine].slots[ev.slot]
+	return rt == nil || ev.kind == evCompletion && rt.gen != ev.gen || ev.kind == evTimeout && rt.placeGen != ev.gen
 }
 
 // observe reports the engine's event, stamped with kind and the current
@@ -483,30 +499,6 @@ func (e *Engine) addExtra(t sched.Task) int {
 	return len(e.arrivals) + len(e.extra) - 1
 }
 
-// observedKind maps the internal event kind to the observer-facing one.
-// A completion event whose attempt fails probabilistically is reported as
-// EvFail by the event loop instead.
-func observedKind(k eventKind) EventKind {
-	switch k {
-	case evArrival:
-		return EvArrival
-	case evCompletion:
-		return EvCompletion
-	case evMachineDown:
-		return EvMachineDown
-	case evMachineUp:
-		return EvMachineUp
-	case evSlowChange:
-		return EvSlowChange
-	case evRetry:
-		return EvRetry
-	case evTimeout:
-		return EvTimeout
-	default:
-		return EvFlush
-	}
-}
-
 // enqueue adds a schedulable task to the backlog (released marks tasks a
 // workflow-dependency completion just unblocked). Flush wake-ups (so a
 // partial batch cannot starve waiting for a batch scheduler's queue to
@@ -522,20 +514,18 @@ func (e *Engine) enqueue(ref int, released bool) {
 		e.queue = append(e.queue[:0], e.queue[e.qhead:]...)
 		e.qhead = 0
 	}
-	if e.naiveFlush {
-		e.push(event{time: e.now + e.cfg.FlushTimeout, kind: evFlush})
-	}
 }
 
 // ensureFlush keeps exactly one flush wake-up armed at the backlog head's
-// deadline (arrival + FlushTimeout). Arming one flush per enqueued task —
-// the previous scheme — bloated the event heap O(tasks); one armed flush
-// gives the identical schedule because the backlog is ordered by arrival,
+// deadline (arrival + FlushTimeout). One flush per enqueued task, as the
+// reference engine in reference_test.go arms them, grows the event heap
+// O(tasks); one armed flush gives the identical schedule because the
+// backlog is ordered by arrival,
 // so the head's deadline is always the earliest one, and a flush at any
 // later queued task's deadline would find the head already over its
 // timeout and force the same scheduling pass.
 func (e *Engine) ensureFlush() {
-	if e.naiveFlush || e.backlog() == 0 {
+	if e.backlog() == 0 {
 		return
 	}
 	deadline := e.task(e.queue[e.qhead]).Arrival + e.cfg.FlushTimeout
@@ -543,7 +533,7 @@ func (e *Engine) ensureFlush() {
 	// scheduling pass that just ran could not place it (no free slots or
 	// the policy declined); a wake-up would re-run the same decision on the
 	// same state. The next arrival or completion re-triggers scheduling,
-	// exactly as the per-task scheme behaved once its flushes were spent.
+	// exactly as one flush per task behaves once its flushes are spent.
 	if deadline <= e.now || e.nextFlushAt <= deadline {
 		return
 	}
@@ -586,10 +576,7 @@ func (e *Engine) reprice(m int) {
 		if other := ms.slots[1-s]; other != nil {
 			nb = other.app
 		}
-		rt.rate = e.table.rate[rt.app*e.table.n+nb]
-		if rt.rate <= 0 {
-			rt.rate = 1e-9
-		}
+		rt.rate = e.table.pairRate(rt.app, nb)
 		if e.cfg.Faults != nil {
 			// A slowdown window dilates the rate; factor 0 is a full stall.
 			rt.rate *= e.cfg.Faults.RateFactor(m, s, e.now)
@@ -617,13 +604,10 @@ func (e *Engine) reprice(m int) {
 
 // complete finishes the task in (m, slot), records it, frees the VM and
 // reprices the survivor.
-func (e *Engine) complete(m, slot int) error {
+func (e *Engine) complete(m, slot int) {
 	e.settle(m)
 	ms := &e.machines[m]
 	rt := ms.slots[slot]
-	if rt == nil {
-		return fmt.Errorf("sim: completion on empty slot %d/%d", m, slot)
-	}
 	ms.slots[slot] = nil
 	rec := TaskRecord{Task: rt.task, Start: rt.start, Finish: e.now, Machine: m, Slot: slot}
 	if e.cfg.Observer != nil {
@@ -651,7 +635,6 @@ func (e *Engine) complete(m, slot int) error {
 	e.pool.Vacate(m, slot)
 	e.reprice(m)
 	e.settleEnergy(m) // re-sample power under the new membership
-	return nil
 }
 
 // place starts a task on a concrete VM.
@@ -694,11 +677,7 @@ func (e *Engine) place(t sched.Task, m, slot int) error {
 		// Placed into a fully stalled slowdown window: forecast at the
 		// undilated rate — a forecast of +Inf would be meaningless and
 		// unencodable in the JSON trace.
-		base := e.table.rate[a*e.table.n+nb]
-		if base <= 0 {
-			base = 1e-9
-		}
-		rt.predicted = rt.workLeft / base
+		rt.predicted = rt.workLeft / e.table.pairRate(a, nb)
 	}
 	if e.cfg.Observer != nil {
 		e.ev.Place = PlaceInfo{

@@ -577,6 +577,48 @@ func TestHorizonCutsOffRunningTasks(t *testing.T) {
 	}
 }
 
+// TestInfiniteHorizonEndsAtLastFinish: a fault-free run to completion ends
+// at its last finish, and bills energy up to that instant and no further,
+// on the storage study's shape (16 machines, static batches of 32) under
+// FIFO and MIBS. A completion left stale by a repricing, popped after the
+// last real one, once moved the clock and so Horizon and EnergyJ.
+func TestInfiniteHorizonEndsAtLastFinish(t *testing.T) {
+	pred := oracle(t)
+	failed := 0
+	for seed := int64(1); seed <= 40; seed++ {
+		tasks := make([]sched.Task, 32)
+		for i, spec := range workload.NewMixer(seed).Batch(workload.MediumIO, len(tasks)) {
+			tasks[i] = sched.Task{ID: int64(i), App: workload.BaseName(spec.Name)}
+		}
+		for _, s := range []sched.Scheduler{
+			sched.FIFO{},
+			&sched.MIBS{Scorer: sched.NewScorer(pred, sched.MinRuntime), QueueLen: len(tasks)},
+		} {
+			run := func(horizon float64) *Results {
+				eng, err := NewEngine(Config{Machines: 16, Scheduler: s, Table: table(t)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := eng.Run(tasks, horizon)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			res := run(math.Inf(1))
+			cut := run(res.LastFinish)
+			if res.Horizon != res.LastFinish || res.EnergyJ != cut.EnergyJ {
+				failed++
+				t.Errorf("seed %d %s: horizon %v, last finish %v; energy %v J, %v J billed to the last finish",
+					seed, s.Name(), res.Horizon, res.LastFinish, res.EnergyJ, cut.EnergyJ)
+			}
+		}
+	}
+	if failed > 0 {
+		t.Logf("%d of 80 runs end after their last finish", failed)
+	}
+}
+
 func TestDropRecordsKeepsAggregates(t *testing.T) {
 	tb := table(t)
 	run := func(drop bool) *Results {

@@ -124,3 +124,12 @@ func BuildInterferenceTableParallel(host *xen.Host, apps []xen.AppSpec, workers 
 
 // Has reports whether the table knows app.
 func (t *InterferenceTable) Has(app string) bool { return t.ords[app] > 0 }
+
+// pairRate is the progress rate of app ordinal a beside neighbour nb,
+// raised to 1e-9 where the table has none, so a finish time stays finite.
+func (t *InterferenceTable) pairRate(a, nb int) float64 {
+	if r := t.rate[a*t.n+nb]; r > 0 {
+		return r
+	}
+	return 1e-9
+}
