@@ -248,6 +248,7 @@ func (p *Placer) evictListedLocked(tasks []durable.TaskRef) []*Placement {
 // state with one more retry.
 func (p *Placer) evictLocked(rec *Placement) {
 	p.releaseLocked(rec)
+	p.checked = 0 // its app may have left the census since it was placed
 	rec.Status = StatusQueued
 	rec.Machine = -1
 	rec.Slot = -1

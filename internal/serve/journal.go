@@ -226,6 +226,7 @@ func (p *Placer) RestoreState(st *durable.PlacerState) error {
 	p.placements = placements
 	p.dedup = dedup
 	p.queue = queue
+	p.checked = 0
 	p.done = append([]string(nil), st.Done...)
 	p.nextID = st.NextID
 	if p.admission != nil {

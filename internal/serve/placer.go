@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -173,6 +174,9 @@ type Placer struct {
 	passes sched.Passes
 	view   ModelView
 	passT0 time.Time
+	// checked is the generation the backlog's apps were last checked
+	// against; 0 (boot, RestoreState, a requeue) forces the next check.
+	checked uint64
 }
 
 // DefaultCompletedCap bounds how many finished placement records are kept
@@ -237,12 +241,11 @@ func (p *Placer) setStateLocked(mi int, state string) {
 // push the backlog past the scaled bound, and the admit event is journaled
 // (and, under fsync=always, on disk) before the caller is acknowledged.
 func (p *Placer) SubmitKeyed(app, reqID, key string) (*Placement, error) {
-	view := p.models.View()
-	if err := p.checkKnown(view, app); err != nil {
-		return nil, err
-	}
 	p.mu.Lock()
 	defer p.unlock()
+	if err := p.checkKnown(p.models.View(), app); err != nil {
+		return nil, err
+	}
 	if rec := p.dedupLocked(key); rec != nil {
 		return rec.clone(), nil
 	}
@@ -289,14 +292,13 @@ func (p *Placer) SubmitBatch(apps []string) ([]BatchOutcome, error) {
 // placements in the hold's one append (one fsync). The returned error is global (a scheduling failure); per-task
 // problems live in the slice.
 func (p *Placer) SubmitBatchKeyed(apps, reqIDs, keys []string) ([]BatchOutcome, error) {
-	view := p.models.View()
 	out := make([]BatchOutcome, len(apps))
 	refs := make([]durable.TaskRef, 0, len(apps))
 	deduped := make([]bool, len(apps))
 
 	p.mu.Lock()
 	defer p.unlock()
-	budget := p.admitBudgetLocked()
+	view, budget := p.models.View(), p.admitBudgetLocked()
 	for i, app := range apps {
 		key := at(keys, i)
 		if key != "" {
@@ -305,7 +307,7 @@ func (p *Placer) SubmitBatchKeyed(apps, reqIDs, keys []string) ([]BatchOutcome, 
 				deduped[i] = true
 				continue
 			}
-			if admittedUnder(refs, key) {
+			if slices.ContainsFunc(refs, func(r durable.TaskRef) bool { return r.Dedup == key }) {
 				deduped[i] = true // resolved through the dedup index after the commit
 				continue
 			}
@@ -369,17 +371,6 @@ func (p *Placer) dedupLocked(key string) *Placement {
 		return nil
 	}
 	return p.placements[p.dedup[key]]
-}
-
-// admittedUnder reports whether an earlier task of the batch being decided
-// already claimed key.
-func admittedUnder(refs []durable.TaskRef, key string) bool {
-	for i := range refs {
-		if refs[i].Dedup == key {
-			return true
-		}
-	}
-	return false
 }
 
 // at returns xs[i], or "" past the end of a short positional slice.
@@ -619,21 +610,25 @@ func (p *Placer) Machines() []MachineView {
 
 // drainLocked runs a hold's scheduling passes through the simulator's
 // sched.Passes.Drain, holding nothing back. It takes the model view once
-// (a swap during the hold is ordered after it) and first fails, as one
-// group, the queued tasks that view cannot score (possible after a swap to
-// a different census) instead of wedging the queue head.
+// (a swap during the hold is ordered after it). If the backlog was not
+// checked against that generation yet, it first fails, as one group, the
+// queued tasks the view cannot score instead of wedging the queue head.
+// (Submits check their apps against a view read under p.mu.)
 func (p *Placer) drainLocked() error {
 	p.view = p.models.View()
-	evs := p.evbuf[:0]
-	for _, rec := range p.queue {
-		if !p.view.Known[rec.App] {
-			evs = append(evs, durable.Event{
-				Kind: durable.EvFail, Task: rec.ID, Machine: -1, Slot: -1,
-				Error: fmt.Sprintf("application %q unknown to generation %d library", rec.App, p.view.Gen),
-			})
+	if p.view.Gen != p.checked {
+		evs := p.evbuf[:0]
+		for _, rec := range p.queue {
+			if !p.view.Known[rec.App] {
+				evs = append(evs, durable.Event{
+					Kind: durable.EvFail, Task: rec.ID, Machine: -1, Slot: -1,
+					Error: fmt.Sprintf("application %q unknown to generation %d library", rec.App, p.view.Gen),
+				})
+			}
 		}
+		_ = p.commitEventsLocked(evs, 0) // failing a queued record cannot fail to apply
+		p.checked = p.view.Gen
 	}
-	_ = p.commitEventsLocked(evs, 0) // failing a queued record cannot fail to apply
 	p.passT0 = p.clock.Now()
 	if err := p.passes.Drain(p.view.Scheduler, p.pool, queueView{p}, 0, 0); err != nil {
 		_ = p.commitEventsLocked(p.evbuf, len(p.evbuf)) // what the pass placed before the error

@@ -225,6 +225,61 @@ func TestPlacerFailsQueuedTasksUnknownAfterSwap(t *testing.T) {
 	}
 }
 
+// A kill that requeues a placed task whose app a census-shrinking swap
+// dropped must fail it loudly, not wedge the queue head: the backlog was
+// checked against the new generation before the kill, so the requeue itself
+// has to force the next check.
+func TestPlacerFailsRequeuedTasksUnknownAfterSwap(t *testing.T) {
+	lib := testLibrary(t, model.NLM)
+	apps := lib.Apps()
+	s, err := New(lib, Config{Machines: 2, Policy: "fifo"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := s.Placer()
+	// The victim takes machine 0's first VM, a known app the other three.
+	victim, err := p.SubmitKeyed(apps[1], "", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for i := 0; i < 3; i++ {
+		rec, err := p.SubmitKeyed(apps[0], "", "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, rec.ID)
+	}
+	if victim.Status != StatusPlaced || victim.Machine != 0 {
+		t.Fatalf("victim not placed on machine 0: %+v", victim)
+	}
+	if err := s.ModelSet().Swap(subLibrary(t, lib, apps[0])); err != nil {
+		t.Fatal(err)
+	}
+	// A hold under the new generation checks the (empty) backlog against it.
+	if _, err := p.Complete(ids[2]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Kill(victim.Machine); err != nil {
+		t.Fatal(err)
+	}
+	got, _ := p.Get(victim.ID)
+	if got.Status != StatusFailed || got.Error == "" {
+		t.Fatalf("requeued victim should have failed loudly: %+v", got)
+	}
+	// The head is not wedged: the known task requeued behind the victim
+	// takes the VM the completion freed.
+	if rec, _ := p.Get(ids[0]); rec.Status != StatusPlaced || rec.Machine != 1 {
+		t.Fatalf("requeued known task not placed on machine 1: %+v", rec)
+	}
+	if p.Snapshot().QueueDepth != 0 {
+		t.Fatalf("queue depth = %d", p.Snapshot().QueueDepth)
+	}
+	if err := p.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // The finished ring must bound the placement map.
 func TestPlacerCompletedRecordsBounded(t *testing.T) {
 	s := newTestServer(t, model.NLM, Config{Machines: 1, CompletedCap: 4})

@@ -63,6 +63,43 @@ func BenchmarkPlacerSubmitComplete(b *testing.B) {
 	}
 }
 
+// BenchmarkPlacerSubmitCompleteQueued is one complete → submit cycle on 64
+// full machines under MIBS8 over a standing backlog of 512 or 4 096 tasks:
+// the completion places one queued task on the VM it frees and the submit
+// queues one more, so the depth holds. A hold that walked the whole
+// backlog cost O(backlog) here.
+func BenchmarkPlacerSubmitCompleteQueued(b *testing.B) {
+	for _, queued := range []int{512, 4096} {
+		b.Run(fmt.Sprintf("q%d", queued), func(b *testing.B) {
+			s := newTestServer(b, model.NLM, Config{Machines: 64, Policy: "mibs", QueueLen: 8, MaxQueue: -1, TraceCap: -1})
+			p, apps := s.Placer(), testLibrary(b, model.NLM).Apps()
+			batch := make([]string, 64)
+			for n := 0; n < 2*64+queued; n += len(batch) {
+				for i := range batch {
+					batch[i] = apps[(n+i)%len(apps)]
+				}
+				if _, err := p.SubmitBatch(batch); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if snap := p.Snapshot(); snap.FreeSlots != 0 || snap.QueueDepth != queued {
+				b.Fatalf("pre-fill left %+v", snap)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				vm := i % (2 * 64)
+				if _, err := p.Complete(p.machines[vm/2].tasks[vm%2]); err != nil {
+					b.Fatal(err)
+				}
+				if rec, err := p.SubmitKeyed(apps[i%len(apps)], "", ""); err != nil || rec.Status != StatusQueued {
+					b.Fatalf("submit: %+v, %v", rec, err)
+				}
+			}
+		})
+	}
+}
+
 func submitComplete(tb testing.TB, p *Placer, app string) {
 	rec, err := p.SubmitKeyed(app, "", "")
 	if err != nil || rec.Status != StatusPlaced {
