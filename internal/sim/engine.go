@@ -520,10 +520,9 @@ func (e *Engine) enqueue(ref int, released bool) {
 // deadline (arrival + FlushTimeout). One flush per enqueued task, as the
 // reference engine in reference_test.go arms them, grows the event heap
 // O(tasks); one armed flush gives the identical schedule because the
-// backlog is ordered by arrival,
-// so the head's deadline is always the earliest one, and a flush at any
-// later queued task's deadline would find the head already over its
-// timeout and force the same scheduling pass.
+// backlog is ordered by arrival, so the head's deadline is always the
+// earliest one, and a flush at any later queued task's deadline would find
+// the head already over its timeout and force the same scheduling pass.
 func (e *Engine) ensureFlush() {
 	if e.backlog() == 0 {
 		return
